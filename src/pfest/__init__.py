@@ -44,6 +44,7 @@ from .divergences import (
     gamma_f,
     hellinger,
     kl,
+    log_gamma_f,
     parse_f_spec,
     renyi,
     tv,

@@ -55,6 +55,8 @@ class DistributionPair:
     proposal has mass, ``inf`` where the target has mass but the
     proposal does not (that mass is also totalled in
     ``singular_mass``), and 0 on atoms carrying neither.
+    ``last_drawable_atom`` is the index of the last atom with proposal
+    mass, where inverse-CDF draws are clipped.
     """
 
     mu_weights: np.ndarray
@@ -63,6 +65,7 @@ class DistributionPair:
     name: str = ""
     ratio_cache: np.ndarray = field(init=False, repr=False, compare=False)
     singular_mass: float = field(init=False, compare=False)
+    last_drawable_atom: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = _as_weight_array(self.mu_weights, "mu_weights")
@@ -93,6 +96,9 @@ class DistributionPair:
         object.__setattr__(self, "z_true", z)
         object.__setattr__(self, "ratio_cache", _freeze(ratio))
         object.__setattr__(self, "singular_mass", singular)
+        object.__setattr__(
+            self, "last_drawable_atom", int(mu.size - 1 - np.argmax(pos[::-1]))
+        )
 
     @property
     def support_size(self) -> int:
@@ -226,6 +232,18 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     )
 
 
+def draw_atoms(pair: DistributionPair, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF map of uniforms in [0, 1), any shape, to atom indices.
+
+    The cumulative proposal mass can round below 1, so u at or above its
+    last value would index past the table; such draws are clipped to the
+    last atom with proposal mass, never to a trailing zero-mass atom.
+    """
+    atoms = np.searchsorted(np.cumsum(pair.mu_weights), u, side="right")
+    np.clip(atoms, 0, pair.last_drawable_atom, out=atoms)
+    return atoms
+
+
 def sample(pair: DistributionPair, n: int, seed: int) -> SampleBatch:
     """n i.i.d. proposal draws by inverse CDF over the atom table.
 
@@ -236,11 +254,7 @@ def sample(pair: DistributionPair, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = make_generator(seed)
-    cum = np.cumsum(pair.mu_weights)
-    u = gen.random(n)
-    atoms = np.searchsorted(cum, u, side="right")
-    # cum[-1] can round below 1; u can never reach past the last atom.
-    np.clip(atoms, 0, pair.support_size - 1, out=atoms)
+    atoms = draw_atoms(pair, gen.random(n))
     lam = pair.lambda_values[atoms]
     return SampleBatch(atoms=atoms.astype(np.int64), lambdas=lam, seed=int(seed), n=n)
 

@@ -6,12 +6,18 @@ pair is the proposal expectation of f(ratio) plus the singular target
 mass weighted by the slope of f at infinity. Sample-size planning only
 ever touches f through two handles: the growth inverse (smallest t with
 f(t)/t >= m) and the growth regime of f at large arguments.
+
+The built-in generators carry their growth inverse in closed form, in
+log space, so exp(KL)-scale inverses stay representable; user
+generators fall back to bracket doubling plus bisection.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -24,6 +30,11 @@ from .errors import ClassificationError
 GAMMA_REL_TOL = 1e-10
 # Bracket cap: beyond this the inverse is reported as infinite.
 GAMMA_T_MAX = 1e300
+# ln of the largest float: growth inverses past it are inf as floats.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# Newton steps allowed to the closed-form log inverses (KL, Renyi); a
+# start within a constant factor of the root needs fewer than ten.
+NEWTON_MAX_STEPS = 100
 # Probe points and multiplicative sensitivity for regime classification.
 REGIME_PROBES = (1e3, 1e6, 1e9)
 REGIME_GROWTH_FACTOR = 1.01
@@ -53,6 +64,9 @@ class FGenerator:
     probes the growth numerically. ``c_threshold`` is the technical
     constant of the second-moment planner term; built-ins ship curated
     values, user generators get a scanned estimate.
+    ``log_growth_inverse`` maps m >= 0 to ln gamma_f(m) in closed form;
+    the built-in factories attach one, and generators without it are
+    inverted by bisection.
     """
 
     name: str
@@ -60,6 +74,9 @@ class FGenerator:
     f_prime_at_inf: float
     regime: Optional[Regime] = None
     c_threshold: float = 1.0
+    log_growth_inverse: Optional[Callable[[float], float]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         _spot_check_generator(self.fn, self.name)
@@ -124,31 +141,140 @@ def _hellinger_fn(t):
     return out if out.ndim else float(out)
 
 
+def _log_gamma_tv(m: float) -> float:
+    # f(t)/t = 1/2 - 1/(2t) for t >= 1
+    return -math.log1p(-2.0 * m) if m < 0.5 else math.inf
+
+
+def _log_gamma_hellinger(m: float) -> float:
+    # f(t)/t = (1 - 1/sqrt(t))^2 for t >= 1
+    return -2.0 * math.log1p(-math.sqrt(m)) if m < 1.0 else math.inf
+
+
+def _log_gamma_chi2(m: float) -> float:
+    # larger root of t^2 - (2 + m) t + 1 = 0; sqrt(m) * sqrt(m + 4)
+    # stands in for sqrt(m^2 + 4m), which overflows first
+    return math.log1p(0.5 * m + 0.5 * math.sqrt(m) * math.sqrt(m + 4.0))
+
+
+# Below this u = ln t, growth is summed as its Taylor series through
+# u^6: e^u - 1 style differences cancel there, and the first omitted
+# term is below 1e-18 of the sum.
+SERIES_U_MAX = 1e-3
+
+
+def _power_series(coeffs: tuple, u: float) -> float:
+    """sum of coeffs[j] * u^(j+2), by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc * u * u
+
+
+def _newton_log_inverse(
+    m: float, growth: Callable, slope: Callable, far_start: float, curvature: float
+) -> float:
+    """Smallest u >= 0 with growth(u) >= m, where growth(u) = f(e^u)/e^u
+    is convex and increasing, with growth(0) = 0 and growth'' >= 2 *
+    curvature on [0, 1].
+
+    Newton's method from a start above the root decreases monotonically
+    to it, so the loop ends once a step no longer lowers u. For small m
+    the start sqrt(m / curvature) is above the root and within a
+    constant factor of it; from the far start alone Newton would only
+    halve u per step there.
+    """
+    if m == 0.0:
+        return 0.0
+    near_start = math.sqrt(m / curvature)
+    u = min(far_start, near_start) if near_start <= 1.0 else far_start
+    for _ in range(NEWTON_MAX_STEPS):
+        excess = growth(u) - m
+        if not excess > 0.0:
+            break
+        nxt = u - excess / slope(u)
+        if not nxt < u:
+            break
+        u = nxt
+    return u
+
+
+_KL_SERIES = tuple((-1.0) ** k / math.factorial(k) for k in range(2, 7))
+
+
+def _kl_growth(u: float) -> float:
+    # u - 1 + e^-u
+    if u < SERIES_U_MAX:
+        return _power_series(_KL_SERIES, u)
+    return u + math.expm1(-u)
+
+
+def _log_gamma_kl(m: float) -> float:
+    # growth exceeds m by e^-(m+1) at the far start u = m + 1
+    return _newton_log_inverse(
+        m, _kl_growth, lambda u: -math.expm1(-u), m + 1.0, 0.5 / math.e
+    )
+
+
+def _log_gamma_renyi(alpha: float) -> Callable[[float], float]:
+    a1 = alpha - 1.0
+    series = tuple(
+        (a1**k + a1 * (-1.0) ** k) / math.factorial(k) for k in range(2, 7)
+    )
+
+    def growth(u: float) -> float:
+        # e^((alpha-1)u) + (alpha-1) e^-u - alpha
+        if max(u, a1 * u) < SERIES_U_MAX:
+            return _power_series(series, u)
+        return math.expm1(a1 * u) + a1 * math.expm1(-u)
+
+    def slope(u: float) -> float:
+        return a1 * (math.expm1(a1 * u) - math.expm1(-u))
+
+    # growth exceeds m by (alpha-1) e^-u at the far start
+    # u = ln(m + alpha)/(alpha-1)
+    return lambda m: _newton_log_inverse(
+        m, growth, slope, math.log(m + alpha) / a1, 0.5 * a1 * (a1 + 1.0 / math.e)
+    )
+
+
+@functools.cache
 def tv() -> FGenerator:
     """Total variation: f(t) = |t - 1| / 2, slope 1/2 at infinity.
 
     f(t)/t^2 peaks at t = 2, hence the threshold constant 2."""
-    return FGenerator("tv", _tv_fn, 0.5, Regime.LINEAR, c_threshold=2.0)
+    return FGenerator(
+        "tv", _tv_fn, 0.5, Regime.LINEAR, c_threshold=2.0,
+        log_growth_inverse=_log_gamma_tv,
+    )
 
 
+@functools.cache
 def kl() -> FGenerator:
     """Kullback-Leibler with the affine shift that zeroes the value and
     slope at 1: f(t) = t*log(t) - t + 1."""
     return FGenerator(
-        "kl", _kl_fn, math.inf, Regime.SUBQUADRATIC_SUPERLINEAR, c_threshold=1.0
+        "kl", _kl_fn, math.inf, Regime.SUBQUADRATIC_SUPERLINEAR, c_threshold=1.0,
+        log_growth_inverse=_log_gamma_kl,
     )
 
 
+@functools.cache
 def chi_squared() -> FGenerator:
     return FGenerator(
-        "chi2", _chi2_fn, math.inf, Regime.SUBQUADRATIC_SUPERLINEAR, c_threshold=1.0
+        "chi2", _chi2_fn, math.inf, Regime.SUBQUADRATIC_SUPERLINEAR, c_threshold=1.0,
+        log_growth_inverse=_log_gamma_chi2,
     )
 
 
+@functools.cache
 def hellinger() -> FGenerator:
     """Squared Hellinger: f(t) = (sqrt(t) - 1)^2, slope 1 at infinity.
     f(t)/t^2 last increases at t = 4."""
-    return FGenerator("hellinger", _hellinger_fn, 1.0, Regime.LINEAR, c_threshold=4.0)
+    return FGenerator(
+        "hellinger", _hellinger_fn, 1.0, Regime.LINEAR, c_threshold=4.0,
+        log_growth_inverse=_log_gamma_hellinger,
+    )
 
 
 def renyi(alpha: float) -> FGenerator:
@@ -161,7 +287,12 @@ def renyi(alpha: float) -> FGenerator:
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 1.0):
         raise ValueError(f"alpha must be > 1, got {alpha}")
+    return _renyi(alpha)
 
+
+# Bounded, unlike the argument-free factories: callers choose alpha.
+@functools.lru_cache(maxsize=64)
+def _renyi(alpha: float) -> FGenerator:
     def fn(t, _a=alpha):
         t = np.asarray(t, dtype=np.float64)
         out = t**_a - _a * (t - 1.0) - 1.0
@@ -169,7 +300,10 @@ def renyi(alpha: float) -> FGenerator:
 
     regime = Regime.SUPERQUADRATIC if alpha > 2 else Regime.SUBQUADRATIC_SUPERLINEAR
     # The second-moment constant is treated as 1 for the whole family.
-    return FGenerator(f"renyi(alpha={alpha:g})", fn, math.inf, regime, c_threshold=1.0)
+    return FGenerator(
+        f"renyi(alpha={alpha:g})", fn, math.inf, regime, c_threshold=1.0,
+        log_growth_inverse=_log_gamma_renyi(alpha),
+    )
 
 
 _BUILTIN_FACTORIES = {
@@ -222,17 +356,17 @@ def f_divergence(pair: DistributionPair, f: FGenerator) -> float:
     return total
 
 
-def gamma_f(f: FGenerator, m: float) -> float:
-    """Growth inverse: smallest t >= 1 with f(t)/t >= m.
-
-    Monotone because f(t)/t is non-decreasing on [1, inf). Returns inf
-    when no t below the bracket cap qualifies, which is how linear
-    generators signal infeasibility. Resolved by bracket doubling plus
-    bisection to relative tolerance 1e-10.
-    """
+def _check_growth_argument(m: float) -> float:
     m = float(m)
     if m < 0 or not math.isfinite(m):
         raise ValueError(f"m must be finite and >= 0, got {m}")
+    return m
+
+
+def _bisect_growth_inverse(f: FGenerator, m: float) -> float:
+    """Bracket doubling plus bisection to relative tolerance 1e-10; inf
+    when no t below the bracket cap qualifies. The route for generators
+    without a closed-form inverse."""
 
     def growth(t: float) -> float:
         with np.errstate(all="ignore"):
@@ -254,6 +388,43 @@ def gamma_f(f: FGenerator, m: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def log_gamma_f(f: FGenerator, m: float) -> float:
+    """ln of the growth inverse: ln of the smallest t >= 1 with
+    f(t)/t >= m.
+
+    Exact (closed form or monotone Newton) for generators that carry a
+    ``log_growth_inverse``, and finite wherever the inverse exists, far
+    past the float range of t itself. Other generators go through the
+    bisection of ``gamma_f``. inf means f(t)/t never reaches m: linear
+    generators at or past their slope at infinity.
+    """
+    m = _check_growth_argument(m)
+    if f.log_growth_inverse is None:
+        return math.log(_bisect_growth_inverse(f, m))
+    return f.log_growth_inverse(m)
+
+
+def gamma_f(f: FGenerator, m: float) -> float:
+    """Growth inverse: smallest t >= 1 with f(t)/t >= m.
+
+    Monotone because f(t)/t is non-decreasing on [1, inf). For the
+    built-ins this is exp(log_gamma_f), exact to rounding, and inf only
+    when the inverse is infinite or exceeds the float range (ln t above
+    about 709.78); use ``log_gamma_f`` past that. Generators without a
+    closed form are resolved by bracket doubling plus bisection to
+    relative tolerance 1e-10, with inf past the bracket cap 1e300.
+    """
+    m = _check_growth_argument(m)
+    if f.log_growth_inverse is None:
+        return _bisect_growth_inverse(f, m)
+    return exp_or_inf(f.log_growth_inverse(m))
+
+
+def exp_or_inf(u: float) -> float:
+    """e^u as a float, inf once it passes the float range."""
+    return math.exp(u) if u <= LOG_FLOAT_MAX else math.inf
 
 
 def classify_regime(f: FGenerator) -> Regime:

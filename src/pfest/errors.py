@@ -14,7 +14,8 @@ class InfeasiblePlanError(PfestError):
 
     Raised when the growth inverse of the divergence generator is
     infinite at the required argument (linear-regime generators below
-    their feasibility threshold).
+    their feasibility threshold), and when the smallest sufficient n
+    exceeds 10^4000 draws.
     """
 
 

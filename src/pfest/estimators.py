@@ -12,13 +12,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .coverage import CoverageProfile, min_coverage_threshold, solve_M_eps
 from .distributions import SampleBatch
-from .divergences import FGenerator, gamma_f
+from .divergences import FGenerator, exp_or_inf, log_gamma_f
 from .errors import InfeasiblePlanError
 
 # Median-of-means group count: k = ceil(GROUP_RATE * ln(1/delta)).
@@ -40,6 +40,13 @@ QUANTILE_GAMMA_MULT = 4.0
 # integrated coverage below eps * delta / IS_TARGET_DIVISOR at M.
 IS_PLAN_CONSTANT = 6.0
 IS_TARGET_DIVISOR = 6.0
+# Divergence-route plans are computed in log space. Below 2^53 the
+# float budget is exact enough to round up directly; above it n is an
+# integer built from ln n. Past ln n = LOG_N_MAX (n beyond 10^4000,
+# which also passes the 4300 digits Python writes out by default) no
+# sample of that size can be drawn, and the plan is reported infeasible.
+FLOAT_EXACT_INT_MAX = 2**53
+LOG_N_MAX = 4000 * math.log(10.0)
 
 # Success checks against (1 +/- eps) intervals treat the exact boundary
 # as failure: hard two-atom instances place estimates exactly on it,
@@ -54,7 +61,6 @@ class PlanSource(enum.Enum):
     QUANTILE = "quantile"
     IMPORTANCE = "importance"
     SELF_NORMALIZED = "self_normalized"
-    SAMPLING = "sampling"
 
 
 @dataclass(frozen=True)
@@ -258,6 +264,30 @@ def plan_n_coverage(profile: CoverageProfile, eps: float, delta: float) -> PlanR
     )
 
 
+def _ceil_exp(log_x: float) -> int:
+    """ceil(e^log_x) as a Python int, for budgets past float exactness:
+    a 53-bit mantissa rounded up, shifted left by the binary exponent."""
+    if log_x > LOG_N_MAX:
+        raise InfeasiblePlanError(
+            f"the plan needs about 10^{log_x / math.log(10.0):.6g} draws, "
+            "more than 10^4000; no sample of that size can be drawn"
+        )
+    shift = math.floor(log_x / math.log(2.0)) - 52
+    return math.ceil(math.exp(log_x - shift * math.log(2.0))) << shift
+
+
+def _plan_size(x: float, log_x: Callable[[], float]) -> int:
+    """n = ceil(x) from the float budget x while it is below 2^53, else
+    from ln x; x may be inf once the budget passes the float range.
+
+    ``log_x`` is only called on the log route, where every logarithm it
+    takes is of a positive number. That route never returns less than
+    2^53, so n stays monotone in the budget across the switch."""
+    if x < FLOAT_EXACT_INT_MAX:
+        return max(math.ceil(x), 1)
+    return max(_ceil_exp(log_x()), FLOAT_EXACT_INT_MAX)
+
+
 def plan_n_fdiv(
     f: FGenerator,
     divergence: float,
@@ -268,9 +298,12 @@ def plan_n_fdiv(
     """Median-of-means budget from a divergence value alone.
 
     n = ceil(8 * max(gamma_f(6 D / eps) ln(1/delta) / eps,
-                     c^2 ln(1/delta) / eps^2)).
+                     c^2 ln(1/delta) / eps^2)),
+    computed in log space: ``n`` is an exact Python int even past the
+    float range, where ``m`` (the growth inverse as a float) reads inf.
     Infeasible when the growth inverse is infinite at the required
-    argument, which is the hallmark of linear-regime generators.
+    argument, which is the hallmark of linear-regime generators, or when
+    n would exceed 10^4000.
     """
     _check_eps_delta(eps, delta)
     if divergence < 0 or math.isnan(divergence):
@@ -280,19 +313,30 @@ def plan_n_fdiv(
             f"{f.name}: infinite divergence (singular target mass?)"
         )
     c = f.c_threshold if c is None else float(c)
-    m = gamma_f(f, FDIV_GAMMA_MULT * divergence / eps)
-    if math.isinf(m):
+    argument = FDIV_GAMMA_MULT * divergence / eps
+    log_m = log_gamma_f(f, argument)
+    if math.isinf(log_m):
         raise InfeasiblePlanError(
-            f"{f.name}: growth inverse is infinite at "
-            f"{FDIV_GAMMA_MULT * divergence / eps:g}; the generator grows too "
-            "slowly for this accuracy (linear regime)"
+            f"{f.name}: growth inverse is infinite at {argument:g}; the "
+            "generator grows too slowly for this accuracy (linear regime)"
         )
+    m = exp_or_inf(log_m)
     log_term = math.log(1.0 / delta)
-    n = math.ceil(
-        FDIV_PLAN_CONSTANT * max(m * log_term / eps, c * c * log_term / eps**2)
+
+    def log_x() -> float:
+        log_c_term = 2.0 * (math.log(abs(c)) - math.log(eps)) if c else -math.inf
+        return (
+            math.log(FDIV_PLAN_CONSTANT)
+            + math.log(log_term)
+            + max(log_m - math.log(eps), log_c_term)
+        )
+
+    n = _plan_size(
+        FDIV_PLAN_CONSTANT * max(m * log_term / eps, c * c * log_term / eps**2),
+        log_x,
     )
     return PlanResult(
-        n=max(n, 1),
+        n=n,
         m=m,
         source=PlanSource.FDIV,
         constants={
@@ -316,28 +360,37 @@ def plan_n_quantile(
     M comes either from the profile (infimum level with coverage at
     most eps/4) or from the divergence route gamma_f(gamma_mult*D/eps);
     the multiplier is exposed because published variants differ (4 in
-    the tight analysis, 6 in a looser one).
+    the tight analysis, 6 in a looser one). The divergence route works
+    in log space like ``plan_n_fdiv``.
     """
     _check_eps_delta(eps, delta)
     if (profile is None) == (f is None):
         raise ValueError("supply exactly one of profile or (f, divergence)")
     if profile is not None:
-        m = min_coverage_threshold(profile, eps / QUANTILE_COV_SLACK)
+        m = max(min_coverage_threshold(profile, eps / QUANTILE_COV_SLACK), 1.0)
+        log_m = math.log(m)
         route = {"cov_slack": QUANTILE_COV_SLACK}
     else:
         if divergence is None:
             raise ValueError("divergence value required with a generator")
-        m = gamma_f(f, gamma_mult * divergence / eps)
-        if math.isinf(m):
+        argument = gamma_mult * divergence / eps
+        log_m = log_gamma_f(f, argument)
+        if math.isinf(log_m):
             raise InfeasiblePlanError(
-                f"{f.name}: growth inverse infinite at "
-                f"{gamma_mult * divergence / eps:g}"
+                f"{f.name}: growth inverse infinite at {argument:g}"
             )
+        m = max(exp_or_inf(log_m), 1.0)
         route = {"gamma_mult": gamma_mult}
-    m = max(m, 1.0)
-    n = math.ceil(QUANTILE_PLAN_CONSTANT * m * math.log(2.0 / delta) / eps)
+    log_term = math.log(2.0 / delta)
+    n = _plan_size(
+        QUANTILE_PLAN_CONSTANT * m * log_term / eps,
+        lambda: math.log(QUANTILE_PLAN_CONSTANT)
+        + max(log_m, 0.0)
+        + math.log(log_term)
+        - math.log(eps),
+    )
     return PlanResult(
-        n=max(n, 1),
+        n=n,
         m=m,
         source=PlanSource.QUANTILE,
         constants={"plan_constant": QUANTILE_PLAN_CONSTANT, **route},

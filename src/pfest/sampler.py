@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionPair
+from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
 from .rng import derive_seed, make_generator, standard_exponential
 
@@ -65,9 +65,7 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = make_generator(seed)
-    cdf = np.cumsum(pair.mu_weights)
-    atoms = np.searchsorted(cdf, gen.random(n), side="right")
-    np.clip(atoms, 0, pair.support_size - 1, out=atoms)
+    atoms = draw_atoms(pair, gen.random(n))
     arrivals = np.cumsum(standard_exponential(gen, n))
     scores = _scores(arrivals, pair.lambda_values[atoms])
     best = int(np.argmin(scores))
@@ -95,15 +93,13 @@ def run_races(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     block = max(1, RACE_CHUNK_ELEMENTS // n)
-    cdf = np.cumsum(pair.mu_weights)
     lam_table = pair.lambda_values
     counts = np.zeros(pair.support_size, dtype=np.int64)
     null_races = 0
     for chunk_index, start in enumerate(range(0, trials, block)):
         rows = min(block, trials - start)
         gen = make_generator(int(derive_seed(master_seed, chunk_index)))
-        atoms = np.searchsorted(cdf, gen.random((rows, n)), side="right")
-        np.clip(atoms, 0, pair.support_size - 1, out=atoms)
+        atoms = draw_atoms(pair, gen.random((rows, n)))
         arrivals = np.cumsum(standard_exponential(gen, (rows, n)), axis=1)
         scores = _scores(arrivals, lam_table[atoms])
         best = np.argmin(scores, axis=1)

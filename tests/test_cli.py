@@ -1,0 +1,81 @@
+import re
+import sys
+
+import pytest
+
+from pfest.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
+
+BERN = ["--family", "bernoulli", "--params", "p=0.5,eps=0.25"]
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_plan_exits_ok(capsys):
+    code, out, _ = _run(
+        capsys, ["plan", *BERN, "--eps", "0.25", "--delta", "0.1", "--method", "coverage"]
+    )
+    assert code == EXIT_OK
+    assert out.startswith("plan method=coverage n=1253 M=17.0")
+
+
+def test_estimate_exits_ok(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["estimate", *BERN, "--method", "mom", "--eps", "0.25", "--delta", "0.1",
+         "--seed", "7", "--trials", "3"],
+    )
+    assert code == EXIT_OK
+    assert out.startswith("estimate method=mom n=1253 ")
+    assert "success_freq=1.0" in out
+
+
+def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
+    # D_tv = 0.125, so the growth argument 6 D / eps = 3 passes f'(inf) = 1/2
+    code, out, err = _run(
+        capsys, ["plan", *BERN, "--eps", "0.25", "--method", "fdiv:tv"]
+    )
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert "infeasible plan" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", *BERN, "--eps", "0.25", "--method", "bogus"],
+        ["plan", "--family", "bernoulli", "--params", "p0.5", "--eps", "0.25"],
+        ["estimate", "--family", "bernoulli", "--params", "p=0.5,eps", "--method",
+         "mom", "--eps", "0.25", "--seed", "1"],
+    ],
+    ids=["unknown-method", "malformed-params", "params-without-value"],
+)
+def test_bad_input_exits_one_with_message(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("pfest: error: ")
+
+
+def test_kl_plan_past_float_range_prints_an_integer(capsys):
+    # gamma is about e^689, a float; n = 8 gamma ln(1e300) / 4.36e-7 is not
+    code, out, err = _run(
+        capsys,
+        ["plan", "--family", "bernoulli", "--params", "p=0.5,eps=0.01",
+         "--eps", "4.36e-7", "--delta", "1e-300", "--method", "fdiv:kl"],
+    )
+    assert (code, err) == (EXIT_OK, "")
+    n = int(re.search(r" n=(\d+) ", out).group(1))
+    assert n > sys.float_info.max
+
+
+def test_repeated_in_process_calls_print_the_same(capsys):
+    argv = ["plan", *BERN, "--eps", "0.2", "--delta", "0.01", "--method", "fdiv:kl"]
+    first = _run(capsys, argv)
+    _run(capsys, ["estimate", *BERN, "--method", "quantile", "--eps", "0.5",
+                  "--seed", "3", "--trials", "2"])
+    assert _run(capsys, argv) == first
+    assert first[0] == EXIT_OK

@@ -17,6 +17,7 @@ from pfest import (
     sample,
     save_pair,
 )
+from pfest.distributions import draw_atoms
 
 
 def test_bernoulli_pair_layout(bern):
@@ -117,6 +118,29 @@ def test_ratio_mean_plus_singular_is_one(weights):
     pos = pair.mu_weights > 0
     mean = float(np.dot(pair.mu_weights[pos], pair.ratio_cache[pos]))
     assert abs(mean + pair.singular_mass - 1.0) <= 1e-9
+
+
+def test_draw_clips_to_last_atom_with_mass():
+    # the cumulative mass of ten 0.1 atoms ends one ulp below 1, so
+    # u = 1 - 2^-53 lies past it and used to land on the zero-mass atom
+    mu = [0.1] * 10 + [0.0]
+    pair = make_finite_pair(mu, mu, 1.0)
+    assert pair.last_drawable_atom == 9
+    atoms = draw_atoms(pair, np.array([1.0 - 2.0**-53]))
+    assert pair.mu_weights[atoms[0]] > 0
+
+
+@given(
+    weights=st.lists(_atom_weight, min_size=1, max_size=16),
+    u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+)
+def test_draws_never_land_on_zero_mass_atoms(weights, u):
+    mu = np.array(weights)
+    if mu.sum() <= 0:
+        return
+    pair = make_finite_pair(mu / mu.sum(), mu / mu.sum(), 1.0)
+    u = np.array(u + [np.nextafter(1.0, 0.0)])
+    assert np.all(pair.mu_weights[draw_atoms(pair, u)] > 0)
 
 
 def test_weighted_pair_indicator(bern):

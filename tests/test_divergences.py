@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from pfest import (
     gamma_f,
     hellinger,
     kl,
+    log_gamma_f,
     make_bernoulli_pair,
     make_pointmass_pair,
     make_random_pair,
@@ -165,6 +167,107 @@ def test_gamma_infimum_property(f, m):
     below = g * (1 - 1e-6)
     if below > 1.0:
         assert f(below) / below < m
+
+
+# Each built-in with the upper end of the m range where its bisection
+# twin is a trustworthy reference: f(t) itself evaluates without
+# overflow, and linear generators stay clear of the asymptote f(t)/t
+# only reaches through rounding. Below m = 1e-4, t - 1 is so small that
+# the cancellation inside f(t) exceeds the 1e-9 agreement asked for.
+REFERENCE_RANGES = [
+    (tv(), 0.49),
+    (kl(), 600.0),
+    (chi_squared(), 1e4),
+    (hellinger(), 0.98),
+    (renyi(1.5), 1e4),
+    (renyi(3.0), 1e4),
+]
+
+
+def _gen_id(value):
+    return value.name if isinstance(value, FGenerator) else None
+
+
+def _bisection_twin(f):
+    # the same generator without its closed form, so gamma_f bisects
+    return dataclasses.replace(f, log_growth_inverse=None)
+
+
+BISECTION_TWINS = {f.name: _bisection_twin(f) for f, _ in REFERENCE_RANGES}
+
+
+@pytest.mark.parametrize("f, m_max", REFERENCE_RANGES, ids=_gen_id)
+@given(data=st.data())
+def test_log_gamma_matches_bisection(f, m_max, data):
+    m = data.draw(st.floats(1e-4, m_max))
+    reference = gamma_f(BISECTION_TWINS[f.name], m)
+    assert math.exp(log_gamma_f(f, m)) == pytest.approx(reference, rel=1e-9, abs=0)
+    assert gamma_f(f, m) == pytest.approx(reference, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("f, m_max", REFERENCE_RANGES, ids=_gen_id)
+@given(data=st.data())
+def test_log_gamma_infimum_property(f, m_max, data):
+    m = data.draw(st.floats(1e-4, m_max))
+    t = math.exp(log_gamma_f(f, m))
+    # exp(u) and f(t) each round; a step up of 1e-12 relative (a few
+    # thousand ulps) covers both, and 1e-9 below t must miss m
+    up = t * (1.0 + 1e-12)
+    assert f(up) / up >= m
+    below = t * (1.0 - 1e-9)
+    if below > 1.0:
+        assert f(below) / below < m
+
+
+@pytest.mark.parametrize(
+    "f, curvature",
+    [(kl(), 1.0), (chi_squared(), 2.0), (renyi(1.5), 0.75), (renyi(3.0), 6.0)],
+    ids=_gen_id,
+)
+@given(m=st.floats(1e-300, 1e-12))
+def test_log_gamma_small_m_follows_curvature(f, curvature, m):
+    # f(t)/t = f''(1) u^2 / 2 + O(u^3) in u = ln t, so the inverse is
+    # sqrt(2 m / f''(1)) to relative order u, far below where f(t)
+    # itself can be evaluated
+    u = log_gamma_f(f, m)
+    assert u == pytest.approx(math.sqrt(2.0 * m / curvature), rel=1e-5)
+
+
+def test_log_gamma_kl_past_float_range():
+    # the KL inverse solves u - 1 + e^-u = m in u = ln t; at m = 1e4 the
+    # root is about e^10001, far past the float range of t
+    for m in (689.0, 3000.0, 1e4):
+        u = log_gamma_f(kl(), m)
+        assert math.isfinite(u)
+        assert u - 1.0 + math.exp(-u) == pytest.approx(m, rel=1e-15)
+    assert math.isinf(gamma_f(kl(), 1e4))
+    assert gamma_f(kl(), 689.0) == pytest.approx(math.exp(log_gamma_f(kl(), 689.0)))
+
+
+def test_log_gamma_linear_generators_infinite_past_slope():
+    assert math.isinf(log_gamma_f(tv(), 0.5))
+    assert math.isinf(log_gamma_f(hellinger(), 1.0))
+    assert log_gamma_f(tv(), 0.25) == pytest.approx(math.log(2.0), rel=1e-15)
+    for f in ALL_BUILTINS:
+        assert log_gamma_f(f, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        log_gamma_f(kl(), math.inf)
+    with pytest.raises(ValueError):
+        log_gamma_f(kl(), -1.0)
+
+
+def test_user_generator_named_like_builtin_bisects():
+    # the closed form belongs to the factory, not to the name
+    impostor = FGenerator("kl", TLOGT.fn, math.inf)
+    assert gamma_f(impostor, 3.0) == pytest.approx(math.exp(3.0), rel=1e-8)
+    assert log_gamma_f(impostor, 3.0) == pytest.approx(3.0, rel=1e-8)
+
+
+def test_builtin_generators_are_built_once():
+    assert parse_f_spec("kl") is kl()
+    assert parse_f_spec("tv") is tv()
+    assert parse_f_spec("renyi:alpha=3") is renyi(3.0)
+    assert renyi(1.5) is not renyi(3.0)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0])

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfest import (
     CoverageProfile,
@@ -9,8 +12,10 @@ from pfest import (
     PlanSource,
     SampleBatch,
     chi_squared,
+    hellinger,
     importance_sampling,
     importance_sampling_mom,
+    kl,
     make_random_pair,
     make_weighted_pair,
     median_of_means,
@@ -20,12 +25,13 @@ from pfest import (
     plan_n_quantile,
     plan_n_snis,
     quantile_estimator,
+    renyi,
     sample,
     snis,
     tv,
     within_multiplicative,
 )
-from pfest.estimators import group_count
+from pfest.estimators import FLOAT_EXACT_INT_MAX, LOG_N_MAX, group_count
 from pfest.rng import derive_seed
 
 LN10 = math.log(10.0)
@@ -188,6 +194,75 @@ def test_plan_fdiv_tv_feasible_region():
     plan = plan_n_fdiv(tv(), 0.01, 0.5, 0.1)
     assert plan.n == math.ceil(8 * 4 * LN10 / 0.25)
     assert plan.m == pytest.approx(1 / 0.76, rel=1e-8)
+
+
+def test_plan_fdiv_kl_past_float_range():
+    # growth argument 6 * 0.5 / 0.001 = 3000; u = ln gamma solves
+    # u - 1 + e^-u = 3000, so u = 3001 to double precision and
+    # ln n = ln 8 + u + ln ln(1/delta) - ln eps
+    plan = plan_n_fdiv(kl(), 0.5, 0.001, 0.1)
+    log_ref = math.log(8.0) + 3001.0 + math.log(LN10) - math.log(0.001)
+    assert isinstance(plan.n, int)
+    assert math.log(plan.n) == pytest.approx(log_ref, rel=1e-14)
+    assert math.isinf(plan.m)
+
+
+def test_plan_fdiv_budget_past_float_range_is_an_int():
+    # gamma = e^689 is a float, but 8 gamma ln(1/delta) / eps is not
+    plan = plan_n_fdiv(kl(), 0.5 * 689 * 4.36e-7 / 3.0, 4.36e-7, 1e-300)
+    assert math.isfinite(plan.m)
+    assert plan.n > sys.float_info.max
+    log_ref = math.log(8.0 * plan.m * math.log(1e300)) - math.log(4.36e-7)
+    assert math.log(plan.n) == pytest.approx(log_ref, rel=1e-14)
+
+
+def test_plan_fdiv_beyond_any_drawable_budget_is_infeasible():
+    # ln n would be about 12000, past LOG_N_MAX
+    with pytest.raises(InfeasiblePlanError, match="no sample of that size"):
+        plan_n_fdiv(kl(), 2.0, 0.001, 0.1)
+    assert LOG_N_MAX < 12000.0
+
+
+def _fdiv_n(f, d, eps, delta):
+    try:
+        return plan_n_fdiv(f, d, eps, delta).n
+    except InfeasiblePlanError:
+        return math.inf
+
+
+def _quantile_n(f, d, eps, delta):
+    try:
+        return plan_n_quantile(eps, delta, f=f, divergence=d).n
+    except InfeasiblePlanError:
+        return math.inf
+
+
+_generators = st.sampled_from([tv(), kl(), chi_squared(), hellinger(), renyi(1.5), renyi(3.0)])
+_eps_pairs = st.tuples(st.floats(1e-4, 0.99), st.floats(1e-4, 0.99)).map(sorted)
+_delta_pairs = st.tuples(st.floats(1e-300, 0.99), st.floats(1e-300, 0.99)).map(sorted)
+
+
+@pytest.mark.parametrize("plan_n", [_fdiv_n, _quantile_n], ids=["fdiv", "quantile"])
+@given(f=_generators, d=st.floats(0.0, 5.0), eps=_eps_pairs, delta=st.floats(1e-300, 0.99))
+def test_plan_n_non_increasing_in_eps(plan_n, f, d, eps, delta):
+    assert plan_n(f, d, eps[1], delta) <= plan_n(f, d, eps[0], delta)
+
+
+@pytest.mark.parametrize("plan_n", [_fdiv_n, _quantile_n], ids=["fdiv", "quantile"])
+@given(f=_generators, d=st.floats(0.0, 5.0), eps=st.floats(1e-4, 0.99), delta=_delta_pairs)
+def test_plan_n_non_increasing_in_delta(plan_n, f, d, eps, delta):
+    assert plan_n(f, d, eps, delta[1]) <= plan_n(f, d, eps, delta[0])
+
+
+def test_plan_n_monotone_across_float_exact_switch():
+    # chi2 plans straddling 2^53, where the c^2 ln(1/delta) / eps^2 term
+    # leads: just below, n is ceil of the float budget; just above, n is
+    # built from ln n and never drops below 2^53
+    eps_switch = math.sqrt(8.0 * LN10 / FLOAT_EXACT_INT_MAX)
+    eps = eps_switch * (1.0 + np.linspace(1e-13, -1e-13, 2001))
+    ns = [plan_n_fdiv(chi_squared(), 1e-9, e, 0.1).n for e in eps]
+    assert ns[0] < FLOAT_EXACT_INT_MAX <= ns[-1]
+    assert all(a <= b for a, b in zip(ns, ns[1:]))
 
 
 def test_plan_quantile_profile_route(identity_profile, twopoint):
