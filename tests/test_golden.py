@@ -1,0 +1,212 @@
+"""Byte-exact pins of CLI output and sweep fingerprints.
+
+Every value below was recorded from the CLI and the harness as they
+stand; a change that alters a plan, a random stream, an output format
+or an exit code fails here first.
+"""
+
+import pytest
+
+from pfest.cli import main
+from pfest.harness import (
+    ExperimentConfig,
+    run_phase_transition,
+    run_sampling_vs_counting,
+    run_success_curve,
+    table_fingerprint,
+)
+
+BERN = ["--family", "bernoulli", "--params", "p=0.5,eps=0.25"]
+ACC = ["--eps", "0.25", "--delta", "0.1"]
+EST = [*ACC, "--seed", "7", "--trials", "3", "--out", "-"]
+CONSTS_IS = "constants=icov_target_divisor=6.0;plan_constant=6.0"
+
+PLANS = {
+    "coverage": "plan method=coverage n=1253 M=17.0 eps=0.25 delta=0.1 "
+    "constants=icov_slack=4.0;plan_constant=8.0\n",
+    "quantile": "plan method=quantile n=270 M=1.25 eps=0.25 delta=0.1 "
+    "constants=cov_slack=4.0;plan_constant=18.0\n",
+    "is": f"plan method=is n=11520 M=480.0 eps=0.25 delta=0.1 {CONSTS_IS}\n",
+    "snis": f"plan method=snis n=11520 M=480.0 eps=0.25 delta=0.1 {CONSTS_IS}\n",
+    "sampling": "plan method=sampling n=7 M=1.25 eps=0.25\n",
+    "fdiv:kl": "plan method=fdiv:kl n=346 M=4.686200500174247 eps=0.25 "
+    "delta=0.1 constants=c_threshold=1.0;gamma_mult=6.0;plan_constant=8.0 "
+    "f=kl D=0.031583942401963216\n",
+    "fdiv:chi2": "plan method=fdiv:chi2 n=295 M=3.1861406616345076 eps=0.25 "
+    "delta=0.1 constants=c_threshold=1.0;gamma_mult=6.0;plan_constant=8.0 "
+    "f=chi2 D=0.0625\n",
+}
+
+ESTIMATES = {
+    "mom-coverage": (
+        ["--method", "mom", "--plan", "coverage"],
+        "estimate method=mom n=1253 M=17.0 trials=3 eps=0.25 delta=0.1 "
+        "mean_estimate=0.9935897435897436 success_freq=1.0\n"
+        "trial,n,estimate,rel_error,success\r\n"
+        "0,1235,0.9961538461538462,0.0038461538461538325,true\r\n"
+        "1,1235,0.9961538461538462,0.0038461538461538325,true\r\n"
+        "2,1235,0.9884615384615385,0.011538461538461497,true\r\n",
+    ),
+    "mom-fdiv:kl": (
+        ["--method", "mom", "--plan", "fdiv:kl"],
+        "estimate method=mom n=346 M=4.686200500174247 trials=3 eps=0.25 "
+        "delta=0.1 mean_estimate=0.9907407407407408 success_freq=1.0\n"
+        "trial,n,estimate,rel_error,success\r\n"
+        "0,342,1.0,0.0,true\r\n"
+        "1,342,0.9722222222222222,0.02777777777777779,true\r\n"
+        "2,342,1.0,0.0,true\r\n",
+    ),
+    "quantile": (
+        ["--method", "quantile"],
+        "estimate method=quantile n=270 M=1.25 trials=3 eps=0.25 delta=0.1 "
+        "mean_estimate=1.25 success_freq=1.0\n"
+        "trial,n,estimate,rel_error,success\r\n"
+        "0,270,1.25,0.25,true\r\n"
+        "1,270,1.25,0.25,true\r\n"
+        "2,270,1.25,0.25,true\r\n",
+    ),
+    "snis": (
+        ["--method", "snis", "--g", "0,1"],
+        "estimate method=snis n=11520 M=480.0 trials=3 eps=0.25 delta=0.1 "
+        "mean_estimate=0.6232050855975405 success_freq=1.0\n"
+        "trial,n,estimate,rel_error,success\r\n"
+        "0,11520,0.6249186162593863,0.0001302139849819639,true\r\n"
+        "1,11520,0.6247558275817163,0.00039067586925387585,true\r\n"
+        "2,11520,0.6199408129515188,0.008094699277569894,true\r\n",
+    ),
+}
+
+TV_INFEASIBLE = (
+    "pfest: infeasible plan: tv: growth inverse is infinite at 3; the "
+    "generator grows too slowly for this accuracy (linear regime)\n"
+)
+
+# (argv, exit code, stdout, stderr) for the error paths and the quirks
+# the method dispatch must keep: the plan is computed before --trials is
+# checked, and --plan is read by mom only.
+OUTCOMES = {
+    "plan-infeasible": (
+        ["plan", *BERN, "--eps", "0.25", "--method", "fdiv:tv"],
+        2, "", TV_INFEASIBLE,
+    ),
+    "plan-unknown": (
+        ["plan", *BERN, "--eps", "0.25", "--method", "bogus"],
+        1, "", "pfest: error: unknown plan method 'bogus'\n",
+    ),
+    "plan-needs-g": (
+        ["plan", *BERN, "--eps", "0.25", "--method", "snis"],
+        1, "", "pfest: error: --g values are required for this method\n",
+    ),
+    "plan-g-size": (
+        ["plan", *BERN, "--eps", "0.25", "--method", "is", "--g", "1"],
+        1, "", "pfest: error: --g has 1 entries, support has 2\n",
+    ),
+    "estimate-unknown-plan": (
+        ["estimate", *BERN, "--method", "mom", "--plan", "bogus",
+         "--eps", "0.25", "--seed", "1"],
+        1, "", "pfest: error: unknown plan 'bogus'\n",
+    ),
+    "estimate-needs-g": (
+        ["estimate", *BERN, "--method", "snis", "--eps", "0.25", "--seed", "1"],
+        1, "", "pfest: error: --g values are required for this method\n",
+    ),
+    "estimate-plan-before-trials": (
+        ["estimate", *BERN, "--method", "mom", "--plan", "fdiv:tv",
+         "--eps", "0.25", "--seed", "1", "--trials", "0"],
+        2, "", TV_INFEASIBLE,
+    ),
+    "estimate-bad-trials": (
+        ["estimate", *BERN, "--method", "mom", "--eps", "0.25", "--seed", "1",
+         "--trials", "0"],
+        1, "", "pfest: error: --trials must be >= 1, got 0\n",
+    ),
+    "estimate-quantile-ignores-plan": (
+        ["estimate", *BERN, "--method", "quantile", "--plan", "bogus",
+         "--eps", "0.25", "--seed", "1"],
+        0,
+        "estimate method=quantile n=270 M=1.25 trials=1 eps=0.25 delta=0.1 "
+        "mean_estimate=1.25 success_freq=1.0\n",
+        "",
+    ),
+}
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("method", list(PLANS))
+def test_plan_stdout(capsys, method):
+    g = ["--g", "0,1"] if method in ("is", "snis") else []
+    assert _run(capsys, ["plan", *BERN, *ACC, "--method", method, *g]) == (
+        0, PLANS[method], ""
+    )
+
+
+@pytest.mark.parametrize("name", list(ESTIMATES))
+def test_estimate_stdout(capsys, name):
+    args, expected = ESTIMATES[name]
+    assert _run(capsys, ["estimate", *BERN, *args, *EST]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("name", list(OUTCOMES))
+def test_cli_outcome(capsys, name):
+    argv, code, out, err = OUTCOMES[name]
+    assert _run(capsys, argv) == (code, out, err)
+
+
+FINGERPRINT_CONFIGS = {
+    "success_curve": (
+        run_success_curve,
+        ExperimentConfig(
+            kind="success_curve",
+            eps_grid=(0.5, 0.25),
+            delta=0.1,
+            trials=40,
+            master_seed=20260814,
+            output_path="curve.csv",
+            family="bernoulli",
+            family_params=(("p", 0.5), ("eps", 0.25)),
+        ),
+        "871c02cf637fdb071af2b46b1b2a3a329b05216d7390218697ca03480f30742b",
+    ),
+    "phase_transition": (
+        run_phase_transition,
+        ExperimentConfig(
+            kind="phase_transition",
+            eps_grid=(0.5, 0.1),
+            delta=0.1,
+            trials=1,
+            master_seed=20260814,
+            output_path="phase.csv",
+            f_names=("tv", "kl"),
+            d_value=0.5,
+        ),
+        "e666406ebf79763de209574a80679331b4f132dfc05d36c31bf8373157028722",
+    ),
+    "sampling_vs_counting": (
+        run_sampling_vs_counting,
+        ExperimentConfig(
+            kind="sampling_vs_counting",
+            eps_grid=(0.5,),
+            delta=1.0 / 3.0,
+            trials=80,
+            master_seed=11,
+            output_path="svc.csv",
+            family="two_point_mu",
+            family_params=(("p", 0.25),),
+        ),
+        "272fc5738f4a39ac0b2312e341462ca9890b9293c1e59612bbfbb8eed347185b",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(FINGERPRINT_CONFIGS))
+def test_criterion_10_fingerprint_pinned(monkeypatch, kind):
+    # The configs of the criterion-10 determinism check in
+    # test_acceptance.py, pinned to the hex values of their tables.
+    monkeypatch.delenv("PFEST_THREADS", raising=False)
+    run, config, expected = FINGERPRINT_CONFIGS[kind]
+    assert table_fingerprint(run(config)) == expected
