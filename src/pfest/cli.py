@@ -15,26 +15,15 @@ import sys
 
 import numpy as np
 
-from .coverage import CoverageProfile, min_coverage_threshold
-from .distributions import (
-    DistributionPair,
-    load_pair,
-    make_weighted_pair,
-    sample,
-)
-from .divergences import f_divergence, parse_f_spec
+from .coverage import CoverageProfile
+from .distributions import DistributionPair, load_pair
 from .errors import InfeasiblePlanError, PfestError
 from .estimators import (
-    EstimateReport,
-    median_of_means,
-    plan_n_coverage,
-    plan_n_fdiv,
-    plan_n_is,
-    plan_n_quantile,
-    plan_n_snis,
-    quantile_estimator,
-    snis,
-    within_multiplicative,
+    ESTIMATORS,
+    PlanSource,
+    estimator_plan,
+    plan_method,
+    run_trials,
 )
 from .harness import (
     build_family,
@@ -43,8 +32,7 @@ from .harness import (
     run_experiment,
     _parse_scalar,
 )
-from .rng import derive_seed
-from .sampler import astar_sample, empirical_tv, plan_n_sampling, run_races
+from .sampler import astar_sample, empirical_tv, run_races, sampling_plan
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -132,47 +120,24 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_plan(args) -> int:
     pair = _load_pair_argument(args)
-    profile = CoverageProfile.from_pair(pair)
-    method = args.method
-    if method.startswith("fdiv:"):
-        f = parse_f_spec(method[len("fdiv:"):])
-        d = f_divergence(pair, f)
-        plan = plan_n_fdiv(f, d, args.eps, args.delta)
-        extra = f" f={f.name} D={d!r}"
-    elif method == "coverage":
-        plan = plan_n_coverage(profile, args.eps, args.delta)
-        extra = ""
-    elif method == "quantile":
-        plan = plan_n_quantile(args.eps, args.delta, profile=profile)
-        extra = ""
-    elif method == "is":
-        weighted = CoverageProfile.from_pair(
-            make_weighted_pair(pair, _g_table(args, pair))
-        )
-        plan = plan_n_is(weighted, args.eps, args.delta)
-        extra = ""
-    elif method == "snis":
-        weighted = CoverageProfile.from_pair(
-            make_weighted_pair(pair, _g_table(args, pair))
-        )
-        plan = plan_n_snis(profile, weighted, args.eps, args.delta)
-        extra = ""
-    elif method == "sampling":
-        m = max(1.0, min_coverage_threshold(profile, args.eps / 3.0))
-        n = plan_n_sampling(m, args.eps)
-        print(f"plan method=sampling n={n} M={m!r} eps={args.eps!r}")
+    planner = plan_method(args.method)
+    plan = planner.run(pair, args.eps, args.delta, _g_table(args, pair, planner))
+    if plan.source is PlanSource.SAMPLING:
+        print(f"plan method=sampling n={plan.n} M={plan.m!r} eps={args.eps!r}")
         return EXIT_OK
-    else:
-        raise ValueError(f"unknown plan method {method!r}")
     consts = ";".join(f"{k}={v!r}" for k, v in sorted(plan.constants.items()))
+    extra = "".join(f" {k}={v}" for k, v in plan.inputs.items())
     print(
-        f"plan method={method} n={plan.n} M={plan.m!r} "
+        f"plan method={args.method} n={plan.n} M={plan.m!r} "
         f"eps={args.eps!r} delta={args.delta!r} constants={consts}{extra}"
     )
     return EXIT_OK
 
 
-def _g_table(args, pair: DistributionPair) -> np.ndarray:
+def _g_table(args, pair: DistributionPair, planner):
+    """The --g table, parsed only for the plans that read one."""
+    if not planner.needs_g:
+        return None
     if not args.g:
         raise ValueError("--g values are required for this method")
     g = np.asarray([float(v) for v in args.g.split(",")], dtype=np.float64)
@@ -183,62 +148,22 @@ def _g_table(args, pair: DistributionPair) -> np.ndarray:
     return g
 
 
-def _estimate_one(args, pair, n, m, trial_seed) -> EstimateReport:
-    batch = sample(pair, n, trial_seed)
-    if args.method == "mom":
-        return median_of_means(batch, args.delta, true_value=pair.z_true)
-    if args.method == "quantile":
-        return quantile_estimator(
-            batch, args.eps, m, true_value=pair.z_true
-        )
-    # snis
-    g = _g_table(args, pair)
-    return snis(batch, g, true_value=pair.nu_mean(g))
-
-
 def _cmd_estimate(args) -> int:
     pair = _load_pair_argument(args)
-    profile = CoverageProfile.from_pair(pair)
-    if args.method == "mom":
-        if args.plan.startswith("fdiv:"):
-            f = parse_f_spec(args.plan[len("fdiv:"):])
-            plan = plan_n_fdiv(f, f_divergence(pair, f), args.eps, args.delta)
-        elif args.plan == "coverage":
-            plan = plan_n_coverage(profile, args.eps, args.delta)
-        else:
-            raise ValueError(f"unknown plan {args.plan!r}")
-        n, m = plan.n, plan.m
-    elif args.method == "quantile":
-        plan = plan_n_quantile(args.eps, args.delta, profile=profile)
-        n, m = plan.n, plan.m
-    elif args.method == "snis":
-        g = _g_table(args, pair)
-        weighted = CoverageProfile.from_pair(make_weighted_pair(pair, g))
-        plan = plan_n_snis(profile, weighted, args.eps, args.delta)
-        n, m = plan.n, plan.m
-    else:
-        raise ValueError(f"unknown estimate method {args.method!r}")
-
+    planner = estimator_plan(args.method, args.plan)
+    g = _g_table(args, pair, planner)
+    plan = planner.run(pair, args.eps, args.delta, g)
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    records = []
-    for trial in range(args.trials):
-        report = _estimate_one(
-            args, pair, n, m, int(derive_seed(args.seed, trial))
-        )
-        truth = report.true_value
-        if args.method == "quantile":
-            ok = (1.0 - args.eps) * truth <= report.estimate <= m * truth
-        else:
-            ok = within_multiplicative(report.estimate, truth, args.eps)
-        records.append((trial, report.n_used, report.estimate,
-                        report.rel_error, ok))
-
-    success_freq = sum(r[4] for r in records) / len(records)
-    mean_estimate = sum(r[2] for r in records) / len(records)
+    results = run_trials(
+        pair, args.method, plan.n, args.trials, args.seed,
+        args.eps, args.delta, m=plan.m, g=g,
+    )
+    success_freq = sum(ok for _, ok in results) / len(results)
+    mean_estimate = sum(report.estimate for report, _ in results) / len(results)
     print(
-        f"estimate method={args.method} n={n} M={m!r} trials={args.trials} "
-        f"eps={args.eps!r} delta={args.delta!r} "
+        f"estimate method={args.method} n={plan.n} M={plan.m!r} "
+        f"trials={args.trials} eps={args.eps!r} delta={args.delta!r} "
         f"mean_estimate={mean_estimate!r} success_freq={success_freq!r}"
     )
     if args.out:
@@ -246,10 +171,10 @@ def _cmd_estimate(args) -> int:
         try:
             writer = csv.writer(out)
             writer.writerow(["trial", "n", "estimate", "rel_error", "success"])
-            for trial, n_used, est, rel, ok in records:
+            for trial, (report, ok) in enumerate(results):
                 writer.writerow(
-                    [trial, n_used, repr(float(est)), repr(float(rel)),
-                     "true" if ok else "false"]
+                    [trial, report.n_used, repr(float(report.estimate)),
+                     repr(float(report.rel_error)), "true" if ok else "false"]
                 )
         finally:
             if owned:
@@ -259,9 +184,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sample(args) -> int:
     pair = _load_pair_argument(args)
-    profile = CoverageProfile.from_pair(pair)
-    m = max(1.0, min_coverage_threshold(profile, args.eps / 3.0))
-    n = plan_n_sampling(m, args.eps)
+    n, m = sampling_plan(CoverageProfile.from_pair(pair), args.eps)
     if args.trials is None:
         atom, state = astar_sample(pair, n, args.seed)
         print(
@@ -312,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="run an estimator")
     _add_pair_arguments(p_est)
-    p_est.add_argument("--method", choices=("mom", "quantile", "snis"),
-                       required=True)
+    p_est.add_argument("--method", choices=tuple(ESTIMATORS), required=True)
     p_est.add_argument("--eps", type=float, required=True)
     p_est.add_argument("--delta", type=float, default=0.1)
     p_est.add_argument("--plan", default="coverage",

@@ -10,6 +10,7 @@ and is echoed into the plan it produces.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -17,9 +18,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coverage import CoverageProfile, min_coverage_threshold, solve_M_eps
-from .distributions import SampleBatch
-from .divergences import FGenerator, exp_or_inf, log_gamma_f
+from .distributions import DistributionPair, SampleBatch, make_weighted_pair, sample
+from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
+from .rng import derive_seed
+from .sampler import SAMPLING_PLAN_CONSTANT, sampling_plan
 
 # Median-of-means group count: k = ceil(GROUP_RATE * ln(1/delta)).
 GROUP_RATE = 8.0
@@ -40,7 +43,7 @@ QUANTILE_GAMMA_MULT = 4.0
 # integrated coverage below eps * delta / IS_TARGET_DIVISOR at M.
 IS_PLAN_CONSTANT = 6.0
 IS_TARGET_DIVISOR = 6.0
-# Divergence-route plans are computed in log space. Below 2^53 the
+# Every planner but the race sampler's sizes n this way. Below 2^53 the
 # float budget is exact enough to round up directly; above it n is an
 # integer built from ln n. Past ln n = LOG_N_MAX (n beyond 10^4000,
 # which also passes the 4300 digits Python writes out by default) no
@@ -61,6 +64,7 @@ class PlanSource(enum.Enum):
     QUANTILE = "quantile"
     IMPORTANCE = "importance"
     SELF_NORMALIZED = "self_normalized"
+    SAMPLING = "sampling"
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,9 @@ class PlanResult:
     m: float
     source: PlanSource
     constants: dict = field(default_factory=dict)
+    # Divergence plans: the generator name ("f") and divergence ("D")
+    # the plan was computed from, in the order the CLI prints them.
+    inputs: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -117,13 +124,17 @@ def median_of_means(
     Uses k = ceil(8 ln(1/delta)) groups of floor(n/k) samples each,
     discarding the remainder; for even k the lower median is taken.
     """
+    return _median_of_group_means(batch.lambdas, delta, true_value, PlanSource.MANUAL)
+
+
+def _median_of_group_means(values, delta, true_value, source) -> EstimateReport:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     k = group_count(delta)
-    if batch.n < k:
-        raise ValueError(f"batch has {batch.n} samples; need at least k = {k}")
-    m = batch.n // k
-    means = batch.lambdas[: k * m].reshape(k, m).mean(axis=1)
+    if values.size < k:
+        raise ValueError(f"batch has {values.size} samples; need at least k = {k}")
+    m = values.size // k
+    means = values[: k * m].reshape(k, m).mean(axis=1)
     means.sort()
     est = float(means[(k - 1) // 2])
     return EstimateReport(
@@ -131,6 +142,7 @@ def median_of_means(
         n_used=k * m,
         k_groups=k,
         delta_target=delta,
+        plan_source=source,
         true_value=true_value,
     )
 
@@ -164,14 +176,8 @@ def quantile_estimator(
     )
 
 
-def importance_sampling(
-    batch: SampleBatch,
-    g_values: np.ndarray,
-    ratios: np.ndarray,
-    true_value: Optional[float] = None,
-) -> EstimateReport:
-    """Plain importance sampling of E_nu[g] with known normalized
-    ratios: the mean of ratio * g over the proposal draws."""
+def _importance_values(batch: SampleBatch, g_values, ratios) -> np.ndarray:
+    """Per-draw ratio * g, after checking both tables cover the batch."""
     g_values = np.asarray(g_values, dtype=np.float64)
     ratios = np.asarray(ratios, dtype=np.float64)
     if g_values.shape != ratios.shape:
@@ -180,7 +186,18 @@ def importance_sampling(
         )
     if batch.atoms.max(initial=-1) >= g_values.size:
         raise ValueError("batch indexes atoms outside the supplied tables")
-    vals = ratios[batch.atoms] * g_values[batch.atoms]
+    return ratios[batch.atoms] * g_values[batch.atoms]
+
+
+def importance_sampling(
+    batch: SampleBatch,
+    g_values: np.ndarray,
+    ratios: np.ndarray,
+    true_value: Optional[float] = None,
+) -> EstimateReport:
+    """Plain importance sampling of E_nu[g] with known normalized
+    ratios: the mean of ratio * g over the proposal draws."""
+    vals = _importance_values(batch, g_values, ratios)
     return EstimateReport(
         estimate=float(vals.mean()),
         n_used=batch.n,
@@ -198,27 +215,8 @@ def importance_sampling_mom(
 ) -> EstimateReport:
     """Median-of-means hardening of plain importance sampling; trades
     the in-probability constant for log(1/delta) confidence."""
-    g_values = np.asarray(g_values, dtype=np.float64)
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if g_values.shape != ratios.shape:
-        raise ValueError("g and ratio tables must have identical shape")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    k = group_count(delta)
-    if batch.n < k:
-        raise ValueError(f"batch has {batch.n} samples; need at least k = {k}")
-    vals = ratios[batch.atoms] * g_values[batch.atoms]
-    m = batch.n // k
-    means = vals[: k * m].reshape(k, m).mean(axis=1)
-    means.sort()
-    return EstimateReport(
-        estimate=float(means[(k - 1) // 2]),
-        n_used=k * m,
-        k_groups=k,
-        delta_target=delta,
-        plan_source=PlanSource.IMPORTANCE,
-        true_value=true_value,
-    )
+    vals = _importance_values(batch, g_values, ratios)
+    return _median_of_group_means(vals, delta, true_value, PlanSource.IMPORTANCE)
 
 
 def snis(
@@ -252,9 +250,15 @@ def plan_n_coverage(profile: CoverageProfile, eps: float, delta: float) -> PlanR
     M with IC_M <= (eps/4) * M, then n = ceil(8 M ln(1/delta) / eps)."""
     _check_eps_delta(eps, delta)
     m = solve_M_eps(profile, eps / ICOV_SLACK)
-    n = math.ceil(COVERAGE_PLAN_CONSTANT * m * math.log(1.0 / delta) / eps)
+    log_term = math.log(1.0 / delta)
+    n = _plan_size(
+        COVERAGE_PLAN_CONSTANT * m * log_term / eps,
+        lambda: math.log(COVERAGE_PLAN_CONSTANT * log_term)
+        + math.log(m)
+        - math.log(eps),
+    )
     return PlanResult(
-        n=max(n, 1),
+        n=n,
         m=m,
         source=PlanSource.COVERAGE,
         constants={
@@ -344,6 +348,7 @@ def plan_n_fdiv(
             "gamma_mult": FDIV_GAMMA_MULT,
             "c_threshold": c,
         },
+        inputs={"f": f.name, "D": divergence},
     )
 
 
@@ -403,18 +408,7 @@ def plan_n_is(
     """Plain importance sampling budget: the confidence enters through
     the integrated-coverage target eps*delta/6 on the reweighted
     target's profile; n = ceil(6 M / eps)."""
-    _check_eps_delta(eps, delta)
-    m = solve_M_eps(weighted_profile, eps * delta / IS_TARGET_DIVISOR)
-    n = math.ceil(IS_PLAN_CONSTANT * m / eps)
-    return PlanResult(
-        n=max(n, 1),
-        m=m,
-        source=PlanSource.IMPORTANCE,
-        constants={
-            "plan_constant": IS_PLAN_CONSTANT,
-            "icov_target_divisor": IS_TARGET_DIVISOR,
-        },
-    )
+    return _plan_n_importance((weighted_profile,), eps, delta, PlanSource.IMPORTANCE)
 
 
 def plan_n_snis(
@@ -426,16 +420,163 @@ def plan_n_snis(
     """Self-normalized budget: both the base and the reweighted profile
     must clear the eps*delta/6 integrated-coverage target; the larger
     of the two levels drives n = ceil(6 M / eps)."""
+    profiles = (profile, weighted_profile)
+    return _plan_n_importance(profiles, eps, delta, PlanSource.SELF_NORMALIZED)
+
+
+def _plan_n_importance(profiles, eps, delta, source) -> PlanResult:
+    """n = ceil(6 M / eps) at the largest of the levels where each
+    profile's integrated coverage clears the eps*delta/6 target."""
     _check_eps_delta(eps, delta)
     target = eps * delta / IS_TARGET_DIVISOR
-    m = max(solve_M_eps(profile, target), solve_M_eps(weighted_profile, target))
-    n = math.ceil(IS_PLAN_CONSTANT * m / eps)
+    m = max(solve_M_eps(profile, target) for profile in profiles)
+    n = _plan_size(
+        IS_PLAN_CONSTANT * m / eps,
+        lambda: math.log(IS_PLAN_CONSTANT) + math.log(m) - math.log(eps),
+    )
     return PlanResult(
-        n=max(n, 1),
+        n=n,
         m=m,
-        source=PlanSource.SELF_NORMALIZED,
+        source=source,
         constants={
             "plan_constant": IS_PLAN_CONSTANT,
             "icov_target_divisor": IS_TARGET_DIVISOR,
         },
     )
+
+
+# ---------------------------------------------------------------- methods
+# The method tables: plan name -> planner, and estimator name -> estimate
+# call, true value and success event. ``pfest plan`` and ``pfest
+# estimate`` accept exactly these names. Entries call pfest functions by
+# their module-global names, so a function swapped in a module namespace
+# (as tracing does) is the one that runs.
+
+FDIV_PREFIX = "fdiv:"
+
+
+@dataclass(frozen=True)
+class PlanMethod:
+    """``run(pair, eps, delta, g) -> PlanResult``; ``g`` is the
+    importance-sampling function table when ``needs_g``, else None."""
+
+    run: Callable[..., PlanResult]
+    needs_g: bool = False
+
+
+def _profile(pair: DistributionPair) -> CoverageProfile:
+    return CoverageProfile.from_pair(pair)
+
+
+def _weighted_profile(pair: DistributionPair, g: np.ndarray) -> CoverageProfile:
+    return CoverageProfile.from_pair(make_weighted_pair(pair, g))
+
+
+def _plan_sampling(pair, eps, delta, g) -> PlanResult:
+    n, m = sampling_plan(_profile(pair), eps)  # a TV guarantee: no delta
+    constants = {"plan_constant": SAMPLING_PLAN_CONSTANT}
+    return PlanResult(n, m, PlanSource.SAMPLING, constants)
+
+
+def _plan_fdiv(spec: str, pair, eps, delta, g) -> PlanResult:
+    f = parse_f_spec(spec)
+    return plan_n_fdiv(f, f_divergence(pair, f), eps, delta)
+
+
+PLANS = {
+    "coverage": PlanMethod(
+        lambda pair, eps, delta, g: plan_n_coverage(_profile(pair), eps, delta)
+    ),
+    "quantile": PlanMethod(
+        lambda pair, eps, delta, g: plan_n_quantile(eps, delta, profile=_profile(pair))
+    ),
+    "is": PlanMethod(
+        lambda pair, eps, delta, g: plan_n_is(_weighted_profile(pair, g), eps, delta),
+        needs_g=True,
+    ),
+    "snis": PlanMethod(
+        lambda pair, eps, delta, g: plan_n_snis(
+            _profile(pair), _weighted_profile(pair, g), eps, delta
+        ),
+        needs_g=True,
+    ),
+    "sampling": PlanMethod(_plan_sampling),
+}
+
+
+def plan_method(name: str) -> PlanMethod:
+    """A key of ``PLANS``, or ``fdiv:<spec>`` for the divergence plan of
+    the generator ``parse_f_spec(spec)``."""
+    if name.startswith(FDIV_PREFIX):
+        return PlanMethod(functools.partial(_plan_fdiv, name[len(FDIV_PREFIX):]))
+    if name not in PLANS:
+        raise ValueError(f"unknown plan method {name!r}")
+    return PLANS[name]
+
+
+@dataclass(frozen=True)
+class EstimatorMethod:
+    """``plan`` names the plan the estimator always runs on; ``None``
+    (mom) takes coverage or fdiv:<spec>. ``estimate(batch, eps, delta, m,
+    g, truth)`` returns the report, ``truth(pair, g)`` the value it
+    targets, ``success(estimate, truth, eps, m)`` whether a trial met
+    the estimator's guarantee."""
+
+    plan: Optional[str]
+    estimate: Callable[..., EstimateReport]
+    truth: Callable[..., float] = lambda pair, g: pair.z_true
+    success: Callable[..., bool] = lambda est, truth, eps, m: within_multiplicative(
+        est, truth, eps
+    )
+
+
+ESTIMATORS = {
+    "mom": EstimatorMethod(
+        None,
+        lambda batch, eps, delta, m, g, truth: median_of_means(
+            batch, delta, true_value=truth
+        ),
+    ),
+    "quantile": EstimatorMethod(
+        "quantile",
+        lambda batch, eps, delta, m, g, truth: quantile_estimator(
+            batch, eps, m, true_value=truth
+        ),
+        # one-sided: never above M times the truth, rarely below 1 - eps
+        success=lambda est, truth, eps, m: (1.0 - eps) * truth <= est <= m * truth,
+    ),
+    "snis": EstimatorMethod(
+        "snis",
+        lambda batch, eps, delta, m, g, truth: snis(batch, g, true_value=truth),
+        truth=lambda pair, g: pair.nu_mean(g),
+    ),
+}
+
+
+def estimator_plan(method: str, plan: str) -> PlanMethod:
+    """The planner the estimator ``method`` runs on; ``plan`` is read
+    by mom only."""
+    fixed = ESTIMATORS[method].plan
+    if fixed is not None:
+        return PLANS[fixed]
+    if plan != "coverage" and not plan.startswith(FDIV_PREFIX):
+        raise ValueError(f"unknown plan {plan!r}")
+    return plan_method(plan)
+
+
+def run_trials(
+    pair: DistributionPair, method: str, n: int, trials: int, seed: int,
+    eps: float, delta: float, m: Optional[float] = None, g: Optional[np.ndarray] = None,
+) -> list[tuple[EstimateReport, bool]]:
+    """Run the estimator ``ESTIMATORS[method]`` on ``trials`` batches of
+    n draws, trial t seeded by derive_seed(seed, t), and return each
+    report with its success flag. ``m`` is the plan's level (read by
+    quantile), ``g`` the function table (read by snis)."""
+    entry = ESTIMATORS[method]
+    truth = entry.truth(pair, g)
+    results = []
+    for trial in range(trials):
+        batch = sample(pair, n, int(derive_seed(seed, trial)))
+        report = entry.estimate(batch, eps, delta, m, g, truth)
+        results.append((report, entry.success(report.estimate, truth, eps, m)))
+    return results

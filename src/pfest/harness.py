@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import enum
 import hashlib
 import io
 import math
@@ -24,30 +23,23 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import estimators
-from .coverage import CoverageProfile, min_coverage_threshold
+from .coverage import CoverageProfile
 from .distributions import (
     DistributionPair,
     make_bernoulli_pair,
     make_pointmass_pair,
     make_random_pair,
     make_twopoint_mu_pair,
-    sample,
 )
 from .divergences import classify_regime, parse_f_spec
 from .errors import ConfigError, InfeasiblePlanError, SingularPairError
-from .estimators import (
-    group_count,
-    median_of_means,
-    plan_n_coverage,
-    plan_n_fdiv,
-    within_multiplicative,
-)
+from .estimators import group_count, plan_n_coverage, plan_n_fdiv, run_trials
 from .rng import derive_seed
 from .sampler import (
     SAMPLING_PLAN_CONSTANT,
     empirical_tv,
-    plan_n_sampling,
     run_races,
+    sampling_plan,
 )
 
 THREADS_ENV_VAR = "PFEST_THREADS"
@@ -369,26 +361,21 @@ def run_success_curve(config: ExperimentConfig) -> SweepTable:
                     f"n = {n} is below the {group_count(config.delta)} groups "
                     "the median needs"
                 )
+            results = run_trials(
+                pair, "mom", n, config.trials, row_seed, eps, config.delta
+            )
             successes = 0
             rel_sum = 0.0
-            n_used = 0
-            for trial in range(config.trials):
-                batch = sample(pair, n, int(derive_seed(row_seed, trial)))
-                report = median_of_means(
-                    batch, config.delta, true_value=pair.z_true
-                )
-                successes += within_multiplicative(
-                    report.estimate, pair.z_true, eps
-                )
+            for report, ok in results:
+                successes += ok
                 rel_sum += report.rel_error
-                n_used = report.n_used
             elapsed = (time.perf_counter() - start) * 1e3
             return (
                 config.family,
                 label,
                 eps,
                 n_planned,
-                n_used,
+                results[-1][0].n_used,
                 successes / config.trials,
                 rel_sum / config.trials,
                 elapsed,
@@ -503,8 +490,7 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
         row_seed = int(derive_seed(config.master_seed, index))
         sampler_base = int(derive_seed(row_seed, 0))
         estimator_base = int(derive_seed(row_seed, 1))
-        m_sampler = max(1.0, min_coverage_threshold(profile, eps / 3.0))
-        sampler_planned = plan_n_sampling(m_sampler, eps)
+        sampler_planned, m_sampler = sampling_plan(profile, eps)
         estimator_planned = plan_n_coverage(profile, eps, config.delta).n
 
         def sampler_ok(n: int) -> bool:
@@ -518,15 +504,11 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
         def estimator_ok(n: int) -> bool:
             if n < k_min:
                 return False
-            probe_seed = int(derive_seed(estimator_base, n))
-            successes = 0
-            for trial in range(config.trials):
-                batch = sample(pair, n, int(derive_seed(probe_seed, trial)))
-                report = median_of_means(batch, config.delta)
-                successes += within_multiplicative(
-                    report.estimate, pair.z_true, eps
-                )
-            return successes / config.trials >= threshold
+            results = run_trials(
+                pair, "mom", n, config.trials,
+                int(derive_seed(estimator_base, n)), eps, config.delta,
+            )
+            return sum(ok for _, ok in results) / config.trials >= threshold
 
         sampler_min = _minimal_n(sampler_ok)
         estimator_min = _minimal_n(estimator_ok)

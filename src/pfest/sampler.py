@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coverage import CoverageProfile, min_coverage_threshold
 from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
 from .rng import derive_seed, make_generator, standard_exponential
@@ -131,3 +132,10 @@ def plan_n_sampling(m: float, eps: float) -> int:
     if not 0 < eps < 3:
         raise ValueError(f"eps must be in (0, 3), got {eps}")
     return max(1, math.ceil(SAMPLING_PLAN_CONSTANT * m * math.log(3.0 / eps)))
+
+
+def sampling_plan(profile: CoverageProfile, eps: float) -> tuple[int, float]:
+    """Race length n and level M for TV error at most eps: M is the
+    smallest level, at least 1, with coverage at most eps/3."""
+    m = max(1.0, min_coverage_threshold(profile, eps / 3.0))
+    return plan_n_sampling(m, eps), m

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from pfest import CoverageProfile
 from pfest.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 
 BERN = ["--family", "bernoulli", "--params", "p=0.5,eps=0.25"]
@@ -72,6 +73,18 @@ def test_kl_plan_past_float_range_prints_an_integer(capsys):
     assert n > sys.float_info.max
 
 
+def test_is_plan_past_float_range_prints_an_integer(capsys):
+    # M is about 6e304 for the target eps delta / 6; n = 6 M / eps is not
+    code, out, err = _run(
+        capsys,
+        ["plan", *BERN, "--eps", "1e-4", "--delta", "1e-300", "--method", "is",
+         "--g", "0,1"],
+    )
+    assert (code, err) == (EXIT_OK, "")
+    n = int(re.search(r" n=(\d+) ", out).group(1))
+    assert n > sys.float_info.max
+
+
 def test_repeated_in_process_calls_print_the_same(capsys):
     argv = ["plan", *BERN, "--eps", "0.2", "--delta", "0.01", "--method", "fdiv:kl"]
     first = _run(capsys, argv)
@@ -79,3 +92,23 @@ def test_repeated_in_process_calls_print_the_same(capsys):
                   "--seed", "3", "--trials", "2"])
     assert _run(capsys, argv) == first
     assert first[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv,profiles",
+    [
+        (["plan", *BERN, "--eps", "0.25", "--method", "fdiv:kl"], 0),
+        (["estimate", *BERN, "--method", "mom", "--plan", "fdiv:kl", "--eps", "0.25",
+          "--seed", "1"], 0),
+        (["plan", *BERN, "--eps", "0.25", "--method", "coverage"], 1),
+    ],
+    ids=["plan-fdiv", "estimate-fdiv", "plan-coverage"],
+)
+def test_plans_build_only_the_profiles_they_read(capsys, monkeypatch, argv, profiles):
+    calls = []
+    original = CoverageProfile.from_pair
+    monkeypatch.setattr(
+        CoverageProfile, "from_pair", lambda pair: calls.append(pair) or original(pair)
+    )
+    assert _run(capsys, argv)[0] == EXIT_OK
+    assert len(calls) == profiles

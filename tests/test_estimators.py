@@ -265,6 +265,49 @@ def test_plan_n_monotone_across_float_exact_switch():
     assert all(a <= b for a, b in zip(ns, ns[1:]))
 
 
+def _coverage_n(profile, weighted, eps, delta):
+    return plan_n_coverage(profile, eps, delta).n
+
+
+def _quantile_profile_n(profile, weighted, eps, delta):
+    return plan_n_quantile(eps, delta, profile=profile).n
+
+
+def _is_n(profile, weighted, eps, delta):
+    return plan_n_is(weighted, eps, delta).n
+
+
+def _snis_n(profile, weighted, eps, delta):
+    return plan_n_snis(profile, weighted, eps, delta).n
+
+
+_COVERAGE_PLANNERS = [_coverage_n, _quantile_profile_n, _is_n, _snis_n]
+_COVERAGE_IDS = ["coverage", "quantile", "is", "snis"]
+
+
+@st.composite
+def _random_profiles(draw):
+    """Profiles of a random_finite pair and of its reweighting by a
+    nonnegative g table with E_nu[g] > 0."""
+    pair = make_random_pair(draw(st.integers(1, 64)), draw(st.integers(0, 2**32 - 1)))
+    g = draw(st.lists(st.floats(0.0, 10.0), min_size=pair.support_size,
+                      max_size=pair.support_size).filter(lambda v: max(v) > 0))
+    weighted = make_weighted_pair(pair, g)
+    return CoverageProfile.from_pair(pair), CoverageProfile.from_pair(weighted)
+
+
+@pytest.mark.parametrize("plan_n", _COVERAGE_PLANNERS, ids=_COVERAGE_IDS)
+@given(profiles=_random_profiles(), eps=_eps_pairs, delta=st.floats(1e-300, 0.99))
+def test_coverage_plan_n_non_increasing_in_eps(plan_n, profiles, eps, delta):
+    assert plan_n(*profiles, eps[1], delta) <= plan_n(*profiles, eps[0], delta)
+
+
+@pytest.mark.parametrize("plan_n", _COVERAGE_PLANNERS, ids=_COVERAGE_IDS)
+@given(profiles=_random_profiles(), eps=st.floats(1e-4, 0.99), delta=_delta_pairs)
+def test_coverage_plan_n_non_increasing_in_delta(plan_n, profiles, eps, delta):
+    assert plan_n(*profiles, eps, delta[1]) <= plan_n(*profiles, eps, delta[0])
+
+
 def test_plan_quantile_profile_route(identity_profile, twopoint):
     plan = plan_n_quantile(0.5, 0.1, profile=identity_profile)
     assert (plan.n, plan.m) == (108, 1.0)
@@ -349,6 +392,13 @@ def test_importance_sampling_mom_matches_manual():
     assert report.k_groups == 3
     with pytest.raises(ValueError):
         importance_sampling_mom(_batch(np.zeros(2)), g, ratios_by_atom, delta=0.1)
+
+
+def test_importance_sampling_mom_rejects_atoms_outside_the_tables():
+    # enough draws for the k = 3 groups of delta = 0.7, all on atom 5
+    batch = _batch(np.zeros(6), atoms=[5] * 6)
+    with pytest.raises(ValueError, match="outside the supplied tables"):
+        importance_sampling_mom(batch, np.ones(2), np.ones(2), delta=0.7)
 
 
 def test_snis_constant_weights():
