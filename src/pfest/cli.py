@@ -238,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--method", choices=tuple(ESTIMATORS), required=True)
     p_est.add_argument("--eps", type=float, required=True)
     p_est.add_argument("--delta", type=float, default=0.1)
-    p_est.add_argument("--plan", default="coverage",
-                       help="coverage|fdiv:<f-spec> (mom only)")
+    p_est.add_argument("--plan",
+                       help="coverage|fdiv:<f-spec> (mom only; default coverage)")
     p_est.add_argument("--seed", type=int, required=True)
     p_est.add_argument("--trials", type=int, default=1)
     p_est.add_argument("--g", help="comma-separated g values (snis)")

@@ -71,13 +71,9 @@ class CoverageProfile:
 
     @classmethod
     def from_pair(cls, pair: DistributionPair) -> "CoverageProfile":
-        pos = pair.mu_weights > 0
-        ratios = pair.ratio_cache[pos]
-        uniq, inverse = np.unique(ratios, return_inverse=True)
-        nu = np.bincount(inverse, weights=pair.nu_weights[pos], minlength=uniq.size)
-        mu = np.bincount(inverse, weights=pair.mu_weights[pos], minlength=uniq.size)
+        thresholds, nu, mu = _ratio_levels(pair)
         return cls(
-            thresholds=uniq,
+            thresholds=thresholds,
             nu_masses=nu,
             mu_masses=mu,
             singular_mass=pair.singular_mass,
@@ -124,6 +120,38 @@ class CoverageProfile:
         idx = np.searchsorted(self.thresholds, m_arr, side="left")
         out = self._mu_suffix[idx]
         return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
+
+
+def _ratio_levels(pair: DistributionPair):
+    """Distinct finite ratio levels of the atoms with proposal mass, in
+    increasing order, with the target and proposal mass at each.
+
+    One argsort of the ratios: when the levels are distinct the masses
+    are the weights in sorted order, else they are summed per level in
+    atom order. Either way they equal ``np.unique(return_inverse=True)``
+    followed by ``np.bincount``, bit for bit. The sort's temporaries die
+    on return, before the profile builds its own tables.
+    """
+    ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
+    pos = mu > 0
+    if not pos.all():
+        ratios, nu, mu = ratios[pos], nu[pos], mu[pos]
+    perm = ratios.argsort()
+    levels = ratios[perm]
+    distinct = levels[1:] != levels[:-1]
+    if distinct.all():
+        nu = nu[perm]
+        nu += 0.0  # bincount adds each weight to 0.0, turning -0.0 into 0.0
+        return levels, nu, mu[perm]
+    first = np.concatenate(([True], distinct))
+    inverse = np.empty(perm.shape, dtype=np.intp)
+    inverse[perm] = np.cumsum(first) - 1
+    thresholds = levels[first]
+    return (
+        thresholds,
+        np.bincount(inverse, weights=nu, minlength=thresholds.size),
+        np.bincount(inverse, weights=mu, minlength=thresholds.size),
+    )
 
 
 def _as_profile(pair_or_profile) -> CoverageProfile:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,25 @@ WEIGHT_SUM_TOL = 1e-9
 
 # Consistency of E_mu[ratio] with the nu-mass actually reachable from mu.
 RATIO_MEAN_TOL = 1e-12
+
+# OpenBLAS splits dot products longer than this across threads, so their
+# rounding depends on the thread count; ordered_dot never passes it more.
+DOT_CHUNK = 10_000
+
+
+def ordered_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two equally long 1-d arrays that does not depend
+    on the BLAS thread count.
+
+    np.dot runs over consecutive chunks of at most DOT_CHUNK elements
+    and the chunk results are added left to right, so inputs of at most
+    DOT_CHUNK elements give exactly np.dot.
+    """
+    total = float(np.dot(a[:DOT_CHUNK], b[:DOT_CHUNK]))
+    for start in range(DOT_CHUNK, a.size, DOT_CHUNK):
+        stop = start + DOT_CHUNK
+        total += float(np.dot(a[start:stop], b[start:stop]))
+    return total
 
 
 def _as_weight_array(w, label: str) -> np.ndarray:
@@ -57,6 +77,10 @@ class DistributionPair:
     ``singular_mass``), and 0 on atoms carrying neither.
     ``last_drawable_atom`` is the index of the last atom with proposal
     mass, where inverse-CDF draws are clipped.
+
+    The tables ``mu_cdf`` and ``lambda_values`` are built once, on first
+    use, and are read-only; they are not fields, so ``==`` and ``repr``
+    ignore them.
     """
 
     mu_weights: np.ndarray
@@ -84,7 +108,7 @@ class DistributionPair:
         singular = float(nu[~pos].sum())
         ratio[~pos & (nu > 0)] = np.inf
 
-        mean = float(np.dot(mu[pos], ratio[pos]))
+        mean = ordered_dot(mu[pos], ratio[pos])
         if abs(mean + singular - 1.0) > RATIO_MEAN_TOL:
             raise ValueError(
                 "inconsistent pair: E_mu[ratio] + singular_mass = "
@@ -108,10 +132,23 @@ class DistributionPair:
     def absolutely_continuous(self) -> bool:
         return self.singular_mass == 0.0
 
-    @property
+    @cached_property
+    def mu_cdf(self) -> np.ndarray:
+        """Cumulative proposal mass per atom, the inverse-CDF table."""
+        return _freeze(np.cumsum(self.mu_weights))
+
+    @cached_property
     def lambda_values(self) -> np.ndarray:
         """Unnormalized target density z_true * dnu/dmu per atom."""
-        return self.z_true * self.ratio_cache
+        return _freeze(self.z_true * self.ratio_cache)
+
+    def lambda_at(self, atoms: np.ndarray) -> np.ndarray:
+        """``lambda_values[atoms]``, bit for bit, from the gathered
+        ratios: O(len(atoms)) work and no support-sized table, for
+        draws that may be fewer than the atoms."""
+        lam = self.ratio_cache[atoms]
+        lam *= self.z_true
+        return lam
 
     def nu_mean(self, g) -> float:
         """E_nu[g] for a per-atom function table ``g``."""
@@ -120,7 +157,7 @@ class DistributionPair:
             raise ValueError(
                 f"g has {g.size} entries, support has {self.support_size}"
             )
-        return float(np.dot(self.nu_weights, g))
+        return ordered_dot(self.nu_weights, g)
 
 
 @dataclass(frozen=True)
@@ -200,7 +237,7 @@ def make_weighted_pair(pair: DistributionPair, g) -> DistributionPair:
         )
     if not np.all(np.isfinite(g)) or np.any(g < 0):
         raise ValueError("g must be nonnegative and finite")
-    nu_g = float(np.dot(pair.nu_weights, g))
+    nu_g = ordered_dot(pair.nu_weights, g)
     if nu_g <= 0:
         raise ValueError("E_nu[g] = 0; weighted target is undefined")
     return DistributionPair(
@@ -239,7 +276,7 @@ def draw_atoms(pair: DistributionPair, u: np.ndarray) -> np.ndarray:
     last value would index past the table; such draws are clipped to the
     last atom with proposal mass, never to a trailing zero-mass atom.
     """
-    atoms = np.searchsorted(np.cumsum(pair.mu_weights), u, side="right")
+    atoms = np.searchsorted(pair.mu_cdf, u, side="right")
     np.clip(atoms, 0, pair.last_drawable_atom, out=atoms)
     return atoms
 
@@ -255,7 +292,7 @@ def sample(pair: DistributionPair, n: int, seed: int) -> SampleBatch:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = make_generator(seed)
     atoms = draw_atoms(pair, gen.random(n))
-    lam = pair.lambda_values[atoms]
+    lam = pair.lambda_at(atoms)
     return SampleBatch(atoms=atoms.astype(np.int64), lambdas=lam, seed=int(seed), n=n)
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import DistributionPair
+from .distributions import DistributionPair, ordered_dot
 from .errors import ClassificationError
 
 # Relative tolerance of the growth-inverse bisection.
@@ -348,7 +348,7 @@ def f_divergence(pair: DistributionPair, f: FGenerator) -> float:
     """
     pos = pair.mu_weights > 0
     vals = np.asarray(f(pair.ratio_cache[pos]), dtype=np.float64)
-    total = float(np.dot(pair.mu_weights[pos], vals))
+    total = ordered_dot(pair.mu_weights[pos], vals)
     if pair.singular_mass > 0:
         if math.isinf(f.f_prime_at_inf):
             return math.inf

@@ -18,7 +18,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coverage import CoverageProfile, min_coverage_threshold, solve_M_eps
-from .distributions import DistributionPair, SampleBatch, make_weighted_pair, sample
+from .distributions import (
+    DistributionPair,
+    SampleBatch,
+    make_weighted_pair,
+    ordered_dot,
+    sample,
+)
 from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
 from .rng import derive_seed
@@ -236,7 +242,7 @@ def snis(
             "all density values in the batch are zero; the self-normalized "
             "estimate is undefined"
         )
-    est = float(np.dot(batch.lambdas, g_values[batch.atoms]) / total)
+    est = ordered_dot(batch.lambdas, g_values[batch.atoms]) / total
     return EstimateReport(
         estimate=est,
         n_used=batch.n,
@@ -553,12 +559,20 @@ ESTIMATORS = {
 }
 
 
-def estimator_plan(method: str, plan: str) -> PlanMethod:
-    """The planner the estimator ``method`` runs on; ``plan`` is read
-    by mom only."""
+def estimator_plan(method: str, plan: Optional[str] = None) -> PlanMethod:
+    """The planner the estimator ``method`` runs on. Only mom takes a
+    ``plan`` (coverage, the default, or fdiv:<spec>); the others run on
+    their own plan and reject one."""
     fixed = ESTIMATORS[method].plan
     if fixed is not None:
+        if plan is not None:
+            raise ValueError(
+                f"estimator {method!r} runs on its own {fixed!r} plan; "
+                "only mom takes a plan"
+            )
         return PLANS[fixed]
+    if plan is None:
+        plan = "coverage"
     if plan != "coverage" and not plan.startswith(FDIV_PREFIX):
         raise ValueError(f"unknown plan {plan!r}")
     return plan_method(plan)

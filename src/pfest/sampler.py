@@ -68,7 +68,7 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
     gen = make_generator(seed)
     atoms = draw_atoms(pair, gen.random(n))
     arrivals = np.cumsum(standard_exponential(gen, n))
-    scores = _scores(arrivals, pair.lambda_values[atoms])
+    scores = _scores(arrivals, pair.lambda_at(atoms))
     best = int(np.argmin(scores))
     if math.isinf(scores[best]):
         raise AllNullDrawsError(
@@ -94,7 +94,6 @@ def run_races(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     block = max(1, RACE_CHUNK_ELEMENTS // n)
-    lam_table = pair.lambda_values
     counts = np.zeros(pair.support_size, dtype=np.int64)
     null_races = 0
     for chunk_index, start in enumerate(range(0, trials, block)):
@@ -102,7 +101,9 @@ def run_races(
         gen = make_generator(int(derive_seed(master_seed, chunk_index)))
         atoms = draw_atoms(pair, gen.random((rows, n)))
         arrivals = np.cumsum(standard_exponential(gen, (rows, n)), axis=1)
-        scores = _scores(arrivals, lam_table[atoms])
+        # a block holds about 2^20 draws, mostly more than there are
+        # atoms, so a lookup in the per-pair table is the cheaper gather
+        scores = _scores(arrivals, pair.lambda_values[atoms])
         best = np.argmin(scores, axis=1)
         winners = atoms[np.arange(rows), best]
         alive = np.isfinite(scores[np.arange(rows), best])

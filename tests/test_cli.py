@@ -1,8 +1,13 @@
+import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pfest
 from pfest import CoverageProfile
 from pfest.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 
@@ -51,8 +56,11 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
         ["plan", "--family", "bernoulli", "--params", "p0.5", "--eps", "0.25"],
         ["estimate", "--family", "bernoulli", "--params", "p=0.5,eps", "--method",
          "mom", "--eps", "0.25", "--seed", "1"],
+        ["estimate", *BERN, "--method", "snis", "--g", "0,1", "--plan", "coverage",
+         "--eps", "0.25", "--seed", "1"],
     ],
-    ids=["unknown-method", "malformed-params", "params-without-value"],
+    ids=["unknown-method", "malformed-params", "params-without-value",
+         "snis-with-plan"],
 )
 def test_bad_input_exits_one_with_message(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -112,3 +120,37 @@ def test_plans_build_only_the_profiles_they_read(capsys, monkeypatch, argv, prof
     )
     assert _run(capsys, argv)[0] == EXIT_OK
     assert len(calls) == profiles
+
+
+def test_output_does_not_depend_on_blas_threads():
+    # OpenBLAS splits dot products past 10 000 elements across threads;
+    # on a support of 50 000 the divergence, the weighted pair's E_nu[g]
+    # and the SNIS sums (n = 14 275) all pass that length. On a machine
+    # with one CPU both runs use one thread and the test cannot fail.
+    wide = ["--family", "random_finite", "--params", "support=50000,seed=3",
+            "--eps", "0.25"]
+    g = ",".join(str(1 + i % 3) for i in range(50_000))
+    argvs = [
+        ["plan", *wide, "--method", "fdiv:kl"],
+        ["plan", *wide, "--method", "is", "--g", g],
+        ["estimate", *wide, "--method", "snis", "--g", g, "--seed", "1",
+         "--trials", "2", "--out", "-"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from pfest.cli import main\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    assert main(argv) == 0\n"
+    )
+    src = str(Path(pfest.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], input=json.dumps(argvs), env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 6  # two plans, the estimate, 3 CSV lines

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfest import (
     CoverageProfile,
@@ -13,6 +15,7 @@ from pfest import (
     icov_bound_fdiv,
     integrated_coverage,
     kl,
+    make_finite_pair,
     make_pointmass_pair,
     make_random_pair,
     min_coverage_threshold,
@@ -39,6 +42,44 @@ def test_profile_from_singular_pair():
     prof = CoverageProfile.from_pair(make_pointmass_pair(0.3))
     assert prof.singular_mass == pytest.approx(0.3)
     np.testing.assert_allclose(prof.thresholds, [0.7], rtol=1e-15)
+
+
+def _unique_bincount_profile(pair):
+    """Profile arrays by np.unique and two bincounts, the reference for
+    from_pair's single sort."""
+    pos = pair.mu_weights > 0
+    uniq, inverse = np.unique(pair.ratio_cache[pos], return_inverse=True)
+    nu = np.bincount(inverse, weights=pair.nu_weights[pos], minlength=uniq.size)
+    mu = np.bincount(inverse, weights=pair.mu_weights[pos], minlength=uniq.size)
+    return uniq, nu, mu
+
+
+def _assert_same_profile_arrays(pair):
+    prof = CoverageProfile.from_pair(pair)
+    got = (prof.thresholds, prof.nu_masses, prof.mu_masses)
+    for a, b in zip(got, _unique_bincount_profile(pair)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # bit for bit, signed zeros too
+
+
+# few distinct values, so ratios tie often; zeros give zero-mass and
+# singular atoms; -0.0 is a valid zero weight
+_tie_weight = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5, 1.0, 3.0])
+_any_weight = st.one_of(_tie_weight, st.floats(1e-3, 1.0))
+
+
+@given(weights=st.lists(st.tuples(_any_weight, _any_weight), min_size=1, max_size=40))
+def test_from_pair_matches_unique_and_bincount(weights):
+    mu = np.array([w[0] for w in weights])
+    nu = np.array([w[1] for w in weights])
+    if mu.sum() <= 0 or nu.sum() <= 0:
+        return
+    _assert_same_profile_arrays(make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.0))
+
+
+@pytest.mark.parametrize("support,seed", [(1, 0), (4096, 1), (4096, 2)])
+def test_from_pair_matches_unique_and_bincount_on_random_pairs(support, seed):
+    _assert_same_profile_arrays(make_random_pair(support, seed))
 
 
 def test_coverage_step_values(bern_profile):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from pfest import (
     sample,
     save_pair,
 )
-from pfest.distributions import draw_atoms
+from pfest.distributions import DOT_CHUNK, draw_atoms, ordered_dot
+from pfest.rng import derive_seed, make_generator, standard_exponential
+from pfest.sampler import astar_sample, run_races
 
 
 def test_bernoulli_pair_layout(bern):
@@ -232,3 +235,89 @@ def test_load_rejects_missing_field(tmp_path):
 def test_arrays_are_frozen(bern):
     with pytest.raises(ValueError):
         bern.mu_weights[0] = 0.9
+
+
+def _cumsum_draw(pair, u):
+    """The inverse-CDF draw as it was before the table was cached: the
+    cumulative mass rebuilt on every call."""
+    atoms = np.searchsorted(np.cumsum(pair.mu_weights), u, side="right")
+    return np.clip(atoms, 0, pair.last_drawable_atom)
+
+
+# the last atom has no proposal mass and the cumulative mass ends one
+# ulp below 1
+TRAILING_ZERO = make_finite_pair([0.1] * 10 + [0.0], [0.05] * 10 + [0.5], 2.0)
+DRAW_PAIRS = [
+    make_bernoulli_pair(0.5, 0.25),
+    make_random_pair(64, 5, z=3.0),
+    TRAILING_ZERO,
+]
+
+
+@pytest.mark.parametrize("pair", DRAW_PAIRS, ids=["bernoulli", "random", "trailing-zero"])
+def test_draws_match_the_per_call_cumsum(pair):
+    for seed in (0, 1, 99):
+        batch = sample(pair, 300, seed)
+        atoms = _cumsum_draw(pair, make_generator(seed).random(300))
+        np.testing.assert_array_equal(batch.atoms, atoms)
+        np.testing.assert_array_equal(batch.lambdas, pair.z_true * pair.ratio_cache[atoms])
+
+        _, state = astar_sample(pair, 40, seed)
+        np.testing.assert_array_equal(
+            state.atoms, _cumsum_draw(pair, make_generator(seed).random(40))
+        )
+
+    # one block of races: its generator is seeded by derive_seed(seed, 0)
+    n, trials, seed = 6, 500, 11
+    gen = make_generator(int(derive_seed(seed, 0)))
+    atoms = _cumsum_draw(pair, gen.random((trials, n)))
+    arrivals = np.cumsum(standard_exponential(gen, (trials, n)), axis=1)
+    lam = pair.z_true * pair.ratio_cache[atoms]
+    scores = np.full(lam.shape, np.inf)
+    np.divide(arrivals, lam, out=scores, where=lam > 0)
+    best = np.argmin(scores, axis=1)
+    winners = atoms[np.arange(trials), best]
+    alive = np.isfinite(scores[np.arange(trials), best])
+    summary = run_races(pair, n, trials, seed)
+    np.testing.assert_array_equal(
+        summary.counts, np.bincount(winners[alive], minlength=pair.support_size)
+    )
+    assert summary.null_races == trials - alive.sum()
+
+
+def test_draw_tables_are_cached_and_read_only():
+    pair = make_random_pair(32, 8, z=2.5)
+    text = repr(pair)
+    assert pair.mu_cdf is pair.mu_cdf
+    assert pair.lambda_values is pair.lambda_values
+    np.testing.assert_array_equal(pair.mu_cdf, np.cumsum(pair.mu_weights))
+    np.testing.assert_array_equal(pair.lambda_values, 2.5 * pair.ratio_cache)
+    for table in (pair.mu_cdf, pair.lambda_values):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    # the tables are not fields: repr and == read the same as before
+    assert repr(pair) == text
+    assert [f.name for f in dataclasses.fields(pair)] == [
+        "mu_weights", "nu_weights", "z_true", "name",
+        "ratio_cache", "singular_mass", "last_drawable_atom",
+    ]
+    one = make_finite_pair([1.0], [1.0], 2.0)
+    other = make_finite_pair([1.0], [1.0], 2.0)
+    assert one.mu_cdf.size == one.lambda_values.size == 1
+    assert one == other and repr(one) == repr(other)
+
+
+@pytest.mark.parametrize("size", [1, 7, DOT_CHUNK - 1, DOT_CHUNK])
+def test_ordered_dot_is_np_dot_up_to_one_chunk(size):
+    gen = make_generator(size)
+    a, b = gen.random(size), gen.random(size) - 0.5
+    assert ordered_dot(a, b) == float(np.dot(a, b))
+
+
+def test_ordered_dot_sums_chunks_in_order():
+    gen = make_generator(3)
+    a, b = gen.random(2 * DOT_CHUNK + 17), gen.random(2 * DOT_CHUNK + 17)
+    parts = [float(np.dot(a[i:i + DOT_CHUNK], b[i:i + DOT_CHUNK]))
+             for i in range(0, a.size, DOT_CHUNK)]
+    assert ordered_dot(a, b) == (parts[0] + parts[1]) + parts[2]
+    assert ordered_dot(a, b) == pytest.approx(math.fsum(a * b), rel=1e-12)

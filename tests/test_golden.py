@@ -83,7 +83,7 @@ TV_INFEASIBLE = (
 
 # (argv, exit code, stdout, stderr) for the error paths and the quirks
 # the method dispatch must keep: the plan is computed before --trials is
-# checked, and --plan is read by mom only.
+# checked, and only mom takes --plan.
 OUTCOMES = {
     "plan-infeasible": (
         ["plan", *BERN, "--eps", "0.25", "--method", "fdiv:tv"],
@@ -120,13 +120,11 @@ OUTCOMES = {
          "--trials", "0"],
         1, "", "pfest: error: --trials must be >= 1, got 0\n",
     ),
-    "estimate-quantile-ignores-plan": (
+    "estimate-quantile-rejects-plan": (
         ["estimate", *BERN, "--method", "quantile", "--plan", "bogus",
          "--eps", "0.25", "--seed", "1"],
-        0,
-        "estimate method=quantile n=270 M=1.25 trials=1 eps=0.25 delta=0.1 "
-        "mean_estimate=1.25 success_freq=1.0\n",
-        "",
+        1, "", "pfest: error: estimator 'quantile' runs on its own 'quantile' "
+        "plan; only mom takes a plan\n",
     ),
 }
 
