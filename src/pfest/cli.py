@@ -135,8 +135,11 @@ def _cmd_plan(args) -> int:
 
 
 def _g_table(args, pair: DistributionPair, planner):
-    """The --g table, parsed only for the plans that read one."""
+    """The --g table, parsed only for the plans that read one and
+    rejected everywhere else."""
     if not planner.needs_g:
+        if args.g is not None:
+            raise ValueError(f"method {args.method!r} reads no --g table")
         return None
     if not args.g:
         raise ValueError("--g values are required for this method")

@@ -6,11 +6,12 @@ coverage, which on a finite pair collapses to the exact expectation
 E_nu[min(ratio, M)] plus M times any singular mass. Planners consume
 two inverse queries: the smallest M whose normalized integrated
 coverage drops below a target, and the smallest M whose coverage drops
-below a target. Both are exact on the step profile.
+below a target. Both are exact on the step profile, with no tolerance.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -18,11 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import DistributionPair
-from .divergences import FGenerator
+from .divergences import FGenerator, gamma_f
 from .errors import SingularPairError
-
-# Relative tolerance of the integrated-coverage threshold bisection.
-SOLVE_M_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -186,33 +184,35 @@ def _require_absolutely_continuous(profile: CoverageProfile, what: str) -> None:
 
 def solve_M_eps(profile: CoverageProfile, eps: float) -> float:
     """Smallest truncation level M whose integrated coverage is at most
-    eps * M, located by bisection to relative tolerance 1e-9.
+    eps * M, solved exactly.
 
-    IC_M / M is continuous and non-increasing, so the predicate is
-    monotone; the returned value is the feasible (upper) endpoint of
-    the final bracket.
+    IC_M / M is non-increasing, so a binary search over the thresholds
+    finds the first t[j] meeting the predicate. On [t[j-1], t[j]) IC_M
+    is the line a + b*M, which meets eps*M at a / (eps - b); M then
+    steps up one float at a time until the predicate holds in floats.
+    A level past the float range reads inf.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     _require_absolutely_continuous(profile, "solve_M_eps")
+    if not profile._nu_suffix[0] > 0:
+        raise ValueError("profile carries no target mass on finite levels")
 
     def ok(m: float) -> bool:
         return profile.integrated_coverage(m) <= eps * m
 
-    positive = profile.thresholds[profile.nu_masses > 0]
-    if positive.size == 0:
-        raise ValueError("profile carries no target mass on finite levels")
-    lo = 0.5 * float(positive[0])  # IC/M is exactly 1 here
-    hi = max(1.0, profile.nu_ratio_mean / eps, 2 * lo)
-    while not ok(hi):  # guard against rounding at the analytic bound
-        hi *= 2.0
-    while (hi - lo) > SOLVE_M_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    t = profile.thresholds
+    j = bisect.bisect_left(range(t.size), True, key=lambda k: ok(t[k]))
+    # On [lower, upper) IC_M is a + b*M; the predicate holds at upper.
+    # b >= eps only where the finite levels carry at most eps target
+    # mass in all: the line then has no root and upper is taken.
+    a, b = float(profile._nu_r_prefix[j]), float(profile._nu_suffix[j])
+    lower = float(t[j - 1]) if j > 0 else 0.0
+    upper = float(t[j]) if j < t.size else math.inf
+    m = min(max(lower, a / (eps - b) if b < eps else math.inf), upper)
+    while m < math.inf and not ok(m):
+        m = math.nextafter(m, math.inf)
+    return m
 
 
 def min_coverage_threshold(profile: CoverageProfile, target: float) -> float:
@@ -325,8 +325,6 @@ def paley_zygmund_bound_fdiv(
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not 0 < u < 1:
         raise ValueError(f"u must be in (0, 1), got {u}")
-    from .divergences import gamma_f
-
     m = gamma_f(f, divergence / (u * eps))
     if math.isinf(m):
         return PZBound(bound=0.0, m_used=math.inf)

@@ -108,7 +108,10 @@ class DistributionPair:
         singular = float(nu[~pos].sum())
         ratio[~pos & (nu > 0)] = np.inf
 
-        mean = ordered_dot(mu[pos], ratio[pos])
+        if pos.all():
+            mean = ordered_dot(mu, ratio)
+        else:
+            mean = ordered_dot(mu[pos], ratio[pos])
         if abs(mean + singular - 1.0) > RATIO_MEAN_TOL:
             raise ValueError(
                 "inconsistent pair: E_mu[ratio] + singular_mass = "

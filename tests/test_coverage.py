@@ -1,4 +1,6 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,12 +167,12 @@ def test_icov_matches_quadrature(bern_profile):
 
 def test_solve_identity_closed_form(identity_profile):
     # IC_m = 1 for m >= 1, so the solution of IC_m <= eps*m is 1/eps
-    assert solve_M_eps(identity_profile, 0.5) == pytest.approx(2.0, rel=1e-8)
-    assert solve_M_eps(identity_profile, 0.125) == pytest.approx(8.0, rel=1e-8)
+    assert solve_M_eps(identity_profile, 0.5) == 2.0
+    assert solve_M_eps(identity_profile, 0.125) == 8.0
 
 
 def test_solve_bernoulli(bern_profile):
-    assert solve_M_eps(bern_profile, 0.0625) == pytest.approx(17.0, rel=1e-8)
+    assert solve_M_eps(bern_profile, 0.0625) == 17.0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -182,6 +184,53 @@ def test_solve_is_the_infimum(seed):
         below = m * (1 - 1e-6)
         if below > float(prof.thresholds[0]) / 2:
             assert prof.integrated_coverage(below) > eps * below * (1 - 1e-9)
+
+
+def _segment_root(profile, eps):
+    """max(t[j-1], a / (eps - b)) in exact arithmetic over the profile's
+    float tables, where t[j] is the first threshold with IC <= eps * t
+    and a + b*M is the integrated coverage just below it."""
+    t = [Fraction(float(v)) for v in profile.thresholds]
+    a = [Fraction(float(v)) for v in profile._nu_r_prefix]
+    b = [Fraction(float(v)) for v in profile._nu_suffix]
+    e = Fraction(eps)
+    j = bisect.bisect_left(
+        range(len(t)), True, key=lambda k: a[k + 1] + t[k] * b[k + 1] <= e * t[k]
+    )
+    root = a[j] / (e - b[j])
+    return max(root, t[j - 1]) if j > 0 else root
+
+
+@given(
+    support=st.integers(2, 201),
+    seed=st.integers(0, 2**32 - 1),
+    log_eps=st.floats(-6.0, math.log10(0.5)),
+)
+def test_solve_is_exact(support, seed, log_eps):
+    """The level meets the float predicate and sits within 4 ulps of the
+    segment's rational root; it need not be the smallest such float."""
+    prof = CoverageProfile.from_pair(make_random_pair(support, seed))
+    eps = 10.0**log_eps
+    m = solve_M_eps(prof, eps)
+    assert prof.integrated_coverage(m) <= eps * m
+    root = _segment_root(prof, eps)
+    assert abs(Fraction(m) - root) <= 4 * Fraction(math.ulp(float(root)))
+
+
+def test_solve_past_float_range_is_inf(bern_profile):
+    assert solve_M_eps(bern_profile, 1e-310) == math.inf
+
+
+def test_solve_sub_probability_profile():
+    # finite levels carrying eps target mass in all: the segment line
+    # b*M has b = eps, so there is no root to divide for
+    prof = CoverageProfile(
+        thresholds=[1.0, 2.0], nu_masses=[0.25, 0.25], mu_masses=[0.5, 0.5],
+        singular_mass=0.0,
+    )
+    m = solve_M_eps(prof, 0.5)
+    assert 0 < m <= 1.0
+    assert prof.integrated_coverage(m) <= 0.5 * m
 
 
 def test_solve_validation(identity_profile):

@@ -308,6 +308,44 @@ def test_coverage_plan_n_non_increasing_in_delta(plan_n, profiles, eps, delta):
     assert plan_n(*profiles, eps, delta[1]) <= plan_n(*profiles, eps, delta[0])
 
 
+def test_is_plan_non_increasing_at_nearby_eps():
+    # the former 1e-9 bisection of solve_M_eps gave the larger eps one
+    # more draw here (3315547713425)
+    profile = CoverageProfile.from_pair(make_random_pair(9, 794))
+    assert plan_n_is(profile, 0.464, 1e-10).n == 3315547713424
+    assert plan_n_is(profile, 0.464 * (1 + 1e-15), 1e-10).n == 3315547713424
+
+
+def _close_pairs(lo, hi):
+    """(x, x * (1 + gap)) with gaps 1e-15 to 1e-12."""
+    return st.tuples(st.floats(lo, hi), st.floats(1e-15, 1e-12)).map(
+        lambda p: (p[0], p[0] * (1.0 + p[1]))
+    )
+
+
+@pytest.mark.parametrize(
+    "plan_n", [_coverage_n, _is_n, _snis_n], ids=["coverage", "is", "snis"]
+)
+@given(
+    profiles=_random_profiles(),
+    eps=_close_pairs(1e-4, 0.99),
+    delta=_close_pairs(1e-300, 0.99),
+)
+def test_coverage_plan_n_non_increasing_at_close_arguments(
+    plan_n, profiles, eps, delta
+):
+    n = plan_n(*profiles, eps[0], delta[0])
+    assert plan_n(*profiles, eps[1], delta[0]) <= n
+    assert plan_n(*profiles, eps[0], delta[1]) <= n
+
+
+def test_is_plan_past_float_range_is_infeasible():
+    # eps * delta / 6 is subnormal, so the level M overflows to inf
+    profile = CoverageProfile.from_pair(make_random_pair(9, 794))
+    with pytest.raises(InfeasiblePlanError):
+        plan_n_is(profile, 1e-10, 1e-300)
+
+
 def test_plan_quantile_profile_route(identity_profile, twopoint):
     plan = plan_n_quantile(0.5, 0.1, profile=identity_profile)
     assert (plan.n, plan.m) == (108, 1.0)

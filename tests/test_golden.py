@@ -83,7 +83,8 @@ TV_INFEASIBLE = (
 
 # (argv, exit code, stdout, stderr) for the error paths and the quirks
 # the method dispatch must keep: the plan is computed before --trials is
-# checked, and only mom takes --plan.
+# checked, only mom takes --plan, and only the methods that read a g
+# table take --g.
 OUTCOMES = {
     "plan-infeasible": (
         ["plan", *BERN, "--eps", "0.25", "--method", "fdiv:tv"],
@@ -125,6 +126,15 @@ OUTCOMES = {
          "--eps", "0.25", "--seed", "1"],
         1, "", "pfest: error: estimator 'quantile' runs on its own 'quantile' "
         "plan; only mom takes a plan\n",
+    ),
+    "plan-coverage-rejects-g": (
+        ["plan", *BERN, "--eps", "0.25", "--method", "coverage", "--g", "bogus"],
+        1, "", "pfest: error: method 'coverage' reads no --g table\n",
+    ),
+    "estimate-quantile-rejects-g": (
+        ["estimate", *BERN, "--method", "quantile", "--g", "x",
+         "--eps", "0.25", "--seed", "1"],
+        1, "", "pfest: error: method 'quantile' reads no --g table\n",
     ),
 }
 
