@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfest import (
     ConfigError,
@@ -76,6 +78,49 @@ def test_config_roundtrip_via_file(tmp_path):
     path = tmp_path / "exp.ini"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+_KINDS = ("success_curve", "phase_transition", "sampling_vs_counting")
+_WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+_D_VALUE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _configs(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    phase = kind == "phase_transition"
+    return ExperimentConfig(
+        kind=kind,
+        eps_grid=tuple(draw(st.lists(_UNIT, min_size=1, max_size=4))),
+        delta=draw(_UNIT),
+        trials=draw(st.integers(1, 10**6)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        output_path=draw(
+            st.text(alphabet="abcxyz0123456789/._-", min_size=1, max_size=12)
+        ),
+        family=draw((st.just("") | _WORD) if phase else _WORD),
+        family_params=tuple(
+            draw(st.dictionaries(_WORD, st.integers() | _REAL, max_size=3)).items()
+        ),
+        f_names=tuple(
+            draw(
+                st.lists(
+                    st.text(alphabet="abklrt23:=_", min_size=1, max_size=10),
+                    min_size=int(phase),
+                    max_size=3,
+                )
+            )
+        ),
+        n_override=draw(st.none() | st.integers(1, 2**40)),
+        d_value=draw(_D_VALUE if phase else st.none() | _D_VALUE),
+    )
+
+
+@given(_configs())
+def test_config_text_roundtrip_property(cfg):
+    assert config_from_text(config_to_text(cfg)) == cfg
 
 
 def test_config_param_types_survive():
@@ -360,3 +405,66 @@ def test_thread_env_does_not_change_results(monkeypatch):
     monkeypatch.setenv("PFEST_THREADS", "four")
     with pytest.raises(ConfigError):
         run_success_curve(cfg)
+
+
+_CONSTANTS_METADATA = (
+    ("mom_group_rate", "8.0"),
+    ("coverage_plan_constant", "8.0"),
+    ("fdiv_plan_constant", "8.0"),
+    ("fdiv_gamma_mult", "6.0"),
+    ("quantile_plan_constant", "18.0"),
+    ("quantile_gamma_mult", "4.0"),
+    ("is_plan_constant", "6.0"),
+    ("sampling_plan_constant", "2.0"),
+)
+
+
+def test_success_curve_header_pinned():
+    # Empty family_params still echo as an empty value right after the
+    # family; n_override follows, and output_path never appears.
+    cfg = ExperimentConfig(
+        kind="success_curve",
+        eps_grid=(0.5, 0.25),
+        delta=0.1,
+        trials=3,
+        master_seed=9,
+        output_path="rf.csv",
+        family="random_finite",
+        n_override=40,
+    )
+    assert run_success_curve(cfg).metadata == (
+        ("format", "pfest-sweep-v1"),
+        ("kind", "success_curve"),
+        ("eps_grid", "0.5,0.25"),
+        ("delta", "0.1"),
+        ("trials", "3"),
+        ("master_seed", "9"),
+        ("family", "random_finite"),
+        ("family_params", ""),
+        ("n_override", "40"),
+        *_CONSTANTS_METADATA,
+    )
+
+
+def test_phase_transition_header_pinned():
+    cfg = ExperimentConfig(
+        kind="phase_transition",
+        eps_grid=(0.5,),
+        delta=0.2,
+        trials=1,
+        master_seed=0,
+        output_path="p.csv",
+        f_names=("kl", "renyi:alpha=3"),
+        d_value=0.5,
+    )
+    assert run_phase_transition(cfg).metadata == (
+        ("format", "pfest-sweep-v1"),
+        ("kind", "phase_transition"),
+        ("eps_grid", "0.5"),
+        ("delta", "0.2"),
+        ("trials", "1"),
+        ("master_seed", "0"),
+        ("f_names", "kl,renyi:alpha=3"),
+        ("d_value", "0.5"),
+        *_CONSTANTS_METADATA,
+    )
