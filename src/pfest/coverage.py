@@ -94,15 +94,25 @@ class CoverageProfile:
 
     def integrated_coverage(self, m):
         """Integral of the coverage from 0 to m, evaluated exactly as
-        E_nu[min(ratio, m)] + singular_mass * m. Vectorized over m."""
+        E_nu[min(ratio, m)] + singular_mass * m. Vectorized over m.
+
+        Past the last level only the singular mass is left, so at
+        m = inf the integral is nu_ratio_mean when that mass is 0 and
+        inf otherwise: m times an empty tail counts as 0, never nan."""
         m_arr = np.asarray(m, dtype=np.float64)
-        if np.any(m_arr < 0):
+        if m_arr.ndim == 0:
+            m = float(m_arr)
+            if not m >= 0:
+                raise ValueError("integrated coverage requires m >= 0")
+            i = self.thresholds.searchsorted(m, side="right")
+            tail = self._nu_suffix[i] + self.singular_mass
+            return float(self._nu_r_prefix[i] + (m * tail if tail else 0.0))
+        if not (m_arr >= 0).all():
             raise ValueError("integrated coverage requires m >= 0")
         idx = np.searchsorted(self.thresholds, m_arr, side="right")
-        out = self._nu_r_prefix[idx] + m_arr * (
-            self._nu_suffix[idx] + self.singular_mass
-        )
-        return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
+        tail = self._nu_suffix[idx] + self.singular_mass
+        grown = np.multiply(m_arr, tail, out=np.zeros_like(m_arr), where=tail > 0)
+        return self._nu_r_prefix[idx] + grown
 
     def truncated_second_moment(self, m):
         """E_mu[ratio^2 ; ratio <= m], equal level by level to

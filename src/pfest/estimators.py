@@ -277,6 +277,11 @@ def plan_n_coverage(profile: CoverageProfile, eps: float, delta: float) -> PlanR
 def _ceil_exp(log_x: float) -> int:
     """ceil(e^log_x) as a Python int, for budgets past float exactness:
     a 53-bit mantissa rounded up, shifted left by the binary exponent."""
+    if log_x == math.inf:
+        raise InfeasiblePlanError(
+            "the truncation level passes the float range; no finite sample "
+            "size meets this plan"
+        )
     if log_x > LOG_N_MAX:
         raise InfeasiblePlanError(
             f"the plan needs about 10^{log_x / math.log(10.0):.6g} draws, "

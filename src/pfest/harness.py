@@ -14,10 +14,8 @@ import csv
 import hashlib
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,8 +40,6 @@ from .sampler import (
     sampling_plan,
 )
 
-THREADS_ENV_VAR = "PFEST_THREADS"
-
 # Empirical minimal-n searches declare a probe successful when the
 # success frequency clears 1 - delta minus this slack; the result is an
 # empirical quantity, not a certified bound.
@@ -51,55 +47,14 @@ EMPIRICAL_THRESHOLD_SLACK = 0.05
 # Doubling search gives up past this many samples per trial.
 SEARCH_N_CAP = 1 << 22
 
-_EXPERIMENT_KINDS = ("success_curve", "phase_transition", "sampling_vs_counting")
-_FAMILY_BUILDERS: dict[str, Callable[[dict], DistributionPair]] = {}
-
-# Keys accepted in the [experiment] section; everything else is a typo
-# and rejected outright.
-_EXPERIMENT_KEYS = {
-    "kind",
-    "family",
-    "f_names",
-    "eps_grid",
-    "delta",
-    "trials",
-    "master_seed",
-    "output_path",
-    "n_override",
-    "d_value",
+_FAMILY_BUILDERS: dict[str, Callable[[dict], DistributionPair]] = {
+    "bernoulli": lambda p: make_bernoulli_pair(p["p"], p["eps"], p.get("z", 1.0)),
+    "two_point_mu": lambda p: make_twopoint_mu_pair(p["p"], p.get("z", 1.0)),
+    "point_mass": lambda p: make_pointmass_pair(p["q"], p.get("z", 1.0)),
+    "random_finite": lambda p: make_random_pair(
+        p.get("support", 16), p.get("seed", 0), p.get("z", 1.0)
+    ),
 }
-
-
-def _family(name: str):
-    def register(fn):
-        _FAMILY_BUILDERS[name] = fn
-        return fn
-
-    return register
-
-
-@_family("bernoulli")
-def _build_bernoulli(params: dict) -> DistributionPair:
-    return make_bernoulli_pair(
-        params["p"], params["eps"], params.get("z", 1.0)
-    )
-
-
-@_family("two_point_mu")
-def _build_two_point_mu(params: dict) -> DistributionPair:
-    return make_twopoint_mu_pair(params["p"], params.get("z", 1.0))
-
-
-@_family("point_mass")
-def _build_point_mass(params: dict) -> DistributionPair:
-    return make_pointmass_pair(params["q"], params.get("z", 1.0))
-
-
-@_family("random_finite")
-def _build_random_finite(params: dict) -> DistributionPair:
-    return make_random_pair(
-        params.get("support", 16), params.get("seed", 0), params.get("z", 1.0)
-    )
 
 
 def build_family(family: str, params: dict) -> DistributionPair:
@@ -131,9 +86,9 @@ class ExperimentConfig:
     d_value: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _EXPERIMENT_KINDS:
+        if self.kind not in _RUNNERS:
             raise ConfigError(
-                f"kind must be one of {_EXPERIMENT_KINDS}, got {self.kind!r}"
+                f"kind must be one of {tuple(_RUNNERS)}, got {self.kind!r}"
             )
         if not self.eps_grid:
             raise ConfigError("eps_grid must be non-empty")
@@ -163,6 +118,41 @@ class ExperimentConfig:
         return dict(self.family_params)
 
 
+def _split_names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# Every [experiment] key with its (parse, format) pair, in the order the
+# CSV header echoes them; anything else in the section is a typo and is
+# rejected. family_params has its own [family_params] section.
+_FIELDS: dict[str, tuple[Callable[[str], object], Callable[[object], str]]] = {
+    "kind": (str, str),
+    "eps_grid": (
+        lambda text: tuple(float(v) for v in text.split(",")),
+        lambda grid: ",".join(map(repr, grid)),
+    ),
+    "delta": (float, repr),
+    "trials": (int, str),
+    "master_seed": (int, str),
+    "output_path": (str, str),
+    "family": (str, str),
+    "f_names": (_split_names, ",".join),
+    "n_override": (int, str),
+    "d_value": (float, repr),
+}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_REQUIRED = {key for key in _FIELDS if _DEFAULTS[key] is MISSING}
+
+
+def _set_fields(config: ExperimentConfig):
+    """(key, text) for every required key and each optional key the
+    config moves off its default, in _FIELDS order."""
+    for key, (_, fmt) in _FIELDS.items():
+        value = getattr(config, key)
+        if value != _DEFAULTS[key]:
+            yield key, fmt(value)
+
+
 def _parse_scalar(text: str):
     try:
         return int(text)
@@ -171,7 +161,11 @@ def _parse_scalar(text: str):
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # A ';' after whitespace starts an inline comment; one inside a value
+    # such as tv;kl stays part of it.
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";",)
+    )
     parser.optionxform = str
     try:
         parser.read_string(text)
@@ -183,10 +177,10 @@ def config_from_text(text: str) -> ExperimentConfig:
     if not parser.has_section("experiment"):
         raise ConfigError("missing [experiment] section")
     exp = dict(parser.items("experiment"))
-    unknown = set(exp) - _EXPERIMENT_KEYS
+    unknown = exp.keys() - _FIELDS.keys()
     if unknown:
         raise ConfigError(f"unknown keys in [experiment]: {sorted(unknown)}")
-    missing = {"kind", "eps_grid", "delta", "trials", "master_seed", "output_path"} - set(exp)
+    missing = _REQUIRED - exp.keys()
     if missing:
         raise ConfigError(f"missing keys in [experiment]: {sorted(missing)}")
     params = ()
@@ -198,52 +192,18 @@ def config_from_text(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"non-numeric family parameter: {exc}") from exc
     try:
-        eps_grid = tuple(float(v) for v in exp["eps_grid"].split(","))
-        delta = float(exp["delta"])
-        trials = int(exp["trials"])
-        master_seed = int(exp["master_seed"])
-        n_override = int(exp["n_override"]) if "n_override" in exp else None
-        d_value = float(exp["d_value"]) if "d_value" in exp else None
+        values = {key: _FIELDS[key][0](text) for key, text in exp.items()}
     except ValueError as exc:
         raise ConfigError(f"malformed [experiment] value: {exc}") from exc
-    f_names = tuple(
-        s.strip() for s in exp.get("f_names", "").split(",") if s.strip()
-    )
-    return ExperimentConfig(
-        kind=exp["kind"],
-        family=exp.get("family", ""),
-        family_params=params,
-        f_names=f_names,
-        eps_grid=eps_grid,
-        delta=delta,
-        trials=trials,
-        master_seed=master_seed,
-        output_path=exp["output_path"],
-        n_override=n_override,
-        d_value=d_value,
-    )
+    return ExperimentConfig(family_params=params, **values)
 
 
 def config_to_text(config: ExperimentConfig) -> str:
-    lines = ["[experiment]", f"kind = {config.kind}"]
-    if config.family:
-        lines.append(f"family = {config.family}")
-    if config.f_names:
-        lines.append(f"f_names = {','.join(config.f_names)}")
-    lines.append(f"eps_grid = {','.join(repr(e) for e in config.eps_grid)}")
-    lines.append(f"delta = {config.delta!r}")
-    lines.append(f"trials = {config.trials}")
-    lines.append(f"master_seed = {config.master_seed}")
-    lines.append(f"output_path = {config.output_path}")
-    if config.n_override is not None:
-        lines.append(f"n_override = {config.n_override}")
-    if config.d_value is not None:
-        lines.append(f"d_value = {config.d_value!r}")
+    lines = ["[experiment]"]
+    lines += [f"{key} = {text}" for key, text in _set_fields(config)]
     if config.family_params:
-        lines.append("")
-        lines.append("[family_params]")
-        for key, value in config.family_params:
-            lines.append(f"{key} = {value!r}")
+        lines += ["", "[family_params]"]
+        lines += [f"{key} = {value!r}" for key, value in config.family_params]
     return "\n".join(lines) + "\n"
 
 
@@ -283,46 +243,23 @@ def _constants_metadata() -> list[tuple[str, str]]:
     ]
 
 
-def _config_metadata(config: ExperimentConfig) -> list[tuple[str, str]]:
-    meta = [
-        ("format", "pfest-sweep-v1"),
-        ("kind", config.kind),
-        ("eps_grid", ",".join(repr(e) for e in config.eps_grid)),
-        ("delta", repr(config.delta)),
-        ("trials", str(config.trials)),
-        ("master_seed", str(config.master_seed)),
-    ]
-    if config.family:
-        meta.append(("family", config.family))
-        meta.append(
-            ("family_params", ";".join(f"{k}={v!r}" for k, v in config.family_params))
-        )
-    if config.f_names:
-        meta.append(("f_names", ",".join(config.f_names)))
-    if config.n_override is not None:
-        meta.append(("n_override", str(config.n_override)))
-    if config.d_value is not None:
-        meta.append(("d_value", repr(config.d_value)))
-    meta.extend(_constants_metadata())
-    return meta
-
-
-def _map_rows(fn, items: list) -> list:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        # map preserves submission order, so the CSV layout does not
-        # depend on completion order.
-        return list(pool.map(fn, items))
+def _config_metadata(config: ExperimentConfig) -> tuple[tuple[str, str], ...]:
+    meta = [("format", "pfest-sweep-v1")]
+    for key, text in _set_fields(config):
+        if key != "output_path":
+            meta.append((key, text))
+        if key == "family":
+            meta.append(("family_params", _params_label(config)))
+    return tuple(meta + _constants_metadata())
 
 
 def _params_label(config: ExperimentConfig) -> str:
     return ";".join(f"{k}={v!r}" for k, v in config.family_params)
+
+
+def _check_kind(config: ExperimentConfig, kind: str) -> None:
+    if config.kind != kind:
+        raise ConfigError(f"config kind {config.kind!r} is not {kind}")
 
 
 def run_success_curve(config: ExperimentConfig) -> SweepTable:
@@ -332,8 +269,7 @@ def run_success_curve(config: ExperimentConfig) -> SweepTable:
     n_override replaces the planned n in every row, which is how the
     below-the-bound failure regime is reproduced.
     """
-    if config.kind != "success_curve":
-        raise ConfigError(f"config kind {config.kind!r} is not success_curve")
+    _check_kind(config, "success_curve")
     pair = build_family(config.family, config.params_dict)
     profile = CoverageProfile.from_pair(pair)
     columns = (
@@ -349,8 +285,7 @@ def run_success_curve(config: ExperimentConfig) -> SweepTable:
     )
     label = _params_label(config)
 
-    def one_row(item):
-        index, eps = item
+    def one_row(index, eps):
         start = time.perf_counter()
         row_seed = int(derive_seed(config.master_seed, index))
         try:
@@ -365,38 +300,25 @@ def run_success_curve(config: ExperimentConfig) -> SweepTable:
                 pair, "mom", n, config.trials, row_seed, eps, config.delta
             )
             successes = 0
-            rel_sum = 0.0
+            rel_sum = 0.0  # left to right: sum() compensates floats on 3.12+
             for report, ok in results:
                 successes += ok
                 rel_sum += report.rel_error
-            elapsed = (time.perf_counter() - start) * 1e3
-            return (
-                config.family,
-                label,
-                eps,
+            cells = (
                 n_planned,
                 results[-1][0].n_used,
                 successes / config.trials,
                 rel_sum / config.trials,
-                elapsed,
-                "",
             )
+            reason = ""
         except (InfeasiblePlanError, SingularPairError) as exc:
-            elapsed = (time.perf_counter() - start) * 1e3
-            return (
-                config.family,
-                label,
-                eps,
-                0,
-                0,
-                math.nan,
-                math.nan,
-                elapsed,
-                str(exc),
-            )
+            cells = (0, 0, math.nan, math.nan)
+            reason = str(exc)
+        elapsed = (time.perf_counter() - start) * 1e3
+        return (config.family, label, eps, *cells, elapsed, reason)
 
-    rows = _map_rows(one_row, list(enumerate(config.eps_grid)))
-    return SweepTable(columns, tuple(rows), tuple(_config_metadata(config)))
+    rows = [one_row(index, eps) for index, eps in enumerate(config.eps_grid)]
+    return SweepTable(columns, tuple(rows), _config_metadata(config))
 
 
 def run_phase_transition(config: ExperimentConfig) -> SweepTable:
@@ -405,8 +327,7 @@ def run_phase_transition(config: ExperimentConfig) -> SweepTable:
     Plan-only: no sampling happens, so the table shows the regime
     structure directly (infeasible rows for slow-growing generators,
     exponential growth for intermediate ones, polynomial for fast)."""
-    if config.kind != "phase_transition":
-        raise ConfigError(f"config kind {config.kind!r} is not phase_transition")
+    _check_kind(config, "phase_transition")
     columns = (
         "f_name",
         "regime",
@@ -418,12 +339,8 @@ def run_phase_transition(config: ExperimentConfig) -> SweepTable:
         "reason",
     )
     d = config.d_value
-    grid = [
-        (spec, eps) for spec in config.f_names for eps in config.eps_grid
-    ]
 
-    def one_row(item):
-        spec, eps = item
+    def one_row(spec, eps):
         f = parse_f_spec(spec)
         regime = classify_regime(f).value
         argument = estimators.FDIV_GAMMA_MULT * d / eps
@@ -433,8 +350,8 @@ def run_phase_transition(config: ExperimentConfig) -> SweepTable:
         except InfeasiblePlanError as exc:
             return (spec, regime, eps, d, argument, 0, False, str(exc))
 
-    rows = _map_rows(one_row, grid)
-    return SweepTable(columns, tuple(rows), tuple(_config_metadata(config)))
+    rows = [one_row(spec, eps) for spec in config.f_names for eps in config.eps_grid]
+    return SweepTable(columns, tuple(rows), _config_metadata(config))
 
 
 def _minimal_n(probe: Callable[[int], bool], cap: int = SEARCH_N_CAP) -> int:
@@ -465,10 +382,7 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
     Sampler probes succeed when the empirical TV over `trials` races is
     at most eps; estimator probes when the (1 +/- eps) success
     frequency clears 1 - delta - 0.05."""
-    if config.kind != "sampling_vs_counting":
-        raise ConfigError(
-            f"config kind {config.kind!r} is not sampling_vs_counting"
-        )
+    _check_kind(config, "sampling_vs_counting")
     pair = build_family(config.family, config.params_dict)
     profile = CoverageProfile.from_pair(pair)
     threshold = 1.0 - config.delta - EMPIRICAL_THRESHOLD_SLACK
@@ -484,8 +398,7 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
         "reason",
     )
 
-    def one_row(item):
-        index, eps = item
+    def one_row(index, eps):
         start = time.perf_counter()
         row_seed = int(derive_seed(config.master_seed, index))
         sampler_base = int(derive_seed(row_seed, 0))
@@ -531,17 +444,20 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
             reason,
         )
 
-    rows = _map_rows(one_row, list(enumerate(config.eps_grid)))
-    return SweepTable(columns, tuple(rows), tuple(_config_metadata(config)))
+    rows = [one_row(index, eps) for index, eps in enumerate(config.eps_grid)]
+    return SweepTable(columns, tuple(rows), _config_metadata(config))
+
+
+# Experiment kind -> runner; ExperimentConfig reads the valid kinds here.
+_RUNNERS: dict[str, Callable[[ExperimentConfig], SweepTable]] = {
+    "success_curve": run_success_curve,
+    "phase_transition": run_phase_transition,
+    "sampling_vs_counting": run_sampling_vs_counting,
+}
 
 
 def run_experiment(config: ExperimentConfig) -> SweepTable:
-    runner = {
-        "success_curve": run_success_curve,
-        "phase_transition": run_phase_transition,
-        "sampling_vs_counting": run_sampling_vs_counting,
-    }[config.kind]
-    return runner(config)
+    return _RUNNERS[config.kind](config)
 
 
 def _format_cell(value) -> str:

@@ -116,6 +116,29 @@ def test_singular_mass_inflates_icov():
     assert prof.coverage(5.0) == pytest.approx(0.3)
 
 
+def test_integrated_coverage_at_infinity(bern_profile):
+    # m times an empty tail counts as 0, so the limit is E_nu[ratio]
+    assert bern_profile.integrated_coverage(math.inf) == 1.0625
+    assert bern_profile.nu_ratio_mean == 1.0625
+    out = bern_profile.integrated_coverage(np.array([1.0, math.inf]))
+    assert out.tolist() == [0.90625, 1.0625]
+    singular = CoverageProfile.from_pair(make_pointmass_pair(0.3))
+    assert singular.integrated_coverage(math.inf) == math.inf
+    assert singular.integrated_coverage(np.array([2.0, math.inf]))[1] == math.inf
+    with pytest.raises(ValueError):
+        bern_profile.integrated_coverage(math.nan)
+    with pytest.raises(ValueError):
+        bern_profile.integrated_coverage(np.array([1.0, math.nan]))
+
+
+def test_integrated_coverage_scalar_matches_array():
+    prof = CoverageProfile.from_pair(make_random_pair(64, 5))
+    grid = np.concatenate([[0.0], prof.thresholds, prof.thresholds * 1.5, [math.inf]])
+    assert [prof.integrated_coverage(m) for m in grid] == (
+        prof.integrated_coverage(grid).tolist()
+    )
+
+
 def test_wrappers_accept_pair_or_profile(bern, bern_profile):
     assert coverage(bern, 1.0) == coverage(bern_profile, 1.0)
     assert integrated_coverage(bern, 1.0) == integrated_coverage(bern_profile, 1.0)

@@ -131,6 +131,12 @@ OUTCOMES = {
         ["plan", *BERN, "--eps", "0.25", "--method", "coverage", "--g", "bogus"],
         1, "", "pfest: error: method 'coverage' reads no --g table\n",
     ),
+    "plan-level-past-float-range": (
+        ["plan", *BERN, "--eps", "1e-10", "--delta", "1e-300", "--method", "is",
+         "--g", "0,1"],
+        2, "", "pfest: infeasible plan: the truncation level passes the float "
+        "range; no finite sample size meets this plan\n",
+    ),
     "estimate-quantile-rejects-g": (
         ["estimate", *BERN, "--method", "quantile", "--g", "x",
          "--eps", "0.25", "--seed", "1"],

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,38 @@ def test_config_rejects_malformed(mutation):
     old, new = mutation
     with pytest.raises(ConfigError):
         config_from_text(base.replace(old, new))
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Experiment configs.*?```ini\n(.*?)```", readme, re.S)
+    assert config_from_text(block.group(1)) == ExperimentConfig(
+        kind="success_curve",
+        family="bernoulli",
+        family_params=(("p", 0.5), ("eps", 0.25)),
+        eps_grid=(0.5, 0.25, 0.1),
+        delta=0.1,
+        trials=200,
+        master_seed=20260814,
+        output_path="curve.csv",
+    )
+
+
+def test_config_inline_comment_needs_whitespace():
+    cfg = config_from_text(
+        "[experiment]\n"
+        "kind = phase_transition ; plan-only\n"
+        "f_names = tv;kl\n"
+        "eps_grid = 0.5\n"
+        "delta = 0.1\n"
+        "trials = 1\n"
+        "master_seed = 0\n"
+        "output_path = o.csv\n"
+        "d_value = 0.5\t; tabs count as whitespace\n"
+    )
+    assert cfg.kind == "phase_transition"
+    assert cfg.f_names == ("tv;kl",)
+    assert cfg.d_value == 0.5
 
 
 def test_config_missing_required_key():
@@ -386,25 +420,6 @@ def test_minimal_n_bisection():
 def test_run_experiment_dispatch():
     table = run_experiment(BERN_CONFIG)
     assert table.columns[0] == "family"
-
-
-def test_thread_env_does_not_change_results(monkeypatch):
-    cfg = ExperimentConfig(
-        kind="success_curve",
-        family="bernoulli",
-        family_params=(("p", 0.5), ("eps", 0.25)),
-        eps_grid=(0.5, 0.25),
-        delta=0.1,
-        trials=20,
-        master_seed=20260814,
-        output_path="out.csv",
-    )
-    serial = table_fingerprint(run_success_curve(cfg))
-    monkeypatch.setenv("PFEST_THREADS", "4")
-    assert table_fingerprint(run_success_curve(cfg)) == serial
-    monkeypatch.setenv("PFEST_THREADS", "four")
-    with pytest.raises(ConfigError):
-        run_success_curve(cfg)
 
 
 _CONSTANTS_METADATA = (
