@@ -32,6 +32,7 @@ from .distributions import (
     make_twopoint_mu_pair,
     make_weighted_pair,
     sample,
+    sample_counts,
     save_pair,
 )
 from .divergences import (

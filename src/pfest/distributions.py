@@ -30,15 +30,25 @@ RATIO_MEAN_TOL = 1e-12
 # rounding depends on the thread count; ordered_dot never passes it more.
 DOT_CHUNK = 10_000
 
+# draw_atoms sorts its uniforms before searching tables of at least this
+# many atoms: the search then walks the table in order, which beats the
+# cost of the sort (measured crossover, see CHANGES.md).
+SORTED_SEARCH_MIN_SUPPORT = 4096
 
-def ordered_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two equally long 1-d arrays that does not depend
-    on the BLAS thread count.
 
-    np.dot runs over consecutive chunks of at most DOT_CHUNK elements
-    and the chunk results are added left to right, so inputs of at most
-    DOT_CHUNK elements give exactly np.dot.
+def ordered_dot(a: np.ndarray, b: np.ndarray):
+    """Dot product of a 1-d ``b`` with an equally long 1-d ``a``, or with
+    each row of a 2-d ``a``, that does not depend on the BLAS thread
+    count.
+
+    For a 1-d ``a``, np.dot runs over consecutive chunks of at most
+    DOT_CHUNK elements and the chunk results are added left to right,
+    so inputs of at most DOT_CHUNK elements give exactly np.dot and the
+    result is a float. For a 2-d ``a`` the row dots come from np.einsum,
+    whose loops never call BLAS, as an array.
     """
+    if a.ndim == 2:
+        return np.einsum("ij,j->i", a, b)
     total = float(np.dot(a[:DOT_CHUNK], b[:DOT_CHUNK]))
     for start in range(DOT_CHUNK, a.size, DOT_CHUNK):
         stop = start + DOT_CHUNK
@@ -144,6 +154,20 @@ class DistributionPair:
     def lambda_values(self) -> np.ndarray:
         """Unnormalized target density z_true * dnu/dmu per atom."""
         return _freeze(self.z_true * self.ratio_cache)
+
+    @cached_property
+    def lambda_drawn(self) -> np.ndarray:
+        """The density table hit counts are dotted with:
+        ``lambda_values`` with 0 on the atoms without proposal mass. No
+        draw lands on those atoms, and on the ones carrying target mass
+        lambda is inf, where 0 hits times inf would give nan."""
+        return _freeze(np.where(self.mu_weights > 0, self.lambda_values, 0.0))
+
+    @cached_property
+    def lambda_order(self) -> np.ndarray:
+        """Atom indices in increasing order of ``lambda_drawn``, where
+        cumulative hit counts find an order statistic."""
+        return _freeze(np.argsort(self.lambda_drawn, kind="stable"))
 
     def lambda_at(self, atoms: np.ndarray) -> np.ndarray:
         """``lambda_values[atoms]``, bit for bit, from the gathered
@@ -278,9 +302,20 @@ def draw_atoms(pair: DistributionPair, u: np.ndarray) -> np.ndarray:
     The cumulative proposal mass can round below 1, so u at or above its
     last value would index past the table; such draws are clipped to the
     last atom with proposal mass, never to a trailing zero-mass atom.
+    On tables of at least SORTED_SEARCH_MIN_SUPPORT atoms the uniforms
+    are searched in sorted order and the atoms scattered back, which
+    gives the same atoms.
     """
-    atoms = np.searchsorted(pair.mu_cdf, u, side="right")
-    np.clip(atoms, 0, pair.last_drawable_atom, out=atoms)
+    if pair.support_size < SORTED_SEARCH_MIN_SUPPORT:
+        atoms = np.searchsorted(pair.mu_cdf, u, side="right")
+    else:
+        flat = u.ravel()
+        order = np.argsort(flat)
+        atoms = np.empty(flat.shape, dtype=np.intp)
+        atoms[order] = np.searchsorted(pair.mu_cdf, flat[order], side="right")
+        atoms = atoms.reshape(u.shape)
+    # searchsorted never returns below 0, so only the top needs clipping
+    np.minimum(atoms, pair.last_drawable_atom, out=atoms)
     return atoms
 
 
@@ -296,7 +331,30 @@ def sample(pair: DistributionPair, n: int, seed: int) -> SampleBatch:
     gen = make_generator(seed)
     atoms = draw_atoms(pair, gen.random(n))
     lam = pair.lambda_at(atoms)
-    return SampleBatch(atoms=atoms.astype(np.int64), lambdas=lam, seed=int(seed), n=n)
+    return SampleBatch(
+        atoms=atoms.astype(np.int64, copy=False), lambdas=lam, seed=int(seed), n=n
+    )
+
+
+def sample_counts(pair: DistributionPair, m: int, k: int, seed: int) -> np.ndarray:
+    """k independent Multinomial(m, mu) histograms of proposal draws,
+    shape (k, support_size): row i holds the per-atom hit counts of m
+    i.i.d. draws, which carry everything an estimator that ignores the
+    draw order reads.
+
+    Deterministic given the 64-bit seed. Only the atoms up to the last
+    one with proposal mass are passed to the multinomial, whose last
+    category takes whatever count the rounding of the others leaves
+    over; atoms without mass before it get binomial(., 0) = 0 hits.
+    """
+    m, k = int(m), int(k)
+    if m < 1 or k < 1:
+        raise ValueError(f"need m >= 1 draws in k >= 1 histograms, got m={m}, k={k}")
+    drawable = pair.last_drawable_atom + 1
+    counts = make_generator(seed).multinomial(m, pair.mu_weights[:drawable], size=k)
+    if drawable < pair.support_size:
+        counts = np.pad(counts, ((0, 0), (0, pair.support_size - drawable)))
+    return counts
 
 
 def pair_to_dict(pair: DistributionPair) -> dict:

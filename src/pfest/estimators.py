@@ -24,6 +24,7 @@ from .distributions import (
     make_weighted_pair,
     ordered_dot,
     sample,
+    sample_counts,
 )
 from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
@@ -133,22 +134,58 @@ def median_of_means(
     return _median_of_group_means(batch.lambdas, delta, true_value, PlanSource.MANUAL)
 
 
-def _median_of_group_means(values, delta, true_value, source) -> EstimateReport:
+def _mom_groups(n: int, delta: float) -> tuple[int, int]:
+    """(k, m): the k = ceil(8 ln(1/delta)) groups of m = n // k draws
+    median-of-means splits n draws into."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     k = group_count(delta)
-    if values.size < k:
-        raise ValueError(f"batch has {values.size} samples; need at least k = {k}")
-    m = values.size // k
+    if n < k:
+        raise ValueError(f"batch has {n} samples; need at least k = {k}")
+    return k, n // k
+
+
+def _median_of_group_means(values, delta, true_value, source) -> EstimateReport:
+    k, m = _mom_groups(values.size, delta)
     means = values[: k * m].reshape(k, m).mean(axis=1)
+    return _lower_median_report(means, m, delta, true_value, source)
+
+
+def _lower_median_report(means, m, delta, true_value, source) -> EstimateReport:
+    """Report the lower median of k group means of m draws each; sorts
+    ``means`` in place."""
+    k = means.size
     means.sort()
-    est = float(means[(k - 1) // 2])
     return EstimateReport(
-        estimate=est,
+        estimate=float(means[(k - 1) // 2]),
         n_used=k * m,
         k_groups=k,
         delta_target=delta,
         plan_source=source,
+        true_value=true_value,
+    )
+
+
+def _quantile_rank(eps: float, m: float, n: int) -> int:
+    """1-based rank ceil((1 - eps/(4M)) * n) of the quantile estimate,
+    kept within 1..n."""
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if n < 1:
+        raise ValueError("batch is empty")
+    alpha = eps / (4.0 * m)
+    rank = math.ceil((1.0 - alpha) * n)
+    return min(max(rank, 1), n)
+
+
+def _quantile_report(est, n, eps, true_value) -> EstimateReport:
+    return EstimateReport(
+        estimate=float(est),
+        n_used=n,
+        eps_target=eps,
+        plan_source=PlanSource.QUANTILE,
         true_value=true_value,
     )
 
@@ -163,23 +200,9 @@ def quantile_estimator(
     ceil((1 - eps/(4M)) * n); one-sided by design, never more than a
     factor M above the truth and rarely below (1 - eps) of it when the
     coverage at M is small."""
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if batch.n < 1:
-        raise ValueError("batch is empty")
-    alpha = eps / (4.0 * m)
-    rank = math.ceil((1.0 - alpha) * batch.n)  # 1-based
-    rank = min(max(rank, 1), batch.n)
-    est = float(np.partition(batch.lambdas, rank - 1)[rank - 1])
-    return EstimateReport(
-        estimate=est,
-        n_used=batch.n,
-        eps_target=eps,
-        plan_source=PlanSource.QUANTILE,
-        true_value=true_value,
-    )
+    rank = _quantile_rank(eps, m, batch.n)
+    est = np.partition(batch.lambdas, rank - 1)[rank - 1]
+    return _quantile_report(est, batch.n, eps, true_value)
 
 
 def _importance_values(batch: SampleBatch, g_values, ratios) -> np.ndarray:
@@ -236,18 +259,58 @@ def snis(
     g_values = np.asarray(g_values, dtype=np.float64)
     if batch.atoms.max(initial=-1) >= g_values.size:
         raise ValueError("batch indexes atoms outside the supplied g table")
-    total = float(batch.lambdas.sum())
+    weighted = ordered_dot(batch.lambdas, g_values[batch.atoms])
+    return _snis_report(weighted, float(batch.lambdas.sum()), batch.n, true_value)
+
+
+def _snis_report(weighted, total, n, true_value) -> EstimateReport:
     if total <= 0:
         raise ZeroDivisionError(
             "all density values in the batch are zero; the self-normalized "
             "estimate is undefined"
         )
-    est = ordered_dot(batch.lambdas, g_values[batch.atoms]) / total
     return EstimateReport(
-        estimate=est,
-        n_used=batch.n,
+        estimate=weighted / total,
+        n_used=n,
         plan_source=PlanSource.SELF_NORMALIZED,
         true_value=true_value,
+    )
+
+
+# ------------------------------------------------------- counts forms
+# The estimators again, on per-atom hit counts (``sample_counts``
+# histograms, one row per group) instead of a batch: only the step from
+# the draws to the statistic differs. A batch holding the same multiset
+# of atoms per group gives the same report, up to the rounding of the
+# sums.
+
+
+def _mom_from_counts(pair, counts, delta, true_value) -> EstimateReport:
+    m = int(counts[0].sum())
+    means = ordered_dot(counts, pair.lambda_drawn) / m
+    return _lower_median_report(means, m, delta, true_value, PlanSource.MANUAL)
+
+
+def _quantile_from_counts(pair, counts, eps, m, true_value) -> EstimateReport:
+    hits = counts[0]
+    n = int(hits.sum())
+    rank = _quantile_rank(eps, m, n)
+    order = pair.lambda_order
+    atom = order[np.searchsorted(np.cumsum(hits[order]), rank)]
+    return _quantile_report(pair.lambda_drawn[atom], n, eps, true_value)
+
+
+def _snis_from_counts(pair, counts, g_values, true_value) -> EstimateReport:
+    g_values = np.asarray(g_values, dtype=np.float64)
+    if g_values.shape != pair.lambda_drawn.shape:
+        raise ValueError(
+            f"g has {g_values.size} entries, support has {pair.support_size}"
+        )
+    hits = counts[0]
+    lam = pair.lambda_drawn
+    return _snis_report(
+        ordered_dot(hits, lam * g_values), ordered_dot(hits, lam),
+        int(hits.sum()), true_value,
     )
 
 
@@ -529,12 +592,16 @@ def plan_method(name: str) -> PlanMethod:
 class EstimatorMethod:
     """``plan`` names the plan the estimator always runs on; ``None``
     (mom) takes coverage or fdiv:<spec>. ``estimate(batch, eps, delta, m,
-    g, truth)`` returns the report, ``truth(pair, g)`` the value it
-    targets, ``success(estimate, truth, eps, m)`` whether a trial met
-    the estimator's guarantee."""
+    g, truth)`` returns the report, and ``from_counts(pair, counts, eps,
+    delta, m, g, truth)`` the same report from ``groups(n, delta)`` =
+    (k, draws per group) hit-count histograms. ``truth(pair, g)`` is the
+    value it targets, ``success(estimate, truth, eps, m)`` whether a
+    trial met the estimator's guarantee."""
 
     plan: Optional[str]
     estimate: Callable[..., EstimateReport]
+    from_counts: Callable[..., EstimateReport]
+    groups: Callable[[int, float], tuple[int, int]] = lambda n, delta: (1, n)
     truth: Callable[..., float] = lambda pair, g: pair.z_true
     success: Callable[..., bool] = lambda est, truth, eps, m: within_multiplicative(
         est, truth, eps
@@ -547,11 +614,18 @@ ESTIMATORS = {
         lambda batch, eps, delta, m, g, truth: median_of_means(
             batch, delta, true_value=truth
         ),
+        lambda pair, counts, eps, delta, m, g, truth: _mom_from_counts(
+            pair, counts, delta, truth
+        ),
+        groups=_mom_groups,
     ),
     "quantile": EstimatorMethod(
         "quantile",
         lambda batch, eps, delta, m, g, truth: quantile_estimator(
             batch, eps, m, true_value=truth
+        ),
+        lambda pair, counts, eps, delta, m, g, truth: _quantile_from_counts(
+            pair, counts, eps, m, truth
         ),
         # one-sided: never above M times the truth, rarely below 1 - eps
         success=lambda est, truth, eps, m: (1.0 - eps) * truth <= est <= m * truth,
@@ -559,6 +633,9 @@ ESTIMATORS = {
     "snis": EstimatorMethod(
         "snis",
         lambda batch, eps, delta, m, g, truth: snis(batch, g, true_value=truth),
+        lambda pair, counts, eps, delta, m, g, truth: _snis_from_counts(
+            pair, counts, g, truth
+        ),
         truth=lambda pair, g: pair.nu_mean(g),
     ),
 }
@@ -583,19 +660,39 @@ def estimator_plan(method: str, plan: Optional[str] = None) -> PlanMethod:
     return plan_method(plan)
 
 
+# run_trials draws per-atom hit counts instead of atom sequences when
+# COUNT_ENGINE_RATIO * k * S <= n, for k histograms over the S atoms up
+# to the last one with proposal mass. A histogram costs about one
+# binomial draw per atom and a batch one uniform and one table search
+# per draw; the ratio is set from the measured crossover of the two
+# (see CHANGES.md).
+COUNT_ENGINE_RATIO = 1
+
+
 def run_trials(
     pair: DistributionPair, method: str, n: int, trials: int, seed: int,
     eps: float, delta: float, m: Optional[float] = None, g: Optional[np.ndarray] = None,
 ) -> list[tuple[EstimateReport, bool]]:
-    """Run the estimator ``ESTIMATORS[method]`` on ``trials`` batches of
+    """Run the estimator ``ESTIMATORS[method]`` on ``trials`` samples of
     n draws, trial t seeded by derive_seed(seed, t), and return each
     report with its success flag. ``m`` is the plan's level (read by
-    quantile), ``g`` the function table (read by snis)."""
+    quantile), ``g`` the function table (read by snis).
+
+    Each trial draws either a batch (``sample``) or, when the support is
+    small against n, the estimator's hit-count histograms
+    (``sample_counts``); both give the estimator the same law."""
     entry = ESTIMATORS[method]
     truth = entry.truth(pair, g)
+    k, size = entry.groups(n, delta)
+    if COUNT_ENGINE_RATIO * k * (pair.last_drawable_atom + 1) <= n:
+        def report(trial_seed: int) -> EstimateReport:
+            counts = sample_counts(pair, size, k, trial_seed)
+            return entry.from_counts(pair, counts, eps, delta, m, g, truth)
+    else:
+        def report(trial_seed: int) -> EstimateReport:
+            return entry.estimate(sample(pair, n, trial_seed), eps, delta, m, g, truth)
     results = []
     for trial in range(trials):
-        batch = sample(pair, n, int(derive_seed(seed, trial)))
-        report = entry.estimate(batch, eps, delta, m, g, truth)
-        results.append((report, entry.success(report.estimate, truth, eps, m)))
+        rep = report(int(derive_seed(seed, trial)))
+        results.append((rep, entry.success(rep.estimate, truth, eps, m)))
     return results

@@ -47,24 +47,40 @@ EMPIRICAL_THRESHOLD_SLACK = 0.05
 # Doubling search gives up past this many samples per trial.
 SEARCH_N_CAP = 1 << 22
 
-_FAMILY_BUILDERS: dict[str, Callable[[dict], DistributionPair]] = {
-    "bernoulli": lambda p: make_bernoulli_pair(p["p"], p["eps"], p.get("z", 1.0)),
-    "two_point_mu": lambda p: make_twopoint_mu_pair(p["p"], p.get("z", 1.0)),
-    "point_mass": lambda p: make_pointmass_pair(p["q"], p.get("z", 1.0)),
-    "random_finite": lambda p: make_random_pair(
-        p.get("support", 16), p.get("seed", 0), p.get("z", 1.0)
+# Family name -> (builder, the parameter keys it reads); any other key is
+# a typo and is rejected rather than left to a default.
+_FAMILY_BUILDERS: dict[str, tuple[Callable[[dict], DistributionPair], tuple[str, ...]]] = {
+    "bernoulli": (
+        lambda p: make_bernoulli_pair(p["p"], p["eps"], p.get("z", 1.0)),
+        ("p", "eps", "z"),
+    ),
+    "two_point_mu": (
+        lambda p: make_twopoint_mu_pair(p["p"], p.get("z", 1.0)), ("p", "z")
+    ),
+    "point_mass": (lambda p: make_pointmass_pair(p["q"], p.get("z", 1.0)), ("q", "z")),
+    "random_finite": (
+        lambda p: make_random_pair(
+            p.get("support", 16), p.get("seed", 0), p.get("z", 1.0)
+        ),
+        ("support", "seed", "z"),
     ),
 }
 
 
 def build_family(family: str, params: dict) -> DistributionPair:
     try:
-        builder = _FAMILY_BUILDERS[family]
+        builder, accepted = _FAMILY_BUILDERS[family]
     except KeyError:
         raise ConfigError(
             f"unknown family {family!r}; choose from "
             f"{sorted(_FAMILY_BUILDERS)}"
         ) from None
+    unknown = params.keys() - accepted
+    if unknown:
+        raise ConfigError(
+            f"family {family!r} takes parameters {list(accepted)}; "
+            f"unknown: {sorted(unknown)}"
+        )
     try:
         return builder(dict(params))
     except KeyError as exc:
@@ -244,7 +260,7 @@ def _constants_metadata() -> list[tuple[str, str]]:
 
 
 def _config_metadata(config: ExperimentConfig) -> tuple[tuple[str, str], ...]:
-    meta = [("format", "pfest-sweep-v1")]
+    meta = [("format", "pfest-sweep-v2")]
     for key, text in _set_fields(config):
         if key != "output_path":
             meta.append((key, text))

@@ -18,7 +18,8 @@ from pfest import (
     sample,
     save_pair,
 )
-from pfest.distributions import DOT_CHUNK, draw_atoms, ordered_dot
+from pfest import distributions
+from pfest.distributions import DOT_CHUNK, draw_atoms, ordered_dot, sample_counts
 from pfest.rng import derive_seed, make_generator, standard_exponential
 from pfest.sampler import astar_sample, run_races
 
@@ -321,3 +322,75 @@ def test_ordered_dot_sums_chunks_in_order():
              for i in range(0, a.size, DOT_CHUNK)]
     assert ordered_dot(a, b) == (parts[0] + parts[1]) + parts[2]
     assert ordered_dot(a, b) == pytest.approx(math.fsum(a * b), rel=1e-12)
+
+
+# Seven weights whose float sum is one ulp below 1, then an atom without
+# proposal mass.
+ROUNDS_BELOW_ONE = make_finite_pair(
+    [0.12661475295395277, 0.08389999688678956, 0.22304623398947507,
+     0.14660443556956262, 0.09177127353249417, 0.1996873098208151,
+     0.12837599724691065, 0.0],
+    [0.125] * 8,
+    1.0,
+)
+
+
+def test_sample_counts_never_hit_a_zero_mass_atom():
+    pair = ROUNDS_BELOW_ONE
+    assert float(np.sum(pair.mu_weights[:7])) < 1.0
+    m, k, seed = 10**15, 8, 1
+    # numpy's multinomial over every weight hands the atom the leftover
+    raw = make_generator(seed).multinomial(m, pair.mu_weights, size=k)
+    assert raw[:, 7].any()
+    counts = sample_counts(pair, m, k, seed)
+    assert counts.shape == (k, 8)
+    assert not counts[:, 7].any()
+    np.testing.assert_array_equal(counts.sum(axis=1), np.full(k, m))
+
+
+def test_sample_counts_seeded_and_zero_on_massless_atoms():
+    pair = make_finite_pair([0.5, 0.0, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25], 1.0)
+    counts = sample_counts(pair, 1000, 6, 42)
+    np.testing.assert_array_equal(counts, sample_counts(pair, 1000, 6, 42))
+    assert counts.dtype == np.int64 and counts.shape == (6, 4)
+    assert not counts[:, [1, 3]].any()
+    np.testing.assert_array_equal(counts.sum(axis=1), np.full(6, 1000))
+    with pytest.raises(ValueError):
+        sample_counts(pair, 0, 6, 42)
+
+
+def test_ordered_dot_of_rows():
+    gen = make_generator(4)
+    a, b = gen.integers(0, 50, size=(7, 33)), gen.random(33)
+    rows = ordered_dot(a, b)
+    assert rows.shape == (7,)
+    for got, row in zip(rows, a):
+        assert got == pytest.approx(ordered_dot(row, b), rel=1e-14)
+
+
+_WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=40
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=_WEIGHTS,
+    trailing=st.integers(0, 3),
+    seed=st.integers(0, 2**32),
+    shape=st.sampled_from([(1,), (57,), (9, 13)]),
+)
+def test_draw_atoms_is_the_plain_search(weights, trailing, seed, shape):
+    w = np.array(weights + [0.0] * trailing)
+    pair = make_finite_pair(w / w.sum(), np.full(w.size, 1.0 / w.size), 1.0)
+    u = make_generator(seed).random(shape)
+    u.flat[0] = 1.0 - 2.0**-53  # at or past the end of the table
+    plain = np.clip(np.searchsorted(pair.mu_cdf, u, side="right"), 0,
+                    pair.last_drawable_atom)
+    # both sides of the support gate: plain search and sorted search
+    for gate in (distributions.SORTED_SEARCH_MIN_SUPPORT, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "SORTED_SEARCH_MIN_SUPPORT", gate)
+            atoms = draw_atoms(pair, u)
+        assert atoms.shape == shape
+        np.testing.assert_array_equal(atoms, plain)

@@ -41,19 +41,19 @@ ESTIMATES = {
     "mom-coverage": (
         ["--method", "mom", "--plan", "coverage"],
         "estimate method=mom n=1253 M=17.0 trials=3 eps=0.25 delta=0.1 "
-        "mean_estimate=0.9935897435897436 success_freq=1.0\n"
+        "mean_estimate=0.9987179487179487 success_freq=1.0\n"
         "trial,n,estimate,rel_error,success\r\n"
         "0,1235,0.9961538461538462,0.0038461538461538325,true\r\n"
         "1,1235,0.9961538461538462,0.0038461538461538325,true\r\n"
-        "2,1235,0.9884615384615385,0.011538461538461497,true\r\n",
+        "2,1235,1.0038461538461538,0.0038461538461538325,true\r\n",
     ),
     "mom-fdiv:kl": (
         ["--method", "mom", "--plan", "fdiv:kl"],
         "estimate method=mom n=346 M=4.686200500174247 trials=3 eps=0.25 "
-        "delta=0.1 mean_estimate=0.9907407407407408 success_freq=1.0\n"
+        "delta=0.1 mean_estimate=1.0092592592592593 success_freq=1.0\n"
         "trial,n,estimate,rel_error,success\r\n"
         "0,342,1.0,0.0,true\r\n"
-        "1,342,0.9722222222222222,0.02777777777777779,true\r\n"
+        "1,342,1.0277777777777777,0.02777777777777768,true\r\n"
         "2,342,1.0,0.0,true\r\n",
     ),
     "quantile": (
@@ -68,11 +68,11 @@ ESTIMATES = {
     "snis": (
         ["--method", "snis", "--g", "0,1"],
         "estimate method=snis n=11520 M=480.0 trials=3 eps=0.25 delta=0.1 "
-        "mean_estimate=0.6232050855975405 success_freq=1.0\n"
+        "mean_estimate=0.6287268880118934 success_freq=1.0\n"
         "trial,n,estimate,rel_error,success\r\n"
-        "0,11520,0.6249186162593863,0.0001302139849819639,true\r\n"
-        "1,11520,0.6247558275817163,0.00039067586925387585,true\r\n"
-        "2,11520,0.6199408129515188,0.008094699277569894,true\r\n",
+        "0,11520,0.6342316662347759,0.014770665975641428,true\r\n"
+        "1,11520,0.6242672919109027,0.0011723329425556983,true\r\n"
+        "2,11520,0.6276817058900013,0.0042907294240020375,true\r\n",
     ),
 }
 
@@ -137,6 +137,12 @@ OUTCOMES = {
         2, "", "pfest: infeasible plan: the truncation level passes the float "
         "range; no finite sample size meets this plan\n",
     ),
+    "params-unknown-key": (
+        ["plan", "--family", "random_finite", "--params", "suport=12,seed=3",
+         "--eps", "0.25"],
+        1, "", "pfest: error: family 'random_finite' takes parameters "
+        "['support', 'seed', 'z']; unknown: ['suport']\n",
+    ),
     "estimate-quantile-rejects-g": (
         ["estimate", *BERN, "--method", "quantile", "--g", "x",
          "--eps", "0.25", "--seed", "1"],
@@ -184,7 +190,7 @@ FINGERPRINT_CONFIGS = {
             family="bernoulli",
             family_params=(("p", 0.5), ("eps", 0.25)),
         ),
-        "871c02cf637fdb071af2b46b1b2a3a329b05216d7390218697ca03480f30742b",
+        "c94a572aeadf11d4431b0964696c32fbc5979e3b7af13de5d5a63be9267f962a",
     ),
     "phase_transition": (
         run_phase_transition,
@@ -198,7 +204,7 @@ FINGERPRINT_CONFIGS = {
             f_names=("tv", "kl"),
             d_value=0.5,
         ),
-        "e666406ebf79763de209574a80679331b4f132dfc05d36c31bf8373157028722",
+        "5a4cd0feb3f7c9c7fe79ba69d353a0702589a91ecf3bdc3290fec1b0f665d56e",
     ),
     "sampling_vs_counting": (
         run_sampling_vs_counting,
@@ -212,7 +218,7 @@ FINGERPRINT_CONFIGS = {
             family="two_point_mu",
             family_params=(("p", 0.25),),
         ),
-        "272fc5738f4a39ac0b2312e341462ca9890b9293c1e59612bbfbb8eed347185b",
+        "fe31766ac94e69fcc60dfda9c64414755396168a409740219c1fa4fd93244b0a",
     ),
 }
 

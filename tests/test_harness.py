@@ -51,6 +51,20 @@ def test_build_family_variants():
         build_family("bernoulli", {"p": 0.5})
 
 
+def test_build_family_rejects_unknown_parameters(tmp_path):
+    with pytest.raises(ConfigError, match=r"\['support', 'seed', 'z'\]; unknown: \['suport'\]"):
+        build_family("random_finite", {"suport": 12, "seed": 3})
+    with pytest.raises(ConfigError, match=r"unknown: \['zz'\]"):
+        build_family("bernoulli", {"p": 0.5, "eps": 0.25, "zz": 3})
+    config = config_from_text(
+        "[experiment]\nkind = success_curve\neps_grid = 0.5\ndelta = 0.1\n"
+        "trials = 2\nmaster_seed = 1\noutput_path = out.csv\n"
+        "family = two_point_mu\n\n[family_params]\np = 0.25\nq = 0.5\n"
+    )
+    with pytest.raises(ConfigError, match=r"takes parameters \['p', 'z'\]"):
+        run_experiment(config)
+
+
 def test_config_roundtrip():
     cfg = ExperimentConfig(
         kind="success_curve",
@@ -313,7 +327,7 @@ def test_success_curve_planned_row():
     assert row["n_planned"] == 314
     assert row["n_used"] == 304  # 19 groups of 16
     assert row["success_freq"] == 1.0
-    assert row["mean_rel_error"] == pytest.approx(0.013125)
+    assert row["mean_rel_error"] == pytest.approx(0.01375)
     assert row["reason"] == ""
     assert ("mom_group_rate", "8.0") in table.metadata
 
@@ -448,7 +462,7 @@ def test_success_curve_header_pinned():
         n_override=40,
     )
     assert run_success_curve(cfg).metadata == (
-        ("format", "pfest-sweep-v1"),
+        ("format", "pfest-sweep-v2"),
         ("kind", "success_curve"),
         ("eps_grid", "0.5,0.25"),
         ("delta", "0.1"),
@@ -473,7 +487,7 @@ def test_phase_transition_header_pinned():
         d_value=0.5,
     )
     assert run_phase_transition(cfg).metadata == (
-        ("format", "pfest-sweep-v1"),
+        ("format", "pfest-sweep-v2"),
         ("kind", "phase_transition"),
         ("eps_grid", "0.5"),
         ("delta", "0.2"),
