@@ -91,7 +91,7 @@ from .harness import (
     save_config,
     table_fingerprint,
 )
-from .rng import derive_seed, make_generator
+from .rng import derive_seed, make_generator, substreams
 from .sampler import (
     RaceState,
     RaceSummary,

@@ -113,14 +113,15 @@ class DistributionPair:
             raise ValueError(f"z_true must be positive and finite, got {z!r}")
 
         pos = mu > 0
-        ratio = np.zeros_like(mu)
-        np.divide(nu, mu, out=ratio, where=pos)
-        singular = float(nu[~pos].sum())
-        ratio[~pos & (nu > 0)] = np.inf
-
         if pos.all():
+            ratio = nu / mu
+            singular = 0.0
             mean = ordered_dot(mu, ratio)
         else:
+            ratio = np.zeros_like(mu)
+            np.divide(nu, mu, out=ratio, where=pos)
+            singular = float(nu[~pos].sum())
+            ratio[~pos & (nu > 0)] = np.inf
             mean = ordered_dot(mu[pos], ratio[pos])
         if abs(mean + singular - 1.0) > RATIO_MEAN_TOL:
             raise ValueError(
@@ -189,7 +190,9 @@ class DistributionPair:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """i.i.d. proposal draws with their unnormalized density values."""
+    """i.i.d. proposal draws with their unnormalized density values.
+    ``seed`` is the Philox key they were drawn under, so
+    ``sample(pair, n, seed)`` replays them."""
 
     atoms: np.ndarray
     lambdas: np.ndarray
@@ -319,16 +322,21 @@ def draw_atoms(pair: DistributionPair, u: np.ndarray) -> np.ndarray:
     return atoms
 
 
-def sample(pair: DistributionPair, n: int, seed: int) -> SampleBatch:
+def sample(
+    pair: DistributionPair, n: int, seed: int, gen: np.random.Generator | None = None
+) -> SampleBatch:
     """n i.i.d. proposal draws by inverse CDF over the atom table.
 
-    Deterministic given the 64-bit seed: the same (pair, n, seed)
-    triple always yields bit-identical batches.
+    Deterministic given the Philox key ``seed``: the same (pair, n,
+    seed) triple always yields bit-identical batches. ``gen``, when
+    given, is a fresh generator already keyed by ``seed`` (as
+    ``substreams`` yields it) and saves building one.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = make_generator(seed)
+    if gen is None:
+        gen = make_generator(seed)
     atoms = draw_atoms(pair, gen.random(n))
     lam = pair.lambda_at(atoms)
     return SampleBatch(
@@ -336,22 +344,28 @@ def sample(pair: DistributionPair, n: int, seed: int) -> SampleBatch:
     )
 
 
-def sample_counts(pair: DistributionPair, m: int, k: int, seed: int) -> np.ndarray:
+def sample_counts(
+    pair: DistributionPair, m: int, k: int, seed: int,
+    gen: np.random.Generator | None = None,
+) -> np.ndarray:
     """k independent Multinomial(m, mu) histograms of proposal draws,
     shape (k, support_size): row i holds the per-atom hit counts of m
     i.i.d. draws, which carry everything an estimator that ignores the
     draw order reads.
 
-    Deterministic given the 64-bit seed. Only the atoms up to the last
-    one with proposal mass are passed to the multinomial, whose last
-    category takes whatever count the rounding of the others leaves
-    over; atoms without mass before it get binomial(., 0) = 0 hits.
+    Deterministic given the Philox key ``seed``; ``gen`` is as for
+    ``sample``. Only the atoms up to the last one with proposal mass
+    are passed to the multinomial, whose last category takes whatever
+    count the rounding of the others leaves over; atoms without mass
+    before it get binomial(., 0) = 0 hits.
     """
     m, k = int(m), int(k)
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 draws in k >= 1 histograms, got m={m}, k={k}")
+    if gen is None:
+        gen = make_generator(seed)
     drawable = pair.last_drawable_atom + 1
-    counts = make_generator(seed).multinomial(m, pair.mu_weights[:drawable], size=k)
+    counts = gen.multinomial(m, pair.mu_weights[:drawable], size=k)
     if drawable < pair.support_size:
         counts = np.pad(counts, ((0, 0), (0, pair.support_size - drawable)))
     return counts

@@ -28,7 +28,7 @@ from .distributions import (
 )
 from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
-from .rng import derive_seed
+from .rng import substreams
 from .sampler import SAMPLING_PLAN_CONSTANT, sampling_plan
 
 # Median-of-means group count: k = ceil(GROUP_RATE * ln(1/delta)).
@@ -674,9 +674,10 @@ def run_trials(
     eps: float, delta: float, m: Optional[float] = None, g: Optional[np.ndarray] = None,
 ) -> list[tuple[EstimateReport, bool]]:
     """Run the estimator ``ESTIMATORS[method]`` on ``trials`` samples of
-    n draws, trial t seeded by derive_seed(seed, t), and return each
-    report with its success flag. ``m`` is the plan's level (read by
-    quantile), ``g`` the function table (read by snis).
+    n draws, trial t on the Philox stream keyed by ``seed + (t << 64)``
+    (item t of ``substreams(seed, trials)``), and return each report
+    with its success flag. ``m`` is the plan's level (read by quantile),
+    ``g`` the function table (read by snis).
 
     Each trial draws either a batch (``sample``) or, when the support is
     small against n, the estimator's hit-count histograms
@@ -685,14 +686,14 @@ def run_trials(
     truth = entry.truth(pair, g)
     k, size = entry.groups(n, delta)
     if COUNT_ENGINE_RATIO * k * (pair.last_drawable_atom + 1) <= n:
-        def report(trial_seed: int) -> EstimateReport:
-            counts = sample_counts(pair, size, k, trial_seed)
+        def report(key: int, gen: np.random.Generator) -> EstimateReport:
+            counts = sample_counts(pair, size, k, key, gen)
             return entry.from_counts(pair, counts, eps, delta, m, g, truth)
     else:
-        def report(trial_seed: int) -> EstimateReport:
-            return entry.estimate(sample(pair, n, trial_seed), eps, delta, m, g, truth)
+        def report(key: int, gen: np.random.Generator) -> EstimateReport:
+            return entry.estimate(sample(pair, n, key, gen), eps, delta, m, g, truth)
     results = []
-    for trial in range(trials):
-        rep = report(int(derive_seed(seed, trial)))
+    for key, gen in substreams(seed, trials):
+        rep = report(key, gen)
         results.append((rep, entry.success(rep.estimate, truth, eps, m)))
     return results

@@ -1,24 +1,56 @@
 """Deterministic random-number generation.
 
-All randomness flows through counter-based Philox generators keyed by a
-64-bit seed, so identical seeds produce identical streams across
-platforms and runs. Parallel trials never share a stream: each derives
-its own seed with ``derive_seed``.
+All randomness flows through counter-based Philox generators keyed by
+an integer below 2^128, so identical keys produce identical streams
+across platforms and runs. Philox streams under distinct keys are
+independent without any hashing of the key (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011), so the i-th of the
+sub-streams under a 64-bit seed is simply the stream keyed by the key
+words ``[seed, i]``, that is by ``seed + (i << 64)``. ``substreams``
+walks them with one re-keyed generator; ``derive_seed`` hashes a master
+seed into the 64-bit seeds of separate experiment rows.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 _SEED_BOUND = 2**64
+_KEY_BOUND = 2**128
 
 
 def make_generator(seed: int) -> np.random.Generator:
-    """Return a Generator over a Philox stream keyed by ``seed``."""
+    """Return a Generator over the Philox stream keyed by ``seed``, an
+    integer in [0, 2^128): its low 64 bits are key word 0, its high 64
+    bits key word 1."""
+    seed = int(seed)
+    if not 0 <= seed < _KEY_BOUND:
+        raise ValueError(f"seed must be a 128-bit unsigned integer, got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def substreams(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """Yield ``(key, generator)`` for the sub-streams i = 0 .. count - 1
+    of the 64-bit ``seed``: ``key = seed + (i << 64)``, so
+    ``make_generator(key)`` replays item i exactly.
+
+    One generator serves every item: it is built once and re-keyed
+    between items (counter and buffer back to their initial values), so
+    its draws for item i must be taken before the next item is requested.
+    """
     seed = int(seed)
     if not 0 <= seed < _SEED_BOUND:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    gen = make_generator(seed)
+    bits = gen.bit_generator
+    fresh = bits.state
+    for i in range(count):
+        if i:
+            fresh["state"]["key"][1] = i
+            bits.state = fresh
+        yield seed + (i << 64), gen
 
 
 def derive_seed(master_seed: int, index: int) -> int:

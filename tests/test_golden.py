@@ -41,11 +41,11 @@ ESTIMATES = {
     "mom-coverage": (
         ["--method", "mom", "--plan", "coverage"],
         "estimate method=mom n=1253 M=17.0 trials=3 eps=0.25 delta=0.1 "
-        "mean_estimate=0.9987179487179487 success_freq=1.0\n"
+        "mean_estimate=1.0012820512820513 success_freq=1.0\n"
         "trial,n,estimate,rel_error,success\r\n"
-        "0,1235,0.9961538461538462,0.0038461538461538325,true\r\n"
-        "1,1235,0.9961538461538462,0.0038461538461538325,true\r\n"
-        "2,1235,1.0038461538461538,0.0038461538461538325,true\r\n",
+        "0,1235,1.0115384615384615,0.011538461538461497,true\r\n"
+        "1,1235,1.0038461538461538,0.0038461538461538325,true\r\n"
+        "2,1235,0.9884615384615385,0.011538461538461497,true\r\n",
     ),
     "mom-fdiv:kl": (
         ["--method", "mom", "--plan", "fdiv:kl"],
@@ -68,11 +68,11 @@ ESTIMATES = {
     "snis": (
         ["--method", "snis", "--g", "0,1"],
         "estimate method=snis n=11520 M=480.0 trials=3 eps=0.25 delta=0.1 "
-        "mean_estimate=0.6287268880118934 success_freq=1.0\n"
+        "mean_estimate=0.6232075841757222 success_freq=1.0\n"
         "trial,n,estimate,rel_error,success\r\n"
-        "0,11520,0.6342316662347759,0.014770665975641428,true\r\n"
-        "1,11520,0.6242672919109027,0.0011723329425556983,true\r\n"
-        "2,11520,0.6276817058900013,0.0042907294240020375,true\r\n",
+        "0,11520,0.6232079242332088,0.0028673212268659045,true\r\n"
+        "1,11520,0.6222289837433713,0.004433626010605885,true\r\n"
+        "2,11520,0.6241858445505862,0.0013026487190620274,true\r\n",
     ),
 }
 
@@ -148,6 +148,15 @@ OUTCOMES = {
          "--eps", "0.25", "--seed", "1"],
         1, "", "pfest: error: method 'quantile' reads no --g table\n",
     ),
+    "estimate-seed-past-64-bits": (
+        ["estimate", *BERN, "--method", "mom", "--eps", "0.25",
+         "--seed", str(2**64)],
+        1, "", f"pfest: error: seed must be a 64-bit unsigned integer, got {2**64}\n",
+    ),
+    "sample-seed-past-64-bits": (
+        ["sample", *BERN, "--eps", "0.25", "--seed", str(2**64)],
+        1, "", f"pfest: error: seed must be a 64-bit unsigned integer, got {2**64}\n",
+    ),
 }
 
 
@@ -190,7 +199,7 @@ FINGERPRINT_CONFIGS = {
             family="bernoulli",
             family_params=(("p", 0.5), ("eps", 0.25)),
         ),
-        "c94a572aeadf11d4431b0964696c32fbc5979e3b7af13de5d5a63be9267f962a",
+        "d4617f23f08b57fb111f05c80cb7d62f51ffa74ab31e5ba4efea20b6fa087134",
     ),
     "phase_transition": (
         run_phase_transition,
@@ -204,7 +213,7 @@ FINGERPRINT_CONFIGS = {
             f_names=("tv", "kl"),
             d_value=0.5,
         ),
-        "5a4cd0feb3f7c9c7fe79ba69d353a0702589a91ecf3bdc3290fec1b0f665d56e",
+        "e0d021b56e57dbe5a27a67c44ca8ec34213aea60bf6f5ca824ef369dd8eb2980",
     ),
     "sampling_vs_counting": (
         run_sampling_vs_counting,
@@ -218,15 +227,14 @@ FINGERPRINT_CONFIGS = {
             family="two_point_mu",
             family_params=(("p", 0.25),),
         ),
-        "fe31766ac94e69fcc60dfda9c64414755396168a409740219c1fa4fd93244b0a",
+        "d96b34d5d5cdde22fb9cae9fb76cace8f4ea989ddcf1488c8ec160b36da9bd11",
     ),
 }
 
 
 @pytest.mark.parametrize("kind", list(FINGERPRINT_CONFIGS))
-def test_criterion_10_fingerprint_pinned(monkeypatch, kind):
+def test_criterion_10_fingerprint_pinned(kind):
     # The configs of the criterion-10 determinism check in
     # test_acceptance.py, pinned to the hex values of their tables.
-    monkeypatch.delenv("PFEST_THREADS", raising=False)
     run, config, expected = FINGERPRINT_CONFIGS[kind]
     assert table_fingerprint(run(config)) == expected
