@@ -65,8 +65,14 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def standard_exponential(gen: np.random.Generator, size) -> np.ndarray:
-    """Exp(1) variates as -log(1 - U) with U uniform on [0, 1).
+    """Exp(1) variates as -log(1 - U) with U uniform on [0, 1), worked
+    out in place in the array of uniforms (bit for bit the same as
+    ``-np.log1p(-U)``).
 
     1 - U lies in (0, 1], so the result is always finite.
     """
-    return -np.log1p(-gen.random(size))
+    e = gen.random(size)
+    np.negative(e, out=e)
+    np.log1p(e, out=e)
+    np.negative(e, out=e)
+    return e

@@ -85,12 +85,36 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
     return int(atoms[best]), state
 
 
+def _race_block(
+    pair: DistributionPair, gen: np.random.Generator, rows: int, n: int
+) -> tuple[np.ndarray, int]:
+    """Winning atoms of the ``rows`` races of length n drawn from
+    ``gen``, with their null races left out, and the number of null
+    races. The arrivals are summed and divided in place; the block's
+    arrays are freed when it returns, before the next block draws."""
+    atoms = draw_atoms(pair, gen.random((rows, n)))
+    scores = standard_exponential(gen, (rows, n))
+    np.cumsum(scores, axis=1, out=scores)
+    # a block holds about 2^20 draws, mostly more than there are
+    # atoms, so a lookup in the per-pair table is the cheaper gather
+    lam = pair.lambda_values[atoms]
+    if lam.min() > 0:
+        np.divide(scores, lam, out=scores)
+    else:
+        scores = _scores(scores, lam)
+    race = np.arange(rows)
+    best = np.argmin(scores, axis=1)
+    alive = np.isfinite(scores[race, best])
+    return atoms[race, best][alive], rows - int(alive.sum())
+
+
 def run_races(
     pair: DistributionPair, n: int, trials: int, master_seed: int
 ) -> RaceSummary:
     """Repeat the race `trials` times and tally winners; null races are
-    counted, not raised. Races run in blocks, block b on the Philox
-    stream keyed by ``master_seed + (b << 64)`` (item b of
+    counted, not raised. Races run in blocks of about
+    RACE_CHUNK_ELEMENTS draws, one block at a time, block b on the
+    Philox stream keyed by ``master_seed + (b << 64)`` (item b of
     ``substreams``)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -101,17 +125,9 @@ def run_races(
     null_races = 0
     starts = range(0, trials, block)
     for start, (_, gen) in zip(starts, substreams(master_seed, len(starts))):
-        rows = min(block, trials - start)
-        atoms = draw_atoms(pair, gen.random((rows, n)))
-        arrivals = np.cumsum(standard_exponential(gen, (rows, n)), axis=1)
-        # a block holds about 2^20 draws, mostly more than there are
-        # atoms, so a lookup in the per-pair table is the cheaper gather
-        scores = _scores(arrivals, pair.lambda_values[atoms])
-        best = np.argmin(scores, axis=1)
-        winners = atoms[np.arange(rows), best]
-        alive = np.isfinite(scores[np.arange(rows), best])
-        null_races += int(rows - alive.sum())
-        counts += np.bincount(winners[alive], minlength=pair.support_size)
+        winners, nulls = _race_block(pair, gen, min(block, trials - start), n)
+        null_races += nulls
+        counts += np.bincount(winners, minlength=pair.support_size)
     return RaceSummary(
         counts=counts, null_races=null_races, trials=trials, n_per_race=n
     )

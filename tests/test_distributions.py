@@ -18,8 +18,14 @@ from pfest import (
     sample,
     save_pair,
 )
-from pfest import distributions
-from pfest.distributions import DOT_CHUNK, draw_atoms, ordered_dot, sample_counts
+from pfest import distributions, sampler
+from pfest.distributions import (
+    DOT_CHUNK,
+    GuideTable,
+    draw_atoms,
+    ordered_dot,
+    sample_counts,
+)
 from pfest.rng import make_generator, standard_exponential
 from pfest.sampler import astar_sample, run_races
 
@@ -245,6 +251,21 @@ def _cumsum_draw(pair, u):
     return np.clip(atoms, 0, pair.last_drawable_atom)
 
 
+def _race_reference(pair, n, rows, gen):
+    """Winner counts and null races of ``rows`` races of length n drawn
+    from ``gen``, written out as the race was before its block helper."""
+    atoms = _cumsum_draw(pair, gen.random((rows, n)))
+    arrivals = np.cumsum(-np.log1p(-gen.random((rows, n))), axis=1)
+    lam = pair.z_true * pair.ratio_cache[atoms]
+    scores = np.full(lam.shape, np.inf)
+    np.divide(arrivals, lam, out=scores, where=lam > 0)
+    best = np.argmin(scores, axis=1)
+    winners = atoms[np.arange(rows), best]
+    alive = np.isfinite(scores[np.arange(rows), best])
+    counts = np.bincount(winners[alive], minlength=pair.support_size)
+    return counts, int(rows - alive.sum())
+
+
 # the last atom has no proposal mass and the cumulative mass ends one
 # ulp below 1
 TRAILING_ZERO = make_finite_pair([0.1] * 10 + [0.0], [0.05] * 10 + [0.5], 2.0)
@@ -270,20 +291,42 @@ def test_draws_match_the_per_call_cumsum(pair):
 
     # one block of races: its generator is keyed by the seed itself
     n, trials, seed = 6, 500, 11
-    gen = make_generator(seed)
-    atoms = _cumsum_draw(pair, gen.random((trials, n)))
-    arrivals = np.cumsum(standard_exponential(gen, (trials, n)), axis=1)
-    lam = pair.z_true * pair.ratio_cache[atoms]
-    scores = np.full(lam.shape, np.inf)
-    np.divide(arrivals, lam, out=scores, where=lam > 0)
-    best = np.argmin(scores, axis=1)
-    winners = atoms[np.arange(trials), best]
-    alive = np.isfinite(scores[np.arange(trials), best])
+    counts, nulls = _race_reference(pair, n, trials, make_generator(seed))
     summary = run_races(pair, n, trials, seed)
-    np.testing.assert_array_equal(
-        summary.counts, np.bincount(winners[alive], minlength=pair.support_size)
-    )
-    assert summary.null_races == trials - alive.sum()
+    np.testing.assert_array_equal(summary.counts, counts)
+    assert summary.null_races == nulls
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [make_bernoulli_pair(0.5, 0.25), make_random_pair(64, 5, z=3.0), make_twopoint_mu_pair(0.25)],
+    ids=["bernoulli", "random", "twopoint"],
+)
+def test_race_blocks_match_the_reference_block_by_block(pair, monkeypatch):
+    # 3 000-element blocks: 500 races of 6 draws, walked through the
+    # guide table, then a last block of 200 races, searched directly
+    monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 3000)
+    n, trials, seed = 6, 1700, 2**64 - 5
+    counts = np.zeros(pair.support_size, dtype=np.int64)
+    nulls = 0
+    for b, start in enumerate(range(0, trials, 500)):
+        gen = make_generator(seed + (b << 64))
+        block_counts, block_nulls = _race_reference(pair, n, min(500, trials - start), gen)
+        counts += block_counts
+        nulls += block_nulls
+    summary = run_races(pair, n, trials, seed)
+    np.testing.assert_array_equal(summary.counts, counts)
+    assert summary.null_races == nulls
+    assert summary.counts.sum() + summary.null_races == trials
+    # twopoint's heavy atom has lambda = 0: its scores take the masked
+    # divide, and some races draw nothing else
+    assert (nulls > 0) == (pair.lambda_values.min() == 0)
+
+
+def test_standard_exponential_is_the_negated_log1p():
+    for size in (1, 7, (300, 11)):
+        expected = -np.log1p(-make_generator(5).random(size))
+        np.testing.assert_array_equal(standard_exponential(make_generator(5), size), expected)
 
 
 def test_draw_tables_are_cached_and_read_only():
@@ -291,11 +334,15 @@ def test_draw_tables_are_cached_and_read_only():
     text = repr(pair)
     assert pair.mu_cdf is pair.mu_cdf
     assert pair.lambda_values is pair.lambda_values
+    assert pair.mu_guide is pair.mu_guide
     np.testing.assert_array_equal(pair.mu_cdf, np.cumsum(pair.mu_weights))
     np.testing.assert_array_equal(pair.lambda_values, 2.5 * pair.ratio_cache)
-    for table in (pair.mu_cdf, pair.lambda_values):
+    assert isinstance(pair.mu_guide, GuideTable) and pair.mu_guide.scale == 32
+    for table in (pair.mu_cdf, pair.lambda_values, pair.mu_guide.guide, pair.mu_guide.cdf_ext):
         with pytest.raises(ValueError):
             table[0] = 0.0
+    with pytest.raises(AttributeError):
+        pair.mu_guide.max_steps = 0
     # the tables are not fields: repr and == read the same as before
     assert repr(pair) == text
     assert [f.name for f in dataclasses.fields(pair)] == [
@@ -305,6 +352,7 @@ def test_draw_tables_are_cached_and_read_only():
     one = make_finite_pair([1.0], [1.0], 2.0)
     other = make_finite_pair([1.0], [1.0], 2.0)
     assert one.mu_cdf.size == one.lambda_values.size == 1
+    assert one.mu_guide.scale == 1 and one.mu_guide.guide.tolist() == [0]
     assert one == other and repr(one) == repr(other)
 
 
@@ -371,26 +419,96 @@ def test_ordered_dot_of_rows():
 _WEIGHTS = st.lists(
     st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=40
 ).filter(lambda w: sum(w) > 0)
+# runs of interior zero-mass atoms: repeated cumulative values
+_ZERO_RUNS = st.builds(
+    lambda w, at, run: w[:at] + [0.0] * run + w[at:],
+    _WEIGHTS, st.integers(0, 40), st.integers(2, 6),
+)
+# many tiny atoms between two heavy ones: more cumulative values in one
+# guide bucket than draw_atoms steps over, so searchsorted finishes
+_SKEWED = st.builds(
+    lambda heavy, tiny, last: [heavy] + [1e-6] * tiny + [last],
+    st.floats(0.05, 1.0), st.integers(3, 40), st.floats(0.05, 1.0),
+)
+
+
+def _in_pieces(pair, u, width):
+    """draw_atoms over consecutive pieces of ``u`` of ``width`` uniforms."""
+    flat = u.ravel()
+    return np.concatenate(
+        [draw_atoms(pair, flat[i:i + width]) for i in range(0, flat.size, width)]
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    weights=_WEIGHTS,
+    weights=st.one_of(_WEIGHTS, _ZERO_RUNS, _SKEWED),
     trailing=st.integers(0, 3),
     seed=st.integers(0, 2**32),
     shape=st.sampled_from([(1,), (57,), (9, 13)]),
 )
 def test_draw_atoms_is_the_plain_search(weights, trailing, seed, shape):
     w = np.array(weights + [0.0] * trailing)
-    pair = make_finite_pair(w / w.sum(), np.full(w.size, 1.0 / w.size), 1.0)
+
+    def fresh():
+        return make_finite_pair(w / w.sum(), np.full(w.size, 1.0 / w.size), 1.0)
+
+    pair = fresh()
+    cdf, size = pair.mu_cdf, pair.support_size
+    scale = 1 << (size - 1).bit_length()
     u = make_generator(seed).random(shape)
     u.flat[0] = 1.0 - 2.0**-53  # at or past the end of the table
-    plain = np.clip(np.searchsorted(pair.mu_cdf, u, side="right"), 0,
-                    pair.last_drawable_atom)
-    # both sides of the support gate: plain search and sorted search
-    for gate in (distributions.SORTED_SEARCH_MIN_SUPPORT, 1):
+    # 0, every bucket edge j/K, every cumulative value below 1 and the
+    # largest uniform, then the random ones: at least K >= S uniforms
+    edges = np.concatenate(
+        [[0.0, 1.0 - 2.0**-53], np.arange(scale) / scale, cdf[cdf < 1.0], u.ravel()]
+    )
+
+    def plain(x):
+        return np.clip(np.searchsorted(cdf, x, side="right"), 0, pair.last_drawable_atom)
+
+    # both sides of the guide rule (calls of fewer than S uniforms, and of
+    # at least S with the draw floor at 1) and of the support gate
+    for sorted_gate in (distributions.SORTED_SEARCH_MIN_SUPPORT, 1):
+        pair = fresh()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(distributions, "SORTED_SEARCH_MIN_SUPPORT", gate)
+            mp.setattr(distributions, "SORTED_SEARCH_MIN_SUPPORT", sorted_gate)
             atoms = draw_atoms(pair, u)
-        assert atoms.shape == shape
-        np.testing.assert_array_equal(atoms, plain)
+            assert atoms.shape == shape
+            np.testing.assert_array_equal(atoms, plain(u))
+            if size > 1:
+                np.testing.assert_array_equal(_in_pieces(pair, edges, size - 1), plain(edges))
+            assert draw_atoms(pair, edges[:0]).size == 0
+            assert "mu_guide" not in vars(pair)
+            mp.setattr(distributions, "GUIDE_MIN_DRAWS", 1)
+            np.testing.assert_array_equal(draw_atoms(pair, edges), plain(edges))
+            assert "mu_guide" in vars(pair)
+            atoms = draw_atoms(pair, u)
+            assert atoms.shape == shape
+            np.testing.assert_array_equal(atoms, plain(u))
+
+    # the table itself, against its definition
+    table = pair.mu_guide
+    assert table.scale == scale and scale >= size > scale // 2
+    j = np.arange(scale)
+    np.testing.assert_array_equal(
+        table.guide, (cdf[None, :] <= (j / scale)[:, None]).sum(axis=1)
+    )
+    np.testing.assert_array_equal(table.cdf_ext, np.append(cdf, np.inf))
+    bucket = np.floor(cdf * scale)
+    inside = [int(((bucket == b) & (cdf * scale != b)).sum()) for b in range(scale)]
+    assert table.max_steps == max(inside)
+
+
+def test_guide_table_steps_and_finishes():
+    # heavy-tiny-heavy: 30 cumulative values inside one of 32 buckets
+    pair = make_finite_pair([0.5] + [1e-6] * 30 + [0.5 - 3e-5], [1 / 32] * 32, 1.0)
+    table = pair.mu_guide
+    assert table.scale == 32
+    assert table.max_steps == 30 > distributions.GUIDE_MAX_STEPS
+    u = np.concatenate([0.5 + np.arange(40) * 1e-6, make_generator(4).random(5000)])
+    np.testing.assert_array_equal(
+        table.search(u), np.searchsorted(pair.mu_cdf, u, side="right")
+    )
+    # two atoms whose boundary sits on a bucket edge need no step
+    assert make_bernoulli_pair(0.5, 0.25).mu_guide.max_steps == 0

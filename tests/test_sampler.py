@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from pfest import (
     AllNullDrawsError,
     astar_sample,
     empirical_tv,
+    make_bernoulli_pair,
+    make_random_pair,
     make_twopoint_mu_pair,
     plan_n_sampling,
     run_races,
 )
-from pfest.sampler import RaceSummary
+from pfest.sampler import RACE_CHUNK_ELEMENTS, RaceSummary
 
 
 def test_identity_race_first_draw(identity_pair):
@@ -117,3 +120,22 @@ def test_empirical_tv_converges(bern):
     summary = run_races(bern, n, 20_000, 20260814)
     tv_hat = empirical_tv(summary, bern)
     assert tv_hat <= 0.03 + 3 * math.sqrt(2 / 20_000)
+
+
+@pytest.mark.parametrize(
+    "pair, n, trials",
+    [(make_bernoulli_pair(0.5, 0.25), 12, 100_000), (make_random_pair(64, 20260864), 88, 32_768)],
+    ids=["bernoulli", "random64"],
+)
+def test_run_races_holds_one_block_at_a_time(pair, n, trials):
+    """Both calls run blocks of about 2^20 draws (the second three of
+    them); one block's draws, arrivals and density values must be freed
+    before the next block draws, and its scores reuse its arrivals."""
+    block_bytes = RACE_CHUNK_ELEMENTS * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        run_races(pair, n, trials, 20261018)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * block_bytes
