@@ -63,7 +63,6 @@ from .estimators import (
     PlanResult,
     PlanSource,
     importance_sampling,
-    importance_sampling_mom,
     median_of_means,
     plan_n_coverage,
     plan_n_fdiv,

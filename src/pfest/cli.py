@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 
 import numpy as np
@@ -81,8 +82,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
     except ValueError:
         raise ValueError(f"--grid must be M0:M1:steps, got {spec!r}") from None
-    if steps < 1 or hi < lo or lo < 0:
-        raise ValueError(f"bad grid {spec!r}: need 0 <= M0 <= M1 and steps >= 1")
+    if steps < 1 or not 0 <= lo <= hi < math.inf:
+        raise ValueError(
+            f"bad grid {spec!r}: need finite 0 <= M0 <= M1 and steps >= 1"
+        )
     return np.linspace(lo, hi, steps)
 
 
@@ -163,7 +166,10 @@ def _cmd_estimate(args) -> int:
         args.eps, args.delta, m=plan.m, g=g,
     )
     success_freq = sum(ok for _, ok in results) / len(results)
-    mean_estimate = sum(report.estimate for report, _ in results) / len(results)
+    total = 0.0  # left to right: sum() compensates floats on 3.12+
+    for report, _ in results:
+        total += report.estimate
+    mean_estimate = total / len(results)
     print(
         f"estimate method={args.method} n={plan.n} M={plan.m!r} "
         f"trials={args.trials} eps={args.eps!r} delta={args.delta!r} "

@@ -363,7 +363,10 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     keeps every atom reachable (finite divergences, no singular mass)
     while still spreading the density ratio over about three decades.
     """
-    support_size = int(support_size)
+    for label, value in (("support_size", support_size), ("seed", seed)):
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{label} must be an integer, got {value!r}")
+    support_size, seed = int(support_size), int(seed)
     if support_size < 1:
         raise ValueError(f"support_size must be >= 1, got {support_size}")
     gen = make_generator(seed)

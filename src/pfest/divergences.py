@@ -63,7 +63,8 @@ class FGenerator:
     for user-supplied generators, in which case ``classify_regime``
     probes the growth numerically. ``c_threshold`` is the technical
     constant of the second-moment planner term; built-ins ship curated
-    values, user generators get a scanned estimate.
+    values, and other generators get 1.0 unless they set their own
+    (``estimate_c_threshold`` scans one from ``fn`` on request).
     ``log_growth_inverse`` maps m >= 0 to ln gamma_f(m) in closed form;
     the built-in factories attach one, and generators without it are
     inverted by bisection.

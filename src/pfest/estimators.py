@@ -65,7 +65,6 @@ SUCCESS_GUARD = 1e-9
 
 
 class PlanSource(enum.Enum):
-    MANUAL = "manual"
     COVERAGE = "coverage"
     FDIV = "fdiv"
     QUANTILE = "quantile"
@@ -92,9 +91,6 @@ class EstimateReport:
     estimate: float
     n_used: int
     k_groups: int = 0
-    eps_target: Optional[float] = None
-    delta_target: Optional[float] = None
-    plan_source: PlanSource = PlanSource.MANUAL
     true_value: Optional[float] = None
 
     @property
@@ -131,7 +127,9 @@ def median_of_means(
     Uses k = ceil(8 ln(1/delta)) groups of floor(n/k) samples each,
     discarding the remainder; for even k the lower median is taken.
     """
-    return _median_of_group_means(batch.lambdas, delta, true_value, PlanSource.MANUAL)
+    k, m = _mom_groups(batch.n, delta)
+    means = batch.lambdas[: k * m].reshape(k, m).mean(axis=1)
+    return _lower_median_report(means, m, true_value)
 
 
 def _mom_groups(n: int, delta: float) -> tuple[int, int]:
@@ -145,13 +143,7 @@ def _mom_groups(n: int, delta: float) -> tuple[int, int]:
     return k, n // k
 
 
-def _median_of_group_means(values, delta, true_value, source) -> EstimateReport:
-    k, m = _mom_groups(values.size, delta)
-    means = values[: k * m].reshape(k, m).mean(axis=1)
-    return _lower_median_report(means, m, delta, true_value, source)
-
-
-def _lower_median_report(means, m, delta, true_value, source) -> EstimateReport:
+def _lower_median_report(means, m, true_value) -> EstimateReport:
     """Report the lower median of k group means of m draws each; sorts
     ``means`` in place."""
     k = means.size
@@ -160,8 +152,6 @@ def _lower_median_report(means, m, delta, true_value, source) -> EstimateReport:
         estimate=float(means[(k - 1) // 2]),
         n_used=k * m,
         k_groups=k,
-        delta_target=delta,
-        plan_source=source,
         true_value=true_value,
     )
 
@@ -180,16 +170,6 @@ def _quantile_rank(eps: float, m: float, n: int) -> int:
     return min(max(rank, 1), n)
 
 
-def _quantile_report(est, n, eps, true_value) -> EstimateReport:
-    return EstimateReport(
-        estimate=float(est),
-        n_used=n,
-        eps_target=eps,
-        plan_source=PlanSource.QUANTILE,
-        true_value=true_value,
-    )
-
-
 def quantile_estimator(
     batch: SampleBatch,
     eps: float,
@@ -202,20 +182,7 @@ def quantile_estimator(
     coverage at M is small."""
     rank = _quantile_rank(eps, m, batch.n)
     est = np.partition(batch.lambdas, rank - 1)[rank - 1]
-    return _quantile_report(est, batch.n, eps, true_value)
-
-
-def _importance_values(batch: SampleBatch, g_values, ratios) -> np.ndarray:
-    """Per-draw ratio * g, after checking both tables cover the batch."""
-    g_values = np.asarray(g_values, dtype=np.float64)
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if g_values.shape != ratios.shape:
-        raise ValueError(
-            f"g table has {g_values.size} entries, ratio table has {ratios.size}"
-        )
-    if batch.atoms.max(initial=-1) >= g_values.size:
-        raise ValueError("batch indexes atoms outside the supplied tables")
-    return ratios[batch.atoms] * g_values[batch.atoms]
+    return EstimateReport(float(est), batch.n, true_value=true_value)
 
 
 def importance_sampling(
@@ -226,26 +193,16 @@ def importance_sampling(
 ) -> EstimateReport:
     """Plain importance sampling of E_nu[g] with known normalized
     ratios: the mean of ratio * g over the proposal draws."""
-    vals = _importance_values(batch, g_values, ratios)
-    return EstimateReport(
-        estimate=float(vals.mean()),
-        n_used=batch.n,
-        plan_source=PlanSource.IMPORTANCE,
-        true_value=true_value,
-    )
-
-
-def importance_sampling_mom(
-    batch: SampleBatch,
-    g_values: np.ndarray,
-    ratios: np.ndarray,
-    delta: float,
-    true_value: Optional[float] = None,
-) -> EstimateReport:
-    """Median-of-means hardening of plain importance sampling; trades
-    the in-probability constant for log(1/delta) confidence."""
-    vals = _importance_values(batch, g_values, ratios)
-    return _median_of_group_means(vals, delta, true_value, PlanSource.IMPORTANCE)
+    g_values = np.asarray(g_values, dtype=np.float64)
+    ratios = np.asarray(ratios, dtype=np.float64)
+    if g_values.shape != ratios.shape:
+        raise ValueError(
+            f"g table has {g_values.size} entries, ratio table has {ratios.size}"
+        )
+    if batch.atoms.max(initial=-1) >= g_values.size:
+        raise ValueError("batch indexes atoms outside the supplied tables")
+    vals = ratios[batch.atoms] * g_values[batch.atoms]
+    return EstimateReport(float(vals.mean()), batch.n, true_value=true_value)
 
 
 def snis(
@@ -269,12 +226,7 @@ def _snis_report(weighted, total, n, true_value) -> EstimateReport:
             "all density values in the batch are zero; the self-normalized "
             "estimate is undefined"
         )
-    return EstimateReport(
-        estimate=weighted / total,
-        n_used=n,
-        plan_source=PlanSource.SELF_NORMALIZED,
-        true_value=true_value,
-    )
+    return EstimateReport(weighted / total, n, true_value=true_value)
 
 
 # ------------------------------------------------------- counts forms
@@ -282,35 +234,31 @@ def _snis_report(weighted, total, n, true_value) -> EstimateReport:
 # histograms, one row per group) instead of a batch: only the step from
 # the draws to the statistic differs. A batch holding the same multiset
 # of atoms per group gives the same report, up to the rounding of the
-# sums.
+# sums. Each takes the ``EstimatorMethod.from_counts`` call
+# (pair, counts, eps, delta, m, g, truth) and reads what it needs; the g
+# table has been checked against the support by ``pair.nu_mean(g)``.
 
 
-def _mom_from_counts(pair, counts, delta, true_value) -> EstimateReport:
-    m = int(counts[0].sum())
-    means = ordered_dot(counts, pair.lambda_drawn) / m
-    return _lower_median_report(means, m, delta, true_value, PlanSource.MANUAL)
+def _mom_from_counts(pair, counts, eps, delta, m, g, truth) -> EstimateReport:
+    size = int(counts[0].sum())
+    means = ordered_dot(counts, pair.lambda_drawn) / size
+    return _lower_median_report(means, size, truth)
 
 
-def _quantile_from_counts(pair, counts, eps, m, true_value) -> EstimateReport:
+def _quantile_from_counts(pair, counts, eps, delta, m, g, truth) -> EstimateReport:
     hits = counts[0]
     n = int(hits.sum())
     rank = _quantile_rank(eps, m, n)
     order = pair.lambda_order
     atom = order[np.searchsorted(np.cumsum(hits[order]), rank)]
-    return _quantile_report(pair.lambda_drawn[atom], n, eps, true_value)
+    return EstimateReport(float(pair.lambda_drawn[atom]), n, true_value=truth)
 
 
-def _snis_from_counts(pair, counts, g_values, true_value) -> EstimateReport:
-    g_values = np.asarray(g_values, dtype=np.float64)
-    if g_values.shape != pair.lambda_drawn.shape:
-        raise ValueError(
-            f"g has {g_values.size} entries, support has {pair.support_size}"
-        )
+def _snis_from_counts(pair, counts, eps, delta, m, g, truth) -> EstimateReport:
     hits = counts[0]
     lam = pair.lambda_drawn
     return _snis_report(
-        ordered_dot(hits, lam * g_values), ordered_dot(hits, lam),
-        int(hits.sum()), true_value,
+        ordered_dot(hits, lam * g), ordered_dot(hits, lam), int(hits.sum()), truth
     )
 
 
@@ -592,9 +540,11 @@ def plan_method(name: str) -> PlanMethod:
 class EstimatorMethod:
     """``plan`` names the plan the estimator always runs on; ``None``
     (mom) takes coverage or fdiv:<spec>. ``estimate(batch, eps, delta, m,
-    g, truth)`` returns the report, and ``from_counts(pair, counts, eps,
-    delta, m, g, truth)`` the same report from ``groups(n, delta)`` =
-    (k, draws per group) hit-count histograms. ``truth(pair, g)`` is the
+    g, truth)`` returns the report, and the counts form ``from_counts(pair,
+    counts, eps, delta, m, g, truth)`` the same report from ``groups(n,
+    delta)`` = (k, draws per group) hit-count histograms; each reads only
+    the arguments its estimator needs, and the report carries the
+    estimate, the draws used, k and the truth. ``truth(pair, g)`` is the
     value it targets, ``success(estimate, truth, eps, m)`` whether a
     trial met the estimator's guarantee."""
 
@@ -614,9 +564,7 @@ ESTIMATORS = {
         lambda batch, eps, delta, m, g, truth: median_of_means(
             batch, delta, true_value=truth
         ),
-        lambda pair, counts, eps, delta, m, g, truth: _mom_from_counts(
-            pair, counts, delta, truth
-        ),
+        _mom_from_counts,
         groups=_mom_groups,
     ),
     "quantile": EstimatorMethod(
@@ -624,18 +572,14 @@ ESTIMATORS = {
         lambda batch, eps, delta, m, g, truth: quantile_estimator(
             batch, eps, m, true_value=truth
         ),
-        lambda pair, counts, eps, delta, m, g, truth: _quantile_from_counts(
-            pair, counts, eps, m, truth
-        ),
+        _quantile_from_counts,
         # one-sided: never above M times the truth, rarely below 1 - eps
         success=lambda est, truth, eps, m: (1.0 - eps) * truth <= est <= m * truth,
     ),
     "snis": EstimatorMethod(
         "snis",
         lambda batch, eps, delta, m, g, truth: snis(batch, g, true_value=truth),
-        lambda pair, counts, eps, delta, m, g, truth: _snis_from_counts(
-            pair, counts, g, truth
-        ),
+        _snis_from_counts,
         truth=lambda pair, g: pair.nu_mean(g),
     ),
 }

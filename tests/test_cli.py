@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -58,15 +59,38 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
          "mom", "--eps", "0.25", "--seed", "1"],
         ["estimate", *BERN, "--method", "snis", "--g", "0,1", "--plan", "coverage",
          "--eps", "0.25", "--seed", "1"],
+        # non-finite grid bounds are rejected before the CSV header is written
+        ["coverage", *BERN, "--grid", "0:inf:3"],
+        ["coverage", *BERN, "--grid", "nan:1:3"],
     ],
     ids=["unknown-method", "malformed-params", "params-without-value",
-         "snis-with-plan"],
+         "snis-with-plan", "grid-inf", "grid-nan"],
 )
 def test_bad_input_exits_one_with_message(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("pfest: error: ")
+    assert err.count("\n") == 1
+
+
+def test_mean_estimate_sums_left_to_right(capsys):
+    # these three estimates round differently under math.fsum, as sum()
+    # adds floats from Python 3.12 on
+    code, out, err = _run(
+        capsys,
+        ["estimate", "--family", "random_finite", "--params", "support=12,seed=3",
+         "--method", "mom", "--eps", "0.25", "--seed", "4", "--trials", "3",
+         "--out", "-"],
+    )
+    assert (code, err) == (EXIT_OK, "")
+    head, _, *rows = out.splitlines()
+    estimates = [float(row.split(",")[2]) for row in rows]
+    total = 0.0
+    for est in estimates:
+        total += est
+    assert math.fsum(estimates) != total
+    assert f" mean_estimate={total / len(estimates)!r} " in head
 
 
 def test_kl_plan_past_float_range_prints_an_integer(capsys):

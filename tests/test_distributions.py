@@ -182,6 +182,21 @@ def test_random_pair_reproducible():
     assert make_random_pair(17, 4243).nu_weights[0] != a.nu_weights[0]
 
 
+def test_random_pair_rejects_non_integer_support_or_seed():
+    for support, seed, message in [
+        (2.7, 3, "support_size must be an integer, got 2.7"),
+        (2, 3.9, "seed must be an integer, got 3.9"),
+        (math.inf, 3, "support_size must be an integer, got inf"),
+        (2, math.nan, "seed must be an integer, got nan"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            make_random_pair(support, seed)
+    # a whole float still builds, and names, the pair of its integer
+    whole = make_random_pair(2.0, 3.0)
+    np.testing.assert_array_equal(whole.nu_weights, make_random_pair(2, 3).nu_weights)
+    assert whole.name == "random[2,3]"
+
+
 def test_sample_deterministic(bern):
     a = sample(bern, 100, 7)
     b = sample(bern, 100, 7)

@@ -143,6 +143,11 @@ OUTCOMES = {
         1, "", "pfest: error: family 'random_finite' takes parameters "
         "['support', 'seed', 'z']; unknown: ['suport']\n",
     ),
+    "params-non-integer-support": (
+        ["plan", "--family", "random_finite", "--params", "support=2.7,seed=3",
+         "--eps", "0.25"],
+        1, "", "pfest: error: support_size must be an integer, got 2.7\n",
+    ),
     "estimate-quantile-rejects-g": (
         ["estimate", *BERN, "--method", "quantile", "--g", "x",
          "--eps", "0.25", "--seed", "1"],
