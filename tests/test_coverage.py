@@ -56,12 +56,27 @@ def _unique_bincount_profile(pair):
     return uniq, nu, mu
 
 
+def _reference_tables(thresholds, nu, mu):
+    """The profile's suffix and prefix tables, written out as
+    concatenations of cumulative sums."""
+    return (
+        np.concatenate([np.cumsum(nu[::-1])[::-1], [0.0]]),
+        np.concatenate([np.cumsum(mu[::-1])[::-1], [0.0]]),
+        np.concatenate([[0.0], np.cumsum(nu * thresholds)]),
+    )
+
+
 def _assert_same_profile_arrays(pair):
+    """from_pair's arrays and tables equal the references bit for bit,
+    signed zeros too, and none of them can be written."""
     prof = CoverageProfile.from_pair(pair)
-    got = (prof.thresholds, prof.nu_masses, prof.mu_masses)
-    for a, b in zip(got, _unique_bincount_profile(pair)):
+    arrays = (prof.thresholds, prof.nu_masses, prof.mu_masses)
+    tables = (prof._nu_suffix, prof._mu_suffix, prof._nu_r_prefix)
+    expected = _unique_bincount_profile(pair)
+    for a, b in zip(arrays + tables, expected + _reference_tables(*expected)):
         assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()  # bit for bit, signed zeros too
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
 
 
 # few distinct values, so ratios tie often; zeros give zero-mass and
@@ -82,6 +97,76 @@ def test_from_pair_matches_unique_and_bincount(weights):
 @pytest.mark.parametrize("support,seed", [(1, 0), (4096, 1), (4096, 2)])
 def test_from_pair_matches_unique_and_bincount_on_random_pairs(support, seed):
     _assert_same_profile_arrays(make_random_pair(support, seed))
+
+
+def _tied_pair(support, seed):
+    """Small integer weights, so thousands of atoms share a few dozen
+    ratio levels."""
+    gen = np.random.default_rng(seed)
+    mu = gen.integers(1, 5, support).astype(float)
+    nu = gen.integers(0, 5, support).astype(float)
+    return make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.0)
+
+
+def _with_zero_mass_atoms(support, seed, singular):
+    """Interior atoms without proposal mass; with ``singular`` some of
+    them carry target mass."""
+    gen = np.random.default_rng(seed)
+    mu = gen.random(support) + 0.05
+    nu = gen.random(support) + 0.05
+    null = gen.random(support) < 0.25
+    null[[0, -1]] = False
+    mu[null] = 0.0
+    if not singular:
+        nu[null] = 0.0
+    return make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.0)
+
+
+def _negative_zero_targets(support, seed):
+    """Target weights of -0.0 on a third of the atoms, so their ratios
+    are -0.0 next to the 0.0 of others, and the 0.0 level mixes both."""
+    gen = np.random.default_rng(seed)
+    mu = gen.random(support) + 0.05
+    nu = gen.random(support) + 0.05
+    zeros = gen.random(support) < 0.5
+    nu[zeros] = np.where(gen.random(zeros.sum()) < 0.67, -0.0, 0.0)
+    return make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.0)
+
+
+def _near_tied_pair(support):
+    """Ratios a few ulps apart and decreasing along the atoms, so most of
+    them agree everywhere but in their low bit_length(support - 1) bits,
+    the bits an atom index would take in a packed sort key."""
+    mu = np.full(support, 1.0 / support)
+    nu = (1.0 + np.arange(support)[::-1] * 2.0**-52) / support
+    pair = make_finite_pair(mu, nu, 1.0)
+    ratios = pair.ratio_cache
+    high = ratios.view(np.uint64) >> np.uint64((support - 1).bit_length())
+    assert high[0] == high[1] and ratios[0] > ratios[1]
+    return pair
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        _tied_pair(4096, 3),
+        _tied_pair(5000, 4),
+        _with_zero_mass_atoms(3000, 5, singular=False),
+        _with_zero_mass_atoms(3000, 6, singular=True),
+        _negative_zero_targets(600, 7),
+        _negative_zero_targets(2, 8),
+        _near_tied_pair(16),
+        _near_tied_pair(1000),
+        make_pointmass_pair(0.3),
+        make_finite_pair([0.5, 0.5, 0.0], [-0.0, 0.0, 1.0], 1.0),
+        make_finite_pair([0.5, 0.5, 0.0], [0.0, -0.0, 1.0], 1.0),
+    ],
+    ids=["tied-4096", "tied-5000", "zero-mass", "singular", "negative-zero",
+         "negative-zero-2", "near-tied-16", "near-tied-1000", "pointmass",
+         "all-zero-ratios", "all-zero-ratios-swapped"],
+)
+def test_from_pair_is_exact_on_tied_and_degenerate_pairs(pair):
+    _assert_same_profile_arrays(pair)
 
 
 def test_coverage_step_values(bern_profile):

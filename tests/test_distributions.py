@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +96,41 @@ def test_make_finite_rejects_unnormalized():
         make_finite_pair([0.5, 0.4], [0.5, 0.5], 1.0)
 
 
+@pytest.mark.parametrize("label", ["mu", "nu"])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([0.5, math.nan, 0.5], "contains non-finite entries"),
+        ([0.5, math.inf, 0.5], "contains non-finite entries"),
+        ([0.5, -math.inf, 1.5], "contains non-finite entries"),
+        ([0.5, -0.5, 1.0], "contains negative entries"),
+        ([math.nan, -0.5, 1.5], "contains non-finite entries"),
+        ([1e308, 1e308, 0.0], "sums to inf; must be within 1e-09 of 1"),
+    ],
+    ids=["nan", "inf", "minus-inf", "negative", "nan-and-negative", "sum-overflows"],
+)
+def test_make_finite_keeps_its_weight_messages(label, bad, message):
+    good = [0.25, 0.25, 0.5]
+    mu, nu = (bad, good) if label == "mu" else (good, bad)
+    # numpy warns when the sum overflows; the message is what is pinned
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=f"^{label}_weights {re.escape(message)}$"
+    ):
+        make_finite_pair(mu, nu, 1.0)
+
+
+def test_make_finite_never_touches_the_callers_arrays():
+    # the first sums to 1 + 2^-52, within tolerance, so it is renormalized
+    mu = np.array([0.25, 0.25, 0.5 + 2.0**-52])
+    nu = np.array([0.5, 0.25, 0.25])
+    before = mu.tobytes(), nu.tobytes()
+    pair = make_finite_pair(mu, nu, 1.0)
+    assert (mu.tobytes(), nu.tobytes()) == before
+    assert mu.flags.writeable and nu.flags.writeable
+    assert not np.shares_memory(mu, pair.mu_weights)
+    assert not np.shares_memory(nu, pair.nu_weights)
+
+
 def test_make_finite_rejects_bad_weights():
     with pytest.raises(ValueError):
         make_finite_pair([0.5, -0.5, 1.0], [0.5, 0.5, 0.0], 1.0)
@@ -180,6 +217,19 @@ def test_random_pair_reproducible():
     assert a.support_size == 17
     assert a.absolutely_continuous
     assert make_random_pair(17, 4243).nu_weights[0] != a.nu_weights[0]
+
+
+# SHA-256 of make_random_pair(2**18, 20260818)'s mu_weights, nu_weights
+# and ratio_cache bytes, in that order
+WIDE_RANDOM_PAIR_SHA256 = "c95374b4bba63f36d2e3fd9709c4e0fc710fcbbd89c9695092d1f3703661deb4"
+
+
+def test_wide_random_pair_bytes_are_pinned():
+    pair = make_random_pair(2**18, 20260818)
+    digest = hashlib.sha256()
+    for arr in (pair.mu_weights, pair.nu_weights, pair.ratio_cache):
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == WIDE_RANDOM_PAIR_SHA256
 
 
 def test_random_pair_rejects_non_integer_support_or_seed():
