@@ -96,9 +96,8 @@ def _open_out(path):
 
 
 def _cmd_coverage(args) -> int:
-    pair = _load_pair_argument(args)
-    profile = CoverageProfile.from_pair(pair)
     grid = _parse_grid(args.grid)
+    profile = CoverageProfile.from_pair(_load_pair_argument(args))
     out, owned = _open_out(args.out)
     try:
         writer = csv.writer(out)

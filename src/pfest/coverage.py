@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DistributionPair
+from .distributions import DistributionPair, _freeze
 from .divergences import FGenerator, gamma_f
 from .errors import SingularPairError
 
@@ -31,6 +32,11 @@ class CoverageProfile:
     Target mass on proposal-null atoms is carried separately in
     ``singular_mass``: its ratio is infinite, so it counts toward the
     coverage at every finite level.
+
+    The suffix and prefix tables the queries read (``_nu_suffix``,
+    ``_mu_suffix``, ``_nu_r_prefix``) are built on first use, so a plan
+    pays only for the tables it reads. They are read-only and not
+    fields, so ``==`` and ``repr`` ignore them.
     """
 
     thresholds: np.ndarray
@@ -38,9 +44,6 @@ class CoverageProfile:
     mu_masses: np.ndarray
     singular_mass: float
     source: str = ""
-    _nu_suffix: np.ndarray = field(init=False, repr=False, compare=False)
-    _mu_suffix: np.ndarray = field(init=False, repr=False, compare=False)
-    _nu_r_prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.thresholds, dtype=np.float64)
@@ -48,24 +51,35 @@ class CoverageProfile:
         mu = np.asarray(self.mu_masses, dtype=np.float64)
         if not (t.ndim == 1 and t.shape == nu.shape == mu.shape and t.size > 0):
             raise ValueError("profile arrays must be 1-d and equally sized")
-        if np.any(np.diff(t) <= 0):
+        if not (t[1:] > t[:-1]).all():
             raise ValueError("thresholds must be strictly increasing")
         for arr in (t, nu, mu):
             arr.setflags(write=False)
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "nu_masses", nu)
         object.__setattr__(self, "mu_masses", mu)
-        # Suffix sums with a trailing 0 so index k means "strictly above
-        # the last threshold"; prefix of nu*r supports integrated
-        # coverage in one gather.
-        nu_suffix = np.concatenate([np.cumsum(nu[::-1])[::-1], [0.0]])
-        mu_suffix = np.concatenate([np.cumsum(mu[::-1])[::-1], [0.0]])
-        nu_r_prefix = np.concatenate([[0.0], np.cumsum(nu * t)])
-        for arr in (nu_suffix, mu_suffix, nu_r_prefix):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_nu_suffix", nu_suffix)
-        object.__setattr__(self, "_mu_suffix", mu_suffix)
-        object.__setattr__(self, "_nu_r_prefix", nu_r_prefix)
+
+    @cached_property
+    def _nu_suffix(self) -> np.ndarray:
+        """Target mass on levels k and above, for k in 0..n: entry n is
+        0, the mass strictly above the last threshold."""
+        return _suffix_sums(self.nu_masses)
+
+    @cached_property
+    def _mu_suffix(self) -> np.ndarray:
+        """Proposal mass on levels k and above, for k in 0..n."""
+        return _suffix_sums(self.mu_masses)
+
+    @cached_property
+    def _nu_r_prefix(self) -> np.ndarray:
+        """Sum of nu_mass * ratio over the first k levels, for k in
+        0..n, so integrated coverage takes one gather."""
+        out = np.empty(self.thresholds.size + 1)
+        out[0] = 0.0
+        body = out[1:]
+        np.multiply(self.nu_masses, self.thresholds, out=body)
+        np.cumsum(body, out=body)
+        return _freeze(out)
 
     @classmethod
     def from_pair(cls, pair: DistributionPair) -> "CoverageProfile":
@@ -130,22 +144,31 @@ class CoverageProfile:
         return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
 
 
+def _suffix_sums(w: np.ndarray) -> np.ndarray:
+    """``concatenate([cumsum(w[::-1])[::-1], [0.0]])``, bit for bit,
+    summed straight into its buffer through a reversed view."""
+    out = np.empty(w.size + 1)
+    out[-1] = 0.0
+    np.cumsum(w[::-1], out=out[-2::-1])
+    return _freeze(out)
+
+
 def _ratio_levels(pair: DistributionPair):
     """Distinct finite ratio levels of the atoms with proposal mass, in
     increasing order, with the target and proposal mass at each.
 
-    One argsort of the ratios: when the levels are distinct the masses
-    are the weights in sorted order, else they are summed per level in
-    atom order. Either way they equal ``np.unique(return_inverse=True)``
-    followed by ``np.bincount``, bit for bit. The sort's temporaries die
-    on return, before the profile builds its own tables.
+    The masses equal ``np.unique(return_inverse=True)`` followed by
+    ``np.bincount``, bit for bit, for any permutation that sorts the
+    ratios: when the levels are distinct there is only one, and the
+    masses are the weights in its order; when levels tie, the masses
+    are summed per level in atom order, which no permutation changes.
+    ``_sort_order`` finds one with a packed-key sort.
     """
     ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
-    pos = mu > 0
-    if not pos.all():
+    if mu.min() <= 0:
+        pos = mu > 0
         ratios, nu, mu = ratios[pos], nu[pos], mu[pos]
-    perm = ratios.argsort()
-    levels = ratios[perm]
+    perm, levels = _sort_order(ratios)
     distinct = levels[1:] != levels[:-1]
     if distinct.all():
         nu = nu[perm]
@@ -160,6 +183,34 @@ def _ratio_levels(pair: DistributionPair):
         np.bincount(inverse, weights=nu, minlength=thresholds.size),
         np.bincount(inverse, weights=mu, minlength=thresholds.size),
     )
+
+
+def _sort_order(ratios: np.ndarray):
+    """A permutation that sorts ``ratios`` (finite, none below 0), and
+    the ratios in its order.
+
+    Read as uint64, the bit patterns of floats >= 0 order as the floats
+    do. Each key is a ratio's pattern with its low bit_length(S - 1)
+    bits replaced by the atom's index, so a plain sort of the keys
+    (SIMD, several times faster than argsort) orders the atoms by
+    ratio, and the index is then masked back out. The gathered ratios
+    are out of order only where two ratios differ in the replaced bits
+    alone. A -0.0 ratio has its sign bit set and sorts last, behind the
+    0.0 ratios it ties with, whose level takes its first ratio's sign.
+    In either case the permutation comes from argsort, as in np.unique.
+    """
+    low = np.uint64((1 << (ratios.size - 1).bit_length()) - 1)
+    keys = ratios.view(np.uint64) & ~low
+    keys |= np.arange(ratios.size, dtype=np.uint64)
+    keys.sort()
+    negative = keys[-1] >> np.uint64(63)
+    keys &= low
+    perm = keys.view(np.int64)
+    levels = ratios[perm]
+    if negative or not (levels[1:] >= levels[:-1]).all():
+        perm = ratios.argsort()
+        levels = ratios[perm]
+    return perm, levels
 
 
 def _as_profile(pair_or_profile) -> CoverageProfile:

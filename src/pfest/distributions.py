@@ -69,19 +69,26 @@ def ordered_dot(a: np.ndarray, b: np.ndarray):
 
 
 def _as_weight_array(w, label: str) -> np.ndarray:
-    arr = np.asarray(w, dtype=np.float64)
+    """A normalized copy of the weights ``w``, which it never writes to.
+
+    A minimum of at least 0 and a finite sum rule out a nan, an inf and
+    a negative entry at once; only weights failing that are scanned to
+    say which."""
+    arr = np.array(w, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{label} must be a non-empty 1-d weight vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{label} contains non-finite entries")
-    if np.any(arr < 0):
-        raise ValueError(f"{label} contains negative entries")
     total = float(arr.sum())
+    if not (arr.min() >= 0 and math.isfinite(total)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{label} contains non-finite entries")
+        if np.any(arr < 0):
+            raise ValueError(f"{label} contains negative entries")
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(
             f"{label} sums to {total!r}; must be within {WEIGHT_SUM_TOL} of 1"
         )
-    return arr / total
+    arr /= total
+    return arr
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -184,17 +191,19 @@ class DistributionPair:
         if not (math.isfinite(z) and z > 0):
             raise ValueError(f"z_true must be positive and finite, got {z!r}")
 
-        pos = mu > 0
-        if pos.all():
+        if mu.min() > 0:
             ratio = nu / mu
             singular = 0.0
             mean = ordered_dot(mu, ratio)
+            last_drawable = mu.size - 1
         else:
+            pos = mu > 0
             ratio = np.zeros_like(mu)
             np.divide(nu, mu, out=ratio, where=pos)
             singular = float(nu[~pos].sum())
             ratio[~pos & (nu > 0)] = np.inf
             mean = ordered_dot(mu[pos], ratio[pos])
+            last_drawable = int(mu.size - 1 - np.argmax(pos[::-1]))
         if abs(mean + singular - 1.0) > RATIO_MEAN_TOL:
             raise ValueError(
                 "inconsistent pair: E_mu[ratio] + singular_mass = "
@@ -206,9 +215,7 @@ class DistributionPair:
         object.__setattr__(self, "z_true", z)
         object.__setattr__(self, "ratio_cache", _freeze(ratio))
         object.__setattr__(self, "singular_mass", singular)
-        object.__setattr__(
-            self, "last_drawable_atom", int(mu.size - 1 - np.argmax(pos[::-1]))
-        )
+        object.__setattr__(self, "last_drawable_atom", last_drawable)
 
     @property
     def support_size(self) -> int:
@@ -349,7 +356,7 @@ def make_weighted_pair(pair: DistributionPair, g) -> DistributionPair:
     if nu_g <= 0:
         raise ValueError("E_nu[g] = 0; weighted target is undefined")
     return DistributionPair(
-        mu_weights=pair.mu_weights.copy(),
+        mu_weights=pair.mu_weights,
         nu_weights=pair.nu_weights * g / nu_g,
         z_true=pair.z_true * nu_g,
         name=f"{pair.name}|weighted" if pair.name else "weighted",
@@ -370,14 +377,12 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     if support_size < 1:
         raise ValueError(f"support_size must be >= 1, got {support_size}")
     gen = make_generator(seed)
-    mu_raw = gen.random(support_size) + 0.05
-    nu_raw = gen.random(support_size) + 0.05
-    return make_finite_pair(
-        mu_raw / mu_raw.sum(),
-        nu_raw / nu_raw.sum(),
-        z,
-        name=f"random[{support_size},{seed}]",
-    )
+    mu = gen.random(support_size)
+    nu = gen.random(support_size)
+    for raw in (mu, nu):
+        raw += 0.05
+        raw /= raw.sum()
+    return make_finite_pair(mu, nu, z, name=f"random[{support_size},{seed}]")
 
 
 def draw_atoms(pair: DistributionPair, u: np.ndarray) -> np.ndarray:

@@ -74,6 +74,21 @@ def test_bad_input_exits_one_with_message(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:3", "1:2", "2:1:3"])
+def test_coverage_checks_the_grid_before_building_the_profile(capsys, monkeypatch, grid):
+    def no_profile(pair):
+        raise AssertionError("profile built before the grid was checked")
+
+    monkeypatch.setattr(CoverageProfile, "from_pair", no_profile)
+    code, out, err = _run(
+        capsys,
+        ["coverage", "--family", "random_finite", "--params", "support=4096,seed=1",
+         "--grid", grid],
+    )
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("pfest: error: ") and "grid" in err
+
+
 def test_mean_estimate_sums_left_to_right(capsys):
     # these three estimates round differently under math.fsum, as sum()
     # adds floats from Python 3.12 on

@@ -169,6 +169,17 @@ def test_from_pair_is_exact_on_tied_and_degenerate_pairs(pair):
     _assert_same_profile_arrays(pair)
 
 
+@pytest.mark.parametrize(
+    "thresholds", [[1.0, 1.0], [2.0, 1.0], [1.0, math.nan], [math.inf, math.inf]]
+)
+def test_profile_rejects_levels_not_strictly_increasing(thresholds):
+    with pytest.raises(ValueError, match="thresholds must be strictly increasing"):
+        CoverageProfile(
+            thresholds=thresholds, nu_masses=[0.5, 0.5], mu_masses=[0.5, 0.5],
+            singular_mass=0.0,
+        )
+
+
 def test_coverage_step_values(bern_profile):
     """Coverage counts target mass at or above the level, so it is
     left-continuous with jumps exactly at the ratio atoms."""
