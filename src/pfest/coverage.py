@@ -13,15 +13,25 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .distributions import DistributionPair, _freeze
 from .divergences import FGenerator, gamma_f
-from .errors import SingularPairError
+from .errors import InfeasiblePlanError, SingularPairError
+
+# Every planner, the race sampler's included, sizes n with _plan_size.
+# Below 2^53 the float budget is exact enough to round up directly;
+# above it n is an integer built from ln n. Past ln n = LOG_N_MAX (n
+# beyond 10^4000, which also passes the 4300 digits Python writes out by
+# default) no sample of that size can be drawn, and the plan is reported
+# infeasible.
+FLOAT_EXACT_INT_MAX = 2**53
+LOG_N_MAX = 4000 * math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -43,7 +53,6 @@ class CoverageProfile:
     nu_masses: np.ndarray
     mu_masses: np.ndarray
     singular_mass: float
-    source: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.thresholds, dtype=np.float64)
@@ -89,7 +98,6 @@ class CoverageProfile:
             nu_masses=nu,
             mu_masses=mu,
             singular_mass=pair.singular_mass,
-            source=pair.name,
         )
 
     @property
@@ -290,9 +298,54 @@ def min_coverage_threshold(profile: CoverageProfile, target: float) -> float:
         raise SingularPairError(
             f"coverage never falls below singular mass {profile.singular_mass!r}"
         )
-    above = profile._nu_suffix[1:] + profile.singular_mass
-    idx = int(np.argmax(above <= target))
-    return float(profile.thresholds[idx])
+    # _nu_suffix sums nonnegative masses, so it is non-increasing in
+    # floats. Reversed, a binary search counts the levels from the top
+    # whose mass strictly above, plus the singular mass, meets the
+    # target; the last level's always does.
+    met = bisect.bisect_right(
+        profile._nu_suffix[::-1], target,
+        key=partial(operator.add, profile.singular_mass),
+    )
+    return float(profile.thresholds[max(profile.thresholds.size - met, 0)])
+
+
+def _plan_size(
+    constant: float, m: float, log_term: float, eps: float, power: int,
+    log_m: Optional[float] = None,
+) -> int:
+    """Sample size for the budget x = constant * m * log_term / eps^power,
+    evaluated left to right: max(ceil(x), 1) while x is below 2^53, else
+    an exact int built from ln x = ln constant + ln m + ln log_term -
+    power * ln eps. ``log_m`` stands in for ln m where m has passed the
+    float range (m, and with it x, then reads inf).
+
+    The log route never returns less than 2^53, so n stays monotone in
+    the budget across the switch. Infeasible when ln m is inf or n would
+    pass 10^4000."""
+    x = constant * m * log_term / eps**power
+    if x < FLOAT_EXACT_INT_MAX:
+        return max(math.ceil(x), 1)
+    if log_m is None:
+        log_m = math.log(m)
+    log_x = math.log(constant) + log_m + math.log(log_term) - power * math.log(eps)
+    return max(_ceil_exp(log_x), FLOAT_EXACT_INT_MAX)
+
+
+def _ceil_exp(log_x: float) -> int:
+    """ceil(e^log_x) as a Python int, for budgets past float exactness:
+    a 53-bit mantissa rounded up, shifted left by the binary exponent."""
+    if log_x == math.inf:
+        raise InfeasiblePlanError(
+            "the truncation level passes the float range; no finite sample "
+            "size meets this plan"
+        )
+    if log_x > LOG_N_MAX:
+        raise InfeasiblePlanError(
+            f"the plan needs about 10^{log_x / math.log(10.0):.6g} draws, "
+            "more than 10^4000; no sample of that size can be drawn"
+        )
+    shift = math.floor(log_x / math.log(2.0)) - 52
+    return math.ceil(math.exp(log_x - shift * math.log(2.0))) << shift
 
 
 class MuTailBound(NamedTuple):

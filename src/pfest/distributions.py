@@ -454,6 +454,8 @@ def sample_counts(
     m, k = int(m), int(k)
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 draws in k >= 1 histograms, got m={m}, k={k}")
+    if m >= 2**63:  # numpy's multinomial counts are int64
+        raise ValueError(f"m={m} draws per histogram pass the 64-bit count range")
     if gen is None:
         gen = make_generator(seed)
     drawable = pair.last_drawable_atom + 1

@@ -17,7 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coverage import CoverageProfile, min_coverage_threshold, solve_M_eps
+from .coverage import FLOAT_EXACT_INT_MAX, LOG_N_MAX  # bounds on n, read here too
+from .coverage import CoverageProfile, _plan_size, min_coverage_threshold, solve_M_eps
 from .distributions import (
     DistributionPair,
     SampleBatch,
@@ -50,13 +51,6 @@ QUANTILE_GAMMA_MULT = 4.0
 # integrated coverage below eps * delta / IS_TARGET_DIVISOR at M.
 IS_PLAN_CONSTANT = 6.0
 IS_TARGET_DIVISOR = 6.0
-# Every planner but the race sampler's sizes n this way. Below 2^53 the
-# float budget is exact enough to round up directly; above it n is an
-# integer built from ln n. Past ln n = LOG_N_MAX (n beyond 10^4000,
-# which also passes the 4300 digits Python writes out by default) no
-# sample of that size can be drawn, and the plan is reported infeasible.
-FLOAT_EXACT_INT_MAX = 2**53
-LOG_N_MAX = 4000 * math.log(10.0)
 
 # Success checks against (1 +/- eps) intervals treat the exact boundary
 # as failure: hard two-atom instances place estimates exactly on it,
@@ -267,15 +261,8 @@ def plan_n_coverage(profile: CoverageProfile, eps: float, delta: float) -> PlanR
     M with IC_M <= (eps/4) * M, then n = ceil(8 M ln(1/delta) / eps)."""
     _check_eps_delta(eps, delta)
     m = solve_M_eps(profile, eps / ICOV_SLACK)
-    log_term = math.log(1.0 / delta)
-    n = _plan_size(
-        COVERAGE_PLAN_CONSTANT * m * log_term / eps,
-        lambda: math.log(COVERAGE_PLAN_CONSTANT * log_term)
-        + math.log(m)
-        - math.log(eps),
-    )
     return PlanResult(
-        n=n,
+        n=_plan_size(COVERAGE_PLAN_CONSTANT, m, math.log(1.0 / delta), eps, 1),
         m=m,
         source=PlanSource.COVERAGE,
         constants={
@@ -285,81 +272,51 @@ def plan_n_coverage(profile: CoverageProfile, eps: float, delta: float) -> PlanR
     )
 
 
-def _ceil_exp(log_x: float) -> int:
-    """ceil(e^log_x) as a Python int, for budgets past float exactness:
-    a 53-bit mantissa rounded up, shifted left by the binary exponent."""
-    if log_x == math.inf:
-        raise InfeasiblePlanError(
-            "the truncation level passes the float range; no finite sample "
-            "size meets this plan"
-        )
-    if log_x > LOG_N_MAX:
-        raise InfeasiblePlanError(
-            f"the plan needs about 10^{log_x / math.log(10.0):.6g} draws, "
-            "more than 10^4000; no sample of that size can be drawn"
-        )
-    shift = math.floor(log_x / math.log(2.0)) - 52
-    return math.ceil(math.exp(log_x - shift * math.log(2.0))) << shift
-
-
-def _plan_size(x: float, log_x: Callable[[], float]) -> int:
-    """n = ceil(x) from the float budget x while it is below 2^53, else
-    from ln x; x may be inf once the budget passes the float range.
-
-    ``log_x`` is only called on the log route, where every logarithm it
-    takes is of a positive number. That route never returns less than
-    2^53, so n stays monotone in the budget across the switch."""
-    if x < FLOAT_EXACT_INT_MAX:
-        return max(math.ceil(x), 1)
-    return max(_ceil_exp(log_x()), FLOAT_EXACT_INT_MAX)
-
-
-def plan_n_fdiv(
-    f: FGenerator,
-    divergence: float,
-    eps: float,
-    delta: float,
-    c: Optional[float] = None,
-) -> PlanResult:
-    """Median-of-means budget from a divergence value alone.
-
-    n = ceil(8 * max(gamma_f(6 D / eps) ln(1/delta) / eps,
-                     c^2 ln(1/delta) / eps^2)),
-    computed in log space: ``n`` is an exact Python int even past the
-    float range, where ``m`` (the growth inverse as a float) reads inf.
-    Infeasible when the growth inverse is infinite at the required
-    argument, which is the hallmark of linear-regime generators, or when
-    n would exceed 10^4000.
-    """
-    _check_eps_delta(eps, delta)
+def _growth_level(
+    f: FGenerator, divergence: float, mult: float, eps: float
+) -> tuple[float, float]:
+    """The divergence routes' level gamma_f(mult * D / eps), as a float
+    (inf once it passes the float range) and as its logarithm.
+    Infeasible when D is infinite, or when the growth inverse is
+    infinite at that argument, the hallmark of linear-regime
+    generators."""
     if divergence < 0 or math.isnan(divergence):
         raise ValueError("divergence must be nonnegative")
     if math.isinf(divergence):
         raise InfeasiblePlanError(
             f"{f.name}: infinite divergence (singular target mass?)"
         )
-    c = f.c_threshold if c is None else float(c)
-    argument = FDIV_GAMMA_MULT * divergence / eps
+    argument = mult * divergence / eps
     log_m = log_gamma_f(f, argument)
     if math.isinf(log_m):
         raise InfeasiblePlanError(
             f"{f.name}: growth inverse is infinite at {argument:g}; the "
             "generator grows too slowly for this accuracy (linear regime)"
         )
-    m = exp_or_inf(log_m)
+    return exp_or_inf(log_m), log_m
+
+
+def plan_n_fdiv(
+    f: FGenerator, divergence: float, eps: float, delta: float
+) -> PlanResult:
+    """Median-of-means budget from a divergence value alone.
+
+    n = ceil(8 * max(gamma_f(6 D / eps) ln(1/delta) / eps,
+                     c^2 ln(1/delta) / eps^2)),
+    with c the generator's ``c_threshold``. ``n`` is an exact Python int
+    even past the float range, where ``m`` (the growth inverse as a
+    float) reads inf. Infeasible when the growth inverse is infinite at
+    the required argument, or when n would exceed 10^4000.
+    """
+    _check_eps_delta(eps, delta)
+    m, log_m = _growth_level(f, divergence, FDIV_GAMMA_MULT, eps)
+    c = f.c_threshold
     log_term = math.log(1.0 / delta)
-
-    def log_x() -> float:
-        log_c_term = 2.0 * (math.log(abs(c)) - math.log(eps)) if c else -math.inf
-        return (
-            math.log(FDIV_PLAN_CONSTANT)
-            + math.log(log_term)
-            + max(log_m - math.log(eps), log_c_term)
-        )
-
-    n = _plan_size(
-        FDIV_PLAN_CONSTANT * max(m * log_term / eps, c * c * log_term / eps**2),
-        log_x,
+    n = max(
+        _plan_size(FDIV_PLAN_CONSTANT, m, log_term, eps, 1, log_m),
+        # c^2 passes the float range before c does
+        _plan_size(FDIV_PLAN_CONSTANT, c * c, log_term, eps, 2,
+                   2.0 * math.log(abs(c)) if c else None),
     )
     return PlanResult(
         n=n,
@@ -380,44 +337,28 @@ def plan_n_quantile(
     profile: Optional[CoverageProfile] = None,
     f: Optional[FGenerator] = None,
     divergence: Optional[float] = None,
-    gamma_mult: float = QUANTILE_GAMMA_MULT,
 ) -> PlanResult:
     """Quantile-estimator budget: n = ceil(18 M ln(2/delta) / eps).
 
     M comes either from the profile (infimum level with coverage at
-    most eps/4) or from the divergence route gamma_f(gamma_mult*D/eps);
-    the multiplier is exposed because published variants differ (4 in
-    the tight analysis, 6 in a looser one). The divergence route works
-    in log space like ``plan_n_fdiv``.
+    most eps/4) or from the divergence route gamma_f(4 D / eps), which
+    is infeasible where ``plan_n_fdiv``'s is.
     """
     _check_eps_delta(eps, delta)
     if (profile is None) == (f is None):
         raise ValueError("supply exactly one of profile or (f, divergence)")
     if profile is not None:
         m = max(min_coverage_threshold(profile, eps / QUANTILE_COV_SLACK), 1.0)
-        log_m = math.log(m)
+        log_m = None
         route = {"cov_slack": QUANTILE_COV_SLACK}
     else:
         if divergence is None:
             raise ValueError("divergence value required with a generator")
-        argument = gamma_mult * divergence / eps
-        log_m = log_gamma_f(f, argument)
-        if math.isinf(log_m):
-            raise InfeasiblePlanError(
-                f"{f.name}: growth inverse infinite at {argument:g}"
-            )
-        m = max(exp_or_inf(log_m), 1.0)
-        route = {"gamma_mult": gamma_mult}
-    log_term = math.log(2.0 / delta)
-    n = _plan_size(
-        QUANTILE_PLAN_CONSTANT * m * log_term / eps,
-        lambda: math.log(QUANTILE_PLAN_CONSTANT)
-        + max(log_m, 0.0)
-        + math.log(log_term)
-        - math.log(eps),
-    )
+        m, log_m = _growth_level(f, divergence, QUANTILE_GAMMA_MULT, eps)
+        m = max(m, 1.0)
+        route = {"gamma_mult": QUANTILE_GAMMA_MULT}
     return PlanResult(
-        n=n,
+        n=_plan_size(QUANTILE_PLAN_CONSTANT, m, math.log(2.0 / delta), eps, 1, log_m),
         m=m,
         source=PlanSource.QUANTILE,
         constants={"plan_constant": QUANTILE_PLAN_CONSTANT, **route},
@@ -452,12 +393,8 @@ def _plan_n_importance(profiles, eps, delta, source) -> PlanResult:
     _check_eps_delta(eps, delta)
     target = eps * delta / IS_TARGET_DIVISOR
     m = max(solve_M_eps(profile, target) for profile in profiles)
-    n = _plan_size(
-        IS_PLAN_CONSTANT * m / eps,
-        lambda: math.log(IS_PLAN_CONSTANT) + math.log(m) - math.log(eps),
-    )
     return PlanResult(
-        n=n,
+        n=_plan_size(IS_PLAN_CONSTANT, m, 1.0, eps, 1),
         m=m,
         source=source,
         constants={

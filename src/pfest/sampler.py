@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageProfile, min_coverage_threshold
+from .coverage import CoverageProfile, _plan_size, min_coverage_threshold
 from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
 from .rng import standard_exponential, substreams
@@ -32,7 +32,6 @@ class RaceState:
     """Full trace of one race, kept for inspection and tests."""
 
     atoms: np.ndarray
-    arrivals: np.ndarray
     scores: np.ndarray
     best_index: int
     best_score: float
@@ -67,45 +66,45 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
         raise ValueError(f"n must be >= 1, got {n}")
     # item 0 of a 64-bit seed: the stream keyed by the seed itself
     _, gen = next(substreams(seed, 1))
-    atoms = draw_atoms(pair, gen.random(n))
-    arrivals = np.cumsum(standard_exponential(gen, n))
-    scores = _scores(arrivals, pair.lambda_at(atoms))
+    atoms, scores = _race_block(pair, gen, 1, n)
+    atoms, scores = atoms[0], scores[0]
     best = int(np.argmin(scores))
     if math.isinf(scores[best]):
         raise AllNullDrawsError(
             f"all {n} draws landed on zero-density atoms; the race has no winner"
         )
     state = RaceState(
-        atoms=atoms,
-        arrivals=arrivals,
-        scores=scores,
-        best_index=best,
-        best_score=float(scores[best]),
+        atoms=atoms, scores=scores, best_index=best, best_score=float(scores[best])
     )
     return int(atoms[best]), state
 
 
 def _race_block(
     pair: DistributionPair, gen: np.random.Generator, rows: int, n: int
-) -> tuple[np.ndarray, int]:
-    """Winning atoms of the ``rows`` races of length n drawn from
-    ``gen``, with their null races left out, and the number of null
-    races. The arrivals are summed and divided in place; the block's
-    arrays are freed when it returns, before the next block draws."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and scores, shape (rows, n), of the ``rows`` races of
+    length n drawn from ``gen``. The arrivals are summed and divided in
+    place, so the scores take their buffer."""
     atoms = draw_atoms(pair, gen.random((rows, n)))
     scores = standard_exponential(gen, (rows, n))
     np.cumsum(scores, axis=1, out=scores)
-    # a block holds about 2^20 draws, mostly more than there are
-    # atoms, so a lookup in the per-pair table is the cheaper gather
+    # a block mostly holds more draws than there are atoms, so a lookup
+    # in the cached per-pair table is the cheaper gather
     lam = pair.lambda_values[atoms]
     if lam.min() > 0:
         np.divide(scores, lam, out=scores)
     else:
         scores = _scores(scores, lam)
-    race = np.arange(rows)
+    return atoms, scores
+
+
+def _winners(atoms: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, int]:
+    """Winning atoms of a block's races, with their null races left
+    out, and the number of null races."""
+    race = np.arange(len(scores))
     best = np.argmin(scores, axis=1)
     alive = np.isfinite(scores[race, best])
-    return atoms[race, best][alive], rows - int(alive.sum())
+    return atoms[race, best][alive], len(scores) - int(alive.sum())
 
 
 def run_races(
@@ -125,7 +124,9 @@ def run_races(
     null_races = 0
     starts = range(0, trials, block)
     for start, (_, gen) in zip(starts, substreams(master_seed, len(starts))):
-        winners, nulls = _race_block(pair, gen, min(block, trials - start), n)
+        rows = min(block, trials - start)
+        # the block's arrays are freed here, before the next block draws
+        winners, nulls = _winners(*_race_block(pair, gen, rows, n))
         null_races += nulls
         counts += np.bincount(winners, minlength=pair.support_size)
     return RaceSummary(
@@ -146,12 +147,13 @@ def empirical_tv(summary: RaceSummary, pair: DistributionPair) -> float:
 
 def plan_n_sampling(m: float, eps: float) -> int:
     """Race length for TV error at most eps given a level M whose
-    coverage is at most eps/3: n = ceil(2 M ln(3/eps))."""
+    coverage is at most eps/3: n = ceil(2 M ln(3/eps)), at least 1, an
+    exact int even where 2 M ln(3/eps) passes the float range."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < eps < 3:
         raise ValueError(f"eps must be in (0, 3), got {eps}")
-    return max(1, math.ceil(SAMPLING_PLAN_CONSTANT * m * math.log(3.0 / eps)))
+    return _plan_size(SAMPLING_PLAN_CONSTANT, m, math.log(3.0 / eps), eps, 0)
 
 
 def sampling_plan(profile: CoverageProfile, eps: float) -> tuple[int, float]:

@@ -62,9 +62,16 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
         # non-finite grid bounds are rejected before the CSV header is written
         ["coverage", *BERN, "--grid", "0:inf:3"],
         ["coverage", *BERN, "--grid", "nan:1:3"],
+        # plans of 2^63 draws or more: the count engine's histograms
+        # cannot hold them
+        ["estimate", "--family", "bernoulli", "--params", "p=1e-300,eps=0.25",
+         "--eps", "0.2", "--method", "quantile", "--seed", "1"],
+        ["estimate", "--family", "bernoulli", "--params", "p=1e-300,eps=0.25",
+         "--eps", "0.2", "--method", "mom", "--seed", "1"],
     ],
     ids=["unknown-method", "malformed-params", "params-without-value",
-         "snis-with-plan", "grid-inf", "grid-nan"],
+         "snis-with-plan", "grid-inf", "grid-nan", "counts-past-int64-quantile",
+         "counts-past-int64-mom"],
 )
 def test_bad_input_exits_one_with_message(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -130,6 +137,34 @@ def test_is_plan_past_float_range_prints_an_integer(capsys):
     assert (code, err) == (EXIT_OK, "")
     n = int(re.search(r" n=(\d+) ", out).group(1))
     assert n > sys.float_info.max
+
+
+@pytest.fixture
+def tiny_mu_pair(tmp_path):
+    """A ratio of 3.6e307: the race's n = 2 M ln(3/eps) passes the float
+    range although M does not."""
+    path = tmp_path / "tiny_mu.json"
+    pfest.save_pair(pfest.make_finite_pair([2.5e-308, 1.0], [0.9, 0.1], 1.0), path)
+    return ["--pair", str(path)]
+
+
+def test_sampling_plan_past_float_range_prints_an_integer(capsys, tiny_mu_pair):
+    code, out, err = _run(
+        capsys, ["plan", *tiny_mu_pair, "--eps", "0.1", "--method", "sampling"]
+    )
+    assert (code, err) == (EXIT_OK, "")
+    n = int(re.search(r" n=(\d+) ", out).group(1))
+    assert n > sys.float_info.max
+
+
+def test_race_past_float_range_exits_one_with_message(capsys, tiny_mu_pair):
+    for extra in ([], ["--trials", "2"]):
+        code, out, err = _run(
+            capsys, ["sample", *tiny_mu_pair, "--eps", "0.1", "--seed", "1", *extra]
+        )
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("pfest: error: ")
+        assert err.count("\n") == 1
 
 
 def test_repeated_in_process_calls_print_the_same(capsys):

@@ -378,6 +378,36 @@ def test_min_coverage_threshold_singular():
         min_coverage_threshold(prof, 0.2)
 
 
+def _argmax_threshold(profile, target):
+    """min_coverage_threshold as it was written before its binary search."""
+    above = profile._nu_suffix[1:] + profile.singular_mass
+    return float(profile.thresholds[int(np.argmax(above <= target))])
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        make_random_pair(4096, 9),
+        make_random_pair(1, 2),
+        _tied_pair(4096, 3),
+        _with_zero_mass_atoms(3000, 6, singular=True),
+        make_pointmass_pair(0.3),
+    ],
+    ids=["random", "one-atom", "tied", "singular", "pointmass"],
+)
+def test_min_coverage_threshold_matches_the_argmax_scan(pair):
+    profile = CoverageProfile.from_pair(pair)
+    # each level's mass strictly above, one ulp either side of it, and a grid
+    above = profile._nu_suffix + profile.singular_mass
+    targets = np.concatenate(
+        [above, np.nextafter(above, 0.0), np.nextafter(above, 1.0), np.linspace(0, 1, 101)]
+    )
+    targets = targets[(targets >= profile.singular_mass) & (targets < 1.0)]
+    assert targets.size > 50
+    for target in targets:
+        assert min_coverage_threshold(profile, target) == _argmax_threshold(profile, target)
+
+
 def test_mu_tail_bound(bern_profile):
     bound, exact = mu_tail_bound(bern_profile, 1.2)
     assert bound == pytest.approx(0.625 / 1.2, rel=1e-14)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfest import (
+    AllNullDrawsError,
     DistributionPair,
     load_pair,
     make_bernoulli_pair,
@@ -316,14 +317,21 @@ def _cumsum_draw(pair, u):
     return np.clip(atoms, 0, pair.last_drawable_atom)
 
 
-def _race_reference(pair, n, rows, gen):
-    """Winner counts and null races of ``rows`` races of length n drawn
-    from ``gen``, written out as the race was before its block helper."""
+def _race_trace_reference(pair, n, rows, gen):
+    """Atoms, arrivals and scores, shape (rows, n), of ``rows`` races of
+    length n drawn from ``gen``, written out as the race was before its
+    block helper."""
     atoms = _cumsum_draw(pair, gen.random((rows, n)))
     arrivals = np.cumsum(-np.log1p(-gen.random((rows, n))), axis=1)
     lam = pair.z_true * pair.ratio_cache[atoms]
     scores = np.full(lam.shape, np.inf)
     np.divide(arrivals, lam, out=scores, where=lam > 0)
+    return atoms, arrivals, scores
+
+
+def _race_reference(pair, n, rows, gen):
+    """Winner counts and null races of those races."""
+    atoms, _, scores = _race_trace_reference(pair, n, rows, gen)
     best = np.argmin(scores, axis=1)
     winners = atoms[np.arange(rows), best]
     alive = np.isfinite(scores[np.arange(rows), best])
@@ -360,6 +368,29 @@ def test_draws_match_the_per_call_cumsum(pair):
     summary = run_races(pair, n, trials, seed)
     np.testing.assert_array_equal(summary.counts, counts)
     assert summary.null_races == nulls
+
+
+@pytest.mark.parametrize(
+    "pair", DRAW_PAIRS + [make_twopoint_mu_pair(0.25)],
+    ids=["bernoulli", "random", "trailing-zero", "twopoint"],
+)
+def test_single_race_trace_matches_the_reference(pair):
+    """astar_sample is one row of the block race, on the stream keyed by
+    the seed itself: its atoms and scores equal the reference's bit for
+    bit, and the arrivals behind them strictly increase."""
+    for n, seed in ((1, 0), (8, 42), (40, 7), (3000, 2**64 - 1)):
+        atoms, arrivals, scores = _race_trace_reference(pair, n, 1, make_generator(seed))
+        assert np.all(np.diff(arrivals[0]) > 0)
+        if np.isinf(scores).all():
+            with pytest.raises(AllNullDrawsError):
+                astar_sample(pair, n, seed)
+            continue
+        atom, state = astar_sample(pair, n, seed)
+        np.testing.assert_array_equal(state.atoms, atoms[0])
+        np.testing.assert_array_equal(state.scores, scores[0])
+        assert state.best_index == np.argmin(scores[0])
+        assert state.best_score == scores[0].min()
+        assert atom == atoms[0, state.best_index]
 
 
 @pytest.mark.parametrize(

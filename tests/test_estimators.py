@@ -30,7 +30,8 @@ from pfest import (
     tv,
     within_multiplicative,
 )
-from pfest.estimators import FLOAT_EXACT_INT_MAX, LOG_N_MAX, group_count
+from pfest.divergences import parse_f_spec
+from pfest.estimators import FLOAT_EXACT_INT_MAX, LOG_N_MAX, group_count, plan_method
 from pfest.rng import derive_seed
 
 LN10 = math.log(10.0)
@@ -170,9 +171,6 @@ def test_plan_fdiv_anchors():
     assert plan.m == pytest.approx(root, rel=1e-8)
     assert plan.n == 295
     assert plan.constants["c_threshold"] == 1.0
-    # explicit c overrides the generator default
-    loose = plan_n_fdiv(chi_squared(), 0.0625, 0.25, 0.1, c=2.0)
-    assert loose.n == math.ceil(8 * 4 * LN10 / 0.25**2)
 
 
 def test_plan_fdiv_infeasible():
@@ -282,14 +280,22 @@ _COVERAGE_IDS = ["coverage", "quantile", "is", "snis"]
 
 
 @st.composite
-def _random_profiles(draw):
-    """Profiles of a random_finite pair and of its reweighting by a
-    nonnegative g table with E_nu[g] > 0."""
+def _random_pairs(draw):
+    """A random_finite pair and a nonnegative g table with E_nu[g] > 0."""
     pair = make_random_pair(draw(st.integers(1, 64)), draw(st.integers(0, 2**32 - 1)))
     g = draw(st.lists(st.floats(0.0, 10.0), min_size=pair.support_size,
                       max_size=pair.support_size).filter(lambda v: max(v) > 0))
-    weighted = make_weighted_pair(pair, g)
-    return CoverageProfile.from_pair(pair), CoverageProfile.from_pair(weighted)
+    return pair, g
+
+
+def _random_profiles():
+    """Profiles of a random pair and of its reweighting by g."""
+    return _random_pairs().map(
+        lambda pg: (
+            CoverageProfile.from_pair(pg[0]),
+            CoverageProfile.from_pair(make_weighted_pair(*pg)),
+        )
+    )
 
 
 @pytest.mark.parametrize("plan_n", _COVERAGE_PLANNERS, ids=_COVERAGE_IDS)
@@ -302,6 +308,42 @@ def test_coverage_plan_n_non_increasing_in_eps(plan_n, profiles, eps, delta):
 @given(profiles=_random_profiles(), eps=st.floats(1e-4, 0.99), delta=_delta_pairs)
 def test_coverage_plan_n_non_increasing_in_delta(plan_n, profiles, eps, delta):
     assert plan_n(*profiles, eps, delta[1]) <= plan_n(*profiles, eps, delta[0])
+
+
+# Each planner's float budget x as documented, from the plan's level m
+# and the generator's c_threshold (fdiv only).
+_FLOAT_BUDGETS = {
+    "coverage": lambda m, c, eps, delta: 8.0 * m * math.log(1.0 / delta) / eps,
+    "quantile": lambda m, c, eps, delta: 18.0 * m * math.log(2.0 / delta) / eps,
+    "is": lambda m, c, eps, delta: 6.0 * m / eps,
+    "snis": lambda m, c, eps, delta: 6.0 * m / eps,
+    "fdiv": lambda m, c, eps, delta: 8.0 * max(
+        m * math.log(1.0 / delta) / eps, c * c * math.log(1.0 / delta) / eps**2
+    ),
+    "sampling": lambda m, c, eps, delta: 2.0 * m * math.log(3.0 / eps),
+}
+_F_SPECS = ["tv", "kl", "chi2", "hellinger", "renyi:alpha=1.5", "renyi:alpha=3"]
+
+
+@pytest.mark.parametrize("method", list(_FLOAT_BUDGETS))
+@given(
+    pair_g=_random_pairs(),
+    spec=st.sampled_from(_F_SPECS),
+    eps=st.floats(1e-4, 0.99),
+    delta=st.floats(1e-300, 0.99),
+)
+def test_plans_round_up_their_float_budget_below_2_53(method, pair_g, spec, eps, delta):
+    pair, g = pair_g
+    name = f"fdiv:{spec}" if method == "fdiv" else method
+    try:
+        plan = plan_method(name).run(pair, eps, delta, np.asarray(g))
+    except InfeasiblePlanError:
+        return
+    x = _FLOAT_BUDGETS[method](plan.m, parse_f_spec(spec).c_threshold, eps, delta)
+    if x < FLOAT_EXACT_INT_MAX:
+        assert plan.n == max(math.ceil(x), 1)
+    else:
+        assert plan.n >= FLOAT_EXACT_INT_MAX
 
 
 def test_is_plan_non_increasing_at_nearby_eps():
@@ -354,11 +396,11 @@ def test_plan_quantile_fdiv_route():
     plan = plan_n_quantile(0.5, 0.1, f=chi_squared(), divergence=0.0625)
     assert plan.m == pytest.approx(2.0, rel=1e-8)
     assert plan.n == 216
-    wider = plan_n_quantile(0.5, 0.1, f=chi_squared(), divergence=0.0625, gamma_mult=6.0)
-    assert wider.m == pytest.approx(2.31872930447571, rel=1e-8)
-    assert wider.n == 251
     with pytest.raises(InfeasiblePlanError):
         plan_n_quantile(0.1, 0.1, f=tv(), divergence=0.25)
+    # like plan_n_fdiv's (a ValueError from the growth inverse before)
+    with pytest.raises(InfeasiblePlanError, match="infinite divergence"):
+        plan_n_quantile(0.5, 0.1, f=chi_squared(), divergence=math.inf)
 
 
 def test_plan_quantile_exactly_one_route(identity_profile):
