@@ -76,6 +76,47 @@ ESTIMATES = {
     ),
 }
 
+COVERAGE_HEADER = "M,cov,icov,icov_over_M,trunc_second_moment\r\n"
+BERN_COVERAGE = (
+    COVERAGE_HEADER + "0.0,1.0,0.0,inf,0.0\r\n"
+    "0.5,1.0,0.5,1.0,0.0\r\n"
+    "1.0,0.625,0.90625,0.90625,0.28125\r\n"
+    "1.5,0.0,1.0625,0.7083333333333334,1.0625\r\n"
+    "2.0,0.0,1.0625,0.53125,1.0625\r\n"
+)
+
+# (argv, stdout) of the commands that print a table or a race
+TABLES = {
+    "coverage-bernoulli": (["coverage", *BERN, "--grid", "0:2:5"], BERN_COVERAGE),
+    # a singular mass: the coverage never falls below q, and M = 0 reads inf
+    "coverage-point-mass": (
+        ["coverage", "--family", "point_mass", "--params", "q=0.3",
+         "--grid", "0:2:3"],
+        COVERAGE_HEADER + "0.0,1.0,0.0,inf,0.0\r\n"
+        "1.0,0.3,0.7899999999999999,0.7899999999999999,0.48999999999999994\r\n"
+        "2.0,0.3,1.0899999999999999,0.5449999999999999,0.48999999999999994\r\n",
+    ),
+    "sample-one-race": (
+        ["sample", *BERN, "--eps", "0.25", "--seed", "7"],
+        "sample atom=1 n=7 M=1.25 eps=0.25 best_score=0.7752512788313172\n",
+    ),
+    "sample-trials": (
+        ["sample", *BERN, "--eps", "0.25", "--seed", "7", "--trials", "50"],
+        "sample trials=50 n=7 M=1.25 eps=0.25 empirical_tv=0.07499999999999998 "
+        "null_races=0 freqs=0.3,0.7\n",
+    ),
+}
+
+# (argv, stdout, bytes written to the --out file)
+OUT_FILES = {
+    "coverage": (["coverage", *BERN, "--grid", "0:2:5"], "", BERN_COVERAGE),
+    "estimate": (
+        ["estimate", *BERN, "--method", "mom", *ACC, "--seed", "7", "--trials", "3"],
+        ESTIMATES["mom-coverage"][1].split("\n", 1)[0] + "\n",
+        ESTIMATES["mom-coverage"][1].split("\n", 1)[1],
+    ),
+}
+
 TV_INFEASIBLE = (
     "pfest: infeasible plan: tv: growth inverse is infinite at 3; the "
     "generator grows too slowly for this accuracy (linear regime)\n"
@@ -183,6 +224,20 @@ def test_plan_stdout(capsys, method):
 def test_estimate_stdout(capsys, name):
     args, expected = ESTIMATES[name]
     assert _run(capsys, ["estimate", *BERN, *args, *EST]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_table_and_race_stdout(capsys, name):
+    argv, expected = TABLES[name]
+    assert _run(capsys, argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("name", list(OUT_FILES))
+def test_out_file_bytes(capsys, tmp_path, name):
+    argv, stdout, body = OUT_FILES[name]
+    path = tmp_path / "out.csv"
+    assert _run(capsys, [*argv, "--out", str(path)]) == (0, stdout, "")
+    assert path.read_bytes() == body.encode("utf-8")
 
 
 @pytest.mark.parametrize("name", list(OUTCOMES))
