@@ -61,7 +61,6 @@ from .errors import (
 from .estimators import (
     EstimateReport,
     PlanResult,
-    PlanSource,
     importance_sampling,
     median_of_means,
     plan_n_coverage,

@@ -9,7 +9,6 @@ race sampler), and experiment (config-driven sweeps). Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import sys
@@ -19,19 +18,15 @@ import numpy as np
 from .coverage import CoverageProfile
 from .distributions import DistributionPair, load_pair
 from .errors import InfeasiblePlanError, PfestError
-from .estimators import (
-    ESTIMATORS,
-    PlanSource,
-    estimator_plan,
-    plan_method,
-    run_trials,
-)
+from .estimators import ESTIMATORS, estimator_plan, plan_method, run_trials
 from .harness import (
+    SweepTable,
     build_family,
     emit_csv,
     load_config,
     run_experiment,
     _parse_scalar,
+    _serialize,
 )
 from .sampler import astar_sample, empirical_tv, run_races, sampling_plan
 
@@ -89,34 +84,33 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _open_out(path):
+def _print_record(kind: str, **fields) -> None:
+    """Print one ``kind key=value ...`` line. Values print with str,
+    which for Python floats is repr."""
+    print(" ".join([kind, *(f"{key}={value}" for key, value in fields.items())]))
+
+
+def _write_table(columns: tuple, rows, path) -> None:
+    """A headed CSV table, to stdout for ``-`` or no path, else to the
+    file at ``path``."""
+    table = SweepTable(columns, tuple(rows))
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        sys.stdout.write(_serialize(table))
+    else:
+        emit_csv(table, path)
 
 
 def _cmd_coverage(args) -> int:
     grid = _parse_grid(args.grid)
     profile = CoverageProfile.from_pair(_load_pair_argument(args))
-    out, owned = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["M", "cov", "icov", "icov_over_M", "trunc_second_moment"]
-        )
-        cov = profile.coverage(grid)
-        icov = profile.integrated_coverage(grid)
-        trunc = profile.truncated_second_moment(grid)
-        with np.errstate(divide="ignore"):
-            ratio = np.where(grid > 0, icov / np.maximum(grid, 1e-300), np.inf)
-        for i, m in enumerate(grid):
-            writer.writerow(
-                [repr(float(m)), repr(float(cov[i])), repr(float(icov[i])),
-                 repr(float(ratio[i])), repr(float(trunc[i]))]
-            )
-    finally:
-        if owned:
-            out.close()
+    cov = profile.coverage(grid)
+    icov = profile.integrated_coverage(grid)
+    trunc = profile.truncated_second_moment(grid)
+    with np.errstate(divide="ignore"):
+        ratio = np.where(grid > 0, icov / np.maximum(grid, 1e-300), np.inf)
+    columns = ("M", "cov", "icov", "icov_over_M", "trunc_second_moment")
+    values = (grid, cov, icov, ratio, trunc)
+    _write_table(columns, zip(*(v.tolist() for v in values)), args.out)
     return EXIT_OK
 
 
@@ -124,15 +118,11 @@ def _cmd_plan(args) -> int:
     pair = _load_pair_argument(args)
     planner = plan_method(args.method)
     plan = planner.run(pair, args.eps, args.delta, _g_table(args, pair, planner))
-    if plan.source is PlanSource.SAMPLING:
-        print(f"plan method=sampling n={plan.n} M={plan.m!r} eps={args.eps!r}")
-        return EXIT_OK
-    consts = ";".join(f"{k}={v!r}" for k, v in sorted(plan.constants.items()))
-    extra = "".join(f" {k}={v}" for k, v in plan.inputs.items())
-    print(
-        f"plan method={args.method} n={plan.n} M={plan.m!r} "
-        f"eps={args.eps!r} delta={args.delta!r} constants={consts}{extra}"
-    )
+    fields = {"method": args.method, "n": plan.n, "M": plan.m, "eps": args.eps}
+    if args.method != "sampling":  # a TV guarantee: no delta
+        consts = ";".join(f"{k}={v}" for k, v in sorted(plan.constants.items()))
+        fields.update(delta=args.delta, constants=consts, **plan.inputs)
+    _print_record("plan", **fields)
     return EXIT_OK
 
 
@@ -168,44 +158,40 @@ def _cmd_estimate(args) -> int:
     total = 0.0  # left to right: sum() compensates floats on 3.12+
     for report, _ in results:
         total += report.estimate
-    mean_estimate = total / len(results)
-    print(
-        f"estimate method={args.method} n={plan.n} M={plan.m!r} "
-        f"trials={args.trials} eps={args.eps!r} delta={args.delta!r} "
-        f"mean_estimate={mean_estimate!r} success_freq={success_freq!r}"
+    _print_record(
+        "estimate", method=args.method, n=plan.n, M=plan.m, trials=args.trials,
+        eps=args.eps, delta=args.delta, mean_estimate=total / len(results),
+        success_freq=success_freq,
     )
     if args.out:
-        out, owned = _open_out(args.out)
-        try:
-            writer = csv.writer(out)
-            writer.writerow(["trial", "n", "estimate", "rel_error", "success"])
-            for trial, (report, ok) in enumerate(results):
-                writer.writerow(
-                    [trial, report.n_used, repr(float(report.estimate)),
-                     repr(float(report.rel_error)), "true" if ok else "false"]
-                )
-        finally:
-            if owned:
-                out.close()
+        _write_table(
+            ("trial", "n", "estimate", "rel_error", "success"),
+            ((trial, report.n_used, report.estimate, report.rel_error, ok)
+             for trial, (report, ok) in enumerate(results)),
+            args.out,
+        )
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
     pair = _load_pair_argument(args)
-    n, m = sampling_plan(CoverageProfile.from_pair(pair), args.eps)
+    plan = sampling_plan(CoverageProfile.from_pair(pair), args.eps)
+    head = {"n": plan.n, "M": plan.m, "eps": args.eps}
+    try:
+        if args.trials is None:
+            atom, state = astar_sample(pair, plan.n, args.seed)
+        else:
+            summary = run_races(pair, plan.n, args.trials, args.seed)
+    except MemoryError:
+        raise ValueError(f"races of n={plan.n} draws do not fit in memory") from None
     if args.trials is None:
-        atom, state = astar_sample(pair, n, args.seed)
-        print(
-            f"sample atom={atom} n={n} M={m!r} eps={args.eps!r} "
-            f"best_score={state.best_score!r}"
-        )
+        _print_record("sample", atom=atom, **head, best_score=state.best_score)
         return EXIT_OK
-    summary = run_races(pair, n, args.trials, args.seed)
-    tv = empirical_tv(summary, pair)
-    freqs = ",".join(repr(float(c) / summary.trials) for c in summary.counts)
-    print(
-        f"sample trials={args.trials} n={n} M={m!r} eps={args.eps!r} "
-        f"empirical_tv={tv!r} null_races={summary.null_races} freqs={freqs}"
+    freqs = ",".join(str(float(c) / summary.trials) for c in summary.counts)
+    _print_record(
+        "sample", trials=args.trials, **head,
+        empirical_tv=empirical_tv(summary, pair), null_races=summary.null_races,
+        freqs=freqs,
     )
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
@@ -307,6 +307,19 @@ def min_coverage_threshold(profile: CoverageProfile, target: float) -> float:
         key=partial(operator.add, profile.singular_mass),
     )
     return float(profile.thresholds[max(profile.thresholds.size - met, 0)])
+
+
+@dataclass(frozen=True)
+class PlanResult:
+    """Sample size with the truncation level and constants behind it;
+    every planner returns one, the race sampler's included."""
+
+    n: int
+    m: float
+    constants: dict = field(default_factory=dict)
+    # Divergence plans: the generator name ("f") and divergence ("D")
+    # the plan was computed from, in the order the CLI prints them.
+    inputs: dict = field(default_factory=dict)
 
 
 def _plan_size(

@@ -475,6 +475,10 @@ def pair_to_dict(pair: DistributionPair) -> dict:
 
 
 def pair_from_dict(doc: dict) -> DistributionPair:
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"pair document must be a JSON object, got {type(doc).__name__}"
+        )
     try:
         return make_finite_pair(doc["mu"], doc["nu"], doc["z"], doc.get("name", ""))
     except KeyError as exc:

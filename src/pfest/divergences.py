@@ -109,10 +109,13 @@ def _spot_check_generator(f: Callable, name: str) -> None:
             raise ValueError(f"{name}: convexity spot check failed")
         grid = np.geomspace(1.0, 1e6, 200)
         vals = np.asarray(f(grid), dtype=np.float64)
+        # values past the float range read inf, and inf - inf is nan,
+        # which no check below rejects
+        growth = vals / grid
+        falls = np.diff(growth) < -1e-9 * (1.0 + np.abs(growth[:-1]))
     if np.any(vals < -1e-12):
         raise ValueError(f"{name}: f must be nonnegative")
-    growth = vals / grid
-    if np.any(np.diff(growth) < -1e-9 * (1.0 + np.abs(growth[:-1]))):
+    if np.any(falls):
         raise ValueError(f"{name}: f(t)/t must be non-decreasing on [1, inf)")
 
 
@@ -219,14 +222,16 @@ def _log_gamma_kl(m: float) -> float:
 
 def _log_gamma_renyi(alpha: float) -> Callable[[float], float]:
     a1 = alpha - 1.0
+    # the series in v = (alpha-1) u: sum of (v^k + (alpha-1) (-u)^k) / k!,
+    # whose coefficients stay in the float range for every alpha
     series = tuple(
-        (a1**k + a1 * (-1.0) ** k) / math.factorial(k) for k in range(2, 7)
+        (1.0 - (-1.0 / a1) ** (k - 1)) / math.factorial(k) for k in range(2, 7)
     )
 
     def growth(u: float) -> float:
         # e^((alpha-1)u) + (alpha-1) e^-u - alpha
         if max(u, a1 * u) < SERIES_U_MAX:
-            return _power_series(series, u)
+            return _power_series(series, a1 * u)
         return math.expm1(a1 * u) + a1 * math.expm1(-u)
 
     def slope(u: float) -> float:
@@ -345,14 +350,21 @@ def f_divergence(pair: DistributionPair, f: FGenerator) -> float:
     Sum of mu_i * f(ratio_i) over atoms with proposal mass, plus
     singular_mass * f'(inf) for target mass the proposal cannot see.
     Returns inf when that slope is infinite and singular mass is
-    present.
+    present; raises ValueError when the divergence is finite but its
+    sum passes the float range.
     """
+    if pair.singular_mass > 0 and math.isinf(f.f_prime_at_inf):
+        return math.inf
     pos = pair.mu_weights > 0
-    vals = np.asarray(f(pair.ratio_cache[pos]), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(f(pair.ratio_cache[pos]), dtype=np.float64)
     total = ordered_dot(pair.mu_weights[pos], vals)
+    if not math.isfinite(total):
+        raise ValueError(
+            f"{f.name}: the divergence is finite but passes the float range "
+            "on this pair"
+        )
     if pair.singular_mass > 0:
-        if math.isinf(f.f_prime_at_inf):
-            return math.inf
         total += pair.singular_mass * f.f_prime_at_inf
     return total
 

@@ -9,16 +9,16 @@ and is echoed into the plan it produces.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .coverage import FLOAT_EXACT_INT_MAX, LOG_N_MAX  # bounds on n, read here too
-from .coverage import CoverageProfile, _plan_size, min_coverage_threshold, solve_M_eps
+from .coverage import CoverageProfile, PlanResult, _plan_size, solve_M_eps
+from .coverage import min_coverage_threshold
 from .distributions import (
     DistributionPair,
     SampleBatch,
@@ -30,7 +30,7 @@ from .distributions import (
 from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
 from .rng import substreams
-from .sampler import SAMPLING_PLAN_CONSTANT, sampling_plan
+from .sampler import sampling_plan
 
 # Median-of-means group count: k = ceil(GROUP_RATE * ln(1/delta)).
 GROUP_RATE = 8.0
@@ -56,28 +56,6 @@ IS_TARGET_DIVISOR = 6.0
 # as failure: hard two-atom instances place estimates exactly on it,
 # and this guard resolves the tie deterministically under rounding.
 SUCCESS_GUARD = 1e-9
-
-
-class PlanSource(enum.Enum):
-    COVERAGE = "coverage"
-    FDIV = "fdiv"
-    QUANTILE = "quantile"
-    IMPORTANCE = "importance"
-    SELF_NORMALIZED = "self_normalized"
-    SAMPLING = "sampling"
-
-
-@dataclass(frozen=True)
-class PlanResult:
-    """Sample size with the truncation level and constants behind it."""
-
-    n: int
-    m: float
-    source: PlanSource
-    constants: dict = field(default_factory=dict)
-    # Divergence plans: the generator name ("f") and divergence ("D")
-    # the plan was computed from, in the order the CLI prints them.
-    inputs: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -264,7 +242,6 @@ def plan_n_coverage(profile: CoverageProfile, eps: float, delta: float) -> PlanR
     return PlanResult(
         n=_plan_size(COVERAGE_PLAN_CONSTANT, m, math.log(1.0 / delta), eps, 1),
         m=m,
-        source=PlanSource.COVERAGE,
         constants={
             "plan_constant": COVERAGE_PLAN_CONSTANT,
             "icov_slack": ICOV_SLACK,
@@ -321,7 +298,6 @@ def plan_n_fdiv(
     return PlanResult(
         n=n,
         m=m,
-        source=PlanSource.FDIV,
         constants={
             "plan_constant": FDIV_PLAN_CONSTANT,
             "gamma_mult": FDIV_GAMMA_MULT,
@@ -360,7 +336,6 @@ def plan_n_quantile(
     return PlanResult(
         n=_plan_size(QUANTILE_PLAN_CONSTANT, m, math.log(2.0 / delta), eps, 1, log_m),
         m=m,
-        source=PlanSource.QUANTILE,
         constants={"plan_constant": QUANTILE_PLAN_CONSTANT, **route},
     )
 
@@ -371,7 +346,7 @@ def plan_n_is(
     """Plain importance sampling budget: the confidence enters through
     the integrated-coverage target eps*delta/6 on the reweighted
     target's profile; n = ceil(6 M / eps)."""
-    return _plan_n_importance((weighted_profile,), eps, delta, PlanSource.IMPORTANCE)
+    return _plan_n_importance((weighted_profile,), eps, delta)
 
 
 def plan_n_snis(
@@ -384,10 +359,10 @@ def plan_n_snis(
     must clear the eps*delta/6 integrated-coverage target; the larger
     of the two levels drives n = ceil(6 M / eps)."""
     profiles = (profile, weighted_profile)
-    return _plan_n_importance(profiles, eps, delta, PlanSource.SELF_NORMALIZED)
+    return _plan_n_importance(profiles, eps, delta)
 
 
-def _plan_n_importance(profiles, eps, delta, source) -> PlanResult:
+def _plan_n_importance(profiles, eps, delta) -> PlanResult:
     """n = ceil(6 M / eps) at the largest of the levels where each
     profile's integrated coverage clears the eps*delta/6 target."""
     _check_eps_delta(eps, delta)
@@ -396,7 +371,6 @@ def _plan_n_importance(profiles, eps, delta, source) -> PlanResult:
     return PlanResult(
         n=_plan_size(IS_PLAN_CONSTANT, m, 1.0, eps, 1),
         m=m,
-        source=source,
         constants={
             "plan_constant": IS_PLAN_CONSTANT,
             "icov_target_divisor": IS_TARGET_DIVISOR,
@@ -431,12 +405,6 @@ def _weighted_profile(pair: DistributionPair, g: np.ndarray) -> CoverageProfile:
     return CoverageProfile.from_pair(make_weighted_pair(pair, g))
 
 
-def _plan_sampling(pair, eps, delta, g) -> PlanResult:
-    n, m = sampling_plan(_profile(pair), eps)  # a TV guarantee: no delta
-    constants = {"plan_constant": SAMPLING_PLAN_CONSTANT}
-    return PlanResult(n, m, PlanSource.SAMPLING, constants)
-
-
 def _plan_fdiv(spec: str, pair, eps, delta, g) -> PlanResult:
     f = parse_f_spec(spec)
     return plan_n_fdiv(f, f_divergence(pair, f), eps, delta)
@@ -459,7 +427,9 @@ PLANS = {
         ),
         needs_g=True,
     ),
-    "sampling": PlanMethod(_plan_sampling),
+    "sampling": PlanMethod(
+        lambda pair, eps, delta, g: sampling_plan(_profile(pair), eps)
+    ),
 }
 
 

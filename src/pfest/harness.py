@@ -419,7 +419,7 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
         row_seed = int(derive_seed(config.master_seed, index))
         sampler_base = int(derive_seed(row_seed, 0))
         estimator_base = int(derive_seed(row_seed, 1))
-        sampler_planned, m_sampler = sampling_plan(profile, eps)
+        sampler_plan = sampling_plan(profile, eps)
         estimator_planned = plan_n_coverage(profile, eps, config.delta).n
 
         def sampler_ok(n: int) -> bool:
@@ -450,8 +450,8 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
         elapsed = (time.perf_counter() - start) * 1e3
         return (
             eps,
-            m_sampler,
-            sampler_planned,
+            sampler_plan.m,
+            sampler_plan.n,
             sampler_min,
             estimator_planned,
             estimator_min,
@@ -477,12 +477,13 @@ def run_experiment(config: ExperimentConfig) -> SweepTable:
 
 
 def _format_cell(value) -> str:
+    # floats first: they fill most cells
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageProfile, _plan_size, min_coverage_threshold
+from .coverage import CoverageProfile, PlanResult, _plan_size, min_coverage_threshold
 from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
 from .rng import standard_exponential, substreams
@@ -62,8 +62,7 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
     density. Zero-density atoms score +inf; ties go to the earliest
     draw. Raises AllNullDrawsError when no draw has positive density.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_race_length(n)
     # item 0 of a 64-bit seed: the stream keyed by the seed itself
     _, gen = next(substreams(seed, 1))
     atoms, scores = _race_block(pair, gen, 1, n)
@@ -77,6 +76,13 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
         atoms=atoms, scores=scores, best_index=best, best_score=float(scores[best])
     )
     return int(atoms[best]), state
+
+
+def _check_race_length(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n >= 2**63:  # numpy array dimensions are int64
+        raise ValueError(f"a race of n={n} draws passes the 64-bit array size range")
 
 
 def _race_block(
@@ -115,8 +121,7 @@ def run_races(
     RACE_CHUNK_ELEMENTS draws, one block at a time, block b on the
     Philox stream keyed by ``master_seed + (b << 64)`` (item b of
     ``substreams``)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_race_length(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     block = max(1, RACE_CHUNK_ELEMENTS // n)
@@ -145,19 +150,27 @@ def empirical_tv(summary: RaceSummary, pair: DistributionPair) -> float:
     return 0.5 * (float(np.abs(freq - pair.nu_weights).sum()) + err)
 
 
+def _check_race_eps(eps: float) -> None:
+    if not 0 < eps < 3:
+        raise ValueError(f"eps must be in (0, 3), got {eps}")
+
+
 def plan_n_sampling(m: float, eps: float) -> int:
     """Race length for TV error at most eps given a level M whose
     coverage is at most eps/3: n = ceil(2 M ln(3/eps)), at least 1, an
     exact int even where 2 M ln(3/eps) passes the float range."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if not 0 < eps < 3:
-        raise ValueError(f"eps must be in (0, 3), got {eps}")
+    _check_race_eps(eps)
     return _plan_size(SAMPLING_PLAN_CONSTANT, m, math.log(3.0 / eps), eps, 0)
 
 
-def sampling_plan(profile: CoverageProfile, eps: float) -> tuple[int, float]:
+def sampling_plan(profile: CoverageProfile, eps: float) -> PlanResult:
     """Race length n and level M for TV error at most eps: M is the
-    smallest level, at least 1, with coverage at most eps/3."""
+    smallest level, at least 1, with coverage at most eps/3. A TV
+    guarantee, so no delta enters."""
+    _check_race_eps(eps)
     m = max(1.0, min_coverage_threshold(profile, eps / 3.0))
-    return plan_n_sampling(m, eps), m
+    return PlanResult(
+        plan_n_sampling(m, eps), m, {"plan_constant": SAMPLING_PLAN_CONSTANT}
+    )

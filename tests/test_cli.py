@@ -68,10 +68,17 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
          "--eps", "0.2", "--method", "quantile", "--seed", "1"],
         ["estimate", "--family", "bernoulli", "--params", "p=1e-300,eps=0.25",
          "--eps", "0.2", "--method", "mom", "--seed", "1"],
+        # the race's eps is checked before the profile query reads eps / 3
+        ["sample", *BERN, "--eps", "5", "--seed", "1"],
+        ["plan", *BERN, "--eps", "5", "--method", "sampling"],
+        # D passes the float range on a pair with no singular mass
+        ["plan", *BERN, "--eps", "0.25", "--method", "fdiv:renyi:alpha=1e40"],
+        ["plan", *BERN, "--eps", "0.25", "--method", "fdiv:renyi:alpha=1e60"],
     ],
     ids=["unknown-method", "malformed-params", "params-without-value",
          "snis-with-plan", "grid-inf", "grid-nan", "counts-past-int64-quantile",
-         "counts-past-int64-mom"],
+         "counts-past-int64-mom", "sample-eps", "plan-sampling-eps",
+         "renyi-divergence-overflow", "renyi-series-overflow"],
 )
 def test_bad_input_exits_one_with_message(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -158,6 +165,10 @@ def test_sampling_plan_past_float_range_prints_an_integer(capsys, tiny_mu_pair):
 
 
 def test_race_past_float_range_exits_one_with_message(capsys, tiny_mu_pair):
+    _, plan, _ = _run(
+        capsys, ["plan", *tiny_mu_pair, "--eps", "0.1", "--method", "sampling"]
+    )
+    n = re.search(r" n=(\d+) ", plan).group(1)
     for extra in ([], ["--trials", "2"]):
         code, out, err = _run(
             capsys, ["sample", *tiny_mu_pair, "--eps", "0.1", "--seed", "1", *extra]
@@ -165,6 +176,38 @@ def test_race_past_float_range_exits_one_with_message(capsys, tiny_mu_pair):
         assert (code, out) == (EXIT_ERROR, "")
         assert err.startswith("pfest: error: ")
         assert err.count("\n") == 1
+        assert f" n={n} " in err
+
+
+def test_race_out_of_memory_exits_one_with_message(capsys, monkeypatch):
+    def no_memory(pair, gen, rows, n):
+        raise MemoryError
+
+    monkeypatch.setattr(pfest.sampler, "_race_block", no_memory)
+    for extra in ([], ["--trials", "2"]):
+        code, out, err = _run(
+            capsys, ["sample", *BERN, "--eps", "0.25", "--seed", "1", *extra]
+        )
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "pfest: error: races of n=7 draws do not fit in memory\n"
+
+
+def test_large_renyi_alpha_plans_without_warnings(capsys):
+    # f(t)/t overflows on the generator's spot-check grid; RuntimeWarnings
+    # fail the suite
+    code, out, err = _run(
+        capsys, ["plan", *BERN, "--eps", "0.25", "--method", "fdiv:renyi:alpha=400"]
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("plan method=fdiv:renyi:alpha=400 n=295 ")
+
+
+def test_pair_file_not_an_object_exits_one(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1,2]")
+    assert _run(capsys, ["coverage", "--pair", str(path), "--grid", "0:1:2"]) == (
+        EXIT_ERROR, "", "pfest: error: pair document must be a JSON object, got list\n"
+    )
 
 
 def test_repeated_in_process_calls_print_the_same(capsys):

@@ -305,6 +305,14 @@ def test_load_rejects_missing_field(tmp_path):
         load_pair(path)
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3.5", "null"])
+def test_load_rejects_non_object(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        load_pair(path)
+
+
 def test_arrays_are_frozen(bern):
     with pytest.raises(ValueError):
         bern.mu_weights[0] = 0.9

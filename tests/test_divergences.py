@@ -86,6 +86,23 @@ def test_renyi_requires_alpha_above_one():
         renyi(0.5)
 
 
+@pytest.mark.parametrize("alpha", [52.0, 400.0, 1e40, 1e52, 1e60, 1.7e308])
+def test_renyi_builds_for_large_alpha(alpha):
+    # f overflows on the spot-check grid from alpha of about 52, and
+    # (alpha - 1)^6 passes the float range from alpha of about 1e52;
+    # RuntimeWarnings fail the suite
+    f = renyi(alpha)
+    assert f(1.0) == 0.0
+    assert log_gamma_f(f, 0.0) == 0.0
+
+
+def test_divergence_past_float_range_is_an_error_not_infinite(bern):
+    # Bernoulli has no singular mass, so D is finite: 1.25^1e40 overflows
+    with pytest.raises(ValueError, match="finite but passes the float range"):
+        f_divergence(bern, renyi(1e40))
+    assert math.isinf(f_divergence(make_pointmass_pair(0.3), renyi(1e40)))
+
+
 def test_declared_slopes_at_infinity():
     assert tv().f_prime_at_inf == 0.5
     assert hellinger().f_prime_at_inf == 1.0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pfest import (
     CoverageProfile,
     InfeasiblePlanError,
-    PlanSource,
     SampleBatch,
     chi_squared,
     hellinger,
@@ -157,7 +156,6 @@ def test_quantile_guarantee_monte_carlo(twopoint):
 def test_plan_coverage_anchors(identity_profile, bern_profile):
     plan = plan_n_coverage(identity_profile, 0.5, 0.1)
     assert (plan.n, plan.m) == (295, pytest.approx(8.0, rel=1e-8))
-    assert plan.source is PlanSource.COVERAGE
     assert plan.constants["plan_constant"] == 8.0
     assert plan.constants["icov_slack"] == 4.0
     plan = plan_n_coverage(bern_profile, 0.25, 0.1)
@@ -416,7 +414,6 @@ def test_plan_is_identity(identity_profile):
     plan = plan_n_is(identity_profile, 0.5, 0.5)
     assert plan.m == pytest.approx(24.0, rel=1e-8)
     assert plan.n == 288
-    assert plan.source is PlanSource.IMPORTANCE
 
 
 def test_plan_snis_takes_worse_profile(bern, bern_profile):

@@ -199,6 +199,15 @@ OUTCOMES = {
          "--seed", str(2**64)],
         1, "", f"pfest: error: seed must be a 64-bit unsigned integer, got {2**64}\n",
     ),
+    "sample-eps-past-three": (
+        ["sample", *BERN, "--eps", "5", "--seed", "1"],
+        1, "", "pfest: error: eps must be in (0, 3), got 5.0\n",
+    ),
+    "plan-renyi-divergence-overflow": (
+        ["plan", *BERN, "--eps", "0.25", "--method", "fdiv:renyi:alpha=1e40"],
+        1, "", "pfest: error: renyi(alpha=1e+40): the divergence is finite but "
+        "passes the float range on this pair\n",
+    ),
     "sample-seed-past-64-bits": (
         ["sample", *BERN, "--eps", "0.25", "--seed", str(2**64)],
         1, "", f"pfest: error: seed must be a 64-bit unsigned integer, got {2**64}\n",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pfest
 from pfest import (
     AllNullDrawsError,
     astar_sample,
@@ -14,7 +15,8 @@ from pfest import (
     plan_n_sampling,
     run_races,
 )
-from pfest.sampler import RACE_CHUNK_ELEMENTS, RaceSummary
+from pfest.coverage import PlanResult
+from pfest.sampler import RACE_CHUNK_ELEMENTS, RaceSummary, sampling_plan
 
 
 def test_identity_race_first_draw(identity_pair):
@@ -92,6 +94,29 @@ def test_plan_validation():
         plan_n_sampling(1.0, 0.0)
     with pytest.raises(ValueError):
         plan_n_sampling(0.5, 0.3)
+
+
+def test_sampling_plan_is_a_plan_result(bern_profile):
+    # one record for every plan, under every name it is exported as
+    assert PlanResult is pfest.PlanResult is pfest.estimators.PlanResult
+    plan = sampling_plan(bern_profile, 0.25)
+    assert plan == PlanResult(7, 1.25, {"plan_constant": 2.0})
+    assert plan.n == plan_n_sampling(plan.m, 0.25)
+
+
+@pytest.mark.parametrize("eps", [5.0, 3.0, 0.0, -1.0])
+def test_sampling_plan_checks_eps_before_the_profile(bern_profile, eps):
+    # eps / 3 would otherwise reach the profile query as its target
+    with pytest.raises(ValueError, match=r"eps must be in \(0, 3\)"):
+        sampling_plan(bern_profile, eps)
+
+
+@pytest.mark.parametrize("n", [2**63, 2**1024])
+def test_races_past_int64_name_n(bern, n):
+    with pytest.raises(ValueError, match=f"n={n} "):
+        astar_sample(bern, n, 0)
+    with pytest.raises(ValueError, match=f"n={n} "):
+        run_races(bern, n, 2, 0)
 
 
 def test_run_races_deterministic(bern):
