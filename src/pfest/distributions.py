@@ -50,17 +50,18 @@ GUIDE_CHUNK = 1 << 14
 
 def ordered_dot(a: np.ndarray, b: np.ndarray):
     """Dot product of a 1-d ``b`` with an equally long 1-d ``a``, or with
-    each row of a 2-d ``a``, that does not depend on the BLAS thread
-    count.
+    each row (last axis) of an ``a`` of two or more dimensions, that
+    does not depend on the BLAS thread count.
 
     For a 1-d ``a``, np.dot runs over consecutive chunks of at most
     DOT_CHUNK elements and the chunk results are added left to right,
     so inputs of at most DOT_CHUNK elements give exactly np.dot and the
-    result is a float. For a 2-d ``a`` the row dots come from np.einsum,
-    whose loops never call BLAS, as an array.
+    result is a float. Otherwise the row dots come from np.einsum,
+    whose loops never call BLAS, as an array of shape ``a.shape[:-1]``;
+    each row's dot is the same whatever the leading axes.
     """
-    if a.ndim == 2:
-        return np.einsum("ij,j->i", a, b)
+    if a.ndim >= 2:
+        return np.einsum("...j,j->...", a, b)
     total = float(np.dot(a[:DOT_CHUNK], b[:DOT_CHUNK]))
     for start in range(DOT_CHUNK, a.size, DOT_CHUNK):
         stop = start + DOT_CHUNK

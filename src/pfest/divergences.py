@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -186,12 +187,17 @@ def _newton_log_inverse(
     to it, so the loop ends once a step no longer lowers u. For small m
     the start sqrt(m / curvature) is above the root and within a
     constant factor of it; from the far start alone Newton would only
-    halve u per step there.
+    halve u per step there. Where m / curvature underflows to 0 (the
+    curvature past the float range, say) only the far start is used.
+    ``_least_float`` then settles the last float from where Newton
+    ended: a few floats off the root after a converged run, far above it
+    when NEWTON_MAX_STEPS ran out or a slope past the float range left
+    Newton stuck.
     """
     if m == 0.0:
         return 0.0
     near_start = math.sqrt(m / curvature)
-    u = min(far_start, near_start) if near_start <= 1.0 else far_start
+    u = min(far_start, near_start) if 0.0 < near_start <= 1.0 else far_start
     for _ in range(NEWTON_MAX_STEPS):
         excess = growth(u) - m
         if not excess > 0.0:
@@ -200,7 +206,56 @@ def _newton_log_inverse(
         if not nxt < u:
             break
         u = nxt
-    return u
+
+    def meets(v: float) -> bool:
+        try:
+            return growth(v) >= m
+        except OverflowError:  # growth past the float range exceeds m
+            return True
+
+    return _least_float(meets, u)
+
+
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+
+
+def _least_float(meets: Callable[[float], bool], u: float) -> float:
+    """The float v >= 0 with meets(v) whose next float down fails it,
+    searched from u >= 0 in the order of the floats' bit patterns: steps
+    of 1, 2, 4, ... floats bracket it, and a bisection closes the
+    bracket. For an increasing predicate with meets(0) false that is
+    the least float meeting it, found in a few calls near u and in at
+    most about 130 from anywhere."""
+    bits, top = _bits(u), _bits(math.inf)
+    step = 1
+    if meets(u):
+        hi = bits
+        lo = max(hi - step, 0)
+        while meets(_from_bits(lo)):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 0)
+    else:
+        lo = bits
+        hi = min(lo + step, top)
+        while not meets(_from_bits(hi)):
+            lo, step = hi, 2 * step
+            hi = min(lo + step, top)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(_from_bits(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _from_bits(hi)
+
+
+def _bits(x: float) -> int:
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
+
+
+def _from_bits(bits: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(bits))[0]
 
 
 _KL_SERIES = tuple((-1.0) ** k / math.factorial(k) for k in range(2, 7))

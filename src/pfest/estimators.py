@@ -30,7 +30,7 @@ from .distributions import (
 from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
 from .rng import substreams
-from .sampler import sampling_plan
+from .sampler import RACE_CHUNK_ELEMENTS, sampling_plan
 
 # Median-of-means group count: k = ceil(GROUP_RATE * ln(1/delta)).
 GROUP_RATE = 8.0
@@ -81,6 +81,10 @@ def within_multiplicative(estimate: float, truth: float, eps: float) -> bool:
 def _check_eps_delta(eps: float, delta: float) -> None:
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    _check_delta(delta)
+
+
+def _check_delta(delta: float) -> None:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
 
@@ -89,43 +93,14 @@ def group_count(delta: float) -> int:
     return math.ceil(GROUP_RATE * math.log(1.0 / delta))
 
 
-def median_of_means(
-    batch: SampleBatch,
-    delta: float,
-    true_value: Optional[float] = None,
-) -> EstimateReport:
-    """Median of contiguous group means of the unnormalized density.
-
-    Uses k = ceil(8 ln(1/delta)) groups of floor(n/k) samples each,
-    discarding the remainder; for even k the lower median is taken.
-    """
-    k, m = _mom_groups(batch.n, delta)
-    means = batch.lambdas[: k * m].reshape(k, m).mean(axis=1)
-    return _lower_median_report(means, m, true_value)
-
-
 def _mom_groups(n: int, delta: float) -> tuple[int, int]:
     """(k, m): the k = ceil(8 ln(1/delta)) groups of m = n // k draws
     median-of-means splits n draws into."""
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     k = group_count(delta)
     if n < k:
         raise ValueError(f"batch has {n} samples; need at least k = {k}")
     return k, n // k
-
-
-def _lower_median_report(means, m, true_value) -> EstimateReport:
-    """Report the lower median of k group means of m draws each; sorts
-    ``means`` in place."""
-    k = means.size
-    means.sort()
-    return EstimateReport(
-        estimate=float(means[(k - 1) // 2]),
-        n_used=k * m,
-        k_groups=k,
-        true_value=true_value,
-    )
 
 
 def _quantile_rank(eps: float, m: float, n: int) -> int:
@@ -142,6 +117,106 @@ def _quantile_rank(eps: float, m: float, n: int) -> int:
     return min(max(rank, 1), n)
 
 
+# -------------------------------------------------------- block forms
+# Each estimator is written once, as a form over a block of T trials
+# that returns their T estimates. On draws the form is called as
+# ``(lambdas, atoms, eps, delta, m, g)``, with trial t's density values
+# and atoms in row t of two (T, n) arrays; on per-atom hit counts as
+# ``(pair, counts, eps, delta, m, g)``, with trial t's k histograms
+# (``sample_counts``, one row per group) in counts[t], of shape (k, S).
+# Each reads only the arguments its estimator needs. A trial gets the
+# same estimate, bit for bit, in a block of any size, and a counts row
+# holding the same multiset of atoms per group as a draw row gets it up
+# to the rounding of the sums. A counts form's g table has been checked
+# against the support by ``pair.nu_mean(g)``.
+
+
+def _lower_medians(means: np.ndarray) -> np.ndarray:
+    """The lower median of each row of k group means; sorts ``means``
+    in place."""
+    means.sort(axis=1)
+    return means[:, (means.shape[1] - 1) // 2]
+
+
+def _mom_draws(lambdas, atoms, eps, delta, m, g) -> np.ndarray:
+    k, size = _mom_groups(lambdas.shape[1], delta)
+    groups = lambdas[:, : k * size].reshape(len(lambdas), k, size)
+    return _lower_medians(groups.mean(axis=2))
+
+
+def _mom_counts(pair, counts, eps, delta, m, g) -> np.ndarray:
+    size = int(counts[0, 0].sum())
+    return _lower_medians(ordered_dot(counts, pair.lambda_drawn) / size)
+
+
+def _quantile_draws(lambdas, atoms, eps, delta, m, g) -> np.ndarray:
+    rank = _quantile_rank(eps, m, lambdas.shape[1])
+    # a copy, so that the partitioned block is freed on return
+    return np.partition(lambdas, rank - 1, axis=1)[:, rank - 1].copy()
+
+
+def _quantile_counts(pair, counts, eps, delta, m, g) -> np.ndarray:
+    hits = counts[:, 0]
+    rank = _quantile_rank(eps, m, int(hits[0].sum()))
+    order = pair.lambda_order
+    # the first level, in increasing order, whose cumulative count
+    # reaches the rank
+    first = (np.cumsum(hits[:, order], axis=1) < rank).sum(axis=1)
+    return pair.lambda_drawn[order[first]]
+
+
+def _snis_draws(lambdas, atoms, eps, delta, m, g) -> np.ndarray:
+    g = np.asarray(g, dtype=np.float64)
+    if atoms.max(initial=-1) >= g.size:
+        raise ValueError("batch indexes atoms outside the supplied g table")
+    return _snis_ratios(
+        [ordered_dot(lam, g[at]) for lam, at in zip(lambdas, atoms)],
+        [lam.sum() for lam in lambdas],
+    )
+
+
+def _snis_counts(pair, counts, eps, delta, m, g) -> np.ndarray:
+    lam = pair.lambda_drawn
+    lam_g = lam * g
+    hits = counts[:, 0]
+    return _snis_ratios(
+        [ordered_dot(h, lam_g) for h in hits], [ordered_dot(h, lam) for h in hits]
+    )
+
+
+def _snis_ratios(weighted, totals) -> np.ndarray:
+    """Each trial's weighted sum over its total weight. The sums are
+    taken row by row: a dot over the whole block would not keep
+    ``ordered_dot``'s chunked rounding."""
+    totals = np.array(totals, dtype=np.float64)
+    if np.any(totals <= 0):
+        raise ZeroDivisionError(
+            "all density values in the batch are zero; the self-normalized "
+            "estimate is undefined"
+        )
+    return np.array(weighted, dtype=np.float64) / totals
+
+
+def _row_estimate(form, batch: SampleBatch, eps, delta, m, g) -> float:
+    """A draws form's estimate on the one-row block of ``batch``."""
+    return float(form(batch.lambdas[None], batch.atoms[None], eps, delta, m, g)[0])
+
+
+def median_of_means(
+    batch: SampleBatch,
+    delta: float,
+    true_value: Optional[float] = None,
+) -> EstimateReport:
+    """Median of contiguous group means of the unnormalized density.
+
+    Uses k = ceil(8 ln(1/delta)) groups of floor(n/k) samples each,
+    discarding the remainder; for even k the lower median is taken.
+    """
+    k, m = _mom_groups(batch.n, delta)
+    estimate = _row_estimate(_mom_draws, batch, None, delta, None, None)
+    return EstimateReport(estimate, k * m, k, true_value)
+
+
 def quantile_estimator(
     batch: SampleBatch,
     eps: float,
@@ -152,9 +227,8 @@ def quantile_estimator(
     ceil((1 - eps/(4M)) * n); one-sided by design, never more than a
     factor M above the truth and rarely below (1 - eps) of it when the
     coverage at M is small."""
-    rank = _quantile_rank(eps, m, batch.n)
-    est = np.partition(batch.lambdas, rank - 1)[rank - 1]
-    return EstimateReport(float(est), batch.n, true_value=true_value)
+    estimate = _row_estimate(_quantile_draws, batch, eps, None, m, None)
+    return EstimateReport(estimate, batch.n, true_value=true_value)
 
 
 def importance_sampling(
@@ -185,53 +259,8 @@ def snis(
     """Self-normalized importance sampling of E_nu[g]: density-weighted
     mean of g. Invariant under rescaling the density values, so it
     needs no normalizing constant; undefined when every weight is 0."""
-    g_values = np.asarray(g_values, dtype=np.float64)
-    if batch.atoms.max(initial=-1) >= g_values.size:
-        raise ValueError("batch indexes atoms outside the supplied g table")
-    weighted = ordered_dot(batch.lambdas, g_values[batch.atoms])
-    return _snis_report(weighted, float(batch.lambdas.sum()), batch.n, true_value)
-
-
-def _snis_report(weighted, total, n, true_value) -> EstimateReport:
-    if total <= 0:
-        raise ZeroDivisionError(
-            "all density values in the batch are zero; the self-normalized "
-            "estimate is undefined"
-        )
-    return EstimateReport(weighted / total, n, true_value=true_value)
-
-
-# ------------------------------------------------------- counts forms
-# The estimators again, on per-atom hit counts (``sample_counts``
-# histograms, one row per group) instead of a batch: only the step from
-# the draws to the statistic differs. A batch holding the same multiset
-# of atoms per group gives the same report, up to the rounding of the
-# sums. Each takes the ``EstimatorMethod.from_counts`` call
-# (pair, counts, eps, delta, m, g, truth) and reads what it needs; the g
-# table has been checked against the support by ``pair.nu_mean(g)``.
-
-
-def _mom_from_counts(pair, counts, eps, delta, m, g, truth) -> EstimateReport:
-    size = int(counts[0].sum())
-    means = ordered_dot(counts, pair.lambda_drawn) / size
-    return _lower_median_report(means, size, truth)
-
-
-def _quantile_from_counts(pair, counts, eps, delta, m, g, truth) -> EstimateReport:
-    hits = counts[0]
-    n = int(hits.sum())
-    rank = _quantile_rank(eps, m, n)
-    order = pair.lambda_order
-    atom = order[np.searchsorted(np.cumsum(hits[order]), rank)]
-    return EstimateReport(float(pair.lambda_drawn[atom]), n, true_value=truth)
-
-
-def _snis_from_counts(pair, counts, eps, delta, m, g, truth) -> EstimateReport:
-    hits = counts[0]
-    lam = pair.lambda_drawn
-    return _snis_report(
-        ordered_dot(hits, lam * g), ordered_dot(hits, lam), int(hits.sum()), truth
-    )
+    estimate = _row_estimate(_snis_draws, batch, None, None, None, g_values)
+    return EstimateReport(estimate, batch.n, true_value=true_value)
 
 
 def plan_n_coverage(profile: CoverageProfile, eps: float, delta: float) -> PlanResult:
@@ -410,6 +439,13 @@ def _plan_fdiv(spec: str, pair, eps, delta, g) -> PlanResult:
     return plan_n_fdiv(f, f_divergence(pair, f), eps, delta)
 
 
+def _plan_sampling(pair, eps, delta, g) -> PlanResult:
+    """The race's plan. A TV guarantee takes no delta, but one outside
+    (0, 1) is rejected as by every other plan."""
+    _check_delta(delta)
+    return sampling_plan(_profile(pair), eps)
+
+
 PLANS = {
     "coverage": PlanMethod(
         lambda pair, eps, delta, g: plan_n_coverage(_profile(pair), eps, delta)
@@ -427,9 +463,7 @@ PLANS = {
         ),
         needs_g=True,
     ),
-    "sampling": PlanMethod(
-        lambda pair, eps, delta, g: sampling_plan(_profile(pair), eps)
-    ),
+    "sampling": PlanMethod(_plan_sampling),
 }
 
 
@@ -446,19 +480,21 @@ def plan_method(name: str) -> PlanMethod:
 @dataclass(frozen=True)
 class EstimatorMethod:
     """``plan`` names the plan the estimator always runs on; ``None``
-    (mom) takes coverage or fdiv:<spec>. ``estimate(batch, eps, delta, m,
-    g, truth)`` returns the report, and the counts form ``from_counts(pair,
-    counts, eps, delta, m, g, truth)`` the same report from ``groups(n,
-    delta)`` = (k, draws per group) hit-count histograms; each reads only
-    the arguments its estimator needs, and the report carries the
-    estimate, the draws used, k and the truth. ``truth(pair, g)`` is the
-    value it targets, ``success(estimate, truth, eps, m)`` whether a
-    trial met the estimator's guarantee."""
+    (mom) takes coverage or fdiv:<spec>. ``estimate(lambdas, atoms, eps,
+    delta, m, g)`` and ``from_counts(pair, counts, eps, delta, m, g)``
+    are its block forms (see above): each returns the estimates of a
+    block of T trials, from their (T, n) draws or their (T, k, S)
+    hit counts, where ``groups(n, delta)`` = (k, draws per group); a
+    report counts the k times that many draws as used, and carries k
+    when ``grouped`` (mom), 0 otherwise.
+    ``truth(pair, g)`` is the value it targets, ``success(estimate,
+    truth, eps, m)`` whether a trial met the estimator's guarantee."""
 
     plan: Optional[str]
-    estimate: Callable[..., EstimateReport]
-    from_counts: Callable[..., EstimateReport]
+    estimate: Callable[..., np.ndarray]
+    from_counts: Callable[..., np.ndarray]
     groups: Callable[[int, float], tuple[int, int]] = lambda n, delta: (1, n)
+    grouped: bool = False
     truth: Callable[..., float] = lambda pair, g: pair.z_true
     success: Callable[..., bool] = lambda est, truth, eps, m: within_multiplicative(
         est, truth, eps
@@ -467,27 +503,17 @@ class EstimatorMethod:
 
 ESTIMATORS = {
     "mom": EstimatorMethod(
-        None,
-        lambda batch, eps, delta, m, g, truth: median_of_means(
-            batch, delta, true_value=truth
-        ),
-        _mom_from_counts,
-        groups=_mom_groups,
+        None, _mom_draws, _mom_counts, groups=_mom_groups, grouped=True
     ),
     "quantile": EstimatorMethod(
         "quantile",
-        lambda batch, eps, delta, m, g, truth: quantile_estimator(
-            batch, eps, m, true_value=truth
-        ),
-        _quantile_from_counts,
+        _quantile_draws,
+        _quantile_counts,
         # one-sided: never above M times the truth, rarely below 1 - eps
         success=lambda est, truth, eps, m: (1.0 - eps) * truth <= est <= m * truth,
     ),
     "snis": EstimatorMethod(
-        "snis",
-        lambda batch, eps, delta, m, g, truth: snis(batch, g, true_value=truth),
-        _snis_from_counts,
-        truth=lambda pair, g: pair.nu_mean(g),
+        "snis", _snis_draws, _snis_counts, truth=lambda pair, g: pair.nu_mean(g)
     ),
 }
 
@@ -532,19 +558,40 @@ def run_trials(
 
     Each trial draws either a batch (``sample``) or, when the support is
     small against n, the estimator's hit-count histograms
-    (``sample_counts``); both give the estimator the same law."""
+    (``sample_counts``); both give the estimator the same law. The
+    trials are drawn one by one into a block of at most
+    RACE_CHUNK_ELEMENTS values (T n draws, or T k S counts), and the
+    estimator's block form runs once per block; a trial's report is the
+    same whatever block it falls in."""
     entry = ESTIMATORS[method]
     truth = entry.truth(pair, g)
     k, size = entry.groups(n, delta)
-    if COUNT_ENGINE_RATIO * k * (pair.last_drawable_atom + 1) <= n:
-        def report(key: int, gen: np.random.Generator) -> EstimateReport:
-            counts = sample_counts(pair, size, k, key, gen)
-            return entry.from_counts(pair, counts, eps, delta, m, g, truth)
+    counting = COUNT_ENGINE_RATIO * k * (pair.last_drawable_atom + 1) <= n
+    row = (k, pair.support_size) if counting else (n,)
+    per_block = max(1, RACE_CHUNK_ELEMENTS // math.prod(row))
+    shape = (min(trials, per_block), *row)
+    if counting:
+        hits = np.empty(shape, dtype=np.int64)
     else:
-        def report(key: int, gen: np.random.Generator) -> EstimateReport:
-            return entry.estimate(sample(pair, n, key, gen), eps, delta, m, g, truth)
+        lambdas, atoms = np.empty(shape), np.empty(shape, dtype=np.int64)
+    k_groups = k if entry.grouped else 0
     results = []
-    for key, gen in substreams(seed, trials):
-        rep = report(key, gen)
-        results.append((rep, entry.success(rep.estimate, truth, eps, m)))
+    for t, (key, gen) in enumerate(substreams(seed, trials)):
+        i = t % per_block
+        if counting:
+            hits[i] = sample_counts(pair, size, k, key, gen)
+        else:
+            batch = sample(pair, n, key, gen)
+            lambdas[i], atoms[i] = batch.lambdas, batch.atoms
+        if i + 1 < per_block and t + 1 < trials:
+            continue
+        if counting:
+            estimates = entry.from_counts(pair, hits[: i + 1], eps, delta, m, g)
+        else:
+            estimates = entry.estimate(
+                lambdas[: i + 1], atoms[: i + 1], eps, delta, m, g
+            )
+        for est in estimates.tolist():
+            report = EstimateReport(est, k * size, k_groups, truth)
+            results.append((report, entry.success(est, truth, eps, m)))
     return results

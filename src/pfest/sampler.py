@@ -21,7 +21,8 @@ from .rng import standard_exponential, substreams
 
 # Races are processed in blocks; the block width is a fixed function
 # of n so that resampling with the same master seed is reproducible
-# regardless of trial count.
+# regardless of trial count. estimators.run_trials holds its blocks of
+# trials to the same number of elements.
 RACE_CHUNK_ELEMENTS = 1 << 20
 # Planner: n = ceil(SAMPLING_PLAN_CONSTANT * M * ln(3/eps)).
 SAMPLING_PLAN_CONSTANT = 2.0

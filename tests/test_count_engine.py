@@ -1,19 +1,24 @@
 """The count engine of run_trials: per-atom hit counts in place of atom
 sequences on supports that are small against n."""
 
-import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pfest import (
+    EstimateReport,
     SampleBatch,
     make_bernoulli_pair,
     make_finite_pair,
     make_pointmass_pair,
     make_random_pair,
+    median_of_means,
+    quantile_estimator,
+    sample,
     sample_counts,
+    snis,
     within_multiplicative,
 )
 from pfest import estimators
@@ -119,10 +124,11 @@ def test_counts_forms_match_the_batch_estimators(name):
                             n=atoms.size)
         for method, entry in ESTIMATORS.items():
             hist = counts if method == "mom" else counts.sum(axis=0, keepdims=True)
-            by_counts = entry.from_counts(pair, hist, eps, delta, level, g, 1.0)
-            by_batch = entry.estimate(batch, eps, delta, level, g, 1.0)
-            assert by_counts.estimate == pytest.approx(by_batch.estimate, rel=1e-12)
-            assert dataclasses.replace(by_counts, estimate=by_batch.estimate) == by_batch
+            (by_counts,) = entry.from_counts(pair, hist[None], eps, delta, level, g)
+            (by_batch,) = entry.estimate(
+                batch.lambdas[None], batch.atoms[None], eps, delta, level, g
+            )
+            assert by_counts == pytest.approx(by_batch, rel=1e-12)
 
 
 def test_run_trials_draws_counts_only_where_the_support_is_small(monkeypatch):
@@ -138,3 +144,88 @@ def test_run_trials_draws_counts_only_where_the_support_is_small(monkeypatch):
     assert calls == []
     run_trials(make_random_pair(1 << 17, 3), "mom", 1000, 3, 1, 0.5, 0.1)
     assert len(calls) == 3
+
+
+def _replay(pair, method, n, t, seed, eps, delta, level, g):
+    """Trial t of ``run_trials`` rebuilt from its key alone, through the
+    one-row forms: the public estimator on ``sample``'s batch, or the
+    counts form on the one-row block of ``sample_counts``'s histograms."""
+    entry = ESTIMATORS[method]
+    key, truth = seed + (t << 64), entry.truth(pair, g)
+    k, size = entry.groups(n, delta)
+    if k * (pair.last_drawable_atom + 1) <= n:
+        counts = sample_counts(pair, size, k, key)
+        (estimate,) = entry.from_counts(pair, counts[None], eps, delta, level, g)
+        return EstimateReport(estimate, k * size, k if entry.grouped else 0, truth)
+    batch = sample(pair, n, key)
+    if method == "mom":
+        return median_of_means(batch, delta, truth)
+    if method == "quantile":
+        return quantile_estimator(batch, eps, level, truth)
+    return snis(batch, g, truth)
+
+
+def _assert_blocks_equal_replays(pair, method, n, trials, seed, level=2.0):
+    eps, delta = 0.3, 0.1
+    g = make_generator(seed).random(pair.support_size)
+    results = run_trials(pair, method, n, trials, seed, eps, delta, m=level, g=g)
+    assert len(results) == trials
+    for t, (report, ok) in enumerate(results):
+        replay = _replay(pair, method, n, t, seed, eps, delta, level, g)
+        assert report == replay, (t, report, replay)
+        assert ok == ESTIMATORS[method].success(replay.estimate, replay.true_value,
+                                                eps, level)
+
+
+@pytest.mark.parametrize("method", list(ESTIMATORS))
+@pytest.mark.parametrize("name", list(COUNT_PAIRS))
+def test_count_blocks_equal_their_replays(monkeypatch, name, method):
+    # blocks of 7 trials: 30 trials fill four and leave 2 for a fifth
+    pair, n = COUNT_PAIRS[name], 1300
+    k = ESTIMATORS[method].groups(n, 0.1)[0]
+    assert k * pair.support_size <= n
+    monkeypatch.setattr(estimators, "RACE_CHUNK_ELEMENTS", 7 * k * pair.support_size + 1)
+    _assert_blocks_equal_replays(pair, method, n, 30, 11 + len(name))
+
+
+def test_mom_count_blocks_of_the_full_budget_equal_their_replays():
+    # 19 histograms of 64 atoms: 862 trials in the first 2^20 block, 38
+    # in the second
+    _assert_blocks_equal_replays(make_random_pair(64, 5), "mom", 5000, 900, 41)
+
+
+@pytest.fixture(scope="module")
+def wide_pair():
+    return make_random_pair(1 << 18, 9)
+
+
+@pytest.mark.parametrize("method", list(ESTIMATORS))
+def test_draw_blocks_equal_their_replays(wide_pair, method):
+    # 2^17 draws per trial on 2^18 atoms: 8 trials in the first 2^20
+    # block, 1 in the second
+    _assert_blocks_equal_replays(wide_pair, method, 1 << 17, 9, 7)
+
+
+@pytest.mark.parametrize("method", list(ESTIMATORS))
+def test_run_trials_of_no_trials_is_empty(method):
+    pair = make_random_pair(64, 1)
+    g = np.ones(pair.support_size)
+    for n in (40, 5000):  # the draw and the count engine
+        assert run_trials(pair, method, n, 0, 3, 0.3, 0.1, m=2.0, g=g) == []
+
+
+@pytest.mark.parametrize("method", list(ESTIMATORS))
+def test_draw_blocks_stay_within_the_budget(method):
+    """2^22 draws over 1 024 trials: stacked whole, their density values
+    and atoms would take 64 MiB; run in blocks of 2^20 draws, the two
+    block arrays take 16 MiB and quantile's partition 8 MiB more."""
+    pair, n, trials = make_random_pair(8192, 3), 4096, 1024
+    g = np.ones(pair.support_size)
+    assert ESTIMATORS[method].groups(n, 0.1)[0] * pair.support_size > n
+    tracemalloc.start()
+    try:
+        run_trials(pair, method, n, trials, 5, 0.3, 0.1, m=2.0, g=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

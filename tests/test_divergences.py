@@ -261,6 +261,27 @@ def test_log_gamma_kl_past_float_range():
     assert gamma_f(kl(), 689.0) == pytest.approx(math.exp(log_gamma_f(kl(), 689.0)))
 
 
+@pytest.mark.parametrize("m", [1e-2, 0.5, 1e4, 1e10, 1e300])
+@pytest.mark.parametrize("alpha", [1e40, 1e60, 1e160])
+def test_renyi_log_inverse_is_the_least_float_for_large_alpha(alpha, m):
+    # growth(u) = e^((alpha-1)u) + (alpha-1) e^-u - alpha, in the form
+    # the closed-form inverse evaluates at (alpha-1) u >= 1e-3. From
+    # alpha of about 1e40 Newton's far start lies more steps above the
+    # root than the step cap allows, and from about 1e154 the curvature
+    # passes the float range
+    a1 = alpha - 1.0
+
+    def growth(u):
+        return math.expm1(a1 * u) + a1 * math.expm1(-u)
+
+    u = log_gamma_f(renyi(alpha), m)
+    assert growth(u) >= m
+    assert growth(math.nextafter(u, 0.0)) < m
+    # the root in v = (alpha-1) u solves e^v - 1 - v = m, as alpha -> inf
+    v = a1 * u
+    assert math.expm1(v) - v == pytest.approx(m, rel=1e-9)
+
+
 def test_log_gamma_linear_generators_infinite_past_slope():
     assert math.isinf(log_gamma_f(tv(), 0.5))
     assert math.isinf(log_gamma_f(hellinger(), 1.0))

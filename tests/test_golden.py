@@ -208,6 +208,10 @@ OUTCOMES = {
         1, "", "pfest: error: renyi(alpha=1e+40): the divergence is finite but "
         "passes the float range on this pair\n",
     ),
+    "plan-sampling-bad-delta": (
+        ["plan", *BERN, "--eps", "0.25", "--delta", "7", "--method", "sampling"],
+        1, "", "pfest: error: delta must be in (0, 1), got 7.0\n",
+    ),
     "sample-seed-past-64-bits": (
         ["sample", *BERN, "--eps", "0.25", "--seed", str(2**64)],
         1, "", f"pfest: error: seed must be a 64-bit unsigned integer, got {2**64}\n",

@@ -10,7 +10,7 @@ import pfest
 from pfest import distributions, estimators, harness, rng, sampler
 from pfest import make_bernoulli_pair, make_random_pair
 from pfest.distributions import sample, sample_counts
-from pfest.estimators import ESTIMATORS, run_trials
+from pfest.estimators import ESTIMATORS, EstimateReport, median_of_means, run_trials
 from pfest.rng import make_generator, substreams
 from pfest.sampler import run_races
 
@@ -84,10 +84,11 @@ def test_a_trial_replays_from_its_key(monkeypatch, n):
             batch = sample(pair, n, key)
             np.testing.assert_array_equal(batch.atoms, batches[t].atoms)
             assert batch.seed == batches[t].seed == key
-            replay = entry.estimate(batch, 0.25, delta, None, None, 1.0)
+            replay = median_of_means(batch, delta, true_value=1.0)
         else:
             counts = sample_counts(pair, size, k, key)
-            replay = entry.from_counts(pair, counts, 0.25, delta, None, None, 1.0)
+            estimate = entry.from_counts(pair, counts[None], 0.25, delta, None, None)
+            replay = EstimateReport(float(estimate[0]), k * size, k, 1.0)
         assert replay == rep
     assert len(batches) == (3 if n < k * pair.support_size else 0)
 
