@@ -446,13 +446,17 @@ def paley_zygmund_bound_fdiv(
     f: FGenerator, divergence: float, eps: float, u: float
 ) -> PZBound:
     """Divergence flavor of the anti-concentration floor, with the level
-    chosen as the growth inverse at D/(u*eps). An infinite level yields
-    the trivial bound 0."""
+    chosen as the growth inverse at D/(u*eps). An infinite level, from
+    an infinite D/(u*eps) or an infinite inverse, yields the trivial
+    bound 0."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not 0 < u < 1:
         raise ValueError(f"u must be in (0, 1), got {u}")
-    m = gamma_f(f, divergence / (u * eps))
+    if not divergence >= 0:
+        raise ValueError(f"divergence must be nonnegative, got {divergence}")
+    argument = divergence / (u * eps)
+    m = math.inf if math.isinf(argument) else gamma_f(f, argument)
     if math.isinf(m):
         return PZBound(bound=0.0, m_used=math.inf)
     bound = min(1.0, (1.0 - u) * eps / m)

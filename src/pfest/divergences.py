@@ -7,9 +7,10 @@ mass weighted by the slope of f at infinity. Sample-size planning only
 ever touches f through two handles: the growth inverse (smallest t with
 f(t)/t >= m) and the growth regime of f at large arguments.
 
-The built-in generators carry their growth inverse in closed form, in
-log space, so exp(KL)-scale inverses stay representable; user
-generators fall back to bracket doubling plus bisection.
+Every growth inverse ends in the least float u = ln t whose growth
+reaches m. The built-ins carry it in closed form (or a monotone Newton
+solve), so exp(KL)-scale inverses stay representable; other generators
+search the floats on f itself, up to where f(t) leaves the float range.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ import numpy as np
 from .distributions import DistributionPair, ordered_dot
 from .errors import ClassificationError
 
-# Relative tolerance of the growth-inverse bisection.
-GAMMA_REL_TOL = 1e-10
-# Bracket cap: beyond this the inverse is reported as infinite.
-GAMMA_T_MAX = 1e300
 # ln of the largest float: growth inverses past it are inf as floats.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Newton steps allowed to the closed-form log inverses (KL, Renyi); a
@@ -66,9 +63,9 @@ class FGenerator:
     constant of the second-moment planner term; built-ins ship curated
     values, and other generators get 1.0 unless they set their own
     (``estimate_c_threshold`` scans one from ``fn`` on request).
-    ``log_growth_inverse`` maps m >= 0 to ln gamma_f(m) in closed form;
-    the built-in factories attach one, and generators without it are
-    inverted by bisection.
+    ``log_growth_inverse`` maps m >= 0 to ln gamma_f(m); the built-in
+    factories attach a closed form, and a generator built without one
+    gets the float search ``_least_float_inverse`` over ``fn``.
     """
 
     name: str
@@ -82,6 +79,11 @@ class FGenerator:
 
     def __post_init__(self):
         _spot_check_generator(self.fn, self.name)
+        if self.log_growth_inverse is None:
+            object.__setattr__(
+                self, "log_growth_inverse",
+                functools.partial(_least_float_inverse, self.fn),
+            )
 
     def __call__(self, t):
         return self.fn(t)
@@ -224,15 +226,15 @@ def _least_float(meets: Callable[[float], bool], u: float) -> float:
     """The float v >= 0 with meets(v) whose next float down fails it,
     searched from u >= 0 in the order of the floats' bit patterns: steps
     of 1, 2, 4, ... floats bracket it, and a bisection closes the
-    bracket. For an increasing predicate with meets(0) false that is
-    the least float meeting it, found in a few calls near u and in at
-    most about 130 from anywhere."""
+    bracket. For an increasing predicate that is the least float
+    meeting it, found in a few calls near u and in at most about 130
+    from anywhere."""
     bits, top = _bits(u), _bits(math.inf)
     step = 1
     if meets(u):
         hi = bits
         lo = max(hi - step, 0)
-        while meets(_from_bits(lo)):
+        while lo < hi and meets(_from_bits(lo)):
             hi, step = lo, 2 * step
             lo = max(hi - step, 0)
     else:
@@ -424,70 +426,54 @@ def f_divergence(pair: DistributionPair, f: FGenerator) -> float:
     return total
 
 
-def _check_growth_argument(m: float) -> float:
-    m = float(m)
-    if m < 0 or not math.isfinite(m):
-        raise ValueError(f"m must be finite and >= 0, got {m}")
-    return m
+def _least_float_inverse(fn: Callable, m: float) -> float:
+    """ln gamma_f(m) for a generator without a closed form: the least
+    float u >= 0 such that, at t = e^u, f(t) is not finite or f(t)/t >=
+    m, found by ``_least_float`` from u = 0; inf when f(t) is not
+    finite there. f grows with f(t)/t on [1, inf), so counting a non-finite f
+    as met keeps the predicate monotone. Searching u, not t, makes
+    gamma_f's e^u the very t the predicate checked."""
 
+    def value(u: float) -> tuple[float, float]:
+        # t = e^u and f(t), both inf once t passes the float range
+        t = exp_or_inf(u)
+        try:
+            with np.errstate(all="ignore"):
+                return t, (float(fn(t)) if t < math.inf else t)
+        except OverflowError:
+            return t, math.inf
 
-def _bisect_growth_inverse(f: FGenerator, m: float) -> float:
-    """Bracket doubling plus bisection to relative tolerance 1e-10; inf
-    when no t below the bracket cap qualifies. The route for generators
-    without a closed-form inverse."""
+    def meets(u: float) -> bool:
+        t, v = value(u)
+        return not math.isfinite(v) or v / t >= m
 
-    def growth(t: float) -> float:
-        with np.errstate(all="ignore"):
-            v = float(f(t)) / t
-        return v if not math.isnan(v) else math.inf
-
-    if growth(1.0) >= m:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    while growth(hi) < m:
-        lo = hi
-        hi *= 2.0
-        if hi > GAMMA_T_MAX:
-            return math.inf
-    while (hi - lo) > GAMMA_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if growth(mid) >= m:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    u = _least_float(meets, 0.0)
+    return u if math.isfinite(value(u)[1]) else math.inf
 
 
 def log_gamma_f(f: FGenerator, m: float) -> float:
-    """ln of the growth inverse: ln of the smallest t >= 1 with
-    f(t)/t >= m.
+    """ln of the growth inverse: the least float u = ln t with
+    f(t)/t >= m, for m finite and >= 0.
 
-    Exact (closed form or monotone Newton) for generators that carry a
-    ``log_growth_inverse``, and finite wherever the inverse exists, far
-    past the float range of t itself. Other generators go through the
-    bisection of ``gamma_f``. inf means f(t)/t never reaches m: linear
+    The closed forms stay finite far past the float range of t. A
+    generator without one is searched on f itself: finite up to the
+    largest float t, and inf where f(t) leaves the float range before
+    f(t)/t reaches m. inf also means f(t)/t never reaches m: linear
     generators at or past their slope at infinity.
     """
-    m = _check_growth_argument(m)
-    if f.log_growth_inverse is None:
-        return math.log(_bisect_growth_inverse(f, m))
+    m = float(m)
+    if m < 0 or not math.isfinite(m):
+        raise ValueError(f"m must be finite and >= 0, got {m}")
     return f.log_growth_inverse(m)
 
 
 def gamma_f(f: FGenerator, m: float) -> float:
-    """Growth inverse: smallest t >= 1 with f(t)/t >= m.
-
-    Monotone because f(t)/t is non-decreasing on [1, inf). For the
-    built-ins this is exp(log_gamma_f), exact to rounding, and inf only
-    when the inverse is infinite or exceeds the float range (ln t above
-    about 709.78); use ``log_gamma_f`` past that. Generators without a
-    closed form are resolved by bracket doubling plus bisection to
-    relative tolerance 1e-10, with inf past the bracket cap 1e300.
+    """Growth inverse: smallest t >= 1 with f(t)/t >= m, monotone in m
+    because f(t)/t is non-decreasing on [1, inf). It is
+    exp(log_gamma_f), and inf when the inverse is infinite or past the
+    float range (ln t above about 709.78); use ``log_gamma_f`` there.
     """
-    m = _check_growth_argument(m)
-    if f.log_growth_inverse is None:
-        return _bisect_growth_inverse(f, m)
-    return exp_or_inf(f.log_growth_inverse(m))
+    return exp_or_inf(log_gamma_f(f, m))
 
 
 def exp_or_inf(u: float) -> float:

@@ -121,7 +121,8 @@ def _quantile_rank(eps: float, m: float, n: int) -> int:
 # Each estimator is written once, as a form over a block of T trials
 # that returns their T estimates. On draws the form is called as
 # ``(lambdas, atoms, eps, delta, m, g)``, with trial t's density values
-# and atoms in row t of two (T, n) arrays; on per-atom hit counts as
+# and atoms in row t of two (T, n) arrays (atoms is None unless the
+# entry ``reads_atoms``); on per-atom hit counts as
 # ``(pair, counts, eps, delta, m, g)``, with trial t's k histograms
 # (``sample_counts``, one row per group) in counts[t], of shape (k, S).
 # Each reads only the arguments its estimator needs. A trial gets the
@@ -486,7 +487,8 @@ class EstimatorMethod:
     block of T trials, from their (T, n) draws or their (T, k, S)
     hit counts, where ``groups(n, delta)`` = (k, draws per group); a
     report counts the k times that many draws as used, and carries k
-    when ``grouped`` (mom), 0 otherwise.
+    when ``grouped`` (mom), 0 otherwise; ``estimate`` gets atoms only
+    when ``reads_atoms`` (snis).
     ``truth(pair, g)`` is the value it targets, ``success(estimate,
     truth, eps, m)`` whether a trial met the estimator's guarantee."""
 
@@ -495,6 +497,7 @@ class EstimatorMethod:
     from_counts: Callable[..., np.ndarray]
     groups: Callable[[int, float], tuple[int, int]] = lambda n, delta: (1, n)
     grouped: bool = False
+    reads_atoms: bool = False
     truth: Callable[..., float] = lambda pair, g: pair.z_true
     success: Callable[..., bool] = lambda est, truth, eps, m: within_multiplicative(
         est, truth, eps
@@ -513,7 +516,8 @@ ESTIMATORS = {
         success=lambda est, truth, eps, m: (1.0 - eps) * truth <= est <= m * truth,
     ),
     "snis": EstimatorMethod(
-        "snis", _snis_draws, _snis_counts, truth=lambda pair, g: pair.nu_mean(g)
+        "snis", _snis_draws, _snis_counts, reads_atoms=True,
+        truth=lambda pair, g: pair.nu_mean(g),
     ),
 }
 
@@ -573,7 +577,9 @@ def run_trials(
     if counting:
         hits = np.empty(shape, dtype=np.int64)
     else:
-        lambdas, atoms = np.empty(shape), np.empty(shape, dtype=np.int64)
+        lambdas = np.empty(shape)
+        if entry.reads_atoms:
+            atoms = np.empty(shape, dtype=np.int64)
     k_groups = k if entry.grouped else 0
     results = []
     for t, (key, gen) in enumerate(substreams(seed, trials)):
@@ -582,14 +588,17 @@ def run_trials(
             hits[i] = sample_counts(pair, size, k, key, gen)
         else:
             batch = sample(pair, n, key, gen)
-            lambdas[i], atoms[i] = batch.lambdas, batch.atoms
+            lambdas[i] = batch.lambdas
+            if entry.reads_atoms:
+                atoms[i] = batch.atoms
         if i + 1 < per_block and t + 1 < trials:
             continue
         if counting:
             estimates = entry.from_counts(pair, hits[: i + 1], eps, delta, m, g)
         else:
             estimates = entry.estimate(
-                lambdas[: i + 1], atoms[: i + 1], eps, delta, m, g
+                lambdas[: i + 1], atoms[: i + 1] if entry.reads_atoms else None,
+                eps, delta, m, g,
             )
         for est in estimates.tolist():
             report = EstimateReport(est, k * size, k_groups, truth)

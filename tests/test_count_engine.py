@@ -217,8 +217,9 @@ def test_run_trials_of_no_trials_is_empty(method):
 @pytest.mark.parametrize("method", list(ESTIMATORS))
 def test_draw_blocks_stay_within_the_budget(method):
     """2^22 draws over 1 024 trials: stacked whole, their density values
-    and atoms would take 64 MiB; run in blocks of 2^20 draws, the two
-    block arrays take 16 MiB and quantile's partition 8 MiB more."""
+    and atoms would take 64 MiB; run in blocks of 2^20 draws, the
+    density block takes 8 MiB, snis's atoms block 8 MiB more and
+    quantile's partition 8 MiB more."""
     pair, n, trials = make_random_pair(8192, 3), 4096, 1024
     g = np.ones(pair.support_size)
     assert ESTIMATORS[method].groups(n, 0.1)[0] * pair.support_size > n
@@ -229,3 +230,5 @@ def test_draw_blocks_stay_within_the_budget(method):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+    # only snis reads atoms, so only snis fills an atoms block
+    assert peak < {"mom": 12, "quantile": 20}.get(method, 32) * 2**20

@@ -477,6 +477,19 @@ def test_paley_zygmund_fdiv_route(bern):
     assert zero.bound == 0.0 and math.isinf(zero.m_used)
 
 
+def test_paley_zygmund_fdiv_infinite_divergence_is_the_trivial_bound():
+    # singular target mass makes KL infinite, as coverage_bound_fdiv
+    # reads it (its bound is 1)
+    d = f_divergence(make_pointmass_pair(0.3), kl())
+    assert math.isinf(d)
+    assert paley_zygmund_bound_fdiv(kl(), d, 0.2, 0.5) == (0.0, math.inf)
+    # a finite D whose D/(u*eps) passes the float range
+    assert paley_zygmund_bound_fdiv(kl(), 1e308, 0.2, 0.5) == (0.0, math.inf)
+    for bad in (-1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="divergence must be nonnegative"):
+            paley_zygmund_bound_fdiv(kl(), bad, 0.2, 0.5)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_paley_zygmund_never_exceeds_truth(seed):
     pair = make_random_pair(2 + seed % 30, 41000 + seed)

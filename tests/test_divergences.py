@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pfest import (
     ClassificationError,
     FGenerator,
+    InfeasiblePlanError,
     Regime,
     chi_squared,
     classify_regime,
@@ -22,6 +23,7 @@ from pfest import (
     make_pointmass_pair,
     make_random_pair,
     parse_f_spec,
+    plan_n_fdiv,
     renyi,
     tv,
 )
@@ -44,6 +46,11 @@ TLOGT = FGenerator(
     "tlogt",
     _vectorized(lambda t: np.where(t >= 1.0, t * np.log(np.maximum(t, 1.0)), 0.0)),
     math.inf,
+)
+# f(t)/t = t^2 - 2 + 2/t: f(t) overflows from t of about 5.6e102, where
+# f(t)/t is about 3.2e205, so the inverse is infinite from m = 1e206 on
+CUBIC = FGenerator(
+    "cubic", _vectorized(lambda t: t**3 - 3.0 * (t - 1.0) - 1.0), math.inf
 )
 
 
@@ -186,8 +193,9 @@ def test_gamma_infimum_property(f, m):
         assert f(below) / below < m
 
 
-# Each built-in with the upper end of the m range where its bisection
-# twin is a trustworthy reference: f(t) itself evaluates without
+# Each built-in with the upper end of the m range where a search on f
+# itself (the reference bisection below, or the generic inverse of the
+# built-in's twin) is a trustworthy reference: f(t) evaluates without
 # overflow, and linear generators stay clear of the asymptote f(t)/t
 # only reaches through rounding. Below m = 1e-4, t - 1 is so small that
 # the cancellation inside f(t) exceeds the 1e-9 agreement asked for.
@@ -205,21 +213,108 @@ def _gen_id(value):
     return value.name if isinstance(value, FGenerator) else None
 
 
-def _bisection_twin(f):
-    # the same generator without its closed form, so gamma_f bisects
+def _reference_bisection(f, m):
+    """The smallest t >= 1 with f(t)/t >= m, by bracket doubling plus
+    bisection to relative tolerance 1e-10, and inf when no t below the
+    bracket cap 1e300 qualifies. Independent of the library's float
+    search; trustworthy only where f(t) evaluates (REFERENCE_RANGES)."""
+
+    def growth(t):
+        with np.errstate(all="ignore"):
+            v = float(f(t)) / t
+        return v if not math.isnan(v) else math.inf
+
+    if growth(1.0) >= m:
+        return 1.0
+    lo, hi = 1.0, 2.0
+    while growth(hi) < m:
+        lo = hi
+        hi *= 2.0
+        if hi > 1e300:
+            return math.inf
+    while (hi - lo) > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if growth(mid) >= m:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _generic_twin(f):
+    # the same generator without its closed form, so gamma_f searches f
     return dataclasses.replace(f, log_growth_inverse=None)
 
 
-BISECTION_TWINS = {f.name: _bisection_twin(f) for f, _ in REFERENCE_RANGES}
+GENERIC_TWINS = {f.name: _generic_twin(f) for f, _ in REFERENCE_RANGES}
 
 
 @pytest.mark.parametrize("f, m_max", REFERENCE_RANGES, ids=_gen_id)
 @given(data=st.data())
 def test_log_gamma_matches_bisection(f, m_max, data):
     m = data.draw(st.floats(1e-4, m_max))
-    reference = gamma_f(BISECTION_TWINS[f.name], m)
+    reference = _reference_bisection(f, m)
     assert math.exp(log_gamma_f(f, m)) == pytest.approx(reference, rel=1e-9, abs=0)
     assert gamma_f(f, m) == pytest.approx(reference, rel=1e-9, abs=0)
+    # the twin's generic inverse, a second search on f itself
+    twin = gamma_f(GENERIC_TWINS[f.name], m)
+    assert twin == pytest.approx(reference, rel=1e-9, abs=0)
+    assert gamma_f(f, m) == pytest.approx(twin, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize(
+    "f, m_max",
+    [(TLOGT, 700.0), (CUBIC, 1e200)]
+    + [(GENERIC_TWINS[f.name], m_max) for f, m_max in REFERENCE_RANGES],
+    ids=_gen_id,
+)
+@given(data=st.data())
+def test_generic_inverse_is_the_least_float(f, m_max, data):
+    # the search runs over u = ln t: f(t)/t reaches m at t = e^u, the
+    # float gamma_f returns, and misses it at the next float below u
+    m = data.draw(st.floats(0.0, m_max))
+    u = log_gamma_f(f, m)
+    g = gamma_f(f, m)
+    assert g == math.exp(u)
+    assert f(g) / g >= m
+    if u > 0.0:
+        below = math.exp(math.nextafter(u, 0.0))
+        assert f(below) / below < m
+
+
+@pytest.mark.parametrize("m", [1e210, 1e300])
+def test_generic_inverse_is_infinite_where_f_leaves_the_float_range(m):
+    # f(t)/t tops out near 3.2e205 where f(t) overflows, below m
+    assert math.isinf(log_gamma_f(CUBIC, m))
+    assert math.isinf(gamma_f(CUBIC, m))
+    with pytest.raises(InfeasiblePlanError):
+        plan_n_fdiv(CUBIC, m * 0.25 / 6.0, 0.25, 0.1)
+
+
+def test_generic_inverse_is_finite_up_to_the_largest_float():
+    # t log t / t = ln t reaches 700 at e^700, about 1.0142e304
+    assert log_gamma_f(TLOGT, 700.0) == pytest.approx(700.0, rel=1e-15)
+    assert gamma_f(TLOGT, 700.0) == pytest.approx(1.0142320547350045e304, rel=1e-12)
+    plan = plan_n_fdiv(TLOGT, 700.0 * 0.25 / 6.0, 0.25, 0.1)
+    assert math.isfinite(plan.m) and plan.n > 10**304
+    # past ln of the largest float the inverse is no float
+    assert math.isinf(gamma_f(TLOGT, 710.0))
+
+
+def _raising_cubic(t):
+    # python floats raise OverflowError where numpy's read inf
+    if np.ndim(t):
+        return CUBIC.fn(t)
+    t = float(t)
+    return t**3 - 3.0 * (t - 1.0) - 1.0
+
+
+def test_generic_inverse_reads_overflow_error_as_inf():
+    raising = FGenerator("cubic-raising", _raising_cubic, math.inf)
+    with pytest.raises(OverflowError):
+        raising(1e200)
+    for m in (0.0, 2.0, 1e10, 1e200, 1e210, 1e300):
+        assert log_gamma_f(raising, m) == log_gamma_f(CUBIC, m)
 
 
 @pytest.mark.parametrize("f, m_max", REFERENCE_RANGES, ids=_gen_id)
@@ -294,7 +389,7 @@ def test_log_gamma_linear_generators_infinite_past_slope():
         log_gamma_f(kl(), -1.0)
 
 
-def test_user_generator_named_like_builtin_bisects():
+def test_user_generator_named_like_builtin_gets_the_generic_inverse():
     # the closed form belongs to the factory, not to the name
     impostor = FGenerator("kl", TLOGT.fn, math.inf)
     assert gamma_f(impostor, 3.0) == pytest.approx(math.exp(3.0), rel=1e-8)
@@ -331,10 +426,7 @@ def test_classify_probes_undeclared_generators():
     assert classify_regime(TLOGT) is Regime.SUBQUADRATIC_SUPERLINEAR
     linear = FGenerator("absdiff", _vectorized(lambda t: 0.5 * np.abs(t - 1.0)), 0.5)
     assert classify_regime(linear) is Regime.LINEAR
-    cubic = FGenerator(
-        "cubic", _vectorized(lambda t: t**3 - 3.0 * (t - 1.0) - 1.0), math.inf
-    )
-    assert classify_regime(cubic) is Regime.SUPERQUADRATIC
+    assert classify_regime(CUBIC) is Regime.SUPERQUADRATIC
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
