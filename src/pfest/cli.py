@@ -18,7 +18,8 @@ import numpy as np
 from .coverage import CoverageProfile
 from .distributions import DistributionPair, load_pair
 from .errors import InfeasiblePlanError, PfestError
-from .estimators import ESTIMATORS, estimator_plan, plan_method, run_trials
+from .estimators import ESTIMATORS, estimator_plan, ordered_mean, plan_method
+from .estimators import run_trials
 from .harness import (
     SweepTable,
     build_family,
@@ -106,8 +107,7 @@ def _cmd_coverage(args) -> int:
     cov = profile.coverage(grid)
     icov = profile.integrated_coverage(grid)
     trunc = profile.truncated_second_moment(grid)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(grid > 0, icov / np.maximum(grid, 1e-300), np.inf)
+    ratio = np.divide(icov, grid, out=np.full_like(grid, np.inf), where=grid > 0)
     columns = ("M", "cov", "icov", "icov_over_M", "trunc_second_moment")
     values = (grid, cov, icov, ratio, trunc)
     _write_table(columns, zip(*(v.tolist() for v in values)), args.out)
@@ -150,26 +150,20 @@ def _cmd_estimate(args) -> int:
     plan = planner.run(pair, args.eps, args.delta, g)
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    results = run_trials(
+    record = run_trials(
         pair, args.method, plan.n, args.trials, args.seed,
         args.eps, args.delta, m=plan.m, g=g,
     )
-    success_freq = sum(ok for _, ok in results) / len(results)
-    total = 0.0  # left to right: sum() compensates floats on 3.12+
-    for report, _ in results:
-        total += report.estimate
     _print_record(
         "estimate", method=args.method, n=plan.n, M=plan.m, trials=args.trials,
-        eps=args.eps, delta=args.delta, mean_estimate=total / len(results),
-        success_freq=success_freq,
+        eps=args.eps, delta=args.delta, mean_estimate=ordered_mean(record.estimates),
+        success_freq=record.success_freq,
     )
     if args.out:
-        _write_table(
-            ("trial", "n", "estimate", "rel_error", "success"),
-            ((trial, report.n_used, report.estimate, report.rel_error, ok)
-             for trial, (report, ok) in enumerate(results)),
-            args.out,
-        )
+        values = (record.estimates, record.rel_errors, record.success)
+        rows = enumerate(zip(*(v.tolist() for v in values)))
+        _write_table(("trial", "n", "estimate", "rel_error", "success"),
+                     ((t, record.n_used, *row) for t, row in rows), args.out)
     return EXIT_OK
 
 
@@ -271,6 +265,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (PfestError, ValueError, OSError) as exc:
         print(f"pfest: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"pfest: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

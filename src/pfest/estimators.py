@@ -10,6 +10,7 @@ and is echoed into the plan it produces.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -69,12 +70,23 @@ class EstimateReport:
     def rel_error(self) -> Optional[float]:
         if self.true_value is None:
             return None
-        return abs(self.estimate - self.true_value) / abs(self.true_value)
+        return relative_error(self.estimate, self.true_value)
 
 
-def within_multiplicative(estimate: float, truth: float, eps: float) -> bool:
-    """Success predicate: estimate strictly inside (1 +/- eps) * truth,
-    with a 1e-9 relative guard so boundary atoms count as failures."""
+def relative_error(estimate, truth: float):
+    return abs(estimate - truth) / abs(truth)
+
+
+def ordered_mean(values: np.ndarray) -> float:
+    """Mean of a nonempty array summed left to right, as a Python loop from
+    0.0 sums it (so 0.0 + all -0.0 is 0.0); np.sum and np.mean are pairwise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (0.0 + float(np.cumsum(values)[-1])) / values.size
+
+
+def within_multiplicative(estimate, truth: float, eps: float):
+    """Success predicate (elementwise on arrays): estimate strictly inside
+    (1 +/- eps) * truth; a 1e-9 relative guard fails boundary atoms."""
     return abs(estimate - truth) <= (eps - SUCCESS_GUARD) * abs(truth)
 
 
@@ -484,36 +496,32 @@ class EstimatorMethod:
     (mom) takes coverage or fdiv:<spec>. ``estimate(lambdas, atoms, eps,
     delta, m, g)`` and ``from_counts(pair, counts, eps, delta, m, g)``
     are its block forms (see above): each returns the estimates of a
-    block of T trials, from their (T, n) draws or their (T, k, S)
-    hit counts, where ``groups(n, delta)`` = (k, draws per group); a
-    report counts the k times that many draws as used, and carries k
-    when ``grouped`` (mom), 0 otherwise; ``estimate`` gets atoms only
-    when ``reads_atoms`` (snis).
-    ``truth(pair, g)`` is the value it targets, ``success(estimate,
-    truth, eps, m)`` whether a trial met the estimator's guarantee."""
+    block of T trials, from their (T, n) draws or their (T, k, S) hit
+    counts, where ``groups(n, delta)`` = (k, draws per group) and an
+    estimate uses k times that many; ``estimate`` gets atoms only when
+    ``reads_atoms`` (snis). ``truth(pair, g)`` is the value it targets,
+    ``success(estimates, truth, eps, m)`` which estimates of an array
+    met the estimator's guarantee."""
 
     plan: Optional[str]
     estimate: Callable[..., np.ndarray]
     from_counts: Callable[..., np.ndarray]
     groups: Callable[[int, float], tuple[int, int]] = lambda n, delta: (1, n)
-    grouped: bool = False
     reads_atoms: bool = False
     truth: Callable[..., float] = lambda pair, g: pair.z_true
-    success: Callable[..., bool] = lambda est, truth, eps, m: within_multiplicative(
-        est, truth, eps
+    success: Callable[..., np.ndarray] = lambda est, truth, eps, m: (
+        within_multiplicative(est, truth, eps)
     )
 
 
 ESTIMATORS = {
-    "mom": EstimatorMethod(
-        None, _mom_draws, _mom_counts, groups=_mom_groups, grouped=True
-    ),
+    "mom": EstimatorMethod(None, _mom_draws, _mom_counts, groups=_mom_groups),
     "quantile": EstimatorMethod(
         "quantile",
         _quantile_draws,
         _quantile_counts,
-        # one-sided: never above M times the truth, rarely below 1 - eps
-        success=lambda est, truth, eps, m: (1.0 - eps) * truth <= est <= m * truth,
+        # one-sided: never above M times the truth z, rarely below 1 - eps
+        success=lambda est, z, eps, m: ((1.0 - eps) * z <= est) & (est <= m * z),
     ),
     "snis": EstimatorMethod(
         "snis", _snis_draws, _snis_counts, reads_atoms=True,
@@ -550,23 +558,42 @@ def estimator_plan(method: str, plan: Optional[str] = None) -> PlanMethod:
 COUNT_ENGINE_RATIO = 1
 
 
+@dataclass(frozen=True, eq=False)
+class TrialRecord:
+    """One ``run_trials`` call: trial t's estimate and success flag at
+    index t of two arrays, and the n_used and truth they all share."""
+
+    estimates: np.ndarray
+    success: np.ndarray
+    n_used: int
+    truth: float
+
+    @property
+    def success_freq(self) -> float:
+        return np.count_nonzero(self.success) / self.success.size
+
+    @property
+    def rel_errors(self) -> np.ndarray:
+        return relative_error(self.estimates, self.truth)
+
+
 def run_trials(
     pair: DistributionPair, method: str, n: int, trials: int, seed: int,
     eps: float, delta: float, m: Optional[float] = None, g: Optional[np.ndarray] = None,
-) -> list[tuple[EstimateReport, bool]]:
+) -> TrialRecord:
     """Run the estimator ``ESTIMATORS[method]`` on ``trials`` samples of
     n draws, trial t on the Philox stream keyed by ``seed + (t << 64)``
-    (item t of ``substreams(seed, trials)``), and return each report
-    with its success flag. ``m`` is the plan's level (read by quantile),
-    ``g`` the function table (read by snis).
+    (item t of ``substreams(seed, trials)``), and return their record,
+    success judged once on the whole array. ``m`` is the plan's level
+    (read by quantile), ``g`` the function table (read by snis).
 
     Each trial draws either a batch (``sample``) or, when the support is
     small against n, the estimator's hit-count histograms
     (``sample_counts``); both give the estimator the same law. The
     trials are drawn one by one into a block of at most
     RACE_CHUNK_ELEMENTS values (T n draws, or T k S counts), and the
-    estimator's block form runs once per block; a trial's report is the
-    same whatever block it falls in."""
+    estimator's block form runs once per block; a trial's estimate is
+    the same whatever block it falls in."""
     entry = ESTIMATORS[method]
     truth = entry.truth(pair, g)
     k, size = entry.groups(n, delta)
@@ -578,29 +605,25 @@ def run_trials(
         hits = np.empty(shape, dtype=np.int64)
     else:
         lambdas = np.empty(shape)
-        if entry.reads_atoms:
-            atoms = np.empty(shape, dtype=np.int64)
-    k_groups = k if entry.grouped else 0
-    results = []
-    for t, (key, gen) in enumerate(substreams(seed, trials)):
-        i = t % per_block
-        if counting:
-            hits[i] = sample_counts(pair, size, k, key, gen)
-        else:
-            batch = sample(pair, n, key, gen)
-            lambdas[i] = batch.lambdas
-            if entry.reads_atoms:
-                atoms[i] = batch.atoms
-        if i + 1 < per_block and t + 1 < trials:
-            continue
-        if counting:
-            estimates = entry.from_counts(pair, hits[: i + 1], eps, delta, m, g)
-        else:
-            estimates = entry.estimate(
-                lambdas[: i + 1], atoms[: i + 1] if entry.reads_atoms else None,
+        atoms = np.empty(shape, dtype=np.int64) if entry.reads_atoms else None
+    estimates = np.empty(trials)
+    streams = substreams(seed, trials)
+    for start in range(0, trials, per_block):
+        rows = min(per_block, trials - start)
+        for i, (key, gen) in enumerate(itertools.islice(streams, rows)):
+            if counting:
+                hits[i] = sample_counts(pair, size, k, key, gen)
+            else:
+                batch = sample(pair, n, key, gen)
+                lambdas[i] = batch.lambdas
+                if atoms is not None:
+                    atoms[i] = batch.atoms
+        estimates[start : start + rows] = (
+            entry.from_counts(pair, hits[:rows], eps, delta, m, g) if counting
+            else entry.estimate(
+                lambdas[:rows], None if atoms is None else atoms[:rows],
                 eps, delta, m, g,
             )
-        for est in estimates.tolist():
-            report = EstimateReport(est, k * size, k_groups, truth)
-            results.append((report, entry.success(est, truth, eps, m)))
-    return results
+        )
+    success = entry.success(estimates, truth, eps, m)
+    return TrialRecord(estimates, success, k * size, truth)

@@ -31,7 +31,8 @@ from .distributions import (
 )
 from .divergences import classify_regime, parse_f_spec
 from .errors import ConfigError, InfeasiblePlanError, SingularPairError
-from .estimators import group_count, plan_n_coverage, plan_n_fdiv, run_trials
+from .estimators import group_count, ordered_mean, plan_n_coverage, plan_n_fdiv
+from .estimators import run_trials
 from .rng import derive_seed
 from .sampler import (
     SAMPLING_PLAN_CONSTANT,
@@ -312,20 +313,11 @@ def run_success_curve(config: ExperimentConfig) -> SweepTable:
                     f"n = {n} is below the {group_count(config.delta)} groups "
                     "the median needs"
                 )
-            results = run_trials(
+            record = run_trials(
                 pair, "mom", n, config.trials, row_seed, eps, config.delta
             )
-            successes = 0
-            rel_sum = 0.0  # left to right: sum() compensates floats on 3.12+
-            for report, ok in results:
-                successes += ok
-                rel_sum += report.rel_error
-            cells = (
-                n_planned,
-                results[-1][0].n_used,
-                successes / config.trials,
-                rel_sum / config.trials,
-            )
+            cells = (n_planned, record.n_used, record.success_freq,
+                     ordered_mean(record.rel_errors))
             reason = ""
         except (InfeasiblePlanError, SingularPairError) as exc:
             cells = (0, 0, math.nan, math.nan)
@@ -433,11 +425,9 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
         def estimator_ok(n: int) -> bool:
             if n < k_min:
                 return False
-            results = run_trials(
-                pair, "mom", n, config.trials,
-                int(derive_seed(estimator_base, n)), eps, config.delta,
-            )
-            return sum(ok for _, ok in results) / config.trials >= threshold
+            seed = int(derive_seed(estimator_base, n))
+            record = run_trials(pair, "mom", n, config.trials, seed, eps, config.delta)
+            return record.success_freq >= threshold
 
         sampler_min = _minimal_n(sampler_ok)
         estimator_min = _minimal_n(estimator_ok)

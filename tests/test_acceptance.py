@@ -178,8 +178,9 @@ def test_criterion_3_mom_estimator_guarantee():
         hits += within_multiplicative(report.estimate, pair.z_true, 0.25)
     freq = hits / 500.0
     # the same estimator through run_trials, which runs it on hit counts
-    results = run_trials(pair, "mom", plan.n, 500, MASTER_SEED, 0.25, 0.1)
-    count_freq = sum(ok for _, ok in results) / 500.0
+    count_freq = run_trials(
+        pair, "mom", plan.n, 500, MASTER_SEED, 0.25, 0.1
+    ).success_freq
     elapsed = time.perf_counter() - t0
     ok = freq >= 0.87 and count_freq >= 0.87 and elapsed < 60.0
     _report(
@@ -202,10 +203,9 @@ def test_criterion_4_quantile_estimator_guarantee():
         est = quantile_estimator(batch, 0.5, plan.m, true_value=pair.z_true).estimate
         hits += (1.0 - 0.5) * pair.z_true <= est <= plan.m * pair.z_true
     freq = hits / 500.0
-    results = run_trials(
+    count_freq = run_trials(
         pair, "quantile", plan.n, 500, MASTER_SEED + 1000, 0.5, 0.1, m=plan.m
-    )
-    count_freq = sum(ok for _, ok in results) / 500.0
+    ).success_freq
     elapsed = time.perf_counter() - t0
     ok = freq >= 0.87 and count_freq >= 0.87 and elapsed < 60.0
     _report(
@@ -263,8 +263,9 @@ def test_criterion_6_lower_bound_demonstration():
         mom_hits += within_multiplicative(est, pair.z_true, 0.1)
     emp_zero = zero_high / 500.0
     mom_freq = mom_hits / 500.0
-    results = run_trials(pair, "mom", n_lb, 500, MASTER_SEED, 0.1, 1.0 / 3.0)
-    count_freq = sum(ok for _, ok in results) / 500.0
+    count_freq = run_trials(
+        pair, "mom", n_lb, 500, MASTER_SEED, 0.1, 1.0 / 3.0
+    ).success_freq
     elapsed = time.perf_counter() - t0
     ok = (
         abs(emp_zero - analytic_zero) <= 0.05
@@ -369,10 +370,9 @@ def test_criterion_9_snis_guarantee_and_invariance():
         est = snis(batch, g, true_value=truth).estimate
         hits += within_multiplicative(est, truth, 0.25)
     freq = hits / 500.0
-    results = run_trials(
+    count_freq = run_trials(
         pair, "snis", plan.n, 500, MASTER_SEED + 2000, 0.25, 0.1, m=plan.m, g=g
-    )
-    count_freq = sum(ok for _, ok in results) / 500.0
+    ).success_freq
 
     worst_rel = 0.0
     for i in range(100):

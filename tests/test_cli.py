@@ -192,6 +192,52 @@ def test_race_out_of_memory_exits_one_with_message(capsys, monkeypatch):
         assert err == "pfest: error: races of n=7 draws do not fit in memory\n"
 
 
+def test_coverage_divides_by_tiny_levels_exactly(capsys):
+    # IC_M = M for M <= 1 on this pair, so IC_M / M is 1.0 however small M is
+    code, out, err = _run(capsys, ["coverage", *BERN, "--grid", "0:1e-305:3"])
+    assert (code, err) == (EXIT_OK, "")
+    ratios = [row.split(",")[3] for row in out.splitlines()[1:]]
+    assert ratios == ["inf", "1.0", "1.0"]
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--eps", "0.25"],
+    ["estimate", "--method", "mom", "--eps", "0.25", "--seed", "1"],
+    ["coverage", "--grid", "0:1:3"],
+])
+def test_out_of_memory_exits_one_with_message(capsys, monkeypatch, argv):
+    monkeypatch.setattr(pfest.harness, "make_random_pair", _no_memory)
+    code, out, err = _run(
+        capsys, [*argv, "--family", "random_finite", "--params", "support=1e12"]
+    )
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "pfest: error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
+def test_out_of_memory_in_a_grid_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(pfest.cli.np, "linspace", _no_memory)
+    code, out, err = _run(capsys, ["coverage", *BERN, "--grid", "0:1:1000000000000"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("pfest: error: out of memory: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_in_an_experiment_exits_one(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(pfest.harness, "make_random_pair", _no_memory)
+    path = tmp_path / "wide.ini"
+    pfest.harness.save_config(pfest.harness.ExperimentConfig(
+        kind="success_curve", eps_grid=(0.5,), delta=0.1, trials=1, master_seed=1,
+        output_path=str(tmp_path / "out.csv"), family="random_finite",
+        family_params=(("support", 10**12),),
+    ), path)
+    code, out, err = _run(capsys, ["experiment", "--config", str(path)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("pfest: error: out of memory: ") and err.count("\n") == 1
+
+
 def test_pair_file_not_an_object_exits_one(capsys, tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1,2]")

@@ -90,8 +90,8 @@ def test_count_engine_mom_success_follows_the_exact_law():
     n, delta, eps, trials = 152, 0.1, 0.05, 4000
     p = _mom_success_two_atom(pair, n, delta, eps)
     assert 0.05 < p < 0.95
-    results = run_trials(pair, "mom", n, trials, 20261018, eps, delta)
-    hits = sum(ok for _, ok in results)
+    record = run_trials(pair, "mom", n, trials, 20261018, eps, delta)
+    hits = int(np.count_nonzero(record.success))
     lo, hi = _binomial_band(trials, p)
     assert lo <= hits <= hi, (hits, lo, hi, p)
 
@@ -148,15 +148,16 @@ def test_run_trials_draws_counts_only_where_the_support_is_small(monkeypatch):
 
 def _replay(pair, method, n, t, seed, eps, delta, level, g):
     """Trial t of ``run_trials`` rebuilt from its key alone, through the
-    one-row forms: the public estimator on ``sample``'s batch, or the
-    counts form on the one-row block of ``sample_counts``'s histograms."""
+    one-row forms: the public estimator's report on ``sample``'s batch,
+    or a report of the counts form on the one-row block of
+    ``sample_counts``'s histograms."""
     entry = ESTIMATORS[method]
     key, truth = seed + (t << 64), entry.truth(pair, g)
     k, size = entry.groups(n, delta)
     if k * (pair.last_drawable_atom + 1) <= n:
         counts = sample_counts(pair, size, k, key)
         (estimate,) = entry.from_counts(pair, counts[None], eps, delta, level, g)
-        return EstimateReport(estimate, k * size, k if entry.grouped else 0, truth)
+        return EstimateReport(float(estimate), k * size, true_value=truth)
     batch = sample(pair, n, key)
     if method == "mom":
         return median_of_means(batch, delta, truth)
@@ -168,13 +169,17 @@ def _replay(pair, method, n, t, seed, eps, delta, level, g):
 def _assert_blocks_equal_replays(pair, method, n, trials, seed, level=2.0):
     eps, delta = 0.3, 0.1
     g = make_generator(seed).random(pair.support_size)
-    results = run_trials(pair, method, n, trials, seed, eps, delta, m=level, g=g)
-    assert len(results) == trials
-    for t, (report, ok) in enumerate(results):
+    record = run_trials(pair, method, n, trials, seed, eps, delta, m=level, g=g)
+    assert record.estimates.shape == record.success.shape == (trials,)
+    rel_errors = record.rel_errors
+    for t in range(trials):
         replay = _replay(pair, method, n, t, seed, eps, delta, level, g)
-        assert report == replay, (t, report, replay)
-        assert ok == ESTIMATORS[method].success(replay.estimate, replay.true_value,
-                                                eps, level)
+        got = (record.estimates[t], record.n_used, record.truth, rel_errors[t])
+        assert got == (replay.estimate, replay.n_used, replay.true_value,
+                       replay.rel_error), (t, got, replay)
+        assert record.success[t] == ESTIMATORS[method].success(
+            replay.estimate, replay.true_value, eps, level
+        )
 
 
 @pytest.mark.parametrize("method", list(ESTIMATORS))
@@ -211,7 +216,9 @@ def test_run_trials_of_no_trials_is_empty(method):
     pair = make_random_pair(64, 1)
     g = np.ones(pair.support_size)
     for n in (40, 5000):  # the draw and the count engine
-        assert run_trials(pair, method, n, 0, 3, 0.3, 0.1, m=2.0, g=g) == []
+        record = run_trials(pair, method, n, 0, 3, 0.3, 0.1, m=2.0, g=g)
+        assert record.estimates.shape == record.success.shape == (0,)
+        assert (record.estimates.dtype, record.success.dtype) == (np.float64, bool)
 
 
 @pytest.mark.parametrize("method", list(ESTIMATORS))

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pfest import (
@@ -30,7 +30,8 @@ from pfest import (
     within_multiplicative,
 )
 from pfest.divergences import parse_f_spec
-from pfest.estimators import FLOAT_EXACT_INT_MAX, LOG_N_MAX, group_count, plan_method
+from pfest.estimators import FLOAT_EXACT_INT_MAX, LOG_N_MAX, group_count, ordered_mean
+from pfest.estimators import plan_method
 from pfest.rng import derive_seed
 
 LN10 = math.log(10.0)
@@ -95,6 +96,31 @@ def test_report_rel_error():
     assert report.rel_error is None
     scored = median_of_means(_batch([7.0] * 40), delta=0.1, true_value=8.0)
     assert scored.rel_error == pytest.approx(1 / 8)
+
+
+# signed values of very different sizes, whose sum depends on the order
+# of the additions, and any float besides
+MIXED_FLOATS = st.builds(
+    float.__mul__,
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from([1e16, 1.0, 0.5, 3e-17, 1e300, 0.0]),
+) | st.floats(allow_nan=False)
+
+
+@given(st.lists(MIXED_FLOATS, min_size=1, max_size=40))
+@example([1e16] + [1.0] * 20 + [-1e16])
+@example([-0.0, -0.0])
+def test_ordered_mean_adds_left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    assert ordered_mean(np.array(values)).hex() == (total / len(values)).hex()
+
+
+def test_ordered_mean_is_neither_pairwise_nor_compensated():
+    values = [1e16] + [1.0] * 20 + [-1e16]
+    assert ordered_mean(np.array(values)) == 0.0
+    assert np.mean(values) != 0.0 and math.fsum(values) != 0.0
 
 
 def test_within_multiplicative_boundary():

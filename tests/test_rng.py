@@ -10,7 +10,7 @@ import pfest
 from pfest import distributions, estimators, harness, rng, sampler
 from pfest import make_bernoulli_pair, make_random_pair
 from pfest.distributions import sample, sample_counts
-from pfest.estimators import ESTIMATORS, EstimateReport, median_of_means, run_trials
+from pfest.estimators import ESTIMATORS, median_of_means, run_trials
 from pfest.rng import make_generator, substreams
 from pfest.sampler import run_races
 
@@ -75,21 +75,23 @@ def test_a_trial_replays_from_its_key(monkeypatch, n):
         return batches[-1]
 
     monkeypatch.setattr(estimators, "sample", recorded)
-    results = run_trials(pair, "mom", n, 3, seed, 0.25, delta)
+    record = run_trials(pair, "mom", n, 3, seed, 0.25, delta)
     entry = ESTIMATORS["mom"]
     k, size = entry.groups(n, delta)
-    for t, (rep, _) in enumerate(results):
+    assert (record.estimates.size, record.n_used, record.truth) == (3, k * size, 1.0)
+    for t, estimate in enumerate(record.estimates):
         key = seed + (t << 64)
         if n < k * pair.support_size:
             batch = sample(pair, n, key)
             np.testing.assert_array_equal(batch.atoms, batches[t].atoms)
             assert batch.seed == batches[t].seed == key
-            replay = median_of_means(batch, delta, true_value=1.0)
+            report = median_of_means(batch, delta)
+            assert (report.n_used, report.k_groups) == (k * size, k)
+            replay = report.estimate
         else:
             counts = sample_counts(pair, size, k, key)
-            estimate = entry.from_counts(pair, counts[None], 0.25, delta, None, None)
-            replay = EstimateReport(float(estimate[0]), k * size, k, 1.0)
-        assert replay == rep
+            (replay,) = entry.from_counts(pair, counts[None], 0.25, delta, None, None)
+        assert replay == estimate
     assert len(batches) == (3 if n < k * pair.support_size else 0)
 
 
