@@ -31,6 +31,10 @@ RATIO_MEAN_TOL = 1e-12
 # rounding depends on the thread count; ordered_dot never passes it more.
 DOT_CHUNK = 10_000
 
+# np.einsum sums a row longer than its 8 192-element buffer in pieces that
+# depend on how many rows the call holds; ordered_dot never passes it more.
+ROW_DOT_CHUNK = 8192
+
 # draw_atoms sorts its uniforms before searching tables of at least this
 # many atoms: the search then walks the table in order, which beats the
 # cost of the sort (measured crossover, see CHANGES.md).
@@ -47,26 +51,31 @@ GUIDE_MIN_DRAWS = 2048
 GUIDE_MAX_STEPS = 2
 GUIDE_CHUNK = 1 << 14
 
+# draw_block maps this many uniforms at a time, to hold one chunk's atoms.
+DRAW_CHUNK = 1 << 16
+
 
 def ordered_dot(a: np.ndarray, b: np.ndarray):
-    """Dot product of a 1-d ``b`` with an equally long 1-d ``a``, or with
-    each row (last axis) of an ``a`` of two or more dimensions, that
-    does not depend on the BLAS thread count.
+    """Dot product of a 1-d ``b`` with an equally long 1-d ``a``, or of
+    each row (last axis) of an ``a`` of two or more dimensions with ``b``
+    or with the same row of ``b``, that does not depend on the BLAS
+    thread count.
 
-    For a 1-d ``a``, np.dot runs over consecutive chunks of at most
-    DOT_CHUNK elements and the chunk results are added left to right,
-    so inputs of at most DOT_CHUNK elements give exactly np.dot and the
-    result is a float. Otherwise the row dots come from np.einsum,
-    whose loops never call BLAS, as an array of shape ``a.shape[:-1]``;
-    each row's dot is the same whatever the leading axes.
+    The dots run over consecutive chunks added left to right: for a 1-d
+    ``a``, np.dot over chunks of at most DOT_CHUNK elements (so up to
+    DOT_CHUNK elements give exactly np.dot), as a float; otherwise
+    np.einsum, whose loops never call BLAS, over chunks of at most
+    ROW_DOT_CHUNK, as an array of shape ``a.shape[:-1]`` whose rows are
+    the same whatever the leading axes.
     """
     if a.ndim >= 2:
-        return np.einsum("...j,j->...", a, b)
-    total = float(np.dot(a[:DOT_CHUNK], b[:DOT_CHUNK]))
-    for start in range(DOT_CHUNK, a.size, DOT_CHUNK):
-        stop = start + DOT_CHUNK
-        total += float(np.dot(a[start:stop], b[start:stop]))
-    return total
+        chunk, dot = ROW_DOT_CHUNK, lambda x, y: np.einsum("...j,...j->...", x, y)
+    else:
+        chunk, dot = DOT_CHUNK, np.dot
+    total = dot(a[..., :chunk], b[..., :chunk])
+    for start in range(chunk, a.shape[-1], chunk):
+        total = total + dot(a[..., start:start + chunk], b[..., start:start + chunk])
+    return total if a.ndim >= 2 else float(total)
 
 
 def _as_weight_array(w, label: str) -> np.ndarray:
@@ -244,16 +253,17 @@ class DistributionPair:
 
     @cached_property
     def lambda_drawn(self) -> np.ndarray:
-        """The density table hit counts are dotted with:
-        ``lambda_values`` with 0 on the atoms without proposal mass. No
-        draw lands on those atoms, and on the ones carrying target mass
-        lambda is inf, where 0 hits times inf would give nan."""
-        return _freeze(np.where(self.mu_weights > 0, self.lambda_values, 0.0))
+        """The table ``count_block``'s hit counts are dotted with:
+        ``lambda_values`` up to the last atom with proposal mass, 0 on the
+        atoms without it. No draw lands on those, and on the ones carrying
+        target mass lambda is inf, where 0 hits times inf would give nan."""
+        lam = np.where(self.mu_weights > 0, self.lambda_values, 0.0)
+        return _freeze(lam[: self.last_drawable_atom + 1])
 
     @cached_property
     def lambda_order(self) -> np.ndarray:
-        """Atom indices in increasing order of ``lambda_drawn``, where
-        cumulative hit counts find an order statistic."""
+        """Indices into ``lambda_drawn`` in increasing order of its
+        values, where cumulative hit counts find an order statistic."""
         return _freeze(np.argsort(self.lambda_drawn, kind="stable"))
 
     def lambda_at(self, atoms: np.ndarray) -> np.ndarray:
@@ -415,55 +425,59 @@ def draw_atoms(pair: DistributionPair, u: np.ndarray) -> np.ndarray:
     return atoms
 
 
-def sample(
-    pair: DistributionPair, n: int, seed: int, gen: np.random.Generator | None = None
-) -> SampleBatch:
-    """n i.i.d. proposal draws by inverse CDF over the atom table.
-
-    Deterministic given the Philox key ``seed``: the same (pair, n,
-    seed) triple always yields bit-identical batches. ``gen``, when
-    given, is a fresh generator already keyed by ``seed`` (as
-    ``substreams`` yields it) and saves building one.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if gen is None:
-        gen = make_generator(seed)
-    atoms = draw_atoms(pair, gen.random(n))
-    lam = pair.lambda_at(atoms)
-    return SampleBatch(
-        atoms=atoms.astype(np.int64, copy=False), lambdas=lam, seed=int(seed), n=n
-    )
+def draw_block(
+    pair: DistributionPair, gen: np.random.Generator, lambdas: np.ndarray,
+    atoms: np.ndarray | None = None,
+) -> None:
+    """Fill ``lambdas`` and ``atoms`` (when given), C-contiguous arrays of
+    one shape, with the density values of i.i.d. proposal draws from
+    ``gen`` and their atoms: one ``gen.random`` call fills ``lambdas`` with
+    uniforms, mapped in place DRAW_CHUNK at a time by ``draw_atoms``."""
+    gen.random(out=lambdas)
+    flat = lambdas.reshape(-1)
+    for start in range(0, flat.size, DRAW_CHUNK):
+        chunk = flat[start:start + DRAW_CHUNK]
+        drawn = draw_atoms(pair, chunk)
+        if atoms is not None:
+            atoms.reshape(-1)[start:start + DRAW_CHUNK] = drawn
+        chunk[:] = pair.lambda_at(drawn)
 
 
-def sample_counts(
-    pair: DistributionPair, m: int, k: int, seed: int,
-    gen: np.random.Generator | None = None,
+def count_block(
+    pair: DistributionPair, gen: np.random.Generator, m: int, rows: int, k: int
 ) -> np.ndarray:
-    """k independent Multinomial(m, mu) histograms of proposal draws,
-    shape (k, support_size): row i holds the per-atom hit counts of m
-    i.i.d. draws, which carry everything an estimator that ignores the
-    draw order reads.
-
-    Deterministic given the Philox key ``seed``; ``gen`` is as for
-    ``sample``. Only the atoms up to the last one with proposal mass
-    are passed to the multinomial, whose last category takes whatever
-    count the rounding of the others leaves over; atoms without mass
-    before it get binomial(., 0) = 0 hits.
-    """
+    """rows x k independent Multinomial(m, mu) histograms of proposal
+    draws from ``gen`` in one call, shape (rows, k, D), all that an
+    estimator ignoring the draw order reads: hit counts on the D atoms up
+    to the last one with proposal mass, which takes whatever count the
+    others' rounding leaves over (atoms without mass get 0 hits)."""
     m, k = int(m), int(k)
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 draws in k >= 1 histograms, got m={m}, k={k}")
     if m >= 2**63:  # numpy's multinomial counts are int64
         raise ValueError(f"m={m} draws per histogram pass the 64-bit count range")
-    if gen is None:
-        gen = make_generator(seed)
     drawable = pair.last_drawable_atom + 1
-    counts = gen.multinomial(m, pair.mu_weights[:drawable], size=k)
-    if drawable < pair.support_size:
-        counts = np.pad(counts, ((0, 0), (0, pair.support_size - drawable)))
-    return counts
+    return gen.multinomial(m, pair.mu_weights[:drawable], size=(rows, k))
+
+
+def sample(pair: DistributionPair, n: int, seed: int) -> SampleBatch:
+    """n i.i.d. proposal draws by inverse CDF over the atom table, the
+    one-row block of ``draw_block``; the same (pair, n, seed) triple
+    always yields bit-identical batches."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    lambdas, atoms = np.empty(n), np.empty(n, dtype=np.int64)
+    draw_block(pair, make_generator(seed), lambdas, atoms)
+    return SampleBatch(atoms=atoms, lambdas=lambdas, seed=int(seed), n=n)
+
+
+def sample_counts(pair: DistributionPair, m: int, k: int, seed: int) -> np.ndarray:
+    """k independent Multinomial(m, mu) histograms of proposal draws
+    under the Philox key ``seed``, shape (k, support_size): the one-row
+    block of ``count_block``, with 0 hits past its D atoms."""
+    counts = count_block(pair, make_generator(seed), m, 1, k)[0]
+    return np.pad(counts, ((0, 0), (0, pair.support_size - counts.shape[1])))
 
 
 def pair_to_dict(pair: DistributionPair) -> dict:

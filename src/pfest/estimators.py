@@ -10,7 +10,6 @@ and is echoed into the plan it produces.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -23,15 +22,14 @@ from .coverage import min_coverage_threshold
 from .distributions import (
     DistributionPair,
     SampleBatch,
+    count_block,
+    draw_block,
     make_weighted_pair,
     ordered_dot,
-    sample,
-    sample_counts,
 )
 from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
-from .rng import substreams
-from .sampler import RACE_CHUNK_ELEMENTS, sampling_plan
+from .sampler import blocks, sampling_plan
 
 # Median-of-means group count: k = ceil(GROUP_RATE * ln(1/delta)).
 GROUP_RATE = 8.0
@@ -136,7 +134,7 @@ def _quantile_rank(eps: float, m: float, n: int) -> int:
 # and atoms in row t of two (T, n) arrays (atoms is None unless the
 # entry ``reads_atoms``); on per-atom hit counts as
 # ``(pair, counts, eps, delta, m, g)``, with trial t's k histograms
-# (``sample_counts``, one row per group) in counts[t], of shape (k, S).
+# (``count_block``, one row per group) in counts[t], of shape (k, D).
 # Each reads only the arguments its estimator needs. A trial gets the
 # same estimate, bit for bit, in a block of any size, and a counts row
 # holding the same multiset of atoms per group as a draw row gets it up
@@ -182,32 +180,23 @@ def _snis_draws(lambdas, atoms, eps, delta, m, g) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if atoms.max(initial=-1) >= g.size:
         raise ValueError("batch indexes atoms outside the supplied g table")
-    return _snis_ratios(
-        [ordered_dot(lam, g[at]) for lam, at in zip(lambdas, atoms)],
-        [lam.sum() for lam in lambdas],
-    )
+    return _snis_ratios(lambdas, g[atoms])
 
 
 def _snis_counts(pair, counts, eps, delta, m, g) -> np.ndarray:
-    lam = pair.lambda_drawn
-    lam_g = lam * g
-    hits = counts[:, 0]
-    return _snis_ratios(
-        [ordered_dot(h, lam_g) for h in hits], [ordered_dot(h, lam) for h in hits]
-    )
+    weights = counts[:, 0] * pair.lambda_drawn  # hits times density value
+    return _snis_ratios(weights, np.asarray(g, dtype=np.float64)[: weights.shape[1]])
 
 
-def _snis_ratios(weighted, totals) -> np.ndarray:
-    """Each trial's weighted sum over its total weight. The sums are
-    taken row by row: a dot over the whole block would not keep
-    ``ordered_dot``'s chunked rounding."""
-    totals = np.array(totals, dtype=np.float64)
+def _snis_ratios(weights, g) -> np.ndarray:
+    """Each row's g-weighted sum over its total weight."""
+    totals = weights.sum(axis=1)
     if np.any(totals <= 0):
         raise ZeroDivisionError(
             "all density values in the batch are zero; the self-normalized "
             "estimate is undefined"
         )
-    return np.array(weighted, dtype=np.float64) / totals
+    return ordered_dot(weights, g) / totals
 
 
 def _row_estimate(form, batch: SampleBatch, eps, delta, m, g) -> float:
@@ -496,7 +485,7 @@ class EstimatorMethod:
     (mom) takes coverage or fdiv:<spec>. ``estimate(lambdas, atoms, eps,
     delta, m, g)`` and ``from_counts(pair, counts, eps, delta, m, g)``
     are its block forms (see above): each returns the estimates of a
-    block of T trials, from their (T, n) draws or their (T, k, S) hit
+    block of T trials, from their (T, n) draws or their (T, k, D) hit
     counts, where ``groups(n, delta)`` = (k, draws per group) and an
     estimate uses k times that many; ``estimate`` gets atoms only when
     ``reads_atoms`` (snis). ``truth(pair, g)`` is the value it targets,
@@ -550,7 +539,7 @@ def estimator_plan(method: str, plan: Optional[str] = None) -> PlanMethod:
 
 
 # run_trials draws per-atom hit counts instead of atom sequences when
-# COUNT_ENGINE_RATIO * k * S <= n, for k histograms over the S atoms up
+# COUNT_ENGINE_RATIO * k * D <= n, for k histograms over the D atoms up
 # to the last one with proposal mass. A histogram costs about one
 # binomial draw per atom and a batch one uniform and one table search
 # per draw; the ratio is set from the measured crossover of the two
@@ -582,48 +571,38 @@ def run_trials(
     eps: float, delta: float, m: Optional[float] = None, g: Optional[np.ndarray] = None,
 ) -> TrialRecord:
     """Run the estimator ``ESTIMATORS[method]`` on ``trials`` samples of
-    n draws, trial t on the Philox stream keyed by ``seed + (t << 64)``
-    (item t of ``substreams(seed, trials)``), and return their record,
-    success judged once on the whole array. ``m`` is the plan's level
-    (read by quantile), ``g`` the function table (read by snis).
+    n draws and return their record, success judged once on the whole
+    array. ``m`` is the plan's level (read by quantile), ``g`` the
+    function table (read by snis).
 
-    Each trial draws either a batch (``sample``) or, when the support is
-    small against n, the estimator's hit-count histograms
-    (``sample_counts``); both give the estimator the same law. The
-    trials are drawn one by one into a block of at most
-    RACE_CHUNK_ELEMENTS values (T n draws, or T k S counts), and the
-    estimator's block form runs once per block; a trial's estimate is
-    the same whatever block it falls in."""
+    A trial is n density values (``draw_block``) or, when the support is
+    small against n, the estimator's k hit-count histograms over D atoms
+    (``count_block``), of the same law. Trials run in ``sampler.blocks``
+    of B = max(1, RACE_CHUNK_ELEMENTS // e) rows of e = n or k D values,
+    each drawn in one call and estimated in one: trial t is row r = t mod
+    B of block b = t // B, drawn under the key ``seed + (b << 64)``, so
+    its estimate does not depend on the trial count, and it replays as
+    the last n draws of ``sample(pair, (r + 1) n, seed + (b << 64))`` or
+    the last k of ``sample_counts(pair, size, (r + 1) k, seed + (b <<
+    64))``, with (k, size) = ``ESTIMATORS[method].groups(n, delta)``."""
     entry = ESTIMATORS[method]
     truth = entry.truth(pair, g)
     k, size = entry.groups(n, delta)
-    counting = COUNT_ENGINE_RATIO * k * (pair.last_drawable_atom + 1) <= n
-    row = (k, pair.support_size) if counting else (n,)
-    per_block = max(1, RACE_CHUNK_ELEMENTS // math.prod(row))
-    shape = (min(trials, per_block), *row)
-    if counting:
-        hits = np.empty(shape, dtype=np.int64)
-    else:
-        lambdas = np.empty(shape)
-        atoms = np.empty(shape, dtype=np.int64) if entry.reads_atoms else None
+    drawable = pair.last_drawable_atom + 1
+    counting = COUNT_ENGINE_RATIO * k * drawable <= n
     estimates = np.empty(trials)
-    streams = substreams(seed, trials)
-    for start in range(0, trials, per_block):
-        rows = min(per_block, trials - start)
-        for i, (key, gen) in enumerate(itertools.islice(streams, rows)):
-            if counting:
-                hits[i] = sample_counts(pair, size, k, key, gen)
-            else:
-                batch = sample(pair, n, key, gen)
-                lambdas[i] = batch.lambdas
-                if atoms is not None:
-                    atoms[i] = batch.atoms
-        estimates[start : start + rows] = (
-            entry.from_counts(pair, hits[:rows], eps, delta, m, g) if counting
-            else entry.estimate(
-                lambdas[:rows], None if atoms is None else atoms[:rows],
-                eps, delta, m, g,
+    for start, rows, gen in blocks(seed, trials, k * drawable if counting else n):
+        if counting:  # the block is freed as soon as its estimates are taken
+            block = entry.from_counts(
+                pair, count_block(pair, gen, size, rows, k), eps, delta, m, g
             )
-        )
+        else:
+            if start == 0:  # the first block is the largest; its arrays serve all
+                lambdas = np.empty((rows, n))
+                atoms = np.empty((rows, n), dtype=np.int64) if entry.reads_atoms else None
+            draws = (lambdas[:rows], None if atoms is None else atoms[:rows])
+            draw_block(pair, gen, *draws)
+            block = entry.estimate(*draws, eps, delta, m, g)
+        estimates[start : start + rows] = block
     success = entry.success(estimates, truth, eps, m)
     return TrialRecord(estimates, success, k * size, truth)

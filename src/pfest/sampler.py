@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -19,10 +20,8 @@ from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
 from .rng import standard_exponential, substreams
 
-# Races are processed in blocks; the block width is a fixed function
-# of n so that resampling with the same master seed is reproducible
-# regardless of trial count. estimators.run_trials holds its blocks of
-# trials to the same number of elements.
+# Races and run_trials' trials run in ``blocks`` of about this many elements,
+# so that a row's draws do not depend on how many rows a call asks for.
 RACE_CHUNK_ELEMENTS = 1 << 20
 # Planner: n = ceil(SAMPLING_PLAN_CONSTANT * M * ln(3/eps)).
 SAMPLING_PLAN_CONSTANT = 2.0
@@ -105,6 +104,18 @@ def _race_block(
     return atoms, scores
 
 
+def blocks(seed: int, rows: int, row_elements: int) -> Iterator[tuple]:
+    """Walk ``rows`` rows of ``row_elements`` elements in blocks of
+    B = max(1, RACE_CHUNK_ELEMENTS // row_elements) rows: yield ``(start,
+    count, gen)`` for block b, rows start = b B onward, drawn from the
+    generator ``gen`` of item b of ``substreams``, keyed by ``seed + (b
+    << 64)``. Row t is row t mod B of block t // B."""
+    per_block = max(1, RACE_CHUNK_ELEMENTS // row_elements)
+    starts = range(0, rows, per_block)
+    for start, (_, gen) in zip(starts, substreams(seed, len(starts))):
+        yield start, min(per_block, rows - start), gen
+
+
 def _winners(atoms: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, int]:
     """Winning atoms of a block's races, with their null races left
     out, and the number of null races."""
@@ -120,17 +131,13 @@ def run_races(
     """Repeat the race `trials` times and tally winners; null races are
     counted, not raised. Races run in blocks of about
     RACE_CHUNK_ELEMENTS draws, one block at a time, block b on the
-    Philox stream keyed by ``master_seed + (b << 64)`` (item b of
-    ``substreams``)."""
+    Philox stream keyed by ``master_seed + (b << 64)`` (``blocks``)."""
     _check_race_length(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    block = max(1, RACE_CHUNK_ELEMENTS // n)
     counts = np.zeros(pair.support_size, dtype=np.int64)
     null_races = 0
-    starts = range(0, trials, block)
-    for start, (_, gen) in zip(starts, substreams(master_seed, len(starts))):
-        rows = min(block, trials - start)
+    for _, rows, gen in blocks(master_seed, trials, n):
         # the block's arrays are freed here, before the next block draws
         winners, nulls = _winners(*_race_block(pair, gen, rows, n))
         null_races += nulls

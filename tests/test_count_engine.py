@@ -21,7 +21,8 @@ from pfest import (
     snis,
     within_multiplicative,
 )
-from pfest import estimators
+from pfest import estimators, sampler
+from pfest.distributions import count_block
 from pfest.estimators import ESTIMATORS, group_count, run_trials
 from pfest.rng import make_generator
 
@@ -96,6 +97,68 @@ def test_count_engine_mom_success_follows_the_exact_law():
     assert lo <= hits <= hi, (hits, lo, hi, p)
 
 
+def _success_two_atom(pair, method, n, eps, delta, level, g) -> float:
+    """Exact success probability of an estimator on a two-atom pair with
+    lambda_0 < lambda_1. Given X ~ Bin(n, mu_1) draws on atom 1, the
+    quantile estimate is an order statistic, lambda_1 exactly when fewer
+    than rank draws fall on atom 0 (a binomial tail in X), and SNIS is
+    (X lambda_1 g_1 + (n - X) lambda_0 g_0) / (X lambda_1 + (n - X)
+    lambda_0); the probability sums the pmf of the X whose estimate
+    succeeds. MoM's law is ``_mom_success_two_atom``."""
+    if method == "mom":
+        return _mom_success_two_atom(pair, n, delta, eps)
+    entry = ESTIMATORS[method]
+    lam0, lam1 = pair.lambda_values
+    assert lam0 < lam1
+    truth = entry.truth(pair, g)
+
+    def estimate(x):
+        if method == "quantile":
+            rank = estimators._quantile_rank(eps, level, n)
+            return lam1 if n - x < rank else lam0
+        return (x * lam1 * g[1] + (n - x) * lam0 * g[0]) / (x * lam1 + (n - x) * lam0)
+
+    q = float(pair.mu_weights[1])
+    return sum(
+        math.exp(_log_binom_pmf(n, q, x))
+        for x in range(n + 1)
+        if entry.success(estimate(x), truth, eps, level)
+    )
+
+
+# (pair, n, eps, level, g) per method, each below its plan, where the
+# exact success probability is far from 0 and 1: mom as above; quantile
+# succeeds on the low atom only (level 1.2 < lambda_1 = 1.5), at rank
+# 180 of 200; snis's estimate stays at least 0.004 eps away from the
+# interval's edges.
+EXACT_LAW_CASES = {
+    "mom": (make_bernoulli_pair(0.5, 0.25), 152, 0.05, None, None),
+    "quantile": (make_finite_pair([0.9, 0.1], [0.85, 0.15], 1.0), 200, 0.5, 1.2, None),
+    "snis": (make_bernoulli_pair(0.5, 0.25), 100, 0.05, None, np.array([0.0, 1.0])),
+}
+
+
+# mom on the count engine is test_count_engine_mom_success_follows_the_exact_law
+@pytest.mark.parametrize(
+    "method, engine",
+    [(method, engine) for method in EXACT_LAW_CASES for engine in ("count", "draw")
+     if (method, engine) != ("mom", "count")],
+)
+def test_success_follows_the_exact_law(monkeypatch, method, engine):
+    pair, n, eps, level, g = EXACT_LAW_CASES[method]
+    delta, trials = 0.1, 4000
+    k = ESTIMATORS[method].groups(n, delta)[0]
+    assert k * pair.support_size <= n
+    if engine == "draw":
+        monkeypatch.setattr(estimators, "COUNT_ENGINE_RATIO", n + 1)
+    p = _success_two_atom(pair, method, n, eps, delta, level, g)
+    assert 0.05 < p < 0.95
+    record = run_trials(pair, method, n, trials, 20261019, eps, delta, m=level, g=g)
+    hits = int(np.count_nonzero(record.success))
+    lo, hi = _binomial_band(trials, p)
+    assert lo <= hits <= hi, (hits, lo, hi, p)
+
+
 COUNT_PAIRS = {
     "two-atom": make_random_pair(2, 0, z=2.5),
     "five-atom": make_random_pair(5, 1, z=0.3),
@@ -114,10 +177,11 @@ def test_counts_forms_match_the_batch_estimators(name):
     gen = make_generator(len(name))
     g = gen.random(pair.support_size)
     for seed in range(5):
-        counts = sample_counts(pair, m, k, seed)
+        # the histograms over the atoms up to the last one with proposal mass
+        counts = count_block(pair, make_generator(seed), m, 1, k)[0]
         # each group's atoms in a shuffled order, the groups one after another
         atoms = np.concatenate([
-            gen.permutation(np.repeat(np.arange(pair.support_size), row))
+            gen.permutation(np.repeat(np.arange(counts.shape[1]), row))
             for row in counts
         ])
         batch = SampleBatch(atoms=atoms, lambdas=pair.lambda_at(atoms), seed=seed,
@@ -133,37 +197,74 @@ def test_counts_forms_match_the_batch_estimators(name):
 
 def test_run_trials_draws_counts_only_where_the_support_is_small(monkeypatch):
     calls = []
-    draw = estimators.sample
 
-    def counted(*args):
-        calls.append(args)
-        return draw(*args)
+    def recorded(name):
+        draw = getattr(estimators, name)
 
-    monkeypatch.setattr(estimators, "sample", counted)
+        def record(pair, gen, *args):
+            result = draw(pair, gen, *args)
+            calls.append((name, (result if name == "count_block" else args[0]).shape))
+            return result
+
+        return record
+
+    for name in ("draw_block", "count_block"):
+        monkeypatch.setattr(estimators, name, recorded(name))
     run_trials(make_bernoulli_pair(0.5, 0.25), "mom", 1000, 4, 1, 0.25, 0.1)
-    assert calls == []
+    assert calls == [("count_block", (4, 19, 2))]
+    calls.clear()
     run_trials(make_random_pair(1 << 17, 3), "mom", 1000, 3, 1, 0.5, 0.1)
-    assert len(calls) == 3
+    assert calls == [("draw_block", (3, 1000))]
 
 
-def _replay(pair, method, n, t, seed, eps, delta, level, g):
-    """Trial t of ``run_trials`` rebuilt from its key alone, through the
-    one-row forms: the public estimator's report on ``sample``'s batch,
-    or a report of the counts form on the one-row block of
-    ``sample_counts``'s histograms."""
+def _block_rows(pair, method, n, delta):
+    """B, the trials per block of ``run_trials``, and whether it counts."""
+    k = ESTIMATORS[method].groups(n, delta)[0]
+    drawable = pair.last_drawable_atom + 1
+    counting = estimators.COUNT_ENGINE_RATIO * k * drawable <= n
+    return max(1, sampler.RACE_CHUNK_ELEMENTS // (k * drawable if counting else n)), counting
+
+
+def _replays(pair, method, n, trials, seed, eps, delta, level, g):
+    """Every trial of ``run_trials`` rebuilt by the block-and-row rule,
+    through the one-row forms: trial t is row r = t mod B of block
+    b = t // B, the last n draws of ``sample(pair, (r + 1) n, key)`` or
+    the last k histograms of ``sample_counts(pair, size, (r + 1) k,
+    key)`` under key = seed + (b << 64). Its report is the public
+    estimator's on that batch, or the counts form's on the one-row block
+    of those histograms. Each block is drawn once, as the replay of its
+    last row, whose rows r are the replays of the shorter draws; that
+    they are is checked on its first row."""
     entry = ESTIMATORS[method]
-    key, truth = seed + (t << 64), entry.truth(pair, g)
+    truth = entry.truth(pair, g)
     k, size = entry.groups(n, delta)
-    if k * (pair.last_drawable_atom + 1) <= n:
-        counts = sample_counts(pair, size, k, key)
-        (estimate,) = entry.from_counts(pair, counts[None], eps, delta, level, g)
-        return EstimateReport(float(estimate), k * size, true_value=truth)
-    batch = sample(pair, n, key)
-    if method == "mom":
-        return median_of_means(batch, delta, truth)
-    if method == "quantile":
-        return quantile_estimator(batch, eps, level, truth)
-    return snis(batch, g, truth)
+    per_block, counting = _block_rows(pair, method, n, delta)
+    reports = []
+    for b, start in enumerate(range(0, trials, per_block)):
+        key, rows = seed + (b << 64), min(per_block, trials - start)
+        if counting:
+            counts = sample_counts(pair, size, rows * k, key)
+            np.testing.assert_array_equal(counts[:k], sample_counts(pair, size, k, key))
+            assert not counts[:, pair.last_drawable_atom + 1:].any()
+            for r in range(rows):
+                (estimate,) = entry.from_counts(
+                    pair, counts[None, r * k:(r + 1) * k, :pair.last_drawable_atom + 1],
+                    eps, delta, level, g,
+                )
+                reports.append(EstimateReport(float(estimate), k * size, true_value=truth))
+            continue
+        drawn = sample(pair, rows * n, key)
+        np.testing.assert_array_equal(drawn.atoms[:n], sample(pair, n, key).atoms)
+        for r in range(rows):
+            batch = SampleBatch(atoms=drawn.atoms[r * n:(r + 1) * n],
+                                lambdas=drawn.lambdas[r * n:(r + 1) * n], seed=key, n=n)
+            if method == "mom":
+                reports.append(median_of_means(batch, delta, truth))
+            elif method == "quantile":
+                reports.append(quantile_estimator(batch, eps, level, truth))
+            else:
+                reports.append(snis(batch, g, truth))
+    return reports
 
 
 def _assert_blocks_equal_replays(pair, method, n, trials, seed, level=2.0):
@@ -172,8 +273,9 @@ def _assert_blocks_equal_replays(pair, method, n, trials, seed, level=2.0):
     record = run_trials(pair, method, n, trials, seed, eps, delta, m=level, g=g)
     assert record.estimates.shape == record.success.shape == (trials,)
     rel_errors = record.rel_errors
-    for t in range(trials):
-        replay = _replay(pair, method, n, t, seed, eps, delta, level, g)
+    replays = _replays(pair, method, n, trials, seed, eps, delta, level, g)
+    assert len(replays) == trials
+    for t, replay in enumerate(replays):
         got = (record.estimates[t], record.n_used, record.truth, rel_errors[t])
         assert got == (replay.estimate, replay.n_used, replay.true_value,
                        replay.rel_error), (t, got, replay)
@@ -188,15 +290,19 @@ def test_count_blocks_equal_their_replays(monkeypatch, name, method):
     # blocks of 7 trials: 30 trials fill four and leave 2 for a fifth
     pair, n = COUNT_PAIRS[name], 1300
     k = ESTIMATORS[method].groups(n, 0.1)[0]
+    row = k * (pair.last_drawable_atom + 1)
     assert k * pair.support_size <= n
-    monkeypatch.setattr(estimators, "RACE_CHUNK_ELEMENTS", 7 * k * pair.support_size + 1)
+    monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 8 * row - 1)
+    assert _block_rows(pair, method, n, 0.1) == (7, True)
     _assert_blocks_equal_replays(pair, method, n, 30, 11 + len(name))
 
 
 def test_mom_count_blocks_of_the_full_budget_equal_their_replays():
     # 19 histograms of 64 atoms: 862 trials in the first 2^20 block, 38
     # in the second
-    _assert_blocks_equal_replays(make_random_pair(64, 5), "mom", 5000, 900, 41)
+    pair = make_random_pair(64, 5)
+    assert _block_rows(pair, "mom", 5000, 0.1) == (862, True)
+    _assert_blocks_equal_replays(pair, "mom", 5000, 900, 41)
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +314,29 @@ def wide_pair():
 def test_draw_blocks_equal_their_replays(wide_pair, method):
     # 2^17 draws per trial on 2^18 atoms: 8 trials in the first 2^20
     # block, 1 in the second
+    assert _block_rows(wide_pair, method, 1 << 17, 0.1) == (8, False)
     _assert_blocks_equal_replays(wide_pair, method, 1 << 17, 9, 7)
+
+
+@pytest.mark.parametrize("engine", ["count", "draw"])
+@pytest.mark.parametrize("method", list(ESTIMATORS))
+def test_an_estimate_does_not_depend_on_the_trial_count(monkeypatch, method, engine):
+    # blocks of 4 trials: 6 trials end inside the second block, 11 in
+    # the third
+    pair, n, level = make_random_pair(5, 1, z=0.3), 1300, 2.0
+    g = make_generator(2).random(pair.support_size)
+    if engine == "draw":
+        monkeypatch.setattr(estimators, "COUNT_ENGINE_RATIO", n + 1)
+    k = ESTIMATORS[method].groups(n, 0.1)[0]
+    row = k * pair.support_size if engine == "count" else n
+    monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 4 * row)
+    assert _block_rows(pair, method, n, 0.1) == (4, engine == "count")
+    short, full = (
+        run_trials(pair, method, n, trials, 3, 0.3, 0.1, m=level, g=g)
+        for trials in (6, 11)
+    )
+    np.testing.assert_array_equal(short.estimates, full.estimates[:6])
+    np.testing.assert_array_equal(short.success, full.success[:6])
 
 
 @pytest.mark.parametrize("method", list(ESTIMATORS))

@@ -24,6 +24,7 @@ from pfest import (
 from pfest import distributions, sampler
 from pfest.distributions import (
     DOT_CHUNK,
+    ROW_DOT_CHUNK,
     GuideTable,
     draw_atoms,
     ordered_dot,
@@ -518,6 +519,20 @@ def test_ordered_dot_of_rows():
     assert rows.shape == (7,)
     for got, row in zip(rows, a):
         assert got == pytest.approx(ordered_dot(row, b), rel=1e-14)
+
+
+def test_ordered_dot_rows_do_not_depend_on_the_row_count():
+    # rows longer than np.einsum's 8 192-element buffer, whose sums would
+    # otherwise split where the rows of the call fall in the buffer
+    gen = make_generator(6)
+    width = 3 * ROW_DOT_CHUNK + 5
+    a, w, b = gen.random((9, width)), gen.random((9, width)), gen.random(width)
+    by_vector, by_rows = ordered_dot(a, b), ordered_dot(a, w)
+    assert by_vector.shape == by_rows.shape == (9,)
+    for r in range(9):
+        assert by_vector[r] == ordered_dot(a[r:r + 1], b)[0]
+        assert by_rows[r] == ordered_dot(a[r:r + 1], w[r:r + 1])[0]
+        assert by_rows[r] == pytest.approx(math.fsum(a[r] * w[r]), rel=1e-12)
 
 
 _WEIGHTS = st.lists(

@@ -327,7 +327,7 @@ def test_success_curve_planned_row():
     assert row["n_planned"] == 314
     assert row["n_used"] == 304  # 19 groups of 16
     assert row["success_freq"] == 1.0
-    assert row["mean_rel_error"] == pytest.approx(0.015625)
+    assert row["mean_rel_error"] == 0.015
     assert row["reason"] == ""
     assert ("mom_group_rate", "8.0") in table.metadata
 
@@ -462,7 +462,7 @@ def test_success_curve_header_pinned():
         n_override=40,
     )
     assert run_success_curve(cfg).metadata == (
-        ("format", "pfest-sweep-v3"),
+        ("format", "pfest-sweep-v4"),
         ("kind", "success_curve"),
         ("eps_grid", "0.5,0.25"),
         ("delta", "0.1"),
@@ -487,7 +487,7 @@ def test_phase_transition_header_pinned():
         d_value=0.5,
     )
     assert run_phase_transition(cfg).metadata == (
-        ("format", "pfest-sweep-v3"),
+        ("format", "pfest-sweep-v4"),
         ("kind", "phase_transition"),
         ("eps_grid", "0.5"),
         ("delta", "0.2"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import pfest
 from pfest import distributions, estimators, harness, rng, sampler
 from pfest import make_bernoulli_pair, make_random_pair
-from pfest.distributions import sample, sample_counts
+from pfest.distributions import SampleBatch, sample, sample_counts
 from pfest.estimators import ESTIMATORS, median_of_means, run_trials
 from pfest.rng import make_generator, substreams
 from pfest.sampler import run_races
@@ -65,34 +65,55 @@ def test_key_and_seed_bounds():
 @pytest.mark.parametrize("n", [600, 5000], ids=["draw-path", "count-path"])
 def test_a_trial_replays_from_its_key(monkeypatch, n):
     # 64 atoms and 19 groups: 600 draws take the batch path, 5000 the
-    # count path
-    pair, seed, delta = make_random_pair(64, 5), 41, 0.1
-    batches = []
-    draw = estimators.sample
-
-    def recorded(*args):
-        batches.append(draw(*args))
-        return batches[-1]
-
-    monkeypatch.setattr(estimators, "sample", recorded)
-    record = run_trials(pair, "mom", n, 3, seed, 0.25, delta)
+    # count path; blocks of 2 trials, so 5 trials fill three blocks
+    pair, seed, delta, trials = make_random_pair(64, 5), 41, 0.1, 5
     entry = ESTIMATORS["mom"]
     k, size = entry.groups(n, delta)
-    assert (record.estimates.size, record.n_used, record.truth) == (3, k * size, 1.0)
+    counting = k * pair.support_size <= n
+    row = k * pair.support_size if counting else n
+    monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 2 * row + 1)
+    blocks = []
+
+    def recorded(name):
+        draw = getattr(estimators, name)
+
+        def record(pair, gen, *args):
+            key = gen.bit_generator.state["state"]["key"].tolist()
+            result = draw(pair, gen, *args)
+            drawn = result if name == "count_block" else args[0]
+            blocks.append((name, key, drawn.copy()))
+            return result
+
+        return record
+
+    for name in ("draw_block", "count_block"):
+        monkeypatch.setattr(estimators, name, recorded(name))
+    record = run_trials(pair, "mom", n, trials, seed, 0.25, delta)
+    assert (record.estimates.size, record.n_used, record.truth) == (
+        trials, k * size, 1.0
+    )
+    # one call per block, each under the key words [seed, b]
+    engine = "count_block" if counting else "draw_block"
+    assert [(name, key) for name, key, _ in blocks] == [
+        (engine, [seed, b]) for b in range(3)
+    ]
     for t, estimate in enumerate(record.estimates):
-        key = seed + (t << 64)
-        if n < k * pair.support_size:
-            batch = sample(pair, n, key)
-            np.testing.assert_array_equal(batch.atoms, batches[t].atoms)
-            assert batch.seed == batches[t].seed == key
-            report = median_of_means(batch, delta)
+        r, b = t % 2, t // 2
+        key, drawn = seed + (b << 64), blocks[b][2][r]
+        if counting:
+            counts = sample_counts(pair, size, (r + 1) * k, key)[r * k:]
+            np.testing.assert_array_equal(counts, drawn)
+            (replay,) = entry.from_counts(pair, counts[None], 0.25, delta, None, None)
+        else:
+            batch = sample(pair, (r + 1) * n, key)
+            assert batch.seed == key
+            np.testing.assert_array_equal(batch.lambdas[r * n:], drawn)
+            row_batch = SampleBatch(atoms=batch.atoms[r * n:],
+                                    lambdas=batch.lambdas[r * n:], seed=key, n=n)
+            report = median_of_means(row_batch, delta)
             assert (report.n_used, report.k_groups) == (k * size, k)
             replay = report.estimate
-        else:
-            counts = sample_counts(pair, size, k, key)
-            (replay,) = entry.from_counts(pair, counts[None], 0.25, delta, None, None)
         assert replay == estimate
-    assert len(batches) == (3 if n < k * pair.support_size else 0)
 
 
 def _count_seeding(monkeypatch):
