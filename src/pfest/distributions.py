@@ -35,19 +35,10 @@ DOT_CHUNK = 10_000
 # depend on how many rows the call holds; ordered_dot never passes it more.
 ROW_DOT_CHUNK = 8192
 
-# draw_atoms sorts its uniforms before searching tables of at least this
-# many atoms: the search then walks the table in order, which beats the
-# cost of the sort (measured crossover, see CHANGES.md).
-SORTED_SEARCH_MIN_SUPPORT = 4096
-
-# draw_atoms walks the pair's guide table when a call has at least as
-# many uniforms as atoms, so that they pay for its build, and at least
-# GUIDE_MIN_DRAWS of them: on tables of 2 to 1 024 atoms the search is
-# faster up to 1 000 to 3 000 uniforms. It steps each uniform at most
+# The guide-table walk of draw_atoms steps each uniform at most
 # GUIDE_MAX_STEPS atoms past its guide entry, finishes the few still
 # short with searchsorted, and works in chunks of GUIDE_CHUNK uniforms
-# (all measured, see CHANGES.md).
-GUIDE_MIN_DRAWS = 2048
+# (both measured, see CHANGES.md).
 GUIDE_MAX_STEPS = 2
 GUIDE_CHUNK = 1 << 14
 
@@ -177,9 +168,9 @@ class DistributionPair:
     ``last_drawable_atom`` is the index of the last atom with proposal
     mass, where inverse-CDF draws are clipped.
 
-    The tables ``mu_cdf``, its ``mu_guide`` and ``lambda_values`` are
-    built once, on first use, and are read-only; they are not fields, so
-    ``==`` and ``repr`` ignore them.
+    The tables ``mu_cdf``, its ``mu_guide``, ``lambda_drawn`` and
+    ``lambda_order`` are built once, on first use, and are read-only;
+    they are not fields, so ``==`` and ``repr`` ignore them.
     """
 
     mu_weights: np.ndarray
@@ -247,17 +238,13 @@ class DistributionPair:
         return GuideTable.build(self.mu_cdf)
 
     @cached_property
-    def lambda_values(self) -> np.ndarray:
-        """Unnormalized target density z_true * dnu/dmu per atom."""
-        return _freeze(self.z_true * self.ratio_cache)
-
-    @cached_property
     def lambda_drawn(self) -> np.ndarray:
-        """The table ``count_block``'s hit counts are dotted with:
-        ``lambda_values`` up to the last atom with proposal mass, 0 on the
-        atoms without it. No draw lands on those, and on the ones carrying
-        target mass lambda is inf, where 0 hits times inf would give nan."""
-        lam = np.where(self.mu_weights > 0, self.lambda_values, 0.0)
+        """The unnormalized target density z_true * dnu/dmu on the atoms
+        up to the last one with proposal mass, 0 on those without it, so
+        exact on every atom a draw can land on. ``count_block``'s hit
+        counts are dotted with it: on a massless atom carrying target mass
+        the density is inf, where 0 hits times inf would give nan."""
+        lam = np.where(self.mu_weights > 0, self.z_true * self.ratio_cache, 0.0)
         return _freeze(lam[: self.last_drawable_atom + 1])
 
     @cached_property
@@ -267,9 +254,9 @@ class DistributionPair:
         return _freeze(np.argsort(self.lambda_drawn, kind="stable"))
 
     def lambda_at(self, atoms: np.ndarray) -> np.ndarray:
-        """``lambda_values[atoms]``, bit for bit, from the gathered
-        ratios: O(len(atoms)) work and no support-sized table, for
-        draws that may be fewer than the atoms."""
+        """``lambda_drawn[atoms]`` for drawn atoms, bit for bit, from the
+        gathered ratios: O(len(atoms)) work and no support-sized table,
+        for draws that may be fewer than the atoms."""
         lam = self.ratio_cache[atoms]
         lam *= self.z_true
         return lam
@@ -403,17 +390,14 @@ def draw_atoms(pair: DistributionPair, u: np.ndarray) -> np.ndarray:
     The cumulative proposal mass can round below 1, so u at or above its
     last value would index past the table; such draws are clipped to the
     last atom with proposal mass, never to a trailing zero-mass atom.
-    Every route gives the same atoms. A call with at least as many
-    uniforms as atoms, and at least GUIDE_MIN_DRAWS, walks the pair's
-    guide table (``mu_guide``), whose O(S) build its own draws pay for.
-    Other calls search the table directly, in sorted order (atoms
-    scattered back) on tables of at least SORTED_SEARCH_MIN_SUPPORT
-    atoms.
+    Both routes give the same atoms. A call with at least as many
+    uniforms as atoms walks the pair's guide table (``mu_guide``), whose
+    O(S) build its own draws pay for. A smaller call searches the table
+    in sorted order of its uniforms, so that the search walks the table
+    forward, and scatters the atoms back.
     """
-    if u.size >= max(pair.support_size, GUIDE_MIN_DRAWS):
+    if u.size >= pair.support_size:
         atoms = pair.mu_guide.search(u)
-    elif pair.support_size < SORTED_SEARCH_MIN_SUPPORT:
-        atoms = np.searchsorted(pair.mu_cdf, u, side="right")
     else:
         flat = u.ravel()
         order = np.argsort(flat)

@@ -118,6 +118,8 @@ def _quantile_rank(eps: float, m: float, n: int) -> int:
     kept within 1..n."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if m is None:
+        raise ValueError("the quantile estimate needs the plan's level m")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if n < 1:
@@ -176,8 +178,15 @@ def _quantile_counts(pair, counts, eps, delta, m, g) -> np.ndarray:
     return pair.lambda_drawn[order[first]]
 
 
+def _g_table(g) -> np.ndarray:
+    """The function table ``g`` that SNIS reads, as floats."""
+    if g is None:
+        raise ValueError("the SNIS estimate needs the function table g")
+    return np.asarray(g, dtype=np.float64)
+
+
 def _snis_draws(lambdas, atoms, eps, delta, m, g) -> np.ndarray:
-    g = np.asarray(g, dtype=np.float64)
+    g = _g_table(g)
     if atoms.max(initial=-1) >= g.size:
         raise ValueError("batch indexes atoms outside the supplied g table")
     return _snis_ratios(lambdas, g[atoms])
@@ -185,7 +194,7 @@ def _snis_draws(lambdas, atoms, eps, delta, m, g) -> np.ndarray:
 
 def _snis_counts(pair, counts, eps, delta, m, g) -> np.ndarray:
     weights = counts[:, 0] * pair.lambda_drawn  # hits times density value
-    return _snis_ratios(weights, np.asarray(g, dtype=np.float64)[: weights.shape[1]])
+    return _snis_ratios(weights, _g_table(g)[: weights.shape[1]])
 
 
 def _snis_ratios(weights, g) -> np.ndarray:
@@ -514,7 +523,7 @@ ESTIMATORS = {
     ),
     "snis": EstimatorMethod(
         "snis", _snis_draws, _snis_counts, reads_atoms=True,
-        truth=lambda pair, g: pair.nu_mean(g),
+        truth=lambda pair, g: pair.nu_mean(_g_table(g)),
     ),
 }
 
@@ -573,7 +582,8 @@ def run_trials(
     """Run the estimator ``ESTIMATORS[method]`` on ``trials`` samples of
     n draws and return their record, success judged once on the whole
     array. ``m`` is the plan's level (read by quantile), ``g`` the
-    function table (read by snis).
+    function table (read by snis); the estimator that reads one raises
+    ValueError when it is None.
 
     A trial is n density values (``draw_block``) or, when the support is
     small against n, the estimator's k hit-count histograms over D atoms

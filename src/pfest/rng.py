@@ -7,8 +7,8 @@ independent without any hashing of the key (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011), so the i-th of the
 sub-streams under a 64-bit seed is simply the stream keyed by the key
 words ``[seed, i]``, that is by ``seed + (i << 64)``. ``substreams``
-walks them with one re-keyed generator; ``derive_seed`` hashes a master
-seed into the 64-bit seeds of separate experiment rows.
+yields a fresh generator for each of them; ``derive_seed`` hashes a
+master seed into the 64-bit seeds of separate experiment rows.
 """
 
 from __future__ import annotations
@@ -32,33 +32,23 @@ def make_generator(seed: int) -> np.random.Generator:
 
 
 def substreams(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator]]:
-    """Yield ``(key, generator)`` for the sub-streams i = 0 .. count - 1
-    of the 64-bit ``seed``: ``key = seed + (i << 64)``, so
-    ``make_generator(key)`` replays item i exactly.
-
-    One generator serves every item: it is built once and re-keyed
-    between items (counter and buffer back to their initial values), so
-    its draws for item i must be taken before the next item is requested.
-    """
+    """Yield ``(key, make_generator(key))`` for the sub-streams i = 0 ..
+    count - 1 of the 64-bit ``seed``, ``key = seed + (i << 64)``: each
+    item has a generator of its own, whatever order it is drawn from."""
     seed = int(seed)
     if not 0 <= seed < _SEED_BOUND:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    gen = make_generator(seed)
-    bits = gen.bit_generator
-    fresh = bits.state
     for i in range(count):
-        if i:
-            fresh["state"]["key"][1] = i
-            bits.state = fresh
-        yield seed + (i << 64), gen
+        key = seed + (i << 64)
+        yield key, make_generator(key)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit seed for the ``index``-th independent sub-stream.
 
     Hashing (master_seed, index) through SeedSequence keeps sub-streams
-    decorrelated while staying reproducible regardless of how many
-    workers consume them or in which order.
+    decorrelated while staying reproducible whatever order the indices
+    are asked for in.
     """
     ss = np.random.SeedSequence((int(master_seed), int(index)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])

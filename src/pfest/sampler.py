@@ -96,7 +96,7 @@ def _race_block(
     np.cumsum(scores, axis=1, out=scores)
     # a block mostly holds more draws than there are atoms, so a lookup
     # in the cached per-pair table is the cheaper gather
-    lam = pair.lambda_values[atoms]
+    lam = pair.lambda_drawn[atoms]
     if lam.min() > 0:
         np.divide(scores, lam, out=scores)
     else:
@@ -107,9 +107,9 @@ def _race_block(
 def blocks(seed: int, rows: int, row_elements: int) -> Iterator[tuple]:
     """Walk ``rows`` rows of ``row_elements`` elements in blocks of
     B = max(1, RACE_CHUNK_ELEMENTS // row_elements) rows: yield ``(start,
-    count, gen)`` for block b, rows start = b B onward, drawn from the
-    generator ``gen`` of item b of ``substreams``, keyed by ``seed + (b
-    << 64)``. Row t is row t mod B of block t // B."""
+    count, gen)`` for block b, rows start = b B onward, drawn from
+    ``gen``, a generator of its own over item b of ``substreams``, keyed
+    by ``seed + (b << 64)``. Row t is row t mod B of block t // B."""
     per_block = max(1, RACE_CHUNK_ELEMENTS // row_elements)
     starts = range(0, rows, per_block)
     for start, (_, gen) in zip(starts, substreams(seed, len(starts))):

@@ -60,7 +60,7 @@ def _mom_success_two_atom(pair, n: int, delta: float, eps: float) -> float:
     most k - 1 - j above it: a trinomial sum."""
     k = group_count(delta)
     m = n // k
-    lam0, lam1 = pair.lambda_values
+    lam0, lam1 = pair.z_true * pair.ratio_cache
     q = float(pair.mu_weights[1])
     below = inside = above = 0.0
     for x in range(m + 1):
@@ -108,7 +108,7 @@ def _success_two_atom(pair, method, n, eps, delta, level, g) -> float:
     if method == "mom":
         return _mom_success_two_atom(pair, n, delta, eps)
     entry = ESTIMATORS[method]
-    lam0, lam1 = pair.lambda_values
+    lam0, lam1 = pair.z_true * pair.ratio_cache
     assert lam0 < lam1
     truth = entry.truth(pair, g)
 

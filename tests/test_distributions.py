@@ -30,6 +30,7 @@ from pfest.distributions import (
     ordered_dot,
     sample_counts,
 )
+from pfest.estimators import run_trials
 from pfest.rng import make_generator, standard_exponential
 from pfest.sampler import astar_sample, run_races
 
@@ -83,7 +84,7 @@ def test_pointmass_layout():
 def test_lambda_values_scale_with_z():
     a = make_bernoulli_pair(0.5, 0.25, z=1.0)
     b = make_bernoulli_pair(0.5, 0.25, z=3.5)
-    np.testing.assert_allclose(b.lambda_values, 3.5 * a.lambda_values, rtol=1e-15)
+    np.testing.assert_allclose(b.lambda_drawn, 3.5 * a.lambda_drawn, rtol=1e-15)
 
 
 def test_nu_mean(bern):
@@ -259,7 +260,7 @@ def test_sample_deterministic(bern):
 
 def test_sample_lambdas_are_table_lookups(bern):
     batch = sample(bern, 50, 3)
-    np.testing.assert_array_equal(batch.lambdas, bern.lambda_values[batch.atoms])
+    np.testing.assert_array_equal(batch.lambdas, bern.lambda_drawn[batch.atoms])
     assert batch.n == 50 and batch.seed == 3
 
 
@@ -408,8 +409,9 @@ def test_single_race_trace_matches_the_reference(pair):
     ids=["bernoulli", "random", "twopoint"],
 )
 def test_race_blocks_match_the_reference_block_by_block(pair, monkeypatch):
-    # 3 000-element blocks: 500 races of 6 draws, walked through the
-    # guide table, then a last block of 200 races, searched directly
+    # 3 000-element blocks: 500 races of 6 draws, then a last block of
+    # 200 races; each block, the last one's 1 200 uniforms included,
+    # holds at least as many uniforms as atoms and walks the guide table
     monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 3000)
     n, trials, seed = 6, 1700, 2**64 - 5
     counts = np.zeros(pair.support_size, dtype=np.int64)
@@ -425,7 +427,7 @@ def test_race_blocks_match_the_reference_block_by_block(pair, monkeypatch):
     assert summary.counts.sum() + summary.null_races == trials
     # twopoint's heavy atom has lambda = 0: its scores take the masked
     # divide, and some races draw nothing else
-    assert (nulls > 0) == (pair.lambda_values.min() == 0)
+    assert (nulls > 0) == (pair.lambda_drawn.min() == 0)
 
 
 def test_standard_exponential_is_the_negated_log1p():
@@ -438,12 +440,12 @@ def test_draw_tables_are_cached_and_read_only():
     pair = make_random_pair(32, 8, z=2.5)
     text = repr(pair)
     assert pair.mu_cdf is pair.mu_cdf
-    assert pair.lambda_values is pair.lambda_values
+    assert pair.lambda_drawn is pair.lambda_drawn
     assert pair.mu_guide is pair.mu_guide
     np.testing.assert_array_equal(pair.mu_cdf, np.cumsum(pair.mu_weights))
-    np.testing.assert_array_equal(pair.lambda_values, 2.5 * pair.ratio_cache)
+    np.testing.assert_array_equal(pair.lambda_drawn, 2.5 * pair.ratio_cache)
     assert isinstance(pair.mu_guide, GuideTable) and pair.mu_guide.scale == 32
-    for table in (pair.mu_cdf, pair.lambda_values, pair.mu_guide.guide, pair.mu_guide.cdf_ext):
+    for table in (pair.mu_cdf, pair.lambda_drawn, pair.mu_guide.guide, pair.mu_guide.cdf_ext):
         with pytest.raises(ValueError):
             table[0] = 0.0
     with pytest.raises(AttributeError):
@@ -456,7 +458,7 @@ def test_draw_tables_are_cached_and_read_only():
     ]
     one = make_finite_pair([1.0], [1.0], 2.0)
     other = make_finite_pair([1.0], [1.0], 2.0)
-    assert one.mu_cdf.size == one.lambda_values.size == 1
+    assert one.mu_cdf.size == one.lambda_drawn.size == 1
     assert one.mu_guide.scale == 1 and one.mu_guide.guide.tolist() == [0]
     assert one == other and repr(one) == repr(other)
 
@@ -564,7 +566,7 @@ def _in_pieces(pair, u, width):
     weights=st.one_of(_WEIGHTS, _ZERO_RUNS, _SKEWED),
     trailing=st.integers(0, 3),
     seed=st.integers(0, 2**32),
-    shape=st.sampled_from([(1,), (57,), (9, 13)]),
+    shape=st.sampled_from([(1,), (57,), (3, 5), (9, 13)]),
 )
 def test_draw_atoms_is_the_plain_search(weights, trailing, seed, shape):
     w = np.array(weights + [0.0] * trailing)
@@ -586,25 +588,22 @@ def test_draw_atoms_is_the_plain_search(weights, trailing, seed, shape):
     def plain(x):
         return np.clip(np.searchsorted(cdf, x, side="right"), 0, pair.last_drawable_atom)
 
-    # both sides of the guide rule (calls of fewer than S uniforms, and of
-    # at least S with the draw floor at 1) and of the support gate
-    for sorted_gate in (distributions.SORTED_SEARCH_MIN_SUPPORT, 1):
-        pair = fresh()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(distributions, "SORTED_SEARCH_MIN_SUPPORT", sorted_gate)
-            atoms = draw_atoms(pair, u)
-            assert atoms.shape == shape
-            np.testing.assert_array_equal(atoms, plain(u))
-            if size > 1:
-                np.testing.assert_array_equal(_in_pieces(pair, edges, size - 1), plain(edges))
-            assert draw_atoms(pair, edges[:0]).size == 0
-            assert "mu_guide" not in vars(pair)
-            mp.setattr(distributions, "GUIDE_MIN_DRAWS", 1)
-            np.testing.assert_array_equal(draw_atoms(pair, edges), plain(edges))
-            assert "mu_guide" in vars(pair)
-            atoms = draw_atoms(pair, u)
-            assert atoms.shape == shape
-            np.testing.assert_array_equal(atoms, plain(u))
+    # u takes the route its size picks: the guide table is built exactly
+    # when a call holds at least S uniforms
+    pair = fresh()
+    atoms = draw_atoms(pair, u)
+    assert atoms.shape == shape
+    np.testing.assert_array_equal(atoms, plain(u))
+    assert ("mu_guide" in vars(pair)) == (u.size >= size)
+    # both routes on every edge: calls of fewer than S uniforms search in
+    # sorted order and build no guide, a call of at least S walks it
+    pair = fresh()
+    if size > 1:
+        np.testing.assert_array_equal(_in_pieces(pair, edges, size - 1), plain(edges))
+    assert draw_atoms(pair, edges[:0]).size == 0
+    assert "mu_guide" not in vars(pair)
+    np.testing.assert_array_equal(draw_atoms(pair, edges), plain(edges))
+    assert "mu_guide" in vars(pair)
 
     # the table itself, against its definition
     table = pair.mu_guide
@@ -617,6 +616,18 @@ def test_draw_atoms_is_the_plain_search(weights, trailing, seed, shape):
     bucket = np.floor(cdf * scale)
     inside = [int(((bucket == b) & (cdf * scale != b)).sum()) for b in range(scale)]
     assert table.max_steps == max(inside)
+
+
+def test_workload_shaped_calls_keep_their_routes():
+    # a trial block of the wide workload's shape, 8 trials of 14k draws on
+    # 2^17 atoms, searches in sorted order and builds no guide table
+    wide = make_random_pair(1 << 17, 20260817)
+    run_trials(wide, "mom", 14_000, 8, 7, 0.5, 0.1)
+    assert "mu_guide" not in vars(wide)
+    # a race block on 64 atoms walks it
+    pair = make_random_pair(64, 20260864)
+    run_races(pair, 100, 8, 7)
+    assert "mu_guide" in vars(pair)
 
 
 def test_guide_table_steps_and_finishes():

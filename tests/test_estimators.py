@@ -14,6 +14,7 @@ from pfest import (
     hellinger,
     importance_sampling,
     kl,
+    make_bernoulli_pair,
     make_random_pair,
     make_weighted_pair,
     median_of_means,
@@ -31,7 +32,7 @@ from pfest import (
 )
 from pfest.divergences import parse_f_spec
 from pfest.estimators import FLOAT_EXACT_INT_MAX, LOG_N_MAX, group_count, ordered_mean
-from pfest.estimators import plan_method
+from pfest.estimators import plan_method, run_trials
 from pfest.rng import derive_seed
 
 LN10 = math.log(10.0)
@@ -477,6 +478,76 @@ def test_importance_sampling_unbiased(bern):
     report = importance_sampling(batch, np.ones(2), bern.ratio_cache)
     sigma = 0.25 / math.sqrt(batch.n)
     assert abs(report.estimate - 1.0) <= 3 * sigma
+
+
+def _is_estimate(pair, g, n, x):
+    """Plain IS of E_nu[g] on a two-atom pair from n draws, x of them on
+    atom 1: the mean of ratio * g over the draws."""
+    r0, r1 = pair.ratio_cache
+    return ((n - x) * r0 * g[0] + x * r1 * g[1]) / n
+
+
+def _is_fail_probability(pair, g, n, eps):
+    """Exact P[plain IS misses (1 +/- eps) E_nu[g]] on a two-atom pair:
+    the pmf of X ~ Bin(n, mu_1) summed over the failing x."""
+    truth = pair.nu_mean(g)
+    q = float(pair.mu_weights[1])
+    log_q, log_1mq, log_nf = math.log(q), math.log1p(-q), math.lgamma(n + 1)
+    total = 0.0
+    for x in range(n + 1):
+        if not within_multiplicative(_is_estimate(pair, g, n, x), truth, eps):
+            total += math.exp(
+                log_nf - math.lgamma(x + 1) - math.lgamma(n - x + 1)
+                + x * log_q + (n - x) * log_1mq
+            )
+    return total
+
+
+# (p, g, eps) at delta 0.1 on make_bernoulli_pair(p, 0.25): the grid's
+# plans up to 3e5 draws (the other three plan 3.6e5 to 1.8e6)
+IS_PLAN_CASES = [
+    (0.5, [1.0, 3.0], 0.25), (0.5, [1.0, 3.0], 0.1),
+    (0.5, [0.0, 1.0], 0.25), (0.5, [0.0, 1.0], 0.1),
+    (0.1, [1.0, 3.0], 0.25), (0.1, [1.0, 3.0], 0.1),
+    (0.1, [0.0, 1.0], 0.25),
+    (0.02, [1.0, 3.0], 0.25),
+    (0.02, [0.0, 1.0], 0.25),
+]
+
+
+@pytest.mark.parametrize("p,g,eps", IS_PLAN_CASES)
+def test_is_plan_meets_delta_exactly(p, g, eps):
+    """The failure probability of plain IS is at most delta at plan_n_is's
+    n, and above delta at n / 1000: a planner asking 10x more draws than
+    this one fails the second check."""
+    delta, g = 0.1, np.array(g)
+    pair = make_bernoulli_pair(p, 0.25)
+    n = plan_n_is(CoverageProfile.from_pair(make_weighted_pair(pair, g)), eps, delta).n
+    assert n <= 300_000
+    assert _is_fail_probability(pair, g, n, eps) <= delta
+    small = math.ceil(n / 1000)
+    assert _is_fail_probability(pair, g, small, eps) > delta
+    # the closed form is importance_sampling's estimate on a seeded batch
+    batch = sample(pair, small, 20261019)
+    x = int(np.count_nonzero(batch.atoms))
+    report = importance_sampling(batch, g, pair.ratio_cache)
+    assert report.estimate == pytest.approx(_is_estimate(pair, g, small, x), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pair", [make_bernoulli_pair(0.5, 0.25), make_random_pair(1024, 3)],
+    ids=["count-engine", "draw-engine"],
+)
+@pytest.mark.parametrize("method,missing", [("quantile", "level m"), ("snis", "table g")])
+def test_run_trials_names_the_missing_argument(pair, method, missing):
+    with pytest.raises(ValueError, match=missing):
+        run_trials(pair, method, 300, 3, 1, 0.25, 0.1)
+    batch = sample(pair, 300, 1)
+    with pytest.raises(ValueError, match=missing):
+        if method == "quantile":
+            quantile_estimator(batch, 0.25, None)
+        else:
+            snis(batch, None)
 
 
 def test_snis_constant_weights():

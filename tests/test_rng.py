@@ -1,5 +1,5 @@
 """The sub-stream rule: item i of a seed is the Philox stream keyed by
-the words [seed, i], walked with one re-keyed generator."""
+the words [seed, i], each item with a generator of its own."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ ITEMS = 6
 
 def _draws(gen):
     # an odd number of 32-bit draws leaves half a word buffered, which
-    # the re-key must drop
+    # no other item may see
     return (
         gen.random(5).tolist(),
         gen.integers(0, 2**31, size=3, dtype=np.int32).tolist(),
@@ -44,6 +44,17 @@ def test_item_i_is_the_stream_keyed_by_seed_and_i(seed):
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_item_i_is_the_stream_keyed_by_seed_and_i_for_any_seed(seed):
     _check_rule(seed)
+
+
+def test_items_are_independent_of_the_order_they_are_drawn_in():
+    # all items first, then their draws, last item first
+    seed = 2**64 - 3
+    items = list(substreams(seed, 3))
+    drawn = {key: _draws(gen) for key, gen in reversed(items)}
+    assert list(drawn) == [seed + (i << 64) for i in (2, 1, 0)]
+    for key, gen in items:
+        assert drawn[key] == _draws(make_generator(key))
+        assert gen.bit_generator.state["state"]["key"].tolist() == [seed, key >> 64]
 
 
 def test_key_words_are_seed_then_item():
@@ -148,9 +159,9 @@ def test_run_trials_seeds_one_generator_per_call(monkeypatch, pair):
     assert calls == {"derive_seed": 0, "Philox": 1}
 
 
-def test_run_races_seeds_one_generator_per_call(monkeypatch, bern):
+def test_run_races_seeds_one_generator_per_block(monkeypatch, bern):
     calls = _count_seeding(monkeypatch)
     # 2^20 // 2^17 = 8 races per block: 3 blocks
     summary = run_races(bern, 1 << 17, 24, 9)
     assert summary.counts.sum() + summary.null_races == 24
-    assert calls == {"derive_seed": 0, "Philox": 1}
+    assert calls == {"derive_seed": 0, "Philox": 3}
