@@ -518,15 +518,15 @@ def read_csv(path) -> SweepTable:
 
 
 def table_fingerprint(table: SweepTable) -> str:
-    """SHA-256 of the serialized table with wallclock timings removed;
-    equal fingerprints mean the run reproduced exactly."""
-    if "wallclock_ms" in table.columns:
-        keep = [i for i, c in enumerate(table.columns) if c != "wallclock_ms"]
-        table = SweepTable(
-            columns=tuple(table.columns[i] for i in keep),
-            rows=tuple(tuple(row[i] for i in keep) for row in table.rows),
-            metadata=table.metadata,
-        )
+    """SHA-256 of the serialized table with wallclock timings and the
+    ``format`` tag removed; equal fingerprints mean the run reproduced
+    exactly. A tag bump alone, with no row moved, moves no fingerprint."""
+    keep = [i for i, c in enumerate(table.columns) if c != "wallclock_ms"]
+    table = SweepTable(
+        columns=tuple(table.columns[i] for i in keep),
+        rows=tuple(tuple(row[i] for i in keep) for row in table.rows),
+        metadata=tuple((k, v) for k, v in table.metadata if k != "format"),
+    )
     return hashlib.sha256(_serialize(table).encode("utf-8")).hexdigest()
 
 

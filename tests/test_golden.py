@@ -272,7 +272,7 @@ FINGERPRINT_CONFIGS = {
             family="bernoulli",
             family_params=(("p", 0.5), ("eps", 0.25)),
         ),
-        "6c7c9b93ad07b782a4cf0f13201f293ba1535473e7be164aa6a4dc455d99e9c9",
+        "f92d89183b61ad7ddf5ded91ee43914923056e927c468b0b56919224d78dc826",
     ),
     "phase_transition": (
         run_phase_transition,
@@ -286,7 +286,7 @@ FINGERPRINT_CONFIGS = {
             f_names=("tv", "kl"),
             d_value=0.5,
         ),
-        "04dd5ff09d0fc8643d9321009fa7183c2fa979441fdcf699b871a7b563a24c8f",
+        "804c56f3881759cdbc34944bbe974ff6192fb3dd9de1d22f6cb214734ce2fa6b",
     ),
     "sampling_vs_counting": (
         run_sampling_vs_counting,
@@ -300,7 +300,7 @@ FINGERPRINT_CONFIGS = {
             family="two_point_mu",
             family_params=(("p", 0.25),),
         ),
-        "9ad17b2063b2732b31441e4b2fd4adf44a1bb781f520f751c65b6da3247b0e21",
+        "9d53112ad808ce22d0fdaa294b61f0a879bdaedb412b18115f17656e5a9c70d1",
     ),
 }
 

@@ -314,6 +314,18 @@ def test_fingerprint_ignores_wallclock():
     assert table_fingerprint(a) != table_fingerprint(c)
 
 
+def test_fingerprint_ignores_the_format_tag():
+    # a tag bump with no row moved moves no fingerprint; a row cell does
+    rows = ((0.5, 3), (0.1, 7))
+    a = SweepTable(("eps", "n"), rows, (("format", "pfest-sweep-v4"), ("kind", "demo")))
+    b = SweepTable(("eps", "n"), rows, (("format", "pfest-sweep-v5"), ("kind", "demo")))
+    assert table_fingerprint(a) == table_fingerprint(b)
+    c = SweepTable(("eps", "n"), ((0.5, 3), (0.1, 8)), b.metadata)
+    assert table_fingerprint(b) != table_fingerprint(c)
+    d = SweepTable(("eps", "n"), rows, (("format", "pfest-sweep-v5"), ("kind", "other")))
+    assert table_fingerprint(b) != table_fingerprint(d)
+
+
 def test_csv_fingerprint_matches_table(tmp_path):
     table = run_success_curve(BERN_CONFIG)
     path = tmp_path / "run.csv"
