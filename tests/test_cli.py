@@ -169,21 +169,26 @@ def test_race_past_float_range_exits_one_with_message(capsys, tiny_mu_pair):
         capsys, ["plan", *tiny_mu_pair, "--eps", "0.1", "--method", "sampling"]
     )
     n = re.search(r" n=(\d+) ", plan).group(1)
-    for extra in ([], ["--trials", "2"]):
-        code, out, err = _run(
-            capsys, ["sample", *tiny_mu_pair, "--eps", "0.1", "--seed", "1", *extra]
-        )
-        assert (code, out) == (EXIT_ERROR, "")
-        assert err.startswith("pfest: error: ")
-        assert err.count("\n") == 1
-        assert f" n={n} " in err
+    code, out, err = _run(capsys, ["sample", *tiny_mu_pair, "--eps", "0.1", "--seed", "1"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("pfest: error: ")
+    assert err.count("\n") == 1
+    assert f" n={n} " in err
+    # repeated races hold three uniforms each, not n draws, so they run
+    code, out, err = _run(
+        capsys, ["sample", *tiny_mu_pair, "--eps", "0.1", "--seed", "1", "--trials", "2"]
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith(f"sample trials=2 n={n} ")
+    assert " null_races=0 " in out
 
 
 def test_race_out_of_memory_exits_one_with_message(capsys, monkeypatch):
-    def no_memory(pair, gen, rows, n):
+    def no_memory(pair, u):
         raise MemoryError
 
-    monkeypatch.setattr(pfest.sampler, "_race_block", no_memory)
+    # the single race and the repeated races both draw their atoms here
+    monkeypatch.setattr(pfest.sampler, "draw_atoms", no_memory)
     for extra in ([], ["--trials", "2"]):
         code, out, err = _run(
             capsys, ["sample", *BERN, "--eps", "0.25", "--seed", "1", *extra]

@@ -26,29 +26,7 @@ from pfest.distributions import count_block
 from pfest.estimators import ESTIMATORS, group_count, run_trials
 from pfest.rng import make_generator
 
-ALPHA = 1e-6
-
-
-def _log_binom_pmf(n: int, p: float, x: int) -> float:
-    return (
-        math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
-        + x * math.log(p) + (n - x) * math.log1p(-p)
-    )
-
-
-def _binomial_band(trials: int, p: float, alpha: float = ALPHA) -> tuple[int, int]:
-    """Smallest [lo, hi] with P[X < lo] and P[X > hi] each at most
-    alpha / 2 for X ~ Bin(trials, p)."""
-    pmf = [math.exp(_log_binom_pmf(trials, p, x)) for x in range(trials + 1)]
-    lo, tail = 0, pmf[0]
-    while tail <= alpha / 2:
-        lo += 1
-        tail += pmf[lo]
-    hi, tail = trials, pmf[trials]
-    while tail <= alpha / 2:
-        hi -= 1
-        tail += pmf[hi]
-    return lo, hi
+from exact_laws import binomial_band, log_binom_pmf
 
 
 def _mom_success_two_atom(pair, n: int, delta: float, eps: float) -> float:
@@ -93,7 +71,7 @@ def test_count_engine_mom_success_follows_the_exact_law():
     assert 0.05 < p < 0.95
     record = run_trials(pair, "mom", n, trials, 20261018, eps, delta)
     hits = int(np.count_nonzero(record.success))
-    lo, hi = _binomial_band(trials, p)
+    lo, hi = binomial_band(trials, p)
     assert lo <= hits <= hi, (hits, lo, hi, p)
 
 
@@ -120,7 +98,7 @@ def _success_two_atom(pair, method, n, eps, delta, level, g) -> float:
 
     q = float(pair.mu_weights[1])
     return sum(
-        math.exp(_log_binom_pmf(n, q, x))
+        math.exp(log_binom_pmf(n, q, x))
         for x in range(n + 1)
         if entry.success(estimate(x), truth, eps, level)
     )
@@ -155,7 +133,7 @@ def test_success_follows_the_exact_law(monkeypatch, method, engine):
     assert 0.05 < p < 0.95
     record = run_trials(pair, method, n, trials, 20261019, eps, delta, m=level, g=g)
     hits = int(np.count_nonzero(record.success))
-    lo, hi = _binomial_band(trials, p)
+    lo, hi = binomial_band(trials, p)
     assert lo <= hits <= hi, (hits, lo, hi, p)
 
 

@@ -339,14 +339,42 @@ def _race_trace_reference(pair, n, rows, gen):
     return atoms, arrivals, scores
 
 
-def _race_reference(pair, n, rows, gen):
-    """Winner counts and null races of those races."""
-    atoms, _, scores = _race_trace_reference(pair, n, rows, gen)
-    best = np.argmin(scores, axis=1)
-    winners = atoms[np.arange(rows), best]
-    alive = np.isfinite(scores[np.arange(rows), best])
-    counts = np.bincount(winners[alive], minlength=pair.support_size)
-    return counts, int(rows - alive.sum())
+def _race_winner_reference(pair, n, v, w, y):
+    """Winner of the race of length n whose three uniforms are (v, w, y),
+    -1 for a null race, worked out level by level from the race's law:
+    the least of the first n - 1 scores sits at the level M with q(M) =
+    1 - (1 - v)^(1/(n - 1)), q(M) = mu(ratio >= M) + nu(ratio < M) / M;
+    the draw holding it is the atom below M that w picks in proportion
+    to nu, in increasing order of ratio (ties in index order); X_n, the
+    inverse-CDF draw of y,
+    wins iff its ratio exceeds M."""
+    mu, nu, ratio = (x.tolist() for x in (pair.mu_weights, pair.nu_weights, pair.ratio_cache))
+    live = sorted((i for i in range(len(mu)) if mu[i] > 0 and nu[i] > 0), key=lambda i: -ratio[i])
+    last = int(_cumsum_draw(pair, np.array([y]))[0])
+    level, below = 0.0, []
+    if n > 1:
+        p = -math.expm1(math.log1p(-v) / (n - 1))
+        for j, top in enumerate(live):
+            above, mass = sum(mu[i] for i in live[:j]), sum(nu[i] for i in live[j:])
+            if p < above + mass / ratio[top]:
+                ceiling = ratio[live[j - 1]] if j else math.inf
+                level = min(max(mass / (p - above), ratio[top]), ceiling) if p > above else ceiling
+                below = sorted(live[j:], key=lambda i: (ratio[i], i))
+                break
+    if ratio[last] > level:
+        return last
+    if not below:
+        return -1
+    cum = np.cumsum([nu[i] for i in below])
+    return below[min(int(np.searchsorted(cum, w * cum[-1], side="right")), len(below) - 1)]
+
+
+def _races_reference(pair, n, u):
+    """Winner counts and null races of the races whose uniforms are the
+    rows of u."""
+    winners = [_race_winner_reference(pair, n, *row) for row in u.tolist()]
+    counts = np.bincount([x for x in winners if x >= 0], minlength=pair.support_size)
+    return counts, winners.count(-1)
 
 
 # the last atom has no proposal mass and the cumulative mass ends one
@@ -372,9 +400,10 @@ def test_draws_match_the_per_call_cumsum(pair):
             state.atoms, _cumsum_draw(pair, make_generator(seed).random(40))
         )
 
-    # one block of races: its generator is keyed by the seed itself
+    # one block of races, three uniforms a race: its generator is keyed
+    # by the seed itself, and X_n is the per-call cumsum draw
     n, trials, seed = 6, 500, 11
-    counts, nulls = _race_reference(pair, n, trials, make_generator(seed))
+    counts, nulls = _races_reference(pair, n, make_generator(seed).random((trials, 3)))
     summary = run_races(pair, n, trials, seed)
     np.testing.assert_array_equal(summary.counts, counts)
     assert summary.null_races == nulls
@@ -403,31 +432,52 @@ def test_single_race_trace_matches_the_reference(pair):
         assert atom == atoms[0, state.best_index]
 
 
-@pytest.mark.parametrize(
-    "pair",
-    [make_bernoulli_pair(0.5, 0.25), make_random_pair(64, 5, z=3.0), make_twopoint_mu_pair(0.25)],
-    ids=["bernoulli", "random", "twopoint"],
-)
+RACE_PAIRS = [make_bernoulli_pair(0.5, 0.25), make_random_pair(64, 5, z=3.0), make_twopoint_mu_pair(0.25)]
+
+
+@pytest.mark.parametrize("pair", RACE_PAIRS, ids=["bernoulli", "random", "twopoint"])
 def test_race_blocks_match_the_reference_block_by_block(pair, monkeypatch):
-    # 3 000-element blocks: 500 races of 6 draws, then a last block of
-    # 200 races; each block, the last one's 1 200 uniforms included,
-    # holds at least as many uniforms as atoms and walks the guide table
+    # 3 000-element blocks: 1 000 races of 3 uniforms, then a last block
+    # of 700 races; 64-race chunks leave each block a short last chunk
     monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 3000)
-    n, trials, seed = 6, 1700, 2**64 - 5
+    monkeypatch.setattr(sampler, "RACE_ROW_CHUNK", 64)
+    n, trials, seed = 6, 2700, 2**64 - 5
     counts = np.zeros(pair.support_size, dtype=np.int64)
     nulls = 0
-    for b, start in enumerate(range(0, trials, 500)):
-        gen = make_generator(seed + (b << 64))
-        block_counts, block_nulls = _race_reference(pair, n, min(500, trials - start), gen)
+    for b, start in enumerate(range(0, trials, 1000)):
+        u = make_generator(seed + (b << 64)).random((min(1000, trials - start), 3))
+        block_counts, block_nulls = _races_reference(pair, n, u)
         counts += block_counts
         nulls += block_nulls
     summary = run_races(pair, n, trials, seed)
     np.testing.assert_array_equal(summary.counts, counts)
     assert summary.null_races == nulls
     assert summary.counts.sum() + summary.null_races == trials
-    # twopoint's heavy atom has lambda = 0: its scores take the masked
-    # divide, and some races draw nothing else
+    # twopoint's heavy atom has lambda = 0, and some races draw nothing else
     assert (nulls > 0) == (pair.lambda_drawn.min() == 0)
+
+
+@pytest.mark.parametrize("pair", RACE_PAIRS, ids=["bernoulli", "random", "twopoint"])
+def test_race_t_replays_as_a_row_of_its_block(pair):
+    """Race t is row t mod B of block t // B, B = 2^20 // 3, whatever the
+    race count: its winner is what the first t + 1 races add to the
+    first t."""
+    per_block = sampler.RACE_CHUNK_ELEMENTS // 3
+    assert per_block == 349_525
+    n, seed = 9, 77
+    for t in (0, 1, per_block - 1, per_block, per_block + 1):
+        u = make_generator(seed + ((t // per_block) << 64)).random((t % per_block + 1, 3))
+        winner = _race_winner_reference(pair, n, *u[-1])
+        after = run_races(pair, n, t + 1, seed)
+        added = after.counts.copy(), after.null_races
+        if t:
+            before = run_races(pair, n, t, seed)
+            added = added[0] - before.counts, added[1] - before.null_races
+        expected = np.zeros(pair.support_size, dtype=np.int64)
+        if winner >= 0:
+            expected[winner] = 1
+        np.testing.assert_array_equal(added[0], expected)
+        assert added[1] == (winner < 0)
 
 
 def test_standard_exponential_is_the_negated_log1p():
@@ -624,9 +674,13 @@ def test_workload_shaped_calls_keep_their_routes():
     wide = make_random_pair(1 << 17, 20260817)
     run_trials(wide, "mom", 14_000, 8, 7, 0.5, 0.1)
     assert "mu_guide" not in vars(wide)
-    # a race block on 64 atoms walks it
+    # races draw X_n alone from the proposal, one uniform a race: the
+    # race workload's 32 768 races on 64 atoms walk the guide table, 8
+    # races search in sorted order
     pair = make_random_pair(64, 20260864)
-    run_races(pair, 100, 8, 7)
+    run_races(pair, 88, 8, 7)
+    assert "mu_guide" not in vars(pair)
+    run_races(pair, 88, 32_768, 7)
     assert "mu_guide" in vars(pair)
 
 

@@ -102,8 +102,8 @@ TABLES = {
     ),
     "sample-trials": (
         ["sample", *BERN, "--eps", "0.25", "--seed", "7", "--trials", "50"],
-        "sample trials=50 n=7 M=1.25 eps=0.25 empirical_tv=0.07499999999999998 "
-        "null_races=0 freqs=0.3,0.7\n",
+        "sample trials=50 n=7 M=1.25 eps=0.25 empirical_tv=0.125 "
+        "null_races=0 freqs=0.5,0.5\n",
     ),
 }
 

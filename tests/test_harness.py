@@ -474,7 +474,7 @@ def test_success_curve_header_pinned():
         n_override=40,
     )
     assert run_success_curve(cfg).metadata == (
-        ("format", "pfest-sweep-v4"),
+        ("format", "pfest-sweep-v5"),
         ("kind", "success_curve"),
         ("eps_grid", "0.5,0.25"),
         ("delta", "0.1"),
@@ -499,7 +499,7 @@ def test_phase_transition_header_pinned():
         d_value=0.5,
     )
     assert run_phase_transition(cfg).metadata == (
-        ("format", "pfest-sweep-v4"),
+        ("format", "pfest-sweep-v5"),
         ("kind", "phase_transition"),
         ("eps_grid", "0.5"),
         ("delta", "0.2"),

@@ -161,7 +161,8 @@ def test_run_trials_seeds_one_generator_per_call(monkeypatch, pair):
 
 def test_run_races_seeds_one_generator_per_block(monkeypatch, bern):
     calls = _count_seeding(monkeypatch)
-    # 2^20 // 2^17 = 8 races per block: 3 blocks
-    summary = run_races(bern, 1 << 17, 24, 9)
-    assert summary.counts.sum() + summary.null_races == 24
+    # B = 2^20 // 3 races of three uniforms per block: 2 B + 1 races, 3 blocks
+    trials = 2 * (sampler.RACE_CHUNK_ELEMENTS // 3) + 1
+    summary = run_races(bern, 12, trials, 9)
+    assert summary.counts.sum() + summary.null_races == trials
     assert calls == {"derive_seed": 0, "Philox": 3}

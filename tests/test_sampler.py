@@ -7,16 +7,22 @@ import pytest
 import pfest
 from pfest import (
     AllNullDrawsError,
+    CoverageProfile,
     astar_sample,
     empirical_tv,
     make_bernoulli_pair,
+    make_finite_pair,
     make_random_pair,
     make_twopoint_mu_pair,
     plan_n_sampling,
     run_races,
+    sampler,
 )
 from pfest.coverage import PlanResult
+from pfest.rng import make_generator
 from pfest.sampler import RACE_CHUNK_ELEMENTS, RaceSummary, sampling_plan
+
+from exact_laws import binomial_band, check_race_counts, race_law
 
 
 def test_identity_race_first_draw(identity_pair):
@@ -113,10 +119,34 @@ def test_sampling_plan_checks_eps_before_the_profile(bern_profile, eps):
 
 @pytest.mark.parametrize("n", [2**63, 2**1024])
 def test_races_past_int64_name_n(bern, n):
+    # the single race holds its n draws; repeated races hold three
+    # uniforms each, so they run
     with pytest.raises(ValueError, match=f"n={n} "):
         astar_sample(bern, n, 0)
-    with pytest.raises(ValueError, match=f"n={n} "):
-        run_races(bern, n, 2, 0)
+    summary = run_races(bern, n, 2, 0)
+    assert (summary.n_per_race, summary.trials) == (n, 2)
+    assert summary.counts.sum() + summary.null_races == 2
+
+
+def test_races_of_any_length_follow_the_exact_law(twopoint):
+    """run_races holds three uniforms per race, not n draws, so n may
+    pass the int64 and the float range. Past 2^63 the law is still the
+    exact one. Past the float range the level M* of the first n - 1
+    draws' least score is above 1e306, past every ratio here (inf once
+    1/(n - 1) underflows), so the winner is a nu draw over the atoms
+    with positive density."""
+    trials = 1 << 16
+    for pair in (make_bernoulli_pair(0.5, 0.25), make_random_pair(64, 20260864), twopoint):
+        summary = run_races(pair, 2**63 + 1, trials, 5)
+        check_race_counts(summary.counts, summary.null_races, trials, pair, 2**63 + 1)
+        # 1/(n - 1) is subnormal at 2^1024 and 0 at 2^1100
+        for n in (2**1024, 2**1100):
+            summary = run_races(pair, n, trials, 6)
+            assert summary.n_per_race == n
+            assert summary.null_races == 0
+            for count, p in zip(summary.counts.tolist(), pair.nu_weights.tolist()):
+                lo, hi = binomial_band(trials, p)
+                assert lo <= count <= hi, (count, lo, hi, p)
 
 
 def test_run_races_deterministic(bern):
@@ -155,13 +185,18 @@ def test_empirical_tv_converges(bern):
 
 @pytest.mark.parametrize(
     "pair, n, trials",
-    [(make_bernoulli_pair(0.5, 0.25), 12, 100_000), (make_random_pair(64, 20260864), 88, 32_768)],
-    ids=["bernoulli", "random64"],
+    [
+        (make_bernoulli_pair(0.5, 0.25), 12, 100_000),
+        (make_random_pair(64, 20260864), 88, 32_768),
+        (make_random_pair(64, 20260864), 88, 10**6),
+    ],
+    ids=["bernoulli", "random64", "random64-1e6"],
 )
 def test_run_races_holds_one_block_at_a_time(pair, n, trials):
-    """Both calls run blocks of about 2^20 draws (the second three of
-    them); one block's draws, arrivals and density values must be freed
-    before the next block draws, and its scores reuse its arrivals."""
+    """A block of about 2^20 uniforms, three per race, is drawn and
+    mapped RACE_ROW_CHUNK races at a time, so a call holds one chunk's
+    uniforms and temporaries whatever its race count (the 10^6 races run
+    three blocks)."""
     block_bytes = RACE_CHUNK_ELEMENTS * np.dtype(np.float64).itemsize
     tracemalloc.start()
     try:
@@ -170,3 +205,57 @@ def test_run_races_holds_one_block_at_a_time(pair, n, trials):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * block_bytes
+
+
+def _law_pairs():
+    # a tied level (atoms 1 and 2, ratio 1.5) and a level lambda = 0
+    # with proposal mass (atom 3)
+    tied = make_finite_pair([0.3, 0.2, 0.1, 0.25, 0.15], [0.1, 0.3, 0.15, 0.0, 0.45], 2.0)
+    return {
+        "bernoulli": make_bernoulli_pair(0.5, 0.25),
+        "twopoint": make_twopoint_mu_pair(0.25),
+        "random64": make_random_pair(64, 20260864),
+        "tied": tied,
+    }
+
+
+LAW_PAIRS = _law_pairs()
+LAW_CASES = [
+    (name, n)
+    for name, pair in LAW_PAIRS.items()
+    for n in (1, 2, sampling_plan(CoverageProfile.from_pair(pair), 0.1).n)
+]
+
+
+@pytest.mark.parametrize("name, n", LAW_CASES, ids=[f"{k}-n{n}" for k, n in LAW_CASES])
+def test_races_follow_the_exact_law(name, n):
+    """Both engines against the exact race law, atom by atom and for the
+    null races, in alpha-1e-6 binomial bands: run_races over 2^18 races,
+    and 2^13 per-draw races of astar_sample's _race_block on one
+    stream, the argmin of each race's scores winning."""
+    pair = LAW_PAIRS[name]
+    trials = 1 << 18
+    summary = run_races(pair, n, trials, 20261019)
+    assert summary.counts.sum() + summary.null_races == trials
+    check_race_counts(summary.counts, summary.null_races, trials, pair, n)
+
+    trials = 1 << 13
+    gen = make_generator(20261020)
+    counts = np.zeros(pair.support_size, dtype=np.int64)
+    for _ in range(trials):
+        atoms, scores = sampler._race_block(pair, gen, n)
+        best = int(np.argmin(scores))
+        if np.isfinite(scores[best]):
+            counts[atoms[best]] += 1
+    check_race_counts(counts, trials - int(counts.sum()), trials, pair, n)
+
+
+def test_exact_race_law_sums_to_one():
+    # the yardstick itself: winners and null races make up every race
+    for pair in LAW_PAIRS.values():
+        for n in (1, 2, 7, 300, 2**63 + 1):
+            law, null = race_law(pair, n)
+            assert law.min() >= 0.0
+            assert float(law.sum()) + null == pytest.approx(1.0, abs=1e-12)
+    # one atom with lambda = 0: every race is null
+    assert race_law(make_twopoint_mu_pair(0.25), 3)[1] == 0.75**3
