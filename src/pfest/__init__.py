@@ -40,7 +40,6 @@ from .divergences import (
     Regime,
     chi_squared,
     classify_regime,
-    estimate_c_threshold,
     f_divergence,
     gamma_f,
     hellinger,
@@ -95,7 +94,9 @@ from .sampler import (
     RaceSummary,
     astar_sample,
     empirical_tv,
+    exact_tv,
     plan_n_sampling,
+    race_law,
     run_races,
 )
 

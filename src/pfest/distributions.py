@@ -196,6 +196,7 @@ class DistributionPair:
             ratio = nu / mu
             singular = 0.0
             mean = ordered_dot(mu, ratio)
+            top = float(ratio.max())
             last_drawable = mu.size - 1
         else:
             pos = mu > 0
@@ -204,11 +205,21 @@ class DistributionPair:
             singular = float(nu[~pos].sum())
             ratio[~pos & (nu > 0)] = np.inf
             mean = ordered_dot(mu[pos], ratio[pos])
+            top = float(np.max(ratio, where=pos, initial=0.0))
             last_drawable = int(mu.size - 1 - np.argmax(pos[::-1]))
         if abs(mean + singular - 1.0) > RATIO_MEAN_TOL:
             raise ValueError(
                 "inconsistent pair: E_mu[ratio] + singular_mass = "
                 f"{mean + singular!r}, expected 1"
+            )
+        # lambda = z * ratio on every atom a draw can land on, whose
+        # largest ratio is top, must be a float; ratios of atoms without
+        # proposal mass are never scaled
+        if math.isinf(z * top):
+            atom = int(np.flatnonzero((mu > 0) & (ratio == top))[0])
+            raise ValueError(
+                f"z_true * ratio at atom {atom} passes the float range: "
+                f"{z!r} * {top!r}"
             )
 
         object.__setattr__(self, "mu_weights", _freeze(mu))

@@ -61,8 +61,7 @@ class FGenerator:
     for user-supplied generators, in which case ``classify_regime``
     probes the growth numerically. ``c_threshold`` is the technical
     constant of the second-moment planner term; built-ins ship curated
-    values, and other generators get 1.0 unless they set their own
-    (``estimate_c_threshold`` scans one from ``fn`` on request).
+    values, and other generators get 1.0 unless they set their own.
     ``log_growth_inverse`` maps m >= 0 to ln gamma_f(m); the built-in
     factories attach a closed form, and a generator built without one
     gets the float search ``_least_float_inverse`` over ``fn``.
@@ -505,20 +504,3 @@ def classify_regime(f: FGenerator) -> Regime:
     if np.all(quad_ratios > REGIME_GROWTH_FACTOR):
         return Regime.SUPERQUADRATIC
     return Regime.SUBQUADRATIC_SUPERLINEAR
-
-
-def estimate_c_threshold(f: FGenerator, t_max: float = 1e9, points: int = 400) -> float:
-    """Scanned second-moment threshold for user generators: the last
-    point on a geometric grid where f(t)/t^2 still increases.
-
-    For generators whose f(t)/t^2 keeps increasing the scan returns the
-    grid cap; planners fed such a value will produce enormous (but
-    honest) sample sizes.
-    """
-    grid = np.geomspace(1.0, t_max, points)
-    with np.errstate(all="ignore"):
-        g = np.asarray(f(grid), dtype=np.float64) / grid**2
-    rising = g[1:] > g[:-1] * (1.0 + 1e-12)
-    if not rising.any():
-        return 1.0
-    return float(grid[1:][rising][-1])

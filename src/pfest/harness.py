@@ -261,7 +261,7 @@ def _constants_metadata() -> list[tuple[str, str]]:
 
 
 def _config_metadata(config: ExperimentConfig) -> tuple[tuple[str, str], ...]:
-    meta = [("format", "pfest-sweep-v5")]
+    meta = [("format", "pfest-sweep-v6")]
     for key, text in _set_fields(config):
         if key != "output_path":
             meta.append((key, text))

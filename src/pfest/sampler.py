@@ -7,25 +7,26 @@ target-distributed. The argmin is invariant to the unknown
 normalizer, so the race only ever sees lambda values up to scale.
 
 ``astar_sample`` runs one race draw by draw and keeps its trace.
-``run_races`` draws each race's winner from the race's exact law
-instead (Maddison, Tarlow & Minka, "A* Sampling", NeurIPS 2014).
-Given the n-th arrival, the first n - 1 arrivals are i.i.d. uniform
-fractions of it, so the race has n - 1 i.i.d. scores U/lambda(X),
-X ~ mu, and one score 1/lambda(X_n); the least score wins. Write the
-level M = 1/(z s) for a score s. One score falls below s with
-probability q(M) = mu_tail(M) + nu(ratio < M)/M, which is linear in
-1/M between the ratio levels. So the least of the n - 1 scores sits
-at the level M* solving q(M*) = 1 - V^(1/(n - 1)), V uniform; the
-draw holding it is an atom of ratio below M*, drawn in proportion to
-nu; and X_n wins iff its ratio exceeds M*. A race costs three uniforms
-and O(log S) work whatever its length n.
+``run_races`` never draws a race: it tallies the winners of its races
+in one multinomial draw over the race's exact law, ``race_law``
+(Maddison, Tarlow & Minka, "A* Sampling", NeurIPS 2014). Given the n-th
+arrival, the first n - 1 arrivals are i.i.d. uniform fractions of it,
+so the race has n - 1 i.i.d. scores U/lambda(X), X ~ mu, and one score
+1/lambda(X_n); the least score wins. Write the level M = 1/(z s) for a
+score s. One score falls below s with probability q(M) = mu_tail(M) +
+nu(ratio < M)/M, which is linear in 1/M between the ratio levels. The
+least of the n - 1 scores sits at a level M* with P[M* <= M] = (1 -
+q(M))^(n - 1); the draw holding it is an atom of ratio below M*, in
+proportion to nu; and X_n wins iff its ratio exceeds M*. Summed over
+the segments between the ratio levels, that gives every atom's chance
+to win in O(S) work whatever n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -34,12 +35,9 @@ from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
 from .rng import standard_exponential, substreams
 
-# Races and run_trials' trials run in ``blocks`` of about this many elements,
-# so that a row's draws do not depend on how many rows a call asks for.
+# run_trials' trials run in ``blocks`` of about this many elements, so
+# that a trial's draws do not depend on how many trials a call asks for.
 RACE_CHUNK_ELEMENTS = 1 << 20
-# run_races maps a block's races this many rows of uniforms at a time, so
-# that a chunk's temporaries stay in cache (measured, see CHANGES.md).
-RACE_ROW_CHUNK = 1 << 13
 # Planner: n = ceil(SAMPLING_PLAN_CONSTANT * M * ln(3/eps)).
 SAMPLING_PLAN_CONSTANT = 2.0
 
@@ -132,82 +130,68 @@ def blocks(seed: int, rows: int, row_elements: int) -> Iterator[tuple]:
         yield start, min(per_block, rows - start), gen
 
 
-class _RaceLaw(NamedTuple):
-    """The tables of the race's law over the P atoms with positive
-    density, in decreasing order of ratio r_0 >= ... >= r_{P-1} > 0.
+def race_law(pair: DistributionPair, n: int) -> tuple[np.ndarray, float]:
+    """The exact law of the winner of the race of length n on ``pair``:
+    the probability that each atom wins, shape (S,), and the probability
+    that the race is null.
 
-    With the first j atoms at or above the level M (so M lies in
-    (r_j, r_{j-1}]), q(M) = ``mu_above[j]`` + ``nu_below[j]`` / M.
-    ``breaks[j]`` is q(r_j), increasing in j; ``lo[j]`` = r_j and
-    ``hi[j]`` = r_{j-1} bound the segment, with r_P = 0 and r_{-1} =
-    inf. ``nu_cum`` is the cumulative target mass over ``atoms_up``, the
-    atoms in increasing order of ratio (ties in index order) followed by
-    the null index S; the P - j atoms below M are its first P - j."""
+    Over the P atoms with positive density, in decreasing order of ratio
+    r_0 >= ... >= r_{P-1}, take M in segment j, (r_j, r_{j-1}] (r_{-1} =
+    inf): then q(M) = A_j + N_j / M, with A_j the proposal mass of atoms
+    0 .. j - 1 and N_j the target mass of atoms j .. P - 1. The level M*
+    of the least of the first n - 1 scores has F(M) = P[M* <= M] =
+    (1 - q(M))^(n - 1). X_n wins at atom a with probability mu_a F(r_a).
+    The draw holding M* is an atom below M*, in proportion to nu, and it
+    wins when X_n lies at or below M*, which has proposal mass 1 - A_j;
+    so it wins at atom a with probability nu_a times the sum over the
+    segments j <= a of (F(r_{j-1}) - F(r_j)) (1 - A_j) / N_j, one
+    cumulative sum for every atom. The race is null with probability
+    mu0^n, mu0 the proposal mass of the drawable atoms of zero density.
+    O(S log S) for the sort, then O(S), whatever n.
 
-    breaks: np.ndarray
-    mu_above: np.ndarray
-    nu_below: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    nu_cum: np.ndarray
-    atoms_up: np.ndarray
-
-    @classmethod
-    def build(cls, pair: DistributionPair) -> "_RaceLaw":
-        # the law is the same for lambda at any scale, so the tables read
-        # the ratio lambda/z: finite on every atom with mass, where
-        # lambda itself can overflow
-        mu, nu = pair.mu_weights, pair.nu_weights
-        live = np.flatnonzero((mu > 0) & (nu > 0))
-        atoms_up = live[np.argsort(pair.ratio_cache[live], kind="stable")]
-        down = atoms_up[::-1]
-        r = pair.ratio_cache[down]
-        nu_cum = np.cumsum(nu[atoms_up])
-        nu_below = np.concatenate(([0.0], nu_cum))[::-1]
-        mu_above = np.concatenate(([0.0], np.cumsum(mu[down])))
-        # tied ratios make zero-length segments: rounding must not leave
-        # the breakpoints out of order there
-        breaks = np.maximum.accumulate(mu_above[:-1] + nu_below[:-1] / r)
-        return cls(
-            breaks=breaks,
-            mu_above=mu_above,
-            nu_below=nu_below,
-            lo=np.append(r, 0.0),
-            hi=np.concatenate(([np.inf], r)),
-            nu_cum=nu_cum,
-            atoms_up=np.append(atoms_up, pair.support_size),
+    (1 - q)^(n - 1) is exp(-exp(ln(-ln(1 - q)) + ln(n - 1))), with
+    ln(n - 1) taken of the integer, so n may pass the int64 and the float
+    range. -ln(1 - q) is -log1p(-q) where q < 1/2, and -ln of 1 - q
+    summed from the masses below the level where q >= 1/2, so that
+    neither side loses its digits to 1 - q. The law reads the ratio, not
+    lambda = z ratio; it is the same at any scale."""
+    _check_race_length(n)
+    mu, nu = pair.mu_weights, pair.nu_weights
+    live = np.flatnonzero((mu > 0) & (nu > 0))
+    down = live[np.argsort(-pair.ratio_cache[live], kind="stable")]
+    r, mu_d, nu_d = pair.ratio_cache[down], mu[down], nu[down]
+    mu0 = float(mu[nu == 0].sum())
+    nu_below = np.cumsum(nu_d[::-1])[::-1]
+    # 1 - A_j: the proposal mass at or below r_j, null atoms included
+    mu_below = np.cumsum(mu_d[::-1])[::-1] + mu0
+    # q(r_j) and 1 - q(r_j) for j = 0 .. P - 1, then at M = 0+, where
+    # every draw of positive density scores below the level
+    q = np.concatenate(([0.0], np.cumsum(mu_d))) + np.append(nu_below / r, 0.0)
+    s = np.append(mu_below - nu_below / r, mu0)
+    # q = 0 gives F = 1 and 1 - q = 0 gives F = 0 (n > 1), through the
+    # infinities of the logs; the clips keep rounding off the logs' domain
+    with np.errstate(divide="ignore", over="ignore"):
+        neg_log = np.where(
+            q < 0.5, -np.log1p(-np.minimum(q, 0.5)), -np.log(np.maximum(s, 0.0))
         )
-
-    def winners(self, pair: DistributionPair, u: np.ndarray, n: int) -> np.ndarray:
-        """Winning atoms of the races of length n whose three uniforms
-        (V, W, Y) are the rows of ``u``, S for a null race: the level M*
-        from V, the draw holding it from W, X_n from Y."""
-        v, w, y = u.T
+        # F falls from each level to the next; rounding, as at tied
+        # levels, must not make a segment's mass negative
+        np.maximum.accumulate(neg_log, out=neg_log)
         if n == 1:
-            # no first n - 1 draws: their least score is inf, M* = 0
-            seg = np.full(len(u), len(self.breaks))
-            level = np.zeros(len(u))
+            f = np.ones_like(neg_log)
         else:
-            # q(M*) = p = 1 - V^(1/(n - 1)); 1 - V is uniform on (0, 1],
-            # so its log is finite; where 1/(n - 1) underflows to 0, so
-            # does p, and M* is inf
-            p = np.log1p(-v)
-            p *= 1 / (n - 1)
-            np.expm1(p, out=p)
-            np.negative(p, out=p)
-            seg = np.searchsorted(self.breaks, p, side="right")
-            p -= self.mu_above[seg]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                level = np.divide(self.nu_below[seg], p, out=p)
-            # fmax drops the nan of 0/0: M* clamps into its segment
-            np.fmax(level, self.lo[seg], out=level)
-            np.fmin(level, self.hi[seg], out=level)
-        # the draw holding S* has ratio below M*, in proportion to nu;
-        # with no atom below M*, index -1 is the null index
-        at = np.searchsorted(self.nu_cum, w * self.nu_below[seg], side="right")
-        np.minimum(at, len(self.breaks) - seg - 1, out=at)
-        last = draw_atoms(pair, y)
-        return np.where(pair.ratio_cache[last] > level, last, self.atoms_up[at])
+            f = np.exp(-np.exp(np.log(neg_log) + math.log(n - 1)))
+    held = -np.diff(f[:-1], prepend=1.0) * mu_below / nu_below
+    law = np.zeros(pair.support_size)
+    law[down] = mu_d * f[:-1] + nu_d * np.cumsum(held)
+    return law, mu0 * float(f[-1])
+
+
+def exact_tv(pair: DistributionPair, n: int) -> float:
+    """Total variation between the race's winner law at length n and the
+    target, summed from the per-atom deviations as ``empirical_tv`` sums
+    the frequencies'."""
+    return _tv_to_target(*race_law(pair, n), pair)
 
 
 def run_races(
@@ -215,21 +199,27 @@ def run_races(
 ) -> RaceSummary:
     """Repeat the race of length n `trials` times and tally winners;
     null races (every draw at zero density) are counted, not raised.
-    Each race's winner is drawn from the race's exact law (module
-    docstring) from three uniforms, so every n >= 1 runs at one cost.
-    Races run in blocks of about RACE_CHUNK_ELEMENTS uniforms, block b on
-    the Philox stream keyed by ``master_seed + (b << 64)`` (``blocks``),
-    which draws its races' rows of three uniforms RACE_ROW_CHUNK rows at
-    a time: race t is row t mod B of block t // B, B = 2^20 // 3."""
-    _check_race_length(n)
+    The races are i.i.d., so their winner counts are one
+    Multinomial(trials, ``race_law(pair, n)``) draw, from the generator
+    of item 0 of ``substreams(master_seed, 1)`` (the stream keyed by the
+    seed itself, as in ``astar_sample``): O(S) whatever n and trials.
+    The categories are the atoms of positive law, then null when it has
+    positive law, with the most likely one moved last, since numpy's
+    multinomial hands the last category whatever count the others leave:
+    no atom of zero law wins, and a pair without drawable zero-density
+    mass never reports a null race."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    law = _RaceLaw.build(pair)
+    if trials >= 2**63:  # numpy's multinomial counts are int64
+        raise ValueError(f"trials={trials} races pass the 64-bit count range")
+    law, null = race_law(pair, n)
+    p = np.append(law, null)
+    cats = np.flatnonzero(p)
+    last = cats[np.argmax(p[cats])]
+    cats = np.append(cats[cats != last], last)
+    _, gen = next(substreams(master_seed, 1))
     counts = np.zeros(pair.support_size + 1, dtype=np.int64)
-    for _, rows, gen in blocks(master_seed, trials, 3):
-        for start in range(0, rows, RACE_ROW_CHUNK):
-            u = gen.random((min(RACE_ROW_CHUNK, rows - start), 3))
-            counts += np.bincount(law.winners(pair, u, n), minlength=len(counts))
+    counts[cats] = gen.multinomial(trials, p[cats])
     return RaceSummary(
         counts=counts[:-1], null_races=int(counts[-1]), trials=trials, n_per_race=n
     )
@@ -241,9 +231,15 @@ def empirical_tv(summary: RaceSummary, pair: DistributionPair) -> float:
     Null races are phantom mass the target does not have, so they
     contribute their full rate to the L1 sum.
     """
-    freq = summary.counts / summary.trials
-    err = summary.null_races / summary.trials
-    return 0.5 * (float(np.abs(freq - pair.nu_weights).sum()) + err)
+    return _tv_to_target(
+        summary.counts / summary.trials, summary.null_races / summary.trials, pair
+    )
+
+
+def _tv_to_target(winners: np.ndarray, null: float, pair: DistributionPair) -> float:
+    """Total variation between a winner law with null mass ``null`` and
+    the target."""
+    return 0.5 * (float(np.abs(winners - pair.nu_weights).sum()) + null)
 
 
 def _check_race_eps(eps: float) -> None:

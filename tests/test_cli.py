@@ -74,11 +74,14 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
         # (alpha - 1)^6 and D pass the float range; the pair has no
         # singular mass
         ["plan", *BERN, "--eps", "0.25", "--method", "fdiv:renyi:alpha=1e60"],
+        # the winner counts of 2^63 races or more: numpy's multinomial
+        # counts are int64
+        ["sample", *BERN, "--eps", "0.25", "--seed", "1", "--trials", str(2**63)],
     ],
     ids=["unknown-method", "malformed-params", "params-without-value",
          "snis-with-plan", "grid-inf", "grid-nan", "counts-past-int64-quantile",
          "counts-past-int64-mom", "sample-eps", "plan-sampling-eps",
-         "renyi-overflow"],
+         "renyi-overflow", "trials-past-int64"],
 )
 def test_bad_input_exits_one_with_message(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -174,7 +177,7 @@ def test_race_past_float_range_exits_one_with_message(capsys, tiny_mu_pair):
     assert err.startswith("pfest: error: ")
     assert err.count("\n") == 1
     assert f" n={n} " in err
-    # repeated races hold three uniforms each, not n draws, so they run
+    # repeated races hold their winner law, not n draws, so they run
     code, out, err = _run(
         capsys, ["sample", *tiny_mu_pair, "--eps", "0.1", "--seed", "1", "--trials", "2"]
     )
@@ -187,12 +190,14 @@ def test_race_out_of_memory_exits_one_with_message(capsys, monkeypatch):
     def no_memory(pair, u):
         raise MemoryError
 
-    # the single race and the repeated races both draw their atoms here
-    monkeypatch.setattr(pfest.sampler, "draw_atoms", no_memory)
-    for extra in ([], ["--trials", "2"]):
-        code, out, err = _run(
-            capsys, ["sample", *BERN, "--eps", "0.25", "--seed", "1", *extra]
-        )
+    # the single race draws its atoms here; the repeated races build
+    # their winner law here
+    for name, extra in (("draw_atoms", []), ("race_law", ["--trials", "2"])):
+        with monkeypatch.context() as patch:
+            patch.setattr(pfest.sampler, name, no_memory)
+            code, out, err = _run(
+                capsys, ["sample", *BERN, "--eps", "0.25", "--seed", "1", *extra]
+            )
         assert (code, out) == (EXIT_ERROR, "")
         assert err == "pfest: error: races of n=7 draws do not fit in memory\n"
 
@@ -249,6 +254,15 @@ def test_pair_file_not_an_object_exits_one(capsys, tmp_path):
     assert _run(capsys, ["coverage", "--pair", str(path), "--grid", "0:1:2"]) == (
         EXIT_ERROR, "", "pfest: error: pair document must be a JSON object, got list\n"
     )
+
+
+def test_pair_with_a_density_past_the_float_range_exits_one(capsys, tmp_path):
+    path = tmp_path / "huge_lambda.json"
+    path.write_text(json.dumps({"mu": [1e-300, 1 - 1e-300], "nu": [0.5, 0.5], "z": 1e10}))
+    code, out, err = _run(capsys, ["plan", "--pair", str(path), "--eps", "0.25"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("pfest: error: z_true * ratio at atom 0 passes the float range")
+    assert err.count("\n") == 1
 
 
 def test_repeated_in_process_calls_print_the_same(capsys):

@@ -21,7 +21,7 @@ from pfest import (
     sample,
     save_pair,
 )
-from pfest import distributions, sampler
+from pfest import distributions
 from pfest.distributions import (
     DOT_CHUNK,
     ROW_DOT_CHUNK,
@@ -32,7 +32,7 @@ from pfest.distributions import (
 )
 from pfest.estimators import run_trials
 from pfest.rng import make_generator, standard_exponential
-from pfest.sampler import astar_sample, run_races
+from pfest.sampler import astar_sample, race_law, run_races
 
 
 def test_bernoulli_pair_layout(bern):
@@ -145,6 +145,16 @@ def test_make_finite_rejects_bad_weights():
         make_finite_pair([0.5, 0.5], [0.5, 0.5], 0.0)
     with pytest.raises(ValueError):
         make_finite_pair([0.5, 0.5], [0.5, 0.5], math.inf)
+
+
+def test_make_finite_rejects_a_density_past_the_float_range():
+    # every weight and ratio is finite, but z * ratio at atom 0 is 5e309
+    with pytest.raises(ValueError, match=r"^z_true \* ratio at atom 0 passes the float range"):
+        make_finite_pair([1e-300, 1 - 1e-300], [0.5, 0.5], 1e10)
+    # the same ratio at z = 1, and an atom without proposal mass, whose
+    # infinite ratio is never scaled, build
+    assert make_finite_pair([1e-300, 1 - 1e-300], [0.5, 0.5], 1.0).lambda_drawn[0] == pytest.approx(5e299)
+    assert make_finite_pair([0.0, 1.0], [0.5, 0.5], 1e300).lambda_drawn.tolist() == [0.0, 5e299]
 
 
 # tiny positive weights make nu/mu overflow, which the constructor
@@ -339,44 +349,6 @@ def _race_trace_reference(pair, n, rows, gen):
     return atoms, arrivals, scores
 
 
-def _race_winner_reference(pair, n, v, w, y):
-    """Winner of the race of length n whose three uniforms are (v, w, y),
-    -1 for a null race, worked out level by level from the race's law:
-    the least of the first n - 1 scores sits at the level M with q(M) =
-    1 - (1 - v)^(1/(n - 1)), q(M) = mu(ratio >= M) + nu(ratio < M) / M;
-    the draw holding it is the atom below M that w picks in proportion
-    to nu, in increasing order of ratio (ties in index order); X_n, the
-    inverse-CDF draw of y,
-    wins iff its ratio exceeds M."""
-    mu, nu, ratio = (x.tolist() for x in (pair.mu_weights, pair.nu_weights, pair.ratio_cache))
-    live = sorted((i for i in range(len(mu)) if mu[i] > 0 and nu[i] > 0), key=lambda i: -ratio[i])
-    last = int(_cumsum_draw(pair, np.array([y]))[0])
-    level, below = 0.0, []
-    if n > 1:
-        p = -math.expm1(math.log1p(-v) / (n - 1))
-        for j, top in enumerate(live):
-            above, mass = sum(mu[i] for i in live[:j]), sum(nu[i] for i in live[j:])
-            if p < above + mass / ratio[top]:
-                ceiling = ratio[live[j - 1]] if j else math.inf
-                level = min(max(mass / (p - above), ratio[top]), ceiling) if p > above else ceiling
-                below = sorted(live[j:], key=lambda i: (ratio[i], i))
-                break
-    if ratio[last] > level:
-        return last
-    if not below:
-        return -1
-    cum = np.cumsum([nu[i] for i in below])
-    return below[min(int(np.searchsorted(cum, w * cum[-1], side="right")), len(below) - 1)]
-
-
-def _races_reference(pair, n, u):
-    """Winner counts and null races of the races whose uniforms are the
-    rows of u."""
-    winners = [_race_winner_reference(pair, n, *row) for row in u.tolist()]
-    counts = np.bincount([x for x in winners if x >= 0], minlength=pair.support_size)
-    return counts, winners.count(-1)
-
-
 # the last atom has no proposal mass and the cumulative mass ends one
 # ulp below 1
 TRAILING_ZERO = make_finite_pair([0.1] * 10 + [0.0], [0.05] * 10 + [0.5], 2.0)
@@ -399,14 +371,6 @@ def test_draws_match_the_per_call_cumsum(pair):
         np.testing.assert_array_equal(
             state.atoms, _cumsum_draw(pair, make_generator(seed).random(40))
         )
-
-    # one block of races, three uniforms a race: its generator is keyed
-    # by the seed itself, and X_n is the per-call cumsum draw
-    n, trials, seed = 6, 500, 11
-    counts, nulls = _races_reference(pair, n, make_generator(seed).random((trials, 3)))
-    summary = run_races(pair, n, trials, seed)
-    np.testing.assert_array_equal(summary.counts, counts)
-    assert summary.null_races == nulls
 
 
 @pytest.mark.parametrize(
@@ -432,52 +396,58 @@ def test_single_race_trace_matches_the_reference(pair):
         assert atom == atoms[0, state.best_index]
 
 
-RACE_PAIRS = [make_bernoulli_pair(0.5, 0.25), make_random_pair(64, 5, z=3.0), make_twopoint_mu_pair(0.25)]
+def _races_reference(pair, n, trials, seed):
+    """Winner counts and null races of ``trials`` races: one multinomial
+    draw, from the stream keyed by the seed itself, over the atoms of
+    positive law and then null if its law is positive, in that order but
+    for the likeliest category (the first, if tied), which goes last."""
+    law, null = race_law(pair, n)
+    p = law.tolist() + [null]
+    cats = [i for i, x in enumerate(p) if x > 0]
+    likeliest = max(cats, key=p.__getitem__)
+    cats.sort(key=lambda i: i == likeliest)
+    counts = [0] * len(p)
+    drawn = make_generator(seed).multinomial(trials, [p[i] for i in cats])
+    for i, c in zip(cats, drawn.tolist()):
+        counts[i] = c
+    return counts[:-1], counts[-1]
 
 
-@pytest.mark.parametrize("pair", RACE_PAIRS, ids=["bernoulli", "random", "twopoint"])
-def test_race_blocks_match_the_reference_block_by_block(pair, monkeypatch):
-    # 3 000-element blocks: 1 000 races of 3 uniforms, then a last block
-    # of 700 races; 64-race chunks leave each block a short last chunk
-    monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 3000)
-    monkeypatch.setattr(sampler, "RACE_ROW_CHUNK", 64)
-    n, trials, seed = 6, 2700, 2**64 - 5
-    counts = np.zeros(pair.support_size, dtype=np.int64)
-    nulls = 0
-    for b, start in enumerate(range(0, trials, 1000)):
-        u = make_generator(seed + (b << 64)).random((min(1000, trials - start), 3))
-        block_counts, block_nulls = _races_reference(pair, n, u)
-        counts += block_counts
-        nulls += block_nulls
-    summary = run_races(pair, n, trials, seed)
-    np.testing.assert_array_equal(summary.counts, counts)
-    assert summary.null_races == nulls
-    assert summary.counts.sum() + summary.null_races == trials
-    # twopoint's heavy atom has lambda = 0, and some races draw nothing else
-    assert (nulls > 0) == (pair.lambda_drawn.min() == 0)
+# a tied level (atoms 1 and 2) and a level lambda = 0 with proposal
+# mass (atom 3)
+TIED = make_finite_pair([0.3, 0.2, 0.1, 0.25, 0.15], [0.1, 0.3, 0.15, 0.0, 0.45], 2.0)
+RACE_PAIRS = DRAW_PAIRS + [make_twopoint_mu_pair(0.25), TIED]
+RACE_IDS = ["bernoulli", "random", "trailing-zero", "twopoint", "tied"]
 
 
-@pytest.mark.parametrize("pair", RACE_PAIRS, ids=["bernoulli", "random", "twopoint"])
-def test_race_t_replays_as_a_row_of_its_block(pair):
-    """Race t is row t mod B of block t // B, B = 2^20 // 3, whatever the
-    race count: its winner is what the first t + 1 races add to the
-    first t."""
-    per_block = sampler.RACE_CHUNK_ELEMENTS // 3
-    assert per_block == 349_525
-    n, seed = 9, 77
-    for t in (0, 1, per_block - 1, per_block, per_block + 1):
-        u = make_generator(seed + ((t // per_block) << 64)).random((t % per_block + 1, 3))
-        winner = _race_winner_reference(pair, n, *u[-1])
-        after = run_races(pair, n, t + 1, seed)
-        added = after.counts.copy(), after.null_races
-        if t:
-            before = run_races(pair, n, t, seed)
-            added = added[0] - before.counts, added[1] - before.null_races
-        expected = np.zeros(pair.support_size, dtype=np.int64)
-        if winner >= 0:
-            expected[winner] = 1
-        np.testing.assert_array_equal(added[0], expected)
-        assert added[1] == (winner < 0)
+@pytest.mark.parametrize("pair", RACE_PAIRS, ids=RACE_IDS)
+def test_races_are_one_multinomial_draw_over_the_law(pair):
+    """A call's winner counts are one multinomial draw over race_law on
+    the Philox stream keyed by the seed itself, whatever the race count."""
+    n, seed = 6, 2**64 - 5
+    for trials in (1, 2700, 349_526, 2**62):
+        summary = run_races(pair, n, trials, seed)
+        counts, nulls = _races_reference(pair, n, trials, seed)
+        assert summary.counts.tolist() == counts
+        assert summary.null_races == nulls
+        assert summary.counts.sum() + summary.null_races == trials
+        assert (summary.n_per_race, summary.trials) == (n, trials)
+
+
+@pytest.mark.parametrize("pair", RACE_PAIRS, ids=RACE_IDS)
+def test_races_never_land_where_the_law_is_zero(pair):
+    """numpy's multinomial hands its last category whatever count the
+    others' rounding leaves, so at 2^62 races an atom without proposal
+    or target mass, or null on a pair without drawable zero-density
+    mass, would collect a few races. None does, and every category of
+    positive law wins some."""
+    mu0 = float(pair.mu_weights[pair.nu_weights == 0].sum())
+    for n in (1, 2, 7):
+        summary = run_races(pair, n, 2**62, n)
+        law, null = race_law(pair, n)
+        np.testing.assert_array_equal(summary.counts > 0, law > 0)
+        assert not summary.counts[(pair.mu_weights == 0) | (pair.nu_weights == 0)].any()
+        assert (summary.null_races > 0) == (null > 0) == (mu0 > 0)
 
 
 def test_standard_exponential_is_the_negated_log1p():
@@ -674,14 +644,11 @@ def test_workload_shaped_calls_keep_their_routes():
     wide = make_random_pair(1 << 17, 20260817)
     run_trials(wide, "mom", 14_000, 8, 7, 0.5, 0.1)
     assert "mu_guide" not in vars(wide)
-    # races draw X_n alone from the proposal, one uniform a race: the
-    # race workload's 32 768 races on 64 atoms walk the guide table, 8
-    # races search in sorted order
+    # races draw nothing from the proposal: the race workload's 32 768
+    # races on 64 atoms build no draw table
     pair = make_random_pair(64, 20260864)
-    run_races(pair, 88, 8, 7)
-    assert "mu_guide" not in vars(pair)
     run_races(pair, 88, 32_768, 7)
-    assert "mu_guide" in vars(pair)
+    assert "mu_guide" not in vars(pair) and "mu_cdf" not in vars(pair)
 
 
 def test_guide_table_steps_and_finishes():

@@ -13,7 +13,6 @@ from pfest import (
     Regime,
     chi_squared,
     classify_regime,
-    estimate_c_threshold,
     f_divergence,
     gamma_f,
     hellinger,
@@ -436,14 +435,6 @@ def test_classify_overflow_raises():
     )
     with pytest.raises(ClassificationError):
         classify_regime(exp_gen)
-
-
-def test_estimate_c_threshold_scan():
-    """The scan finds where f(t)/t^2 stops rising: t=2 for tv, t=4 for
-    hellinger, and the grid cap when the ratio rises forever."""
-    assert estimate_c_threshold(tv()) == pytest.approx(2.0, rel=0.06)
-    assert estimate_c_threshold(hellinger()) == pytest.approx(4.0, rel=0.06)
-    assert estimate_c_threshold(chi_squared(), t_max=1e6) == pytest.approx(1e6, rel=0.06)
 
 
 def test_builtin_c_thresholds():

@@ -159,10 +159,10 @@ def test_run_trials_seeds_one_generator_per_call(monkeypatch, pair):
     assert calls == {"derive_seed": 0, "Philox": 1}
 
 
-def test_run_races_seeds_one_generator_per_block(monkeypatch, bern):
+def test_run_races_seeds_one_generator_per_call(monkeypatch, bern):
+    # one multinomial draw per call, whatever the race count
     calls = _count_seeding(monkeypatch)
-    # B = 2^20 // 3 races of three uniforms per block: 2 B + 1 races, 3 blocks
-    trials = 2 * (sampler.RACE_CHUNK_ELEMENTS // 3) + 1
-    summary = run_races(bern, 12, trials, 9)
-    assert summary.counts.sum() + summary.null_races == trials
+    for trials in (1, 2 * (sampler.RACE_CHUNK_ELEMENTS // 3) + 1, 10**12):
+        summary = run_races(bern, 12, trials, 9)
+        assert summary.counts.sum() + summary.null_races == trials
     assert calls == {"derive_seed": 0, "Philox": 3}

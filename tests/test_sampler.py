@@ -20,7 +20,7 @@ from pfest import (
 )
 from pfest.coverage import PlanResult
 from pfest.rng import make_generator
-from pfest.sampler import RACE_CHUNK_ELEMENTS, RaceSummary, sampling_plan
+from pfest.sampler import RaceSummary, sampling_plan
 
 from exact_laws import binomial_band, check_race_counts, race_law
 
@@ -119,8 +119,8 @@ def test_sampling_plan_checks_eps_before_the_profile(bern_profile, eps):
 
 @pytest.mark.parametrize("n", [2**63, 2**1024])
 def test_races_past_int64_name_n(bern, n):
-    # the single race holds its n draws; repeated races hold three
-    # uniforms each, so they run
+    # the single race holds its n draws; repeated races hold their
+    # winner law over the atoms, so they run
     with pytest.raises(ValueError, match=f"n={n} "):
         astar_sample(bern, n, 0)
     summary = run_races(bern, n, 2, 0)
@@ -129,17 +129,15 @@ def test_races_past_int64_name_n(bern, n):
 
 
 def test_races_of_any_length_follow_the_exact_law(twopoint):
-    """run_races holds three uniforms per race, not n draws, so n may
-    pass the int64 and the float range. Past 2^63 the law is still the
-    exact one. Past the float range the level M* of the first n - 1
-    draws' least score is above 1e306, past every ratio here (inf once
-    1/(n - 1) underflows), so the winner is a nu draw over the atoms
-    with positive density."""
-    trials = 1 << 16
+    """run_races holds the winner law over the atoms, not n draws, so n
+    may pass the int64 and the float range. Past 2^63 the law is still
+    the exact one. Past the float range the level M* of the first n - 1
+    draws' least score is above every ratio here, so the winner is a nu
+    draw over the atoms with positive density."""
+    trials = 1 << 20
     for pair in (make_bernoulli_pair(0.5, 0.25), make_random_pair(64, 20260864), twopoint):
         summary = run_races(pair, 2**63 + 1, trials, 5)
         check_race_counts(summary.counts, summary.null_races, trials, pair, 2**63 + 1)
-        # 1/(n - 1) is subnormal at 2^1024 and 0 at 2^1100
         for n in (2**1024, 2**1100):
             summary = run_races(pair, n, trials, 6)
             assert summary.n_per_race == n
@@ -183,28 +181,35 @@ def test_empirical_tv_converges(bern):
     assert tv_hat <= 0.03 + 3 * math.sqrt(2 / 20_000)
 
 
+def test_run_races_rejects_trials_past_int64(bern):
+    # numpy's multinomial counts are int64: 2^63 - 1 races run, 2^63 do not
+    summary = run_races(bern, 6, 2**63 - 1, 1)
+    assert summary.counts.sum() + summary.null_races == 2**63 - 1
+    for trials in (2**63, 2**1024):
+        with pytest.raises(ValueError, match=f"trials={trials} "):
+            run_races(bern, 6, trials, 1)
+
+
 @pytest.mark.parametrize(
-    "pair, n, trials",
-    [
-        (make_bernoulli_pair(0.5, 0.25), 12, 100_000),
-        (make_random_pair(64, 20260864), 88, 32_768),
-        (make_random_pair(64, 20260864), 88, 10**6),
-    ],
-    ids=["bernoulli", "random64", "random64-1e6"],
+    "pair",
+    [make_bernoulli_pair(0.5, 0.25), make_random_pair(64, 20260864),
+     make_random_pair(1 << 14, 20261019)],
+    ids=["bernoulli", "random64", "random16k"],
 )
-def test_run_races_holds_one_block_at_a_time(pair, n, trials):
-    """A block of about 2^20 uniforms, three per race, is drawn and
-    mapped RACE_ROW_CHUNK races at a time, so a call holds one chunk's
-    uniforms and temporaries whatever its race count (the 10^6 races run
-    three blocks)."""
-    block_bytes = RACE_CHUNK_ELEMENTS * np.dtype(np.float64).itemsize
-    tracemalloc.start()
-    try:
-        run_races(pair, n, trials, 20261018)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * block_bytes
+def test_run_races_holds_o_of_s_memory(pair):
+    """A call holds the race's law and a few tables over the S atoms,
+    never anything per race: its tracemalloc peak is the same from 10^3
+    to 10^12 races, and within 24 doubles per atom."""
+    peaks = []
+    for trials in (10**3, 10**6, 10**12):
+        tracemalloc.start()
+        try:
+            run_races(pair, 88, trials, 20261018)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) < 4096, peaks
+    assert max(peaks) < 24 * 8 * pair.support_size + 16384, peaks
 
 
 def _law_pairs():
@@ -227,14 +232,39 @@ LAW_CASES = [
 ]
 
 
+@pytest.mark.parametrize("name", list(LAW_PAIRS))
+def test_race_law_matches_the_yardstick(name):
+    """The library's O(S) law, and the TV summed from it, against the
+    O(S^2) yardstick written from the race's integral formula: within
+    1e-12 on every atom and on the null races, n from 1 past 2^63."""
+    pair = LAW_PAIRS[name]
+    plan = sampling_plan(CoverageProfile.from_pair(pair), 0.1).n
+    for n in (1, 2, 7, 88, 1000, plan, 2**63 + 1):
+        law, null = pfest.race_law(pair, n)
+        ref, ref_null = race_law(pair, n)
+        np.testing.assert_allclose(law, ref, rtol=0, atol=1e-12)
+        assert abs(null - ref_null) <= 1e-12
+        ref_tv = 0.5 * (float(np.abs(ref - pair.nu_weights).sum()) + ref_null)
+        assert abs(pfest.exact_tv(pair, n) - ref_tv) <= 1e-12
+    # past the float range (1 - q)^(n - 1) is 0 at every level: the least
+    # of the first n - 1 scores sits above every ratio, so the winner is
+    # a nu draw over the atoms of positive density, and no race is null
+    live = (pair.mu_weights > 0) & (pair.nu_weights > 0)
+    nu_live = np.where(live, pair.nu_weights, 0.0) / pair.nu_weights[live].sum()
+    for n in (2**1024, 2**1100):
+        law, null = pfest.race_law(pair, n)
+        np.testing.assert_allclose(law, nu_live, rtol=0, atol=1e-12)
+        assert null == 0.0
+
+
 @pytest.mark.parametrize("name, n", LAW_CASES, ids=[f"{k}-n{n}" for k, n in LAW_CASES])
 def test_races_follow_the_exact_law(name, n):
     """Both engines against the exact race law, atom by atom and for the
-    null races, in alpha-1e-6 binomial bands: run_races over 2^18 races,
+    null races, in alpha-1e-6 binomial bands: run_races over 2^20 races,
     and 2^13 per-draw races of astar_sample's _race_block on one
     stream, the argmin of each race's scores winning."""
     pair = LAW_PAIRS[name]
-    trials = 1 << 18
+    trials = 1 << 20
     summary = run_races(pair, n, trials, 20261019)
     assert summary.counts.sum() + summary.null_races == trials
     check_race_counts(summary.counts, summary.null_races, trials, pair, n)
