@@ -191,20 +191,25 @@ def test_run_races_rejects_trials_past_int64(bern):
 
 
 @pytest.mark.parametrize(
-    "pair",
-    [make_bernoulli_pair(0.5, 0.25), make_random_pair(64, 20260864),
-     make_random_pair(1 << 14, 20261019)],
-    ids=["bernoulli", "random64", "random16k"],
+    "pair, n, trials",
+    [
+        (make_bernoulli_pair(0.5, 0.25), 12, 100_000),
+        (make_random_pair(64, 20260864), 88, 32_768),
+        (make_random_pair(64, 20260864), 88, 10**6),
+        (make_random_pair(1 << 14, 20261019), 88, 10**3),
+    ],
+    ids=["bernoulli", "random64", "random64-1e6", "random16k"],
 )
-def test_run_races_holds_o_of_s_memory(pair):
-    """A call holds the race's law and a few tables over the S atoms,
-    never anything per race: its tracemalloc peak is the same from 10^3
-    to 10^12 races, and within 24 doubles per atom."""
+def test_run_races_holds_one_block_at_a_time(pair, n, trials):
+    """The one block a call holds is the race's law and a few tables
+    over the S atoms, never anything per race: its tracemalloc peak is
+    the same at 10^3, 10^6, ``trials`` and 10^12 races, and within 24
+    doubles per atom."""
     peaks = []
-    for trials in (10**3, 10**6, 10**12):
+    for t in sorted({10**3, 10**6, trials, 10**12}):
         tracemalloc.start()
         try:
-            run_races(pair, 88, trials, 20261018)
+            run_races(pair, n, t, 20261018)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
