@@ -135,7 +135,7 @@ def _g_table(args, pair: DistributionPair, planner):
         return None
     if not args.g:
         raise ValueError("--g values are required for this method")
-    g = np.asarray([float(v) for v in args.g.split(",")], dtype=np.float64)
+    g = np.array(args.g.split(","), dtype=np.float64)
     if g.size != pair.support_size:
         raise ValueError(
             f"--g has {g.size} entries, support has {pair.support_size}"
@@ -171,16 +171,19 @@ def _cmd_sample(args) -> int:
     pair = _load_pair_argument(args)
     plan = sampling_plan(CoverageProfile.from_pair(pair), args.eps)
     head = {"n": plan.n, "M": plan.m, "eps": args.eps}
-    try:
-        if args.trials is None:
-            atom, state = astar_sample(pair, plan.n, args.seed)
-        else:
-            summary = run_races(pair, plan.n, args.trials, args.seed)
-    except MemoryError:
-        raise ValueError(f"races of n={plan.n} draws do not fit in memory") from None
     if args.trials is None:
+        try:
+            atom, state = astar_sample(pair, plan.n, args.seed)
+        except MemoryError:
+            raise ValueError(f"races of n={plan.n} draws do not fit in memory") from None
         _print_record("sample", atom=atom, **head, best_score=state.best_score)
         return EXIT_OK
+    try:
+        summary = run_races(pair, plan.n, args.trials, args.seed)
+    except MemoryError:
+        raise ValueError(
+            f"the race law over S={pair.support_size} atoms does not fit in memory"
+        ) from None
     freqs = ",".join(str(float(c) / summary.trials) for c in summary.counts)
     _print_record(
         "sample", trials=args.trials, **head,

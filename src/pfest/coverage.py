@@ -34,6 +34,29 @@ FLOAT_EXACT_INT_MAX = 2**53
 LOG_N_MAX = 4000 * math.log(10.0)
 
 
+class _BuiltOnRead:
+    """Descriptor of a frozen dataclass field that takes either its value
+    or a function of no arguments building it, called on first read and
+    its result frozen. As with ``cached_property``, the value sits in the
+    instance's ``__dict__`` under the field's name once it is there, so
+    ``name in vars(obj)`` tells whether it was given or built."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.build = name, "_build_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # on the class: the dataclass sees no default
+            raise AttributeError(self.name)
+        slots = obj.__dict__
+        if self.name not in slots:
+            slots[self.name] = _freeze(slots[self.build]())
+            slots.pop(self.build, None)
+        return slots[self.name]
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.build if callable(value) else self.name] = value
+
+
 @dataclass(frozen=True)
 class CoverageProfile:
     """Sorted distinct finite density-ratio levels with the target and
@@ -43,30 +66,35 @@ class CoverageProfile:
     ``singular_mass``: its ratio is infinite, so it counts toward the
     coverage at every finite level.
 
-    The suffix and prefix tables the queries read (``_nu_suffix``,
-    ``_mu_suffix``, ``_nu_r_prefix``) are built on first use, so a plan
-    pays only for the tables it reads. They are read-only and not
-    fields, so ``==`` and ``repr`` ignore them.
+    ``from_pair`` passes ``mu_masses`` as a function of the sort it made,
+    so the proposal mass per level is gathered on first read: only
+    ``mu_tail`` reads it, and no planner does. The suffix and prefix
+    tables the queries read (``_nu_suffix``, ``_mu_suffix``,
+    ``_nu_r_prefix``) are built on first use, so a plan pays only for
+    the tables it reads. They are read-only and not fields, so ``==``
+    and ``repr`` ignore them.
     """
 
     thresholds: np.ndarray
     nu_masses: np.ndarray
-    mu_masses: np.ndarray
+    mu_masses: np.ndarray = _BuiltOnRead()
     singular_mass: float
 
     def __post_init__(self):
-        t = np.asarray(self.thresholds, dtype=np.float64)
-        nu = np.asarray(self.nu_masses, dtype=np.float64)
-        mu = np.asarray(self.mu_masses, dtype=np.float64)
-        if not (t.ndim == 1 and t.shape == nu.shape == mu.shape and t.size > 0):
+        arrays = {
+            "thresholds": np.asarray(self.thresholds, dtype=np.float64),
+            "nu_masses": np.asarray(self.nu_masses, dtype=np.float64),
+        }
+        if "mu_masses" in vars(self):  # given, not built on read
+            arrays["mu_masses"] = np.asarray(self.mu_masses, dtype=np.float64)
+        t = arrays["thresholds"]
+        if not (t.ndim == 1 and t.size > 0
+                and all(arr.shape == t.shape for arr in arrays.values())):
             raise ValueError("profile arrays must be 1-d and equally sized")
         if not (t[1:] > t[:-1]).all():
             raise ValueError("thresholds must be strictly increasing")
-        for arr in (t, nu, mu):
-            arr.setflags(write=False)
-        object.__setattr__(self, "thresholds", t)
-        object.__setattr__(self, "nu_masses", nu)
-        object.__setattr__(self, "mu_masses", mu)
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, _freeze(arr))
 
     @cached_property
     def _nu_suffix(self) -> np.ndarray:
@@ -163,14 +191,17 @@ def _suffix_sums(w: np.ndarray) -> np.ndarray:
 
 def _ratio_levels(pair: DistributionPair):
     """Distinct finite ratio levels of the atoms with proposal mass, in
-    increasing order, with the target and proposal mass at each.
+    increasing order, with the target mass at each and a function of no
+    arguments that gives the proposal mass at each.
 
     The masses equal ``np.unique(return_inverse=True)`` followed by
     ``np.bincount``, bit for bit, for any permutation that sorts the
     ratios: when the levels are distinct there is only one, and the
     masses are the weights in its order; when levels tie, the masses
     are summed per level in atom order, which no permutation changes.
-    ``_sort_order`` finds one with a packed-key sort.
+    ``_sort_order`` finds one with a packed-key sort. The function holds
+    that permutation, or the level of each atom where levels tie, and
+    gathers or sums the proposal weights only when it is called.
     """
     ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
     if mu.min() <= 0:
@@ -181,7 +212,7 @@ def _ratio_levels(pair: DistributionPair):
     if distinct.all():
         nu = nu[perm]
         nu += 0.0  # bincount adds each weight to 0.0, turning -0.0 into 0.0
-        return levels, nu, mu[perm]
+        return levels, nu, partial(np.take, mu, perm)
     first = np.concatenate(([True], distinct))
     inverse = np.empty(perm.shape, dtype=np.intp)
     inverse[perm] = np.cumsum(first) - 1
@@ -189,7 +220,7 @@ def _ratio_levels(pair: DistributionPair):
     return (
         thresholds,
         np.bincount(inverse, weights=nu, minlength=thresholds.size),
-        np.bincount(inverse, weights=mu, minlength=thresholds.size),
+        partial(np.bincount, inverse, weights=mu, minlength=thresholds.size),
     )
 
 
@@ -201,20 +232,25 @@ def _sort_order(ratios: np.ndarray):
     do. Each key is a ratio's pattern with its low bit_length(S - 1)
     bits replaced by the atom's index, so a plain sort of the keys
     (SIMD, several times faster than argsort) orders the atoms by
-    ratio, and the index is then masked back out. The gathered ratios
-    are out of order only where two ratios differ in the replaced bits
-    alone. A -0.0 ratio has its sign bit set and sorts last, behind the
-    0.0 ratios it ties with, whose level takes its first ratio's sign.
-    In either case the permutation comes from argsort, as in np.unique.
+    ratio, and the index is then masked back out, leaving the
+    permutation in the key buffer; the ratios are gathered into the
+    buffer that held the indices. The gathered ratios are out of order
+    only where two ratios differ in the replaced bits alone. A -0.0
+    ratio has its sign bit set and sorts last, behind the 0.0 ratios it
+    ties with, whose level takes its first ratio's sign. In either case
+    the permutation comes from argsort, as in np.unique.
     """
     low = np.uint64((1 << (ratios.size - 1).bit_length()) - 1)
     keys = ratios.view(np.uint64) & ~low
-    keys |= np.arange(ratios.size, dtype=np.uint64)
+    index = np.arange(ratios.size, dtype=np.uint64)
+    keys |= index
     keys.sort()
     negative = keys[-1] >> np.uint64(63)
     keys &= low
     perm = keys.view(np.int64)
-    levels = ratios[perm]
+    # mode="clip" writes straight into ``out``; "raise" would buffer a
+    # copy, and the indices are in range
+    levels = np.take(ratios, perm, out=index.view(np.float64), mode="clip")
     if negative or not (levels[1:] >= levels[:-1]).all():
         perm = ratios.argsort()
         levels = ratios[perm]

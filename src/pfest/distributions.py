@@ -69,27 +69,31 @@ def ordered_dot(a: np.ndarray, b: np.ndarray):
     return total if a.ndim >= 2 else float(total)
 
 
-def _as_weight_array(w, label: str) -> np.ndarray:
-    """A normalized copy of the weights ``w``, which it never writes to.
+def _as_weight_array(w, label: str) -> tuple[np.ndarray, float]:
+    """A normalized copy of the weights ``w``, which it never writes to,
+    and the least of the weights as given.
 
-    A minimum of at least 0 and a finite sum rule out a nan, an inf and
-    a negative entry at once; only weights failing that are scanned to
-    say which."""
-    arr = np.array(w, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
+    The checks read ``w`` as float64, a view where it already is one, and
+    the copy is the one division by the sum. A minimum of at least 0 and
+    a finite sum rule out a nan, an inf and a negative entry at once;
+    only weights failing that are scanned to say which. Dividing by a sum
+    within WEIGHT_SUM_TOL of 1 keeps every positive weight positive, so
+    the minimum tells whether any normalized weight is 0."""
+    src = np.asarray(w, dtype=np.float64)
+    if src.ndim != 1 or src.size == 0:
         raise ValueError(f"{label} must be a non-empty 1-d weight vector")
-    total = float(arr.sum())
-    if not (arr.min() >= 0 and math.isfinite(total)):
-        if not np.all(np.isfinite(arr)):
+    total = float(src.sum())
+    low = float(src.min())
+    if not (low >= 0 and math.isfinite(total)):
+        if not np.all(np.isfinite(src)):
             raise ValueError(f"{label} contains non-finite entries")
-        if np.any(arr < 0):
+        if np.any(src < 0):
             raise ValueError(f"{label} contains negative entries")
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(
             f"{label} sums to {total!r}; must be within {WEIGHT_SUM_TOL} of 1"
         )
-    arr /= total
-    return arr
+    return np.divide(src, total), low
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -182,8 +186,8 @@ class DistributionPair:
     last_drawable_atom: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = _as_weight_array(self.mu_weights, "mu_weights")
-        nu = _as_weight_array(self.nu_weights, "nu_weights")
+        mu, mu_low = _as_weight_array(self.mu_weights, "mu_weights")
+        nu, _ = _as_weight_array(self.nu_weights, "nu_weights")
         if mu.shape != nu.shape:
             raise ValueError(
                 f"support mismatch: mu has {mu.size} atoms, nu has {nu.size}"
@@ -192,7 +196,7 @@ class DistributionPair:
         if not (math.isfinite(z) and z > 0):
             raise ValueError(f"z_true must be positive and finite, got {z!r}")
 
-        if mu.min() > 0:
+        if mu_low > 0:
             ratio = nu / mu
             singular = 0.0
             mean = ordered_dot(mu, ratio)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .distributions import DistributionPair, ordered_dot
 from .errors import ClassificationError
+from .rng import make_generator
 
 # ln of the largest float: growth inverses past it are inf as floats.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -98,7 +99,7 @@ def _spot_check_generator(f: Callable, name: str) -> None:
     v1 = float(f(1.0))
     if not abs(v1) <= 1e-12:
         raise ValueError(f"{name}: f(1) = {v1!r}, must be 0")
-    gen = np.random.Generator(np.random.Philox(key=0xF00D))
+    gen = make_generator(0xF00D)
     x = gen.uniform(0.0, 50.0, 1000)
     y = gen.uniform(0.0, 50.0, 1000)
     th = gen.uniform(0.0, 1.0, 1000)

@@ -16,9 +16,30 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _SEED_BOUND = 2**64
 _KEY_BOUND = 2**128
+
+
+class _KeyWords(ISeedSequence):
+    """The two 64-bit words of a Philox key, handed to ``Philox`` as its
+    seed sequence: it asks for two uint64 words and uses them as the key,
+    with the counter at 0, as ``Philox(key=...)`` does. Passing the key
+    itself would first build an unused ``SeedSequence`` from OS entropy.
+    Any other request raises, so that a numpy whose Philox asks for
+    something else fails instead of keying other streams."""
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(
+                f"Philox asked for {n_words} words of {np.dtype(dtype)}, "
+                "not the 2 uint64 key words"
+            )
+        return np.array([self.key & (_SEED_BOUND - 1), self.key >> 64], dtype=np.uint64)
 
 
 def make_generator(seed: int) -> np.random.Generator:
@@ -28,7 +49,7 @@ def make_generator(seed: int) -> np.random.Generator:
     seed = int(seed)
     if not 0 <= seed < _KEY_BOUND:
         raise ValueError(f"seed must be a 128-bit unsigned integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.Philox(_KeyWords(seed)))
 
 
 def substreams(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator]]:

@@ -37,6 +37,10 @@ def binomial_band(trials: int, p: float, alpha: float = ALPHA) -> tuple[int, int
     return lo, hi
 
 
+def _unit(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
 def race_law(pair, n: int) -> tuple[np.ndarray, float]:
     """The winner law per atom, and the null probability, of the
     exponential race of length n on ``pair``.
@@ -55,7 +59,12 @@ def race_law(pair, n: int) -> tuple[np.ndarray, float]:
     and c_a(u) = alpha (the mass of the atoms not yet saturated), so a
     segment [s, t] integrates to mu_a alpha ((alpha - beta s)^(n-1) -
     (alpha - beta t)^(n-1)) / beta. The race is null with probability
-    mu(lam = 0)^n. Python floats throughout, O(S^2) over S atoms."""
+    mu(lam = 0)^n. Python floats throughout, O(S^2) over S atoms.
+
+    alpha and beta are exact sums rounded once (math.fsum), and each base
+    of a power is clipped to [0, 1], where the exact base lies: a base
+    rounded above 1 would grow without bound in n, and overflow past
+    n of about 2^52."""
     mu = [float(m) for m in pair.mu_weights]
     lam = [
         pair.z_true * float(r) if m > 0 else 0.0
@@ -71,14 +80,16 @@ def race_law(pair, n: int) -> tuple[np.ndarray, float]:
         for s, t in zip(cuts, cuts[1:]):
             mid = 0.5 * (s + t)
             linear = [(m, lj) for m, lj in zip(mu, lam) if mid * lj < lam_a]
-            alpha = sum(m for m, _ in linear)
-            beta = sum(m * lj for m, lj in linear) / lam_a
-            total += mu_a * alpha * ((alpha - beta * s) ** e - (alpha - beta * t) ** e) / beta
+            alpha = math.fsum(m for m, _ in linear)
+            beta = math.fsum(m * lj for m, lj in linear) / lam_a
+            total += mu_a * alpha * (
+                _unit(alpha - beta * s) ** e - _unit(alpha - beta * t) ** e
+            ) / beta
         # at u = 1 every atom at or above lam_a is saturated
-        survive = sum(m for m, lj in zip(mu, lam) if lj < lam_a) - sum(
+        survive = math.fsum(m for m, lj in zip(mu, lam) if lj < lam_a) - math.fsum(
             m * lj for m, lj in zip(mu, lam) if lj < lam_a
         ) / lam_a
-        law[a] = total + mu_a * survive ** e
+        law[a] = total + mu_a * _unit(survive) ** e
     null = sum(m for m, lj in zip(mu, lam) if lj == 0.0) ** n
     return law, null
 

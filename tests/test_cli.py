@@ -77,11 +77,17 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
         # the winner counts of 2^63 races or more: numpy's multinomial
         # counts are int64
         ["sample", *BERN, "--eps", "0.25", "--seed", "1", "--trials", str(2**63)],
+        # --g entries that float() rejects
+        *(
+            ["plan", *BERN, "--eps", "0.25", "--method", "is", "--g", g]
+            for g in ("1__0,1", "1j,1", "0x1p3,1", "0,,1", "1, ,2", "1,")
+        ),
     ],
     ids=["unknown-method", "malformed-params", "params-without-value",
          "snis-with-plan", "grid-inf", "grid-nan", "counts-past-int64-quantile",
          "counts-past-int64-mom", "sample-eps", "plan-sampling-eps",
-         "renyi-overflow", "trials-past-int64"],
+         "renyi-overflow", "trials-past-int64", "g-double-underscore",
+         "g-complex", "g-hex", "g-empty-entry", "g-blank-entry", "g-trailing-comma"],
 )
 def test_bad_input_exits_one_with_message(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -190,16 +196,20 @@ def test_race_out_of_memory_exits_one_with_message(capsys, monkeypatch):
     def no_memory(pair, u):
         raise MemoryError
 
-    # the single race draws its atoms here; the repeated races build
-    # their winner law here
-    for name, extra in (("draw_atoms", []), ("race_law", ["--trials", "2"])):
+    # the single race draws its atoms here, and runs out on its n draws;
+    # the repeated races build their winner law here, over the S atoms
+    for name, extra, message in (
+        ("draw_atoms", [], "races of n=7 draws do not fit in memory"),
+        ("race_law", ["--trials", "2"],
+         "the race law over S=2 atoms does not fit in memory"),
+    ):
         with monkeypatch.context() as patch:
             patch.setattr(pfest.sampler, name, no_memory)
             code, out, err = _run(
                 capsys, ["sample", *BERN, "--eps", "0.25", "--seed", "1", *extra]
             )
         assert (code, out) == (EXIT_ERROR, "")
-        assert err == "pfest: error: races of n=7 draws do not fit in memory\n"
+        assert err == f"pfest: error: {message}\n"
 
 
 def test_coverage_divides_by_tiny_levels_exactly(capsys):

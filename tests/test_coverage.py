@@ -24,10 +24,13 @@ from pfest import (
     mu_tail_bound,
     paley_zygmund_bound_fdiv,
     paley_zygmund_lower_bound,
+    plan_n_coverage,
+    plan_n_quantile,
     solve_M_eps,
     truncated_second_moment,
     tv,
 )
+from pfest.sampler import sampling_plan
 
 SLACK = 1e-10
 
@@ -167,6 +170,26 @@ def _near_tied_pair(support):
 )
 def test_from_pair_is_exact_on_tied_and_degenerate_pairs(pair):
     _assert_same_profile_arrays(pair)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [make_random_pair(4096, 1), _tied_pair(4096, 3),
+     _with_zero_mass_atoms(3000, 5, singular=False)],
+    ids=["distinct", "tied", "zero-mass"],
+)
+def test_plans_leave_the_proposal_masses_unbuilt(pair):
+    """No plan reads the proposal mass per level, so from_pair's profile
+    gathers it only when it is read, with the same values."""
+    prof = CoverageProfile.from_pair(pair)
+    plan_n_coverage(prof, 0.25, 0.1)
+    plan_n_quantile(0.25, 0.1, profile=prof)
+    sampling_plan(prof, 0.25)
+    assert "mu_masses" not in vars(prof)
+    expected = _unique_bincount_profile(pair)[2]
+    assert prof.mu_masses.tobytes() == expected.tobytes()
+    assert not prof.mu_masses.flags.writeable
+    assert prof.mu_masses is vars(prof)["mu_masses"]
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,68 @@ def test_make_finite_never_touches_the_callers_arrays():
     assert not np.shares_memory(nu, pair.nu_weights)
 
 
+class _WeightArray(np.ndarray):
+    """An ndarray subclass, as a caller might pass."""
+
+
+@st.composite
+def _weight_inputs(draw):
+    """Weights within tolerance of summing to 1, in one of the forms a
+    caller passes: a list, an int array, a float32 array, a strided
+    float64 view, an ndarray subclass, or floats with -0.0 entries."""
+    kind = draw(st.sampled_from(
+        ["list", "int", "float32", "strided", "subclass", "negative-zero"]
+    ))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)))
+    if kind == "int":
+        w = np.zeros(raw.size, dtype=np.int64)
+        w[draw(st.integers(0, raw.size - 1))] = 1
+        return w
+    if kind == "float32":
+        # small counts over a power of two are exact in float32
+        counts = np.floor(raw * 8)
+        counts = np.append(counts, 2.0 ** math.ceil(math.log2(counts.sum() + 1)) - counts.sum())
+        return (counts / counts.sum()).astype(np.float32)
+    if raw.sum() == 0:
+        raw[-1] = 1.0
+    w = raw / raw.sum()
+    if kind == "list":
+        return w.tolist()
+    if kind == "strided":
+        buffer = np.full(2 * w.size, 7.0)
+        buffer[::2] = w
+        return buffer[::2]
+    if kind == "subclass":
+        return w.view(_WeightArray)
+    if kind == "negative-zero":
+        w[w == 0] = -0.0
+    return w
+
+
+def _copy_then_divide(w):
+    """The normalization the pair made before it divided straight into a
+    new array: a float64 copy, divided in place by its sum."""
+    arr = np.array(w, dtype=np.float64)
+    arr /= float(arr.sum())
+    return arr
+
+
+@settings(max_examples=200)
+@given(w=_weight_inputs())
+def test_pair_weights_are_the_copy_then_divide_bit_for_bit(w):
+    expected = _copy_then_divide(w)
+    if isinstance(w, np.ndarray):
+        # a view is checked through the buffer it looks into
+        owner = w if w.base is None else w.base
+        before = owner.tobytes(), owner.flags.writeable
+    pair = DistributionPair(mu_weights=w, nu_weights=w, z_true=1.0)
+    for arr in (pair.mu_weights, pair.nu_weights):
+        assert arr.dtype == expected.dtype and arr.tobytes() == expected.tobytes()
+    if isinstance(w, np.ndarray):
+        assert (owner.tobytes(), owner.flags.writeable) == before
+        assert not np.shares_memory(owner, pair.mu_weights)
+
+
 def test_make_finite_rejects_bad_weights():
     with pytest.raises(ValueError):
         make_finite_pair([0.5, -0.5, 1.0], [0.5, 0.5, 0.0], 1.0)

@@ -1,6 +1,9 @@
 """The sub-stream rule: item i of a seed is the Philox stream keyed by
 the words [seed, i], each item with a generator of its own."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,3 +169,39 @@ def test_run_races_seeds_one_generator_per_call(monkeypatch, bern):
         summary = run_races(bern, 12, trials, 9)
         assert summary.counts.sum() + summary.null_races == trials
     assert calls == {"derive_seed": 0, "Philox": 3}
+
+
+def _plain(state):
+    return {
+        k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+        for k, v in state.items()
+    }
+
+
+def _check_philox_keyed_by(key):
+    """make_generator(key) is Generator(Philox(key=key)): the same state
+    (key words, counter, buffer), the same draws, and it survives a
+    pickle round trip and a deep copy."""
+    gen, ref = make_generator(key), np.random.Generator(np.random.Philox(key=key))
+    assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
+    assert _draws(gen) == _draws(ref)
+    for clone in (lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy):
+        copied = clone(gen)
+        assert _draws(copied) == _draws(gen)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 7 + (3 << 64), 2**128 - 1])
+def test_generator_is_philox_keyed_by_the_seed(key):
+    _check_philox_keyed_by(key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**128 - 1))
+def test_generator_is_philox_keyed_by_the_seed_for_any_key(key):
+    _check_philox_keyed_by(key)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (1, np.uint64), (4, np.uint64)])
+def test_key_words_refuse_any_other_request(n_words, dtype):
+    with pytest.raises(RuntimeError, match="not the 2 uint64 key words"):
+        rng._KeyWords(5).generate_state(n_words, dtype)
