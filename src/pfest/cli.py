@@ -144,12 +144,12 @@ def _g_table(args, pair: DistributionPair, planner):
 
 
 def _cmd_estimate(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     pair = _load_pair_argument(args)
     planner = estimator_plan(args.method, args.plan)
     g = _g_table(args, pair, planner)
     plan = planner.run(pair, args.eps, args.delta, g)
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     record = run_trials(
         pair, args.method, plan.n, args.trials, args.seed,
         args.eps, args.delta, m=plan.m, g=g,

@@ -12,11 +12,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .coverage import FLOAT_EXACT_INT_MAX, LOG_N_MAX  # bounds on n, read here too
 from .coverage import CoverageProfile, PlanResult, _plan_size, solve_M_eps
 from .coverage import min_coverage_threshold
 from .distributions import (
@@ -29,7 +28,8 @@ from .distributions import (
 )
 from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
-from .sampler import blocks, sampling_plan
+from .rng import substreams
+from .sampler import sampling_plan
 
 # Median-of-means group count: k = ceil(GROUP_RATE * ln(1/delta)).
 GROUP_RATE = 8.0
@@ -235,9 +235,9 @@ def quantile_estimator(
     true_value: Optional[float] = None,
 ) -> EstimateReport:
     """Upper order statistic of the density values at rank
-    ceil((1 - eps/(4M)) * n); one-sided by design, never more than a
-    factor M above the truth and rarely below (1 - eps) of it when the
-    coverage at M is small."""
+    ceil((1 - eps/(4M)) * n). ``ESTIMATORS["quantile"].success`` counts
+    it a success when (1 - eps) z <= estimate <= M z; at the quantile
+    plan the upper side can fail more often than delta (ROADMAP item 10)."""
     estimate = _row_estimate(_quantile_draws, batch, eps, None, m, None)
     return EstimateReport(estimate, batch.n, true_value=true_value)
 
@@ -518,7 +518,7 @@ ESTIMATORS = {
         "quantile",
         _quantile_draws,
         _quantile_counts,
-        # one-sided: never above M times the truth z, rarely below 1 - eps
+        # est > M z can pass delta at the quantile plan (ROADMAP item 10)
         success=lambda est, z, eps, m: ((1.0 - eps) * z <= est) & (est <= m * z),
     ),
     "snis": EstimatorMethod(
@@ -554,6 +554,21 @@ def estimator_plan(method: str, plan: Optional[str] = None) -> PlanMethod:
 # per draw; the ratio is set from the measured crossover of the two
 # (see CHANGES.md).
 COUNT_ENGINE_RATIO = 1
+# run_trials' trials run in ``blocks`` of about this many elements, so
+# that a trial's draws do not depend on how many trials a call asks for.
+TRIAL_BLOCK_ELEMENTS = 1 << 20
+
+
+def blocks(seed: int, rows: int, row_elements: int) -> Iterator[tuple]:
+    """Walk ``rows`` rows of ``row_elements`` elements in blocks of
+    B = max(1, TRIAL_BLOCK_ELEMENTS // row_elements) rows: yield ``(start,
+    count, gen)`` for block b, rows start = b B onward, drawn from
+    ``gen``, a generator of its own over item b of ``substreams``, keyed
+    by ``seed + (b << 64)``. Row t is row t mod B of block t // B."""
+    per_block = max(1, TRIAL_BLOCK_ELEMENTS // row_elements)
+    starts = range(0, rows, per_block)
+    for start, (_, gen) in zip(starts, substreams(seed, len(starts))):
+        yield start, min(per_block, rows - start), gen
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,8 +602,8 @@ def run_trials(
 
     A trial is n density values (``draw_block``) or, when the support is
     small against n, the estimator's k hit-count histograms over D atoms
-    (``count_block``), of the same law. Trials run in ``sampler.blocks``
-    of B = max(1, RACE_CHUNK_ELEMENTS // e) rows of e = n or k D values,
+    (``count_block``), of the same law. Trials run in ``blocks`` of
+    B = max(1, TRIAL_BLOCK_ELEMENTS // e) rows of e = n or k D values,
     each drawn in one call and estimated in one: trial t is row r = t mod
     B of block b = t // B, drawn under the key ``seed + (b << 64)``, so
     its estimate does not depend on the trial count, and it replays as

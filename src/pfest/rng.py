@@ -13,22 +13,24 @@ master seed into the 64-bit seeds of separate experiment rows.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _SEED_BOUND = 2**64
 _KEY_BOUND = 2**128
 
 
-class _KeyWords(ISeedSequence):
+class _KeyWords:
     """The two 64-bit words of a Philox key, handed to ``Philox`` as its
     seed sequence: it asks for two uint64 words and uses them as the key,
     with the counter at 0, as ``Philox(key=...)`` does. Passing the key
     itself would first build an unused ``SeedSequence`` from OS entropy.
     Any other request raises, so that a numpy whose Philox asks for
-    something else fails instead of keying other streams."""
+    something else fails instead of keying other streams. The first
+    ``make_generator`` call registers it as an ``ISeedSequence``, so
+    that importing pfest does not import ``numpy.random``."""
 
     def __init__(self, key: int):
         self.key = key
@@ -42,6 +44,12 @@ class _KeyWords(ISeedSequence):
         return np.array([self.key & (_SEED_BOUND - 1), self.key >> 64], dtype=np.uint64)
 
 
+@functools.cache
+def _register_key_words() -> None:
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_KeyWords)
+
+
 def make_generator(seed: int) -> np.random.Generator:
     """Return a Generator over the Philox stream keyed by ``seed``, an
     integer in [0, 2^128): its low 64 bits are key word 0, its high 64
@@ -49,6 +57,7 @@ def make_generator(seed: int) -> np.random.Generator:
     seed = int(seed)
     if not 0 <= seed < _KEY_BOUND:
         raise ValueError(f"seed must be a 128-bit unsigned integer, got {seed}")
+    _register_key_words()
     return np.random.Generator(np.random.Philox(_KeyWords(seed)))
 
 
@@ -73,17 +82,3 @@ def derive_seed(master_seed: int, index: int) -> int:
     """
     ss = np.random.SeedSequence((int(master_seed), int(index)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def standard_exponential(gen: np.random.Generator, size) -> np.ndarray:
-    """Exp(1) variates as -log(1 - U) with U uniform on [0, 1), worked
-    out in place in the array of uniforms (bit for bit the same as
-    ``-np.log1p(-U)``).
-
-    1 - U lies in (0, 1], so the result is always finite.
-    """
-    e = gen.random(size)
-    np.negative(e, out=e)
-    np.log1p(e, out=e)
-    np.negative(e, out=e)
-    return e

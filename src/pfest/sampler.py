@@ -26,18 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .coverage import CoverageProfile, PlanResult, _plan_size, min_coverage_threshold
 from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
-from .rng import standard_exponential, substreams
+from .rng import substreams
 
-# run_trials' trials run in ``blocks`` of about this many elements, so
-# that a trial's draws do not depend on how many trials a call asks for.
-RACE_CHUNK_ELEMENTS = 1 << 20
 # Planner: n = ceil(SAMPLING_PLAN_CONSTANT * M * ln(3/eps)).
 SAMPLING_PLAN_CONSTANT = 2.0
 
@@ -63,12 +59,6 @@ class RaceSummary:
     n_per_race: int
 
 
-def _scores(arrivals: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    out = np.full(arrivals.shape, np.inf)
-    np.divide(arrivals, lam, out=out, where=lam > 0)
-    return out
-
-
 def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceState]:
     """Run one race of length n and return the winning atom index.
 
@@ -80,7 +70,17 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
     _check_race_length(n)
     # item 0 of a 64-bit seed: the stream keyed by the seed itself
     _, gen = next(substreams(seed, 1))
-    atoms, scores = _race_block(pair, gen, n)
+    if n >= 2**63:  # numpy array dimensions are int64
+        raise ValueError(f"a race of n={n} draws passes the 64-bit array size range")
+    atoms = draw_atoms(pair, gen.random(n))
+    scores = gen.random(n)  # Exp(1) as -log1p(-U), summed and divided in place
+    np.negative(scores, out=scores)
+    np.log1p(scores, out=scores)
+    np.negative(scores, out=scores)
+    np.cumsum(scores, out=scores)
+    lam = pair.lambda_at(atoms)
+    np.divide(scores, lam, out=scores, where=lam > 0)
+    scores[lam == 0] = np.inf
     best = int(np.argmin(scores))
     if math.isinf(scores[best]):
         raise AllNullDrawsError(
@@ -95,39 +95,6 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
 def _check_race_length(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-
-
-def _race_block(
-    pair: DistributionPair, gen: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and scores, shape (n,), of the race of length n drawn from
-    ``gen``. The arrivals are summed and divided in place, so the scores
-    take their buffer."""
-    if n >= 2**63:  # numpy array dimensions are int64
-        raise ValueError(f"a race of n={n} draws passes the 64-bit array size range")
-    atoms = draw_atoms(pair, gen.random(n))
-    scores = standard_exponential(gen, n)
-    np.cumsum(scores, out=scores)
-    # a race mostly holds more draws than there are atoms, so a lookup
-    # in the cached per-pair table is the cheaper gather
-    lam = pair.lambda_drawn[atoms]
-    if lam.min() > 0:
-        np.divide(scores, lam, out=scores)
-    else:
-        scores = _scores(scores, lam)
-    return atoms, scores
-
-
-def blocks(seed: int, rows: int, row_elements: int) -> Iterator[tuple]:
-    """Walk ``rows`` rows of ``row_elements`` elements in blocks of
-    B = max(1, RACE_CHUNK_ELEMENTS // row_elements) rows: yield ``(start,
-    count, gen)`` for block b, rows start = b B onward, drawn from
-    ``gen``, a generator of its own over item b of ``substreams``, keyed
-    by ``seed + (b << 64)``. Row t is row t mod B of block t // B."""
-    per_block = max(1, RACE_CHUNK_ELEMENTS // row_elements)
-    starts = range(0, rows, per_block)
-    for start, (_, gen) in zip(starts, substreams(seed, len(starts))):
-        yield start, min(per_block, rows - start), gen
 
 
 def race_law(pair: DistributionPair, n: int) -> tuple[np.ndarray, float]:

@@ -77,6 +77,9 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
         # the winner counts of 2^63 races or more: numpy's multinomial
         # counts are int64
         ["sample", *BERN, "--eps", "0.25", "--seed", "1", "--trials", str(2**63)],
+        # the trial count is checked before the plan, which is infeasible here
+        ["estimate", *BERN, "--method", "mom", "--plan", "fdiv:tv", "--eps", "0.3",
+         "--seed", "1", "--trials", "0"],
         # --g entries that float() rejects
         *(
             ["plan", *BERN, "--eps", "0.25", "--method", "is", "--g", g]
@@ -86,7 +89,8 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
     ids=["unknown-method", "malformed-params", "params-without-value",
          "snis-with-plan", "grid-inf", "grid-nan", "counts-past-int64-quantile",
          "counts-past-int64-mom", "sample-eps", "plan-sampling-eps",
-         "renyi-overflow", "trials-past-int64", "g-double-underscore",
+         "renyi-overflow", "trials-past-int64", "estimate-no-trials",
+         "g-double-underscore",
          "g-complex", "g-hex", "g-empty-entry", "g-blank-entry", "g-trailing-comma"],
 )
 def test_bad_input_exits_one_with_message(capsys, argv):

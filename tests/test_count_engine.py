@@ -21,7 +21,7 @@ from pfest import (
     snis,
     within_multiplicative,
 )
-from pfest import estimators, sampler
+from pfest import estimators
 from pfest.distributions import count_block
 from pfest.estimators import ESTIMATORS, group_count, run_trials
 from pfest.rng import make_generator
@@ -200,7 +200,7 @@ def _block_rows(pair, method, n, delta):
     k = ESTIMATORS[method].groups(n, delta)[0]
     drawable = pair.last_drawable_atom + 1
     counting = estimators.COUNT_ENGINE_RATIO * k * drawable <= n
-    return max(1, sampler.RACE_CHUNK_ELEMENTS // (k * drawable if counting else n)), counting
+    return max(1, estimators.TRIAL_BLOCK_ELEMENTS // (k * drawable if counting else n)), counting
 
 
 def _replays(pair, method, n, trials, seed, eps, delta, level, g):
@@ -270,7 +270,7 @@ def test_count_blocks_equal_their_replays(monkeypatch, name, method):
     k = ESTIMATORS[method].groups(n, 0.1)[0]
     row = k * (pair.last_drawable_atom + 1)
     assert k * pair.support_size <= n
-    monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 8 * row - 1)
+    monkeypatch.setattr(estimators, "TRIAL_BLOCK_ELEMENTS", 8 * row - 1)
     assert _block_rows(pair, method, n, 0.1) == (7, True)
     _assert_blocks_equal_replays(pair, method, n, 30, 11 + len(name))
 
@@ -307,7 +307,7 @@ def test_an_estimate_does_not_depend_on_the_trial_count(monkeypatch, method, eng
         monkeypatch.setattr(estimators, "COUNT_ENGINE_RATIO", n + 1)
     k = ESTIMATORS[method].groups(n, 0.1)[0]
     row = k * pair.support_size if engine == "count" else n
-    monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 4 * row)
+    monkeypatch.setattr(estimators, "TRIAL_BLOCK_ELEMENTS", 4 * row)
     assert _block_rows(pair, method, n, 0.1) == (4, engine == "count")
     short, full = (
         run_trials(pair, method, n, trials, 3, 0.3, 0.1, m=level, g=g)

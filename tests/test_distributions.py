@@ -31,7 +31,7 @@ from pfest.distributions import (
     sample_counts,
 )
 from pfest.estimators import run_trials
-from pfest.rng import make_generator, standard_exponential
+from pfest.rng import make_generator
 from pfest.sampler import astar_sample, race_law, run_races
 
 
@@ -512,12 +512,6 @@ def test_races_never_land_where_the_law_is_zero(pair):
         assert (summary.null_races > 0) == (null > 0) == (mu0 > 0)
 
 
-def test_standard_exponential_is_the_negated_log1p():
-    for size in (1, 7, (300, 11)):
-        expected = -np.log1p(-make_generator(5).random(size))
-        np.testing.assert_array_equal(standard_exponential(make_generator(5), size), expected)
-
-
 def test_draw_tables_are_cached_and_read_only():
     pair = make_random_pair(32, 8, z=2.5)
     text = repr(pair)
@@ -711,6 +705,10 @@ def test_workload_shaped_calls_keep_their_routes():
     pair = make_random_pair(64, 20260864)
     run_races(pair, 88, 32_768, 7)
     assert "mu_guide" not in vars(pair) and "mu_cdf" not in vars(pair)
+    # a single race with n >= S draws its atoms in one call, so it walks
+    # the guide table: 2^17 draws on the 2^17 atoms above
+    astar_sample(wide, 1 << 17, 7)
+    assert "mu_guide" in vars(wide)
 
 
 def test_guide_table_steps_and_finishes():

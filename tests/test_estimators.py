@@ -30,8 +30,9 @@ from pfest import (
     tv,
     within_multiplicative,
 )
+from pfest.coverage import FLOAT_EXACT_INT_MAX, LOG_N_MAX
 from pfest.divergences import parse_f_spec
-from pfest.estimators import FLOAT_EXACT_INT_MAX, LOG_N_MAX, group_count, ordered_mean
+from pfest.estimators import group_count, ordered_mean
 from pfest.estimators import plan_method, run_trials
 from pfest.rng import derive_seed
 

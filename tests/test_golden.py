@@ -152,10 +152,10 @@ OUTCOMES = {
         ["estimate", *BERN, "--method", "snis", "--eps", "0.25", "--seed", "1"],
         1, "", "pfest: error: --g values are required for this method\n",
     ),
-    "estimate-plan-before-trials": (
+    "estimate-trials-before-plan": (
         ["estimate", *BERN, "--method", "mom", "--plan", "fdiv:tv",
          "--eps", "0.25", "--seed", "1", "--trials", "0"],
-        2, "", TV_INFEASIBLE,
+        1, "", "pfest: error: --trials must be >= 1, got 0\n",
     ),
     "estimate-bad-trials": (
         ["estimate", *BERN, "--method", "mom", "--eps", "0.25", "--seed", "1",

@@ -85,7 +85,7 @@ def test_a_trial_replays_from_its_key(monkeypatch, n):
     k, size = entry.groups(n, delta)
     counting = k * pair.support_size <= n
     row = k * pair.support_size if counting else n
-    monkeypatch.setattr(sampler, "RACE_CHUNK_ELEMENTS", 2 * row + 1)
+    monkeypatch.setattr(estimators, "TRIAL_BLOCK_ELEMENTS", 2 * row + 1)
     blocks = []
 
     def recorded(name):
@@ -165,7 +165,7 @@ def test_run_trials_seeds_one_generator_per_call(monkeypatch, pair):
 def test_run_races_seeds_one_generator_per_call(monkeypatch, bern):
     # one multinomial draw per call, whatever the race count
     calls = _count_seeding(monkeypatch)
-    for trials in (1, 2 * (sampler.RACE_CHUNK_ELEMENTS // 3) + 1, 10**12):
+    for trials in (1, 699_051, 10**12):
         summary = run_races(bern, 12, trials, 9)
         assert summary.counts.sum() + summary.null_races == trials
     assert calls == {"derive_seed": 0, "Philox": 3}

@@ -16,10 +16,8 @@ from pfest import (
     make_twopoint_mu_pair,
     plan_n_sampling,
     run_races,
-    sampler,
 )
 from pfest.coverage import PlanResult
-from pfest.rng import make_generator
 from pfest.sampler import RaceSummary, sampling_plan
 
 from exact_laws import binomial_band, check_race_counts, race_law
@@ -276,8 +274,8 @@ def test_race_law_matches_the_yardstick(name):
 def test_races_follow_the_exact_law(name, n):
     """Both engines against the exact race law, atom by atom and for the
     null races, in alpha-1e-6 binomial bands: run_races over 2^20 races,
-    and 2^13 per-draw races of astar_sample's _race_block on one
-    stream, the argmin of each race's scores winning."""
+    and 2^13 per-draw races of astar_sample over consecutive seeds, a
+    race without a winner counted as null."""
     pair = LAW_PAIRS[name]
     trials = 1 << 20
     summary = run_races(pair, n, trials, 20261019)
@@ -285,13 +283,12 @@ def test_races_follow_the_exact_law(name, n):
     check_race_counts(summary.counts, summary.null_races, trials, pair, n)
 
     trials = 1 << 13
-    gen = make_generator(20261020)
     counts = np.zeros(pair.support_size, dtype=np.int64)
-    for _ in range(trials):
-        atoms, scores = sampler._race_block(pair, gen, n)
-        best = int(np.argmin(scores))
-        if np.isfinite(scores[best]):
-            counts[atoms[best]] += 1
+    for seed in range(20261020, 20261020 + trials):
+        try:
+            counts[astar_sample(pair, n, seed)[0]] += 1
+        except AllNullDrawsError:
+            pass
     check_race_counts(counts, trials - int(counts.sum()), trials, pair, n)
 
 
