@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageProfile, PlanResult, _plan_size, min_coverage_threshold
+from .coverage import CoverageProfile, PlanResult, _plan_size, _suffix_sums
+from .coverage import min_coverage_threshold
 from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
 from .rng import substreams
@@ -128,9 +129,9 @@ def race_law(pair: DistributionPair, n: int) -> tuple[np.ndarray, float]:
     down = live[np.argsort(-pair.ratio_cache[live], kind="stable")]
     r, mu_d, nu_d = pair.ratio_cache[down], mu[down], nu[down]
     mu0 = float(mu[nu == 0].sum())
-    nu_below = np.cumsum(nu_d[::-1])[::-1]
+    nu_below = _suffix_sums(nu_d)[:-1]
     # 1 - A_j: the proposal mass at or below r_j, null atoms included
-    mu_below = np.cumsum(mu_d[::-1])[::-1] + mu0
+    mu_below = _suffix_sums(mu_d)[:-1] + mu0
     # q(r_j) and 1 - q(r_j) for j = 0 .. P - 1, then at M = 0+, where
     # every draw of positive density scores below the level
     q = np.concatenate(([0.0], np.cumsum(mu_d))) + np.append(nu_below / r, 0.0)

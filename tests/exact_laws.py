@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from pfest.estimators import ESTIMATORS, _quantile_rank, group_count, within_multiplicative
+
 ALPHA = 1e-6
 
 
@@ -12,6 +14,80 @@ def log_binom_pmf(n: int, p: float, x: int) -> float:
     return (
         math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
         + x * math.log(p) + (n - x) * math.log1p(-p)
+    )
+
+
+def binom_tail(n: int, p: float, first: int) -> float:
+    """P[X >= first] for X ~ Bin(n, p), its pmf summed from first up; at
+    p = 0 and p = 1, where ``log_binom_pmf`` takes the log of 0, X is 0
+    or n."""
+    first = max(first, 0)
+    if not 0.0 < p < 1.0:
+        return float(first <= (n if p >= 1.0 else 0))
+    return math.fsum(math.exp(log_binom_pmf(n, p, x)) for x in range(first, n + 1))
+
+
+def two_level_fail(pair, method: str, n: int, eps: float, delta: float, g=None) -> float:
+    """Exact probability that mom, snis or plain IS ("is") from n draws
+    on two atoms with proposal mass misses (1 +/- eps) of its truth: z
+    for mom, E_nu[g] for the others.
+
+    With ratios r_i = nu_i / mu_i and levels lambda_i = z r_i, snis's
+    estimate is (X lambda_1 g_1 + (n - X) lambda_0 g_0) / (X lambda_1 +
+    (n - X) lambda_0) and plain IS's (X r_1 g_1 + (n - X) r_0 g_0) / n,
+    for X ~ Bin(n, mu_1) draws on atom 1. The pmf is summed over the X
+    whose estimate misses, below the truth and above it. For mom, X is a
+    group's count and (X lambda_1 + (size - X) lambda_0) / size its
+    mean, in k = ``group_count(delta)`` groups of size = n // k. The
+    lower median (index j = (k - 1) // 2) misses iff at least j + 1
+    groups fall below or at least k - j above: two disjoint binomial
+    tails over the groups."""
+    mu, nu, z = pair.mu_weights, pair.nu_weights, pair.z_true
+    assert mu.size == 2 and mu.all()
+    (r0, r1), q = (nu / mu).tolist(), float(mu[1])
+    lam0, lam1 = z * r0, z * r1
+    if method == "mom":
+        k = group_count(delta)
+        size, truth = n // k, z
+        estimate = lambda x: (lam1 * x + lam0 * (size - x)) / size
+    elif method == "snis":
+        size, truth = n, pair.nu_mean(g)
+        estimate = lambda x: (
+            (x * lam1 * g[1] + (n - x) * lam0 * g[0]) / (x * lam1 + (n - x) * lam0)
+        )
+    else:
+        assert method == "is", method
+        size, truth = n, pair.nu_mean(g)
+        estimate = lambda x: (x * r1 * g[1] + (n - x) * r0 * g[0]) / n
+    below_above = [0.0, 0.0]
+    for x in range(size + 1):
+        value = estimate(x)
+        if not within_multiplicative(value, truth, eps):
+            below_above[int(value > truth)] += math.exp(log_binom_pmf(size, q, x))
+    if method != "mom":
+        return sum(below_above)
+    j = (k - 1) // 2
+    return binom_tail(k, below_above[0], j + 1) + binom_tail(k, below_above[1], k - j)
+
+
+def quantile_fail(pair, n: int, eps: float, m: float) -> tuple[float, float]:
+    """Exact (P_low, P_high) that the quantile estimate from n draws on
+    any support fails below the truth z, and above it.
+
+    The estimate is the r-th least of the n levels z nu / mu drawn, r =
+    ``_quantile_rank(eps, m, n)``. ``ESTIMATORS["quantile"].success``
+    holds on an interval of levels, so the estimate fails low iff at
+    least r draws land on the levels it fails below z, and high iff at
+    least n - r + 1 land on those it fails above z: two binomial tails."""
+    drawn = pair.mu_weights > 0
+    mu = pair.mu_weights[drawn]
+    lam = pair.z_true * (pair.nu_weights[drawn] / mu)
+    fails = ~ESTIMATORS["quantile"].success(lam, pair.z_true, eps, m)
+    low = fails & (lam < pair.z_true)
+    rank = _quantile_rank(eps, m, n)
+    return (
+        binom_tail(n, math.fsum(mu[low]), rank),
+        binom_tail(n, math.fsum(mu[fails & ~low]), n - rank + 1),
     )
 
 

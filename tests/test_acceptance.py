@@ -13,6 +13,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from pfest import (
     CoverageProfile,
@@ -54,9 +55,9 @@ from pfest import (
     tv,
     within_multiplicative,
 )
-from pfest.estimators import run_trials
+from pfest.estimators import group_count, run_trials
 
-from exact_laws import race_law
+from exact_laws import quantile_fail, race_law, two_level_fail
 
 MASTER_SEED = 20260814
 SLACK = 1e-10
@@ -66,6 +67,14 @@ def _report(num: int, ok: bool, detail: str) -> None:
     line = "[criterion {}] {}: {}".format(num, "PASS" if ok else "FAIL", detail)
     print(line)
     assert ok, line
+
+
+def _least_n(fail, delta: float, n: int = 1) -> int:
+    """n*, the least n from ``n`` up whose exact failure probability
+    ``fail(n)`` is at most delta."""
+    while fail(n) > delta:
+        n += 1
+    return n
 
 
 def test_criterion_1_exact_inequality_suite():
@@ -191,6 +200,24 @@ def test_criterion_3_mom_estimator_guarantee():
     )
 
 
+# (p, n*) on make_bernoulli_pair(p, 0.25) at eps 0.25 and delta 0.1,
+# where the plan is 33.0, 9.7 and 4.3 times n*
+@pytest.mark.parametrize("p, n_star", [(0.5, 38), (0.1, 190), (0.01, 1957)])
+def test_criterion_3_plan_meets_delta_exactly(p, n_star):
+    """Beside criterion 3's frequencies: MoM's exact failure probability
+    is at most delta at the coverage plan, and the plan asks at most 40
+    times n* draws."""
+    eps, delta = 0.25, 0.1
+    pair = make_bernoulli_pair(p, 0.25)
+    plan = plan_n_coverage(CoverageProfile.from_pair(pair), eps, delta)
+    fail = lambda n: two_level_fail(pair, "mom", n, eps, delta)
+    assert fail(plan.n) <= delta
+    assert _least_n(fail, delta, group_count(delta)) == n_star
+    assert plan.n <= 40 * n_star
+    if p == 0.5:  # 3.95e-191 at criterion 3's plan, where 1 - P[success] is 0.0
+        assert 0.0 < fail(plan.n) < 1e-100
+
+
 def test_criterion_4_quantile_estimator_guarantee():
     """Order-statistic estimate lands in [(1-eps)Z, M*Z] often enough."""
     t0 = time.perf_counter()
@@ -214,6 +241,20 @@ def test_criterion_4_quantile_estimator_guarantee():
         4, ok,
         f"success {freq:.3f} (counts {count_freq:.3f}) at n={plan.n}, {elapsed:.1f}s",
     )
+
+
+def test_criterion_4_plan_meets_delta_exactly():
+    """Beside criterion 4's frequencies: the quantile estimate's exact
+    failure probability is at most delta at the quantile plan (1.8e-36,
+    all of it below (1 - eps) z), and the plan asks 48.0 times n* = 9
+    draws, at most 60."""
+    pair = make_twopoint_mu_pair(0.25)
+    plan = plan_n_quantile(0.5, 0.1, profile=CoverageProfile.from_pair(pair))
+    fail = lambda n: sum(quantile_fail(pair, n, 0.5, plan.m))
+    assert fail(plan.n) <= 0.1
+    n_star = _least_n(fail, 0.1)
+    assert n_star == 9
+    assert plan.n <= 60 * n_star
 
 
 def test_criterion_5_race_sampler_tv_guarantee():
@@ -405,6 +446,23 @@ def test_criterion_9_snis_guarantee_and_invariance():
         f"success {freq:.3f} (counts {count_freq:.3f}), "
         f"worst scale drift {worst_rel:.1e}, {elapsed:.1f}s",
     )
+
+
+def test_criterion_9_plan_meets_delta_exactly():
+    """Beside criterion 9's frequencies: SNIS's exact failure probability
+    is at most delta at the SNIS plan (2.0e-243), and the plan asks 500.9
+    times n* = 23 draws, at most 600."""
+    pair, g = make_bernoulli_pair(0.5, 0.25), np.array([0.0, 1.0])
+    plan = plan_n_snis(
+        CoverageProfile.from_pair(pair),
+        CoverageProfile.from_pair(make_weighted_pair(pair, g)),
+        0.25, 0.1,
+    )
+    fail = lambda n: two_level_fail(pair, "snis", n, 0.25, 0.1, g)
+    assert fail(plan.n) <= 0.1
+    n_star = _least_n(fail, 0.1)
+    assert n_star == 23
+    assert plan.n <= 600 * n_star
 
 
 def test_criterion_10_determinism(tmp_path):

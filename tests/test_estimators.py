@@ -36,6 +36,8 @@ from pfest.estimators import group_count, ordered_mean
 from pfest.estimators import plan_method, run_trials
 from pfest.rng import derive_seed
 
+from exact_laws import two_level_fail
+
 LN10 = math.log(10.0)
 
 
@@ -483,29 +485,6 @@ def test_importance_sampling_unbiased(bern):
     assert abs(report.estimate - 1.0) <= 3 * sigma
 
 
-def _is_estimate(pair, g, n, x):
-    """Plain IS of E_nu[g] on a two-atom pair from n draws, x of them on
-    atom 1: the mean of ratio * g over the draws."""
-    r0, r1 = pair.ratio_cache
-    return ((n - x) * r0 * g[0] + x * r1 * g[1]) / n
-
-
-def _is_fail_probability(pair, g, n, eps):
-    """Exact P[plain IS misses (1 +/- eps) E_nu[g]] on a two-atom pair:
-    the pmf of X ~ Bin(n, mu_1) summed over the failing x."""
-    truth = pair.nu_mean(g)
-    q = float(pair.mu_weights[1])
-    log_q, log_1mq, log_nf = math.log(q), math.log1p(-q), math.lgamma(n + 1)
-    total = 0.0
-    for x in range(n + 1):
-        if not within_multiplicative(_is_estimate(pair, g, n, x), truth, eps):
-            total += math.exp(
-                log_nf - math.lgamma(x + 1) - math.lgamma(n - x + 1)
-                + x * log_q + (n - x) * log_1mq
-            )
-    return total
-
-
 # (p, g, eps) at delta 0.1 on make_bernoulli_pair(p, 0.25): the grid's
 # plans up to 3e5 draws (the other three plan 3.6e5 to 1.8e6)
 IS_PLAN_CASES = [
@@ -527,14 +506,9 @@ def test_is_plan_meets_delta_exactly(p, g, eps):
     pair = make_bernoulli_pair(p, 0.25)
     n = plan_n_is(CoverageProfile.from_pair(make_weighted_pair(pair, g)), eps, delta).n
     assert n <= 300_000
-    assert _is_fail_probability(pair, g, n, eps) <= delta
+    assert two_level_fail(pair, "is", n, eps, delta, g) <= delta
     small = math.ceil(n / 1000)
-    assert _is_fail_probability(pair, g, small, eps) > delta
-    # the closed form is importance_sampling's estimate on a seeded batch
-    batch = sample(pair, small, 20261019)
-    x = int(np.count_nonzero(batch.atoms))
-    report = importance_sampling(batch, g, pair.ratio_cache)
-    assert report.estimate == pytest.approx(_is_estimate(pair, g, small, x), rel=1e-12)
+    assert two_level_fail(pair, "is", small, eps, delta, g) > delta
 
 
 @pytest.mark.parametrize(
