@@ -10,16 +10,13 @@ from .coverage import (
     CoverageProfile,
     MuTailBound,
     PZBound,
-    coverage,
     coverage_bound_fdiv,
     icov_bound_fdiv,
-    integrated_coverage,
     min_coverage_threshold,
     mu_tail_bound,
     paley_zygmund_bound_fdiv,
     paley_zygmund_lower_bound,
     solve_M_eps,
-    truncated_second_moment,
 )
 from .distributions import (
     DistributionPair,

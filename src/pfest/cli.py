@@ -168,6 +168,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     pair = _load_pair_argument(args)
     plan = sampling_plan(CoverageProfile.from_pair(pair), args.eps)
     head = {"n": plan.n, "M": plan.m, "eps": args.eps}

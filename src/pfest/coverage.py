@@ -128,27 +128,29 @@ class CoverageProfile:
             singular_mass=pair.singular_mass,
         )
 
-    @property
-    def nu_ratio_mean(self) -> float:
-        """E_nu[ratio] over the finite levels (the target second moment
-        of the ratio under the proposal)."""
-        return float(self._nu_r_prefix[-1])
+    def _at_level(self, table: np.ndarray, m, side: str):
+        """``table`` read at the level index of m: the first threshold
+        at or above m for side "left", above m for "right". Vectorized
+        over m; a float for a 0-d m."""
+        m_arr = np.asarray(m, dtype=np.float64)
+        if np.isnan(m_arr).any():
+            raise ValueError("m must not be nan")
+        out = table[self.thresholds.searchsorted(m_arr, side)]
+        return float(out) if m_arr.ndim == 0 else out
 
     def coverage(self, m):
         """Target mass at ratio >= m (inclusive); singular mass always
         counts. Vectorized over m."""
-        m_arr = np.asarray(m, dtype=np.float64)
-        idx = np.searchsorted(self.thresholds, m_arr, side="left")
-        out = self._nu_suffix[idx] + self.singular_mass
-        return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
+        return self._at_level(self._nu_suffix, m, "left") + self.singular_mass
 
     def integrated_coverage(self, m):
         """Integral of the coverage from 0 to m, evaluated exactly as
         E_nu[min(ratio, m)] + singular_mass * m. Vectorized over m.
 
         Past the last level only the singular mass is left, so at
-        m = inf the integral is nu_ratio_mean when that mass is 0 and
-        inf otherwise: m times an empty tail counts as 0, never nan."""
+        m = inf the integral is truncated_second_moment(inf) (that is,
+        E_nu[ratio]) when that mass is 0 and inf otherwise: m times an
+        empty tail counts as 0, never nan."""
         m_arr = np.asarray(m, dtype=np.float64)
         if m_arr.ndim == 0:
             m = float(m_arr)
@@ -167,17 +169,11 @@ class CoverageProfile:
     def truncated_second_moment(self, m):
         """E_mu[ratio^2 ; ratio <= m], equal level by level to
         nu_mass * ratio. Vectorized over m."""
-        m_arr = np.asarray(m, dtype=np.float64)
-        idx = np.searchsorted(self.thresholds, m_arr, side="right")
-        out = self._nu_r_prefix[idx]
-        return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
+        return self._at_level(self._nu_r_prefix, m, "right")
 
     def mu_tail(self, m):
         """Proposal mass at ratio >= m (singular atoms carry none)."""
-        m_arr = np.asarray(m, dtype=np.float64)
-        idx = np.searchsorted(self.thresholds, m_arr, side="left")
-        out = self._mu_suffix[idx]
-        return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
+        return self._at_level(self._mu_suffix, m, "left")
 
 
 def _suffix_sums(w: np.ndarray) -> np.ndarray:
@@ -257,25 +253,16 @@ def _sort_order(ratios: np.ndarray):
     return perm, levels
 
 
-def _as_profile(pair_or_profile) -> CoverageProfile:
-    if isinstance(pair_or_profile, CoverageProfile):
-        return pair_or_profile
-    return CoverageProfile.from_pair(pair_or_profile)
+def _check_unit(name: str, value: float) -> None:
+    """Reject a parameter outside the open interval (0, 1), NaN included."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
-def coverage(pair_or_profile, m):
-    """Target mass at ratio >= m, for a pair or a prebuilt profile."""
-    return _as_profile(pair_or_profile).coverage(m)
-
-
-def integrated_coverage(pair_or_profile, m):
-    """Integral of the coverage over [0, m]."""
-    return _as_profile(pair_or_profile).integrated_coverage(m)
-
-
-def truncated_second_moment(pair_or_profile, m):
-    """E_mu[ratio^2 ; ratio <= m]."""
-    return _as_profile(pair_or_profile).truncated_second_moment(m)
+def _check_divergence(divergence: float) -> None:
+    """Reject a negative or NaN divergence; inf passes."""
+    if not divergence >= 0:
+        raise ValueError(f"divergence must be nonnegative, got {divergence}")
 
 
 def _require_absolutely_continuous(profile: CoverageProfile, what: str) -> None:
@@ -297,8 +284,7 @@ def solve_M_eps(profile: CoverageProfile, eps: float) -> float:
     steps up one float at a time until the predicate holds in floats.
     A level past the float range reads inf.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    _check_unit("eps", eps)
     _require_absolutely_continuous(profile, "solve_M_eps")
     if not profile._nu_suffix[0] > 0:
         raise ValueError("profile carries no target mass on finite levels")
@@ -406,7 +392,7 @@ def mu_tail_bound(profile: CoverageProfile, m: float) -> MuTailBound:
     """Coverage-based bound Cov_M / M on the proposal's ratio tail,
     alongside the exact tail for comparison. Valid for m >= 1."""
     m = float(m)
-    if m < 1:
+    if not m >= 1:
         raise ValueError(f"m must be >= 1, got {m}")
     bound = min(1.0, profile.coverage(m) / m)
     return MuTailBound(bound=bound, exact=profile.mu_tail(m))
@@ -418,10 +404,9 @@ def coverage_bound_fdiv(f: FGenerator, divergence: float, m: float) -> float:
     Requires m > 1 so that f(m) > 0 for strictly convex generators.
     """
     m = float(m)
-    if m <= 1:
+    if not m > 1:
         raise ValueError(f"m must be > 1, got {m}")
-    if divergence < 0:
-        raise ValueError("divergence must be nonnegative")
+    _check_divergence(divergence)
     fm = float(f(m))
     if fm <= 0:
         raise ValueError(f"f({m}) = {fm!r}; bound needs f(m) > 0")
@@ -438,12 +423,11 @@ def icov_bound_fdiv(f: FGenerator, divergence: float, m: float, c: float) -> flo
     c; superquadratic generators admit no such c.
     """
     m, c = float(m), float(c)
-    if c < 1:
+    if not c >= 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    if m < c:
+    if not m >= c:
         raise ValueError(f"m = {m} must be >= c = {c}")
-    if divergence < 0:
-        raise ValueError("divergence must be nonnegative")
+    _check_divergence(divergence)
     fm = float(f(m))
     if fm == 0.0:
         second = 0.0 if divergence == 0 else math.inf
@@ -466,10 +450,8 @@ def paley_zygmund_lower_bound(
     returns (1-u)*eps/M; every level above M certifies the bound and it
     extends to M itself by continuity.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 0 < u < 1:
-        raise ValueError(f"u must be in (0, 1), got {u}")
+    _check_unit("eps", eps)
+    _check_unit("u", u)
     _require_absolutely_continuous(profile, "paley_zygmund_lower_bound")
     # Levels at or below 1-eps can never have coverage below u*eps
     # (E_mu[ratio] = 1 forces mass above), so m lands above 1-eps.
@@ -485,12 +467,9 @@ def paley_zygmund_bound_fdiv(
     chosen as the growth inverse at D/(u*eps). An infinite level, from
     an infinite D/(u*eps) or an infinite inverse, yields the trivial
     bound 0."""
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 0 < u < 1:
-        raise ValueError(f"u must be in (0, 1), got {u}")
-    if not divergence >= 0:
-        raise ValueError(f"divergence must be nonnegative, got {divergence}")
+    _check_unit("eps", eps)
+    _check_unit("u", u)
+    _check_divergence(divergence)
     argument = divergence / (u * eps)
     m = math.inf if math.isinf(argument) else gamma_f(f, argument)
     if math.isinf(m):

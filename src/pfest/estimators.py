@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .coverage import CoverageProfile, PlanResult, _plan_size, solve_M_eps
-from .coverage import min_coverage_threshold
+from .coverage import _check_divergence, _check_unit, min_coverage_threshold
 from .distributions import (
     DistributionPair,
     SampleBatch,
@@ -89,14 +89,8 @@ def within_multiplicative(estimate, truth: float, eps: float):
 
 
 def _check_eps_delta(eps: float, delta: float) -> None:
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    _check_delta(delta)
-
-
-def _check_delta(delta: float) -> None:
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_unit("eps", eps)
+    _check_unit("delta", delta)
 
 
 def group_count(delta: float) -> int:
@@ -106,7 +100,7 @@ def group_count(delta: float) -> int:
 def _mom_groups(n: int, delta: float) -> tuple[int, int]:
     """(k, m): the k = ceil(8 ln(1/delta)) groups of m = n // k draws
     median-of-means splits n draws into."""
-    _check_delta(delta)
+    _check_unit("delta", delta)
     k = group_count(delta)
     if n < k:
         raise ValueError(f"batch has {n} samples; need at least k = {k}")
@@ -116,11 +110,10 @@ def _mom_groups(n: int, delta: float) -> tuple[int, int]:
 def _quantile_rank(eps: float, m: float, n: int) -> int:
     """1-based rank ceil((1 - eps/(4M)) * n) of the quantile estimate,
     kept within 1..n."""
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    _check_unit("eps", eps)
     if m is None:
         raise ValueError("the quantile estimate needs the plan's level m")
-    if m < 1:
+    if not m >= 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if n < 1:
         raise ValueError("batch is empty")
@@ -297,8 +290,7 @@ def _growth_level(
     Infeasible when D is infinite, or when the growth inverse is
     infinite at that argument, the hallmark of linear-regime
     generators."""
-    if divergence < 0 or math.isnan(divergence):
-        raise ValueError("divergence must be nonnegative")
+    _check_divergence(divergence)
     if math.isinf(divergence):
         raise InfeasiblePlanError(
             f"{f.name}: infinite divergence (singular target mass?)"
@@ -453,7 +445,7 @@ def _plan_fdiv(spec: str, pair, eps, delta, g) -> PlanResult:
 def _plan_sampling(pair, eps, delta, g) -> PlanResult:
     """The race's plan. A TV guarantee takes no delta, but one outside
     (0, 1) is rejected as by every other plan."""
-    _check_delta(delta)
+    _check_unit("delta", delta)
     return sampling_plan(_profile(pair), eps)
 
 

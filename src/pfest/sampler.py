@@ -219,7 +219,7 @@ def plan_n_sampling(m: float, eps: float) -> int:
     """Race length for TV error at most eps given a level M whose
     coverage is at most eps/3: n = ceil(2 M ln(3/eps)), at least 1, an
     exact int even where 2 M ln(3/eps) passes the float range."""
-    if m < 1:
+    if not m >= 1:
         raise ValueError(f"m must be >= 1, got {m}")
     _check_race_eps(eps)
     return _plan_size(SAMPLING_PLAN_CONSTANT, m, math.log(3.0 / eps), eps, 0)

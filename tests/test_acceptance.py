@@ -20,7 +20,6 @@ from pfest import (
     ExperimentConfig,
     SampleBatch,
     chi_squared,
-    coverage,
     coverage_bound_fdiv,
     csv_fingerprint,
     derive_seed,
@@ -29,7 +28,6 @@ from pfest import (
     f_divergence,
     gamma_f,
     icov_bound_fdiv,
-    integrated_coverage,
     kl,
     make_bernoulli_pair,
     make_random_pair,
@@ -51,7 +49,6 @@ from pfest import (
     sample,
     snis,
     table_fingerprint,
-    truncated_second_moment,
     tv,
     within_multiplicative,
 )
@@ -102,9 +99,9 @@ def test_criterion_1_exact_inequality_suite():
         grid = np.geomspace(lo, hi, 50)
         grids += 1
 
-        cov = coverage(prof, grid)
-        icov = integrated_coverage(prof, grid)
-        t2 = truncated_second_moment(prof, grid)
+        cov = prof.coverage(grid)
+        icov = prof.integrated_coverage(grid)
+        t2 = prof.truncated_second_moment(grid)
         violations += int(np.sum(t2 > icov + SLACK))
 
         for f in gens_cov:
@@ -161,13 +158,13 @@ def test_criterion_2_profile_identities():
         prof = CoverageProfile.from_pair(pair)
         for m in (0.8, 1.25, 2.0):
             nodes = np.linspace(0.0, m, 10_001)
-            quad = float(np.trapezoid(coverage(prof, nodes), nodes))
-            ic = integrated_coverage(prof, m)
+            quad = float(np.trapezoid(prof.coverage(nodes), nodes))
+            ic = prof.integrated_coverage(m)
             worst = max(worst, abs(quad - ic) / ic)
         lo = max(float(prof.thresholds.min()) / 2.0, 1e-6)
         grid = np.geomspace(lo, 2.0 * float(prof.thresholds.max()), 50)
-        cov = coverage(prof, grid)
-        ratio = integrated_coverage(prof, grid) / grid
+        cov = prof.coverage(grid)
+        ratio = prof.integrated_coverage(grid) / grid
         monotone_ok &= bool(np.all(np.diff(cov) <= SLACK))
         monotone_ok &= bool(np.all(np.diff(ratio) <= SLACK))
     elapsed = time.perf_counter() - t0
@@ -269,7 +266,7 @@ def test_criterion_5_race_sampler_tv_guarantee():
     results = []
     for i, eps in enumerate((0.3, 0.1, 0.03)):
         m = max(1.0, min_coverage_threshold(prof, eps / 3.0))
-        assert coverage(prof, np.nextafter(m, np.inf)) <= eps / 3.0
+        assert prof.coverage(np.nextafter(m, np.inf)) <= eps / 3.0
         n = plan_n_sampling(m, eps)
         assert n == math.ceil(2.0 * m * math.log(3.0 / eps))
         summary = run_races(pair, n, trials, 4200 + i)

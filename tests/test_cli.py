@@ -80,6 +80,10 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
         # the trial count is checked before the plan, which is infeasible here
         ["estimate", *BERN, "--method", "mom", "--plan", "fdiv:tv", "--eps", "0.3",
          "--seed", "1", "--trials", "0"],
+        # likewise for the races: this pair's plan is refused for its
+        # singular mass
+        ["sample", "--family", "point_mass", "--params", "q=0.5", "--eps", "0.3",
+         "--seed", "1", "--trials", "0"],
         # --g entries that float() rejects
         *(
             ["plan", *BERN, "--eps", "0.25", "--method", "is", "--g", g]
@@ -90,6 +94,7 @@ def test_tv_plan_past_slope_at_infinity_is_infeasible(capsys):
          "snis-with-plan", "grid-inf", "grid-nan", "counts-past-int64-quantile",
          "counts-past-int64-mom", "sample-eps", "plan-sampling-eps",
          "renyi-overflow", "trials-past-int64", "estimate-no-trials",
+         "sample-no-trials",
          "g-double-underscore",
          "g-complex", "g-hex", "g-empty-entry", "g-blank-entry", "g-trailing-comma"],
 )

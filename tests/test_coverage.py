@@ -1,5 +1,7 @@
 import bisect
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -7,15 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pfest
 from pfest import (
     CoverageProfile,
     SingularPairError,
     chi_squared,
-    coverage,
     coverage_bound_fdiv,
     f_divergence,
     icov_bound_fdiv,
-    integrated_coverage,
     kl,
     make_finite_pair,
     make_pointmass_pair,
@@ -27,7 +28,6 @@ from pfest import (
     plan_n_coverage,
     plan_n_quantile,
     solve_M_eps,
-    truncated_second_moment,
     tv,
 )
 from pfest.sampler import sampling_plan
@@ -35,12 +35,18 @@ from pfest.sampler import sampling_plan
 SLACK = 1e-10
 
 
+def test_no_package_name_shadows_a_submodule():
+    for info in pkgutil.iter_modules(pfest.__path__):
+        module = importlib.import_module(f"pfest.{info.name}")
+        assert getattr(pfest, info.name) is module, info.name
+
+
 def test_profile_layout(bern, bern_profile):
     np.testing.assert_allclose(bern_profile.thresholds, [0.75, 1.25], rtol=1e-15)
     np.testing.assert_allclose(bern_profile.nu_masses, [0.375, 0.625], atol=1e-15)
     np.testing.assert_array_equal(bern_profile.mu_masses, [0.5, 0.5])
     assert bern_profile.singular_mass == 0.0
-    assert bern_profile.nu_ratio_mean == pytest.approx(1.0625, rel=1e-14)
+    assert bern_profile.truncated_second_moment(math.inf) == pytest.approx(1.0625, rel=1e-14)
 
 
 def test_profile_from_singular_pair():
@@ -238,7 +244,7 @@ def test_singular_mass_inflates_icov():
 def test_integrated_coverage_at_infinity(bern_profile):
     # m times an empty tail counts as 0, so the limit is E_nu[ratio]
     assert bern_profile.integrated_coverage(math.inf) == 1.0625
-    assert bern_profile.nu_ratio_mean == 1.0625
+    assert bern_profile.truncated_second_moment(math.inf) == 1.0625
     out = bern_profile.integrated_coverage(np.array([1.0, math.inf]))
     assert out.tolist() == [0.90625, 1.0625]
     singular = CoverageProfile.from_pair(make_pointmass_pair(0.3))
@@ -248,6 +254,12 @@ def test_integrated_coverage_at_infinity(bern_profile):
         bern_profile.integrated_coverage(math.nan)
     with pytest.raises(ValueError):
         bern_profile.integrated_coverage(np.array([1.0, math.nan]))
+    for query in (bern_profile.coverage, bern_profile.truncated_second_moment,
+                  bern_profile.mu_tail):
+        with pytest.raises(ValueError, match="m must not be nan"):
+            query(math.nan)
+        with pytest.raises(ValueError, match="m must not be nan"):
+            query(np.array([1.0, math.nan]))
 
 
 def test_integrated_coverage_scalar_matches_array():
@@ -255,14 +267,6 @@ def test_integrated_coverage_scalar_matches_array():
     grid = np.concatenate([[0.0], prof.thresholds, prof.thresholds * 1.5, [math.inf]])
     assert [prof.integrated_coverage(m) for m in grid] == (
         prof.integrated_coverage(grid).tolist()
-    )
-
-
-def test_wrappers_accept_pair_or_profile(bern, bern_profile):
-    assert coverage(bern, 1.0) == coverage(bern_profile, 1.0)
-    assert integrated_coverage(bern, 1.0) == integrated_coverage(bern_profile, 1.0)
-    assert truncated_second_moment(bern, 1.0) == truncated_second_moment(
-        bern_profile, 1.0
     )
 
 
@@ -438,6 +442,8 @@ def test_mu_tail_bound(bern_profile):
     assert bound >= exact
     with pytest.raises(ValueError):
         mu_tail_bound(bern_profile, 0.99)
+    with pytest.raises(ValueError, match="m must be >= 1, got nan"):
+        mu_tail_bound(bern_profile, math.nan)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -459,6 +465,10 @@ def test_coverage_bound_fdiv(bern, bern_profile):
         coverage_bound_fdiv(chi_squared(), d, 1.0)
     with pytest.raises(ValueError):
         coverage_bound_fdiv(chi_squared(), -0.1, 2.0)
+    with pytest.raises(ValueError, match="divergence must be nonnegative, got nan"):
+        coverage_bound_fdiv(chi_squared(), math.nan, 2.0)
+    with pytest.raises(ValueError, match="m must be > 1, got nan"):
+        coverage_bound_fdiv(chi_squared(), d, math.nan)
 
 
 def test_icov_bound_fdiv(bern, bern_profile):
@@ -473,6 +483,12 @@ def test_icov_bound_fdiv(bern, bern_profile):
         icov_bound_fdiv(chi_squared(), d, 2.0, c=0.5)
     with pytest.raises(ValueError):
         icov_bound_fdiv(chi_squared(), d, 1.5, c=2.0)
+    with pytest.raises(ValueError, match="divergence must be nonnegative, got nan"):
+        icov_bound_fdiv(chi_squared(), math.nan, 2.0, c=1.0)
+    with pytest.raises(ValueError, match="m = nan must be >= c"):
+        icov_bound_fdiv(chi_squared(), d, math.nan, c=1.0)
+    with pytest.raises(ValueError, match="c must be >= 1, got nan"):
+        icov_bound_fdiv(chi_squared(), d, 2.0, c=math.nan)
 
 
 def test_paley_zygmund_profile_route(bern_profile):

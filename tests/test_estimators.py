@@ -158,6 +158,8 @@ def test_quantile_validation():
         quantile_estimator(batch, eps=0.0, m=2.0)
     with pytest.raises(ValueError):
         quantile_estimator(batch, eps=0.5, m=0.5)
+    with pytest.raises(ValueError, match="m must be >= 1, got nan"):
+        quantile_estimator(batch, eps=0.5, m=math.nan)
 
 
 def test_mom_guarantee_monte_carlo(bern, bern_profile):

@@ -157,6 +157,11 @@ OUTCOMES = {
          "--eps", "0.25", "--seed", "1", "--trials", "0"],
         1, "", "pfest: error: --trials must be >= 1, got 0\n",
     ),
+    "sample-trials-before-plan": (
+        ["sample", "--family", "point_mass", "--params", "q=0.5", "--eps", "0.3",
+         "--seed", "1", "--trials", "0"],
+        1, "", "pfest: error: --trials must be >= 1, got 0\n",
+    ),
     "estimate-bad-trials": (
         ["estimate", *BERN, "--method", "mom", "--eps", "0.25", "--seed", "1",
          "--trials", "0"],

@@ -98,6 +98,8 @@ def test_plan_validation():
         plan_n_sampling(1.0, 0.0)
     with pytest.raises(ValueError):
         plan_n_sampling(0.5, 0.3)
+    with pytest.raises(ValueError, match="m must be >= 1, got nan"):
+        plan_n_sampling(math.nan, 0.1)
 
 
 def test_sampling_plan_is_a_plan_result(bern_profile):
