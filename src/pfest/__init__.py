@@ -10,6 +10,7 @@ from .coverage import (
     CoverageProfile,
     MuTailBound,
     PZBound,
+    TailPlanner,
     coverage_bound_fdiv,
     icov_bound_fdiv,
     min_coverage_threshold,

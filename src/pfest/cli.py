@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .coverage import CoverageProfile
+from .coverage import CoverageProfile, TailPlanner
 from .distributions import DistributionPair, load_pair
 from .errors import InfeasiblePlanError, PfestError
 from .estimators import ESTIMATORS, estimator_plan, ordered_mean, plan_method
@@ -171,7 +171,7 @@ def _cmd_sample(args) -> int:
     if args.trials is not None and args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     pair = _load_pair_argument(args)
-    plan = sampling_plan(CoverageProfile.from_pair(pair), args.eps)
+    plan = TailPlanner(pair).plan(lambda profile: sampling_plan(profile, args.eps))
     head = {"n": plan.n, "M": plan.m, "eps": args.eps}
     if args.trials is None:
         try:

@@ -16,11 +16,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import DistributionPair, _freeze
+from .distributions import DistributionPair, _freeze, ordered_dot
 from .divergences import FGenerator, gamma_f
 from .errors import InfeasiblePlanError, SingularPairError
 
@@ -32,6 +32,23 @@ from .errors import InfeasiblePlanError, SingularPairError
 # infeasible.
 FLOAT_EXACT_INT_MAX = 2**53
 LOG_N_MAX = 4000 * math.log(10.0)
+
+# TailPlanner first resolves the TAIL_FIRST_TOP live atoms of highest
+# ratio, then TAIL_GROWTH times as many each time a plan's answer lies
+# below them. It builds a block only from a pair at least TAIL_SPARSE
+# times as wide, and the complete profile otherwise: on a narrower pair
+# the selection and the two sums over the support cost more than the
+# full sort they replace. Measured on random pairs, 2 shared CPUs,
+# coverage plan at eps 0.3: a 1 024-atom block takes 162 us at 2 048
+# atoms, where the complete profile takes 130 us; both take 170 us at
+# 4 096 atoms.
+TAIL_FIRST_TOP = 1024
+TAIL_GROWTH = 4
+TAIL_SPARSE = 4
+
+
+class _BelowBlock(ValueError):
+    """A partial profile was asked about levels below its lowest one."""
 
 
 class _BuiltOnRead:
@@ -66,6 +83,13 @@ class CoverageProfile:
     ``singular_mass``: its ratio is infinite, so it counts toward the
     coverage at every finite level.
 
+    A partial profile (``from_pair`` with ``top``) resolves only the
+    highest levels. The target mass of the atoms below them, and its
+    sum times their ratios, are carried in ``nu_below`` and
+    ``nu_r_below``. Where ``nu_below`` is positive, a query at or above
+    the lowest level is exact and one below it raises ValueError. A
+    complete profile has both at 0.0.
+
     ``from_pair`` passes ``mu_masses`` as a function of the sort it made,
     so the proposal mass per level is gathered on first read: only
     ``mu_tail`` reads it, and no planner does. The suffix and prefix
@@ -79,6 +103,8 @@ class CoverageProfile:
     nu_masses: np.ndarray
     mu_masses: np.ndarray = _BuiltOnRead()
     singular_mass: float
+    nu_below: float = 0.0
+    nu_r_below: float = 0.0
 
     def __post_init__(self):
         arrays = {
@@ -93,6 +119,17 @@ class CoverageProfile:
             raise ValueError("profile arrays must be 1-d and equally sized")
         if not (t[1:] > t[:-1]).all():
             raise ValueError("thresholds must be strictly increasing")
+        for name in ("singular_mass", "nu_below", "nu_r_below"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {value!r}"
+                )
+        for name, arr in arrays.items():
+            # a NaN fails the min, an inf makes the sum inf
+            mass = name != "thresholds"
+            if mass and not (arr.min() >= 0 and math.isfinite(arr.sum())):
+                raise ValueError(f"{name} must be finite and nonnegative")
         for name, arr in arrays.items():
             object.__setattr__(self, name, _freeze(arr))
 
@@ -109,24 +146,54 @@ class CoverageProfile:
 
     @cached_property
     def _nu_r_prefix(self) -> np.ndarray:
-        """Sum of nu_mass * ratio over the first k levels, for k in
-        0..n, so integrated coverage takes one gather."""
+        """nu_r_below plus the sum of nu_mass * ratio over the first k
+        levels, for k in 0..n, so integrated coverage takes one gather.
+        A complete profile's 0.0 is not added, so a first product of
+        -0.0 keeps its sign."""
         out = np.empty(self.thresholds.size + 1)
-        out[0] = 0.0
-        body = out[1:]
-        np.multiply(self.nu_masses, self.thresholds, out=body)
+        out[0] = self.nu_r_below
+        np.multiply(self.nu_masses, self.thresholds, out=out[1:])
+        body = out if self.nu_r_below else out[1:]
         np.cumsum(body, out=body)
         return _freeze(out)
 
     @classmethod
-    def from_pair(cls, pair: DistributionPair) -> "CoverageProfile":
-        thresholds, nu, mu = _ratio_levels(pair)
+    def from_pair(
+        cls, pair: DistributionPair, top: Optional[int] = None
+    ) -> "CoverageProfile":
+        """The pair's profile over its atoms with proposal mass (its
+        live atoms). With ``top`` below their count, only the levels of
+        the ``top`` of highest ratio, and of every atom tied with the
+        last of them, are resolved, and the rest go into ``nu_below``
+        and ``nu_r_below``; unless the rest carry no target mass, in
+        which case the profile is complete, as it is without ``top``."""
+        ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
+        if mu.min() <= 0:
+            pos = mu > 0
+            ratios, nu, mu = ratios[pos], nu[pos], mu[pos]
+        below = {}
+        if top is not None and top < ratios.size:
+            block, nu_below, nu_r_below = _top_block(ratios, nu, top)
+            if nu_below > 0:
+                ratios, nu, mu = ratios[block], nu[block], mu[block]
+                below = {"nu_below": nu_below, "nu_r_below": nu_r_below}
+        thresholds, nu, mu = _ratio_levels(ratios, nu, mu)
         return cls(
             thresholds=thresholds,
             nu_masses=nu,
             mu_masses=mu,
             singular_mass=pair.singular_mass,
+            **below,
         )
+
+    def _check_resolved(self, m) -> None:
+        """Reject an m (a float or an array) below the lowest level of a
+        partial profile."""
+        if self.nu_below > 0 and (m < self.thresholds[0]).any():
+            raise _BelowBlock(
+                f"m below {float(self.thresholds[0])!r}, the lowest level "
+                "this partial profile resolves"
+            )
 
     def _at_level(self, table: np.ndarray, m, side: str):
         """``table`` read at the level index of m: the first threshold
@@ -135,6 +202,7 @@ class CoverageProfile:
         m_arr = np.asarray(m, dtype=np.float64)
         if np.isnan(m_arr).any():
             raise ValueError("m must not be nan")
+        self._check_resolved(m_arr)
         out = table[self.thresholds.searchsorted(m_arr, side)]
         return float(out) if m_arr.ndim == 0 else out
 
@@ -156,11 +224,13 @@ class CoverageProfile:
             m = float(m_arr)
             if not m >= 0:
                 raise ValueError("integrated coverage requires m >= 0")
+            self._check_resolved(m)
             i = self.thresholds.searchsorted(m, side="right")
             tail = self._nu_suffix[i] + self.singular_mass
             return float(self._nu_r_prefix[i] + (m * tail if tail else 0.0))
         if not (m_arr >= 0).all():
             raise ValueError("integrated coverage requires m >= 0")
+        self._check_resolved(m_arr)
         idx = np.searchsorted(self.thresholds, m_arr, side="right")
         tail = self._nu_suffix[idx] + self.singular_mass
         grown = np.multiply(m_arr, tail, out=np.zeros_like(m_arr), where=tail > 0)
@@ -185,10 +255,30 @@ def _suffix_sums(w: np.ndarray) -> np.ndarray:
     return _freeze(out)
 
 
-def _ratio_levels(pair: DistributionPair):
-    """Distinct finite ratio levels of the atoms with proposal mass, in
-    increasing order, with the target mass at each and a function of no
-    arguments that gives the proposal mass at each.
+def _top_block(ratios: np.ndarray, nu: np.ndarray, top: int):
+    """The indices, in atom order, of the ``top`` atoms of highest ratio
+    and of every atom tied with the last of them; and, over the other
+    atoms, the target mass and the target mass times the ratio, summed.
+
+    Both sums run in atom order over every atom, the block's target
+    masses set to 0.0, in the copy np.partition made to find the cut,
+    so no other support-sized float array is made. They are not
+    E_nu[ratio] minus the block's share: on a heavy ratio tail the
+    block holds nearly all of it, and the difference would keep few
+    correct digits."""
+    cut = ratios.size - top
+    rest = np.partition(ratios, cut)
+    block = np.flatnonzero(ratios >= rest[cut])
+    np.copyto(rest, nu)
+    rest[block] = 0.0
+    return block, float(rest.sum()), ordered_dot(rest, ratios)
+
+
+def _ratio_levels(ratios: np.ndarray, nu: np.ndarray, mu: np.ndarray):
+    """Distinct ratio levels of atoms with the given ratios and target
+    and proposal weights (all with proposal mass, so the ratios are
+    finite), in increasing order, with the target mass at each and a
+    function of no arguments that gives the proposal mass at each.
 
     The masses equal ``np.unique(return_inverse=True)`` followed by
     ``np.bincount``, bit for bit, for any permutation that sorts the
@@ -199,10 +289,6 @@ def _ratio_levels(pair: DistributionPair):
     that permutation, or the level of each atom where levels tie, and
     gathers or sums the proposal weights only when it is called.
     """
-    ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
-    if mu.min() <= 0:
-        pos = mu > 0
-        ratios, nu, mu = ratios[pos], nu[pos], mu[pos]
     perm, levels = _sort_order(ratios)
     distinct = levels[1:] != levels[:-1]
     if distinct.all():
@@ -282,7 +368,9 @@ def solve_M_eps(profile: CoverageProfile, eps: float) -> float:
     finds the first t[j] meeting the predicate. On [t[j-1], t[j]) IC_M
     is the line a + b*M, which meets eps*M at a / (eps - b); M then
     steps up one float at a time until the predicate holds in floats.
-    A level past the float range reads inf.
+    A level past the float range reads inf. On a partial profile whose
+    search stops at its lowest level, M may lie below that level, and
+    a ValueError is raised.
     """
     _check_unit("eps", eps)
     _require_absolutely_continuous(profile, "solve_M_eps")
@@ -294,6 +382,8 @@ def solve_M_eps(profile: CoverageProfile, eps: float) -> float:
 
     t = profile.thresholds
     j = bisect.bisect_left(range(t.size), True, key=lambda k: ok(t[k]))
+    if j == 0 and profile.nu_below > 0:
+        raise _BelowBlock("the level lies at or below the lowest one resolved")
     # On [lower, upper) IC_M is a + b*M; the predicate holds at upper.
     # b >= eps only where the finite levels carry at most eps target
     # mass in all: the line then has no root and upper is taken.
@@ -312,7 +402,9 @@ def min_coverage_threshold(profile: CoverageProfile, target: float) -> float:
     The coverage is a left-continuous step function, so the infimum is
     the smallest threshold whose strictly-above target mass is at or
     below ``target``; coverage exceeds the target at the returned point
-    itself but meets it immediately to the right.
+    itself but meets it immediately to the right. On a partial profile
+    whose levels all meet the target, the infimum may lie below them,
+    and a ValueError is raised.
     """
     if not 0 <= target < 1:
         raise ValueError(f"target must be in [0, 1), got {target}")
@@ -328,7 +420,44 @@ def min_coverage_threshold(profile: CoverageProfile, target: float) -> float:
         profile._nu_suffix[::-1], target,
         key=partial(operator.add, profile.singular_mass),
     )
+    if met > profile.thresholds.size and profile.nu_below > 0:
+        raise _BelowBlock("the level lies below the lowest one resolved")
     return float(profile.thresholds[max(profile.thresholds.size - met, 0)])
+
+
+class TailPlanner:
+    """Plans on profiles of ``pairs`` resolved from the top of the
+    ratio order down (see ``plan``). Each block is built once, so the
+    plans of a sweep over one pair share them."""
+
+    def __init__(self, *pairs: DistributionPair):
+        self.pairs = pairs
+        self._blocks: dict = {}
+
+    def plan(self, planner: Callable):
+        """``planner(*profiles)`` on the pairs' profiles from
+        ``from_pair(pair, top=TAIL_FIRST_TOP)``, then on TAIL_GROWTH
+        times as many atoms each time the planner reads below a block,
+        until the profiles are complete; a pair less than TAIL_SPARSE
+        times as wide as the block gets its complete profile.
+
+        A plan reads a partial profile only where it is exact, so each
+        answer is the complete profile's, up to the rounding of
+        ``nu_r_below``; a plan whose answer lies in the top of the ratio
+        order leaves the rest of a wide support unsorted."""
+        top = TAIL_FIRST_TOP
+        while True:
+            if top not in self._blocks:
+                self._blocks[top] = [
+                    CoverageProfile.from_pair(
+                        pair, top=top if TAIL_SPARSE * top <= pair.support_size else None
+                    )
+                    for pair in self.pairs
+                ]
+            try:
+                return planner(*self._blocks[top])
+            except _BelowBlock:
+                top *= TAIL_GROWTH
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .coverage import CoverageProfile, PlanResult, _plan_size, solve_M_eps
 from .coverage import _check_divergence, _check_unit, min_coverage_threshold
+from .coverage import TailPlanner
 from .distributions import (
     DistributionPair,
     SampleBatch,
@@ -429,14 +430,6 @@ class PlanMethod:
     needs_g: bool = False
 
 
-def _profile(pair: DistributionPair) -> CoverageProfile:
-    return CoverageProfile.from_pair(pair)
-
-
-def _weighted_profile(pair: DistributionPair, g: np.ndarray) -> CoverageProfile:
-    return CoverageProfile.from_pair(make_weighted_pair(pair, g))
-
-
 def _plan_fdiv(spec: str, pair, eps, delta, g) -> PlanResult:
     f = parse_f_spec(spec)
     return plan_n_fdiv(f, f_divergence(pair, f), eps, delta)
@@ -446,23 +439,31 @@ def _plan_sampling(pair, eps, delta, g) -> PlanResult:
     """The race's plan. A TV guarantee takes no delta, but one outside
     (0, 1) is rejected as by every other plan."""
     _check_unit("delta", delta)
-    return sampling_plan(_profile(pair), eps)
+    return TailPlanner(pair).plan(lambda profile: sampling_plan(profile, eps))
 
 
+# The profile plans run through TailPlanner, which resolves a wide
+# pair's profile only as far down the ratio order as the plan reads.
 PLANS = {
     "coverage": PlanMethod(
-        lambda pair, eps, delta, g: plan_n_coverage(_profile(pair), eps, delta)
+        lambda pair, eps, delta, g: TailPlanner(pair).plan(
+            lambda profile: plan_n_coverage(profile, eps, delta)
+        )
     ),
     "quantile": PlanMethod(
-        lambda pair, eps, delta, g: plan_n_quantile(eps, delta, profile=_profile(pair))
+        lambda pair, eps, delta, g: TailPlanner(pair).plan(
+            lambda profile: plan_n_quantile(eps, delta, profile=profile)
+        )
     ),
     "is": PlanMethod(
-        lambda pair, eps, delta, g: plan_n_is(_weighted_profile(pair, g), eps, delta),
+        lambda pair, eps, delta, g: TailPlanner(make_weighted_pair(pair, g)).plan(
+            lambda weighted: plan_n_is(weighted, eps, delta)
+        ),
         needs_g=True,
     ),
     "snis": PlanMethod(
-        lambda pair, eps, delta, g: plan_n_snis(
-            _profile(pair), _weighted_profile(pair, g), eps, delta
+        lambda pair, eps, delta, g: TailPlanner(pair, make_weighted_pair(pair, g)).plan(
+            lambda profile, weighted: plan_n_snis(profile, weighted, eps, delta)
         ),
         needs_g=True,
     ),

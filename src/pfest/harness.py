@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import estimators
-from .coverage import CoverageProfile
+from .coverage import TailPlanner
 from .distributions import (
     DistributionPair,
     make_bernoulli_pair,
@@ -288,7 +288,7 @@ def run_success_curve(config: ExperimentConfig) -> SweepTable:
     """
     _check_kind(config, "success_curve")
     pair = build_family(config.family, config.params_dict)
-    profile = CoverageProfile.from_pair(pair)
+    tail = TailPlanner(pair)
     columns = (
         "family",
         "params",
@@ -306,7 +306,9 @@ def run_success_curve(config: ExperimentConfig) -> SweepTable:
         start = time.perf_counter()
         row_seed = int(derive_seed(config.master_seed, index))
         try:
-            n_planned = plan_n_coverage(profile, eps, config.delta).n
+            n_planned = tail.plan(
+                lambda profile: plan_n_coverage(profile, eps, config.delta)
+            ).n
             n = config.n_override if config.n_override is not None else n_planned
             if n < group_count(config.delta):
                 raise InfeasiblePlanError(
@@ -392,7 +394,7 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
     frequency clears 1 - delta - 0.05."""
     _check_kind(config, "sampling_vs_counting")
     pair = build_family(config.family, config.params_dict)
-    profile = CoverageProfile.from_pair(pair)
+    tail = TailPlanner(pair)
     threshold = 1.0 - config.delta - EMPIRICAL_THRESHOLD_SLACK
     columns = (
         "eps",
@@ -411,8 +413,10 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
         row_seed = int(derive_seed(config.master_seed, index))
         sampler_base = int(derive_seed(row_seed, 0))
         estimator_base = int(derive_seed(row_seed, 1))
-        sampler_plan = sampling_plan(profile, eps)
-        estimator_planned = plan_n_coverage(profile, eps, config.delta).n
+        sampler_plan = tail.plan(lambda profile: sampling_plan(profile, eps))
+        estimator_planned = tail.plan(
+            lambda profile: plan_n_coverage(profile, eps, config.delta)
+        ).n
 
         def sampler_ok(n: int) -> bool:
             summary = run_races(

@@ -2,11 +2,14 @@
 rename in src/ would break its per-layer metrics, so the names it
 lists are checked here against the package."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
+import pfest
 from pfest import CoverageProfile
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -30,3 +33,23 @@ def test_traced_names_resolve_to_callables(monkeypatch):
     for module_name in tracing.MODULES:
         importlib.import_module(f"pfest.{module_name}")
     assert isinstance(CoverageProfile.__dict__["from_pair"], classmethod)
+
+
+def test_tracer_sees_the_tail_loop(monkeypatch):
+    """A quantile plan on 4 096 atoms is answered from a partial profile
+    of its 1 024 top atoms; the spans of the block, the threshold search
+    and the planner are recorded."""
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer(pfest)
+    argv = ["plan", "--family", "random_finite", "--params", "support=4096,seed=7",
+            "--eps", "0.5", "--method", "quantile"]
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = pfest.cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"coverage.from_pair", "coverage.min_coverage_threshold",
+            "estimators.plan"} <= names

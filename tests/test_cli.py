@@ -307,7 +307,8 @@ def test_plans_build_only_the_profiles_they_read(capsys, monkeypatch, argv, prof
     calls = []
     original = CoverageProfile.from_pair
     monkeypatch.setattr(
-        CoverageProfile, "from_pair", lambda pair: calls.append(pair) or original(pair)
+        CoverageProfile, "from_pair",
+        lambda pair, **kw: calls.append(pair) or original(pair, **kw),
     )
     assert _run(capsys, argv)[0] == EXIT_OK
     assert len(calls) == profiles
