@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .distributions import DistributionPair, _freeze, ordered_dot
-from .divergences import FGenerator, gamma_f
+from .divergences import FGenerator, _least_float, gamma_f
 from .errors import InfeasiblePlanError, SingularPairError
 
 # Every planner, the race sampler's included, sizes n with _plan_size.
@@ -51,29 +51,6 @@ class _BelowBlock(ValueError):
     """A partial profile was asked about levels below its lowest one."""
 
 
-class _BuiltOnRead:
-    """Descriptor of a frozen dataclass field that takes either its value
-    or a function of no arguments building it, called on first read and
-    its result frozen. As with ``cached_property``, the value sits in the
-    instance's ``__dict__`` under the field's name once it is there, so
-    ``name in vars(obj)`` tells whether it was given or built."""
-
-    def __set_name__(self, owner, name):
-        self.name, self.build = name, "_build_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # on the class: the dataclass sees no default
-            raise AttributeError(self.name)
-        slots = obj.__dict__
-        if self.name not in slots:
-            slots[self.name] = _freeze(slots[self.build]())
-            slots.pop(self.build, None)
-        return slots[self.name]
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.build if callable(value) else self.name] = value
-
-
 @dataclass(frozen=True)
 class CoverageProfile:
     """Sorted distinct finite density-ratio levels with the target and
@@ -90,29 +67,25 @@ class CoverageProfile:
     the lowest level is exact and one below it raises ValueError. A
     complete profile has both at 0.0.
 
-    ``from_pair`` passes ``mu_masses`` as a function of the sort it made,
-    so the proposal mass per level is gathered on first read: only
-    ``mu_tail`` reads it, and no planner does. The suffix and prefix
-    tables the queries read (``_nu_suffix``, ``_mu_suffix``,
-    ``_nu_r_prefix``) are built on first use, so a plan pays only for
-    the tables it reads. They are read-only and not fields, so ``==``
-    and ``repr`` ignore them.
+    ``from_pair`` gathers both masses with the one sort it makes. The
+    suffix and prefix tables the queries read (``_nu_suffix``,
+    ``_mu_suffix``, ``_nu_r_prefix``) are built on first use, so a plan
+    pays only for the tables it reads. They are read-only and not
+    fields, so ``==`` and ``repr`` ignore them.
     """
 
     thresholds: np.ndarray
     nu_masses: np.ndarray
-    mu_masses: np.ndarray = _BuiltOnRead()
+    mu_masses: np.ndarray
     singular_mass: float
     nu_below: float = 0.0
     nu_r_below: float = 0.0
 
     def __post_init__(self):
         arrays = {
-            "thresholds": np.asarray(self.thresholds, dtype=np.float64),
-            "nu_masses": np.asarray(self.nu_masses, dtype=np.float64),
+            name: np.asarray(getattr(self, name), dtype=np.float64)
+            for name in ("thresholds", "nu_masses", "mu_masses")
         }
-        if "mu_masses" in vars(self):  # given, not built on read
-            arrays["mu_masses"] = np.asarray(self.mu_masses, dtype=np.float64)
         t = arrays["thresholds"]
         if not (t.ndim == 1 and t.size > 0
                 and all(arr.shape == t.shape for arr in arrays.values())):
@@ -213,28 +186,24 @@ class CoverageProfile:
 
     def integrated_coverage(self, m):
         """Integral of the coverage from 0 to m, evaluated exactly as
-        E_nu[min(ratio, m)] + singular_mass * m. Vectorized over m.
+        E_nu[min(ratio, m)] + singular_mass * m. Vectorized over m; a
+        float for a 0-d m.
 
-        Past the last level only the singular mass is left, so at
-        m = inf the integral is truncated_second_moment(inf) (that is,
-        E_nu[ratio]) when that mass is 0 and inf otherwise: m times an
-        empty tail counts as 0, never nan."""
+        On [t[j-1], t[j]) it is the line ``_nu_r_prefix[j] + m *
+        (_nu_suffix[j] + singular_mass)``. Past the last level only the
+        singular mass is left, so at m = inf the integral is
+        truncated_second_moment(inf) (that is, E_nu[ratio]) when that
+        mass is 0 and inf otherwise: m times an empty tail counts as 0,
+        never nan."""
         m_arr = np.asarray(m, dtype=np.float64)
-        if m_arr.ndim == 0:
-            m = float(m_arr)
-            if not m >= 0:
-                raise ValueError("integrated coverage requires m >= 0")
-            self._check_resolved(m)
-            i = self.thresholds.searchsorted(m, side="right")
-            tail = self._nu_suffix[i] + self.singular_mass
-            return float(self._nu_r_prefix[i] + (m * tail if tail else 0.0))
         if not (m_arr >= 0).all():
             raise ValueError("integrated coverage requires m >= 0")
         self._check_resolved(m_arr)
         idx = np.searchsorted(self.thresholds, m_arr, side="right")
         tail = self._nu_suffix[idx] + self.singular_mass
         grown = np.multiply(m_arr, tail, out=np.zeros_like(m_arr), where=tail > 0)
-        return self._nu_r_prefix[idx] + grown
+        out = self._nu_r_prefix[idx] + grown
+        return float(out) if m_arr.ndim == 0 else out
 
     def truncated_second_moment(self, m):
         """E_mu[ratio^2 ; ratio <= m], equal level by level to
@@ -277,24 +246,22 @@ def _top_block(ratios: np.ndarray, nu: np.ndarray, top: int):
 def _ratio_levels(ratios: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     """Distinct ratio levels of atoms with the given ratios and target
     and proposal weights (all with proposal mass, so the ratios are
-    finite), in increasing order, with the target mass at each and a
-    function of no arguments that gives the proposal mass at each.
+    finite), in increasing order, with the target and proposal mass at
+    each.
 
     The masses equal ``np.unique(return_inverse=True)`` followed by
     ``np.bincount``, bit for bit, for any permutation that sorts the
     ratios: when the levels are distinct there is only one, and the
-    masses are the weights in its order; when levels tie, the masses
-    are summed per level in atom order, which no permutation changes.
-    ``_sort_order`` finds one with a packed-key sort. The function holds
-    that permutation, or the level of each atom where levels tie, and
-    gathers or sums the proposal weights only when it is called.
+    masses are the weights gathered in its order; when levels tie, the
+    masses are summed per level in atom order, which no permutation
+    changes. ``_sort_order`` finds one with a packed-key sort.
     """
     perm, levels = _sort_order(ratios)
     distinct = levels[1:] != levels[:-1]
     if distinct.all():
         nu = nu[perm]
         nu += 0.0  # bincount adds each weight to 0.0, turning -0.0 into 0.0
-        return levels, nu, partial(np.take, mu, perm)
+        return levels, nu, mu[perm]
     first = np.concatenate(([True], distinct))
     inverse = np.empty(perm.shape, dtype=np.intp)
     inverse[perm] = np.cumsum(first) - 1
@@ -302,7 +269,7 @@ def _ratio_levels(ratios: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     return (
         thresholds,
         np.bincount(inverse, weights=nu, minlength=thresholds.size),
-        partial(np.bincount, inverse, weights=mu, minlength=thresholds.size),
+        np.bincount(inverse, weights=mu, minlength=thresholds.size),
     )
 
 
@@ -362,38 +329,43 @@ def _require_absolutely_continuous(profile: CoverageProfile, what: str) -> None:
 
 def solve_M_eps(profile: CoverageProfile, eps: float) -> float:
     """Smallest truncation level M whose integrated coverage is at most
-    eps * M, solved exactly.
+    eps * M, solved exactly: the float below M fails the predicate.
 
-    IC_M / M is non-increasing, so a binary search over the thresholds
-    finds the first t[j] meeting the predicate. On [t[j-1], t[j]) IC_M
-    is the line a + b*M, which meets eps*M at a / (eps - b); M then
-    steps up one float at a time until the predicate holds in floats.
-    A level past the float range reads inf. On a partial profile whose
-    search stops at its lowest level, M may lie below that level, and
-    a ValueError is raised.
+    On [t[j-1], t[j]) IC_M is the line prefix[j] + suffix[j] * M of the
+    profile's tables, bit for bit what ``integrated_coverage`` returns
+    there. IC_M / M is non-increasing, so a binary search finds the
+    first threshold meeting the predicate (t[k] lies on segment k + 1);
+    the line meets eps * M at a / (eps - b), and ``_least_float``
+    settles the least float of the segment from there. A level past the
+    float range reads inf. On a partial profile whose search stops at
+    its lowest level, M may lie below that level, and a ValueError is
+    raised.
     """
     _check_unit("eps", eps)
     _require_absolutely_continuous(profile, "solve_M_eps")
-    if not profile._nu_suffix[0] > 0:
+    prefix, suffix, t = profile._nu_r_prefix, profile._nu_suffix, profile.thresholds
+    if not suffix[0] > 0:
         raise ValueError("profile carries no target mass on finite levels")
-
-    def ok(m: float) -> bool:
-        return profile.integrated_coverage(m) <= eps * m
-
-    t = profile.thresholds
-    j = bisect.bisect_left(range(t.size), True, key=lambda k: ok(t[k]))
+    j = bisect.bisect_left(
+        range(t.size), True,
+        key=lambda k: prefix[k + 1] + t[k] * suffix[k + 1] <= eps * t[k],
+    )
     if j == 0 and profile.nu_below > 0:
         raise _BelowBlock("the level lies at or below the lowest one resolved")
-    # On [lower, upper) IC_M is a + b*M; the predicate holds at upper.
-    # b >= eps only where the finite levels carry at most eps target
-    # mass in all: the line then has no root and upper is taken.
-    a, b = float(profile._nu_r_prefix[j]), float(profile._nu_suffix[j])
+    # On [lower, upper) IC_M is a + b*M; the predicate holds at upper,
+    # and fails at lower unless lower is 0.0. b >= eps only where the
+    # finite levels carry at most eps target mass in all: the line then
+    # has no root and upper is taken.
+    a, b = float(prefix[j]), float(suffix[j])
     lower = float(t[j - 1]) if j > 0 else 0.0
     upper = float(t[j]) if j < t.size else math.inf
-    m = min(max(lower, a / (eps - b) if b < eps else math.inf), upper)
-    while m < math.inf and not ok(m):
-        m = math.nextafter(m, math.inf)
-    return m
+    if not b < eps:
+        return upper
+
+    def meets(m: float) -> bool:
+        return m >= upper or (m >= lower and a + m * b <= eps * m)
+
+    return _least_float(meets, min(max(lower, a / (eps - b)), upper))
 
 
 def min_coverage_threshold(profile: CoverageProfile, target: float) -> float:
@@ -493,6 +465,13 @@ def _plan_size(
         log_m = math.log(m)
     log_x = math.log(constant) + log_m + math.log(log_term) - power * math.log(eps)
     return max(_ceil_exp(log_x), FLOAT_EXACT_INT_MAX)
+
+
+def _log_quotient(numer: float, x: float) -> float:
+    """ln(numer / x), as ln numer - ln x where the quotient passes the
+    float range, so a tiny delta or eps gives a finite log term."""
+    quotient = numer / x
+    return math.log(quotient) if quotient < math.inf else math.log(numer) - math.log(x)
 
 
 def _ceil_exp(log_x: float) -> int:

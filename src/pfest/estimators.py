@@ -16,7 +16,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .coverage import CoverageProfile, PlanResult, _plan_size, solve_M_eps
+from .coverage import CoverageProfile, PlanResult, _log_quotient, _plan_size
+from .coverage import solve_M_eps
 from .coverage import _check_divergence, _check_unit, min_coverage_threshold
 from .coverage import TailPlanner
 from .distributions import (
@@ -95,7 +96,7 @@ def _check_eps_delta(eps: float, delta: float) -> None:
 
 
 def group_count(delta: float) -> int:
-    return math.ceil(GROUP_RATE * math.log(1.0 / delta))
+    return math.ceil(GROUP_RATE * _log_quotient(1.0, delta))
 
 
 def _mom_groups(n: int, delta: float) -> tuple[int, int]:
@@ -274,7 +275,7 @@ def plan_n_coverage(profile: CoverageProfile, eps: float, delta: float) -> PlanR
     _check_eps_delta(eps, delta)
     m = solve_M_eps(profile, eps / ICOV_SLACK)
     return PlanResult(
-        n=_plan_size(COVERAGE_PLAN_CONSTANT, m, math.log(1.0 / delta), eps, 1),
+        n=_plan_size(COVERAGE_PLAN_CONSTANT, m, _log_quotient(1.0, delta), eps, 1),
         m=m,
         constants={
             "plan_constant": COVERAGE_PLAN_CONSTANT,
@@ -321,7 +322,7 @@ def plan_n_fdiv(
     _check_eps_delta(eps, delta)
     m, log_m = _growth_level(f, divergence, FDIV_GAMMA_MULT, eps)
     c = f.c_threshold
-    log_term = math.log(1.0 / delta)
+    log_term = _log_quotient(1.0, delta)
     n = max(
         _plan_size(FDIV_PLAN_CONSTANT, m, log_term, eps, 1, log_m),
         # c^2 passes the float range before c does
@@ -367,7 +368,7 @@ def plan_n_quantile(
         m = max(m, 1.0)
         route = {"gamma_mult": QUANTILE_GAMMA_MULT}
     return PlanResult(
-        n=_plan_size(QUANTILE_PLAN_CONSTANT, m, math.log(2.0 / delta), eps, 1, log_m),
+        n=_plan_size(QUANTILE_PLAN_CONSTANT, m, _log_quotient(2.0, delta), eps, 1, log_m),
         m=m,
         constants={"plan_constant": QUANTILE_PLAN_CONSTANT, **route},
     )
@@ -400,6 +401,11 @@ def _plan_n_importance(profiles, eps, delta) -> PlanResult:
     profile's integrated coverage clears the eps*delta/6 target."""
     _check_eps_delta(eps, delta)
     target = eps * delta / IS_TARGET_DIVISOR
+    if target == 0.0:
+        raise ValueError(
+            f"eps * delta / {IS_TARGET_DIVISOR:g} underflows to {target!r}; "
+            "no integrated-coverage target is left to solve for"
+        )
     m = max(solve_M_eps(profile, target) for profile in profiles)
     return PlanResult(
         n=_plan_size(IS_PLAN_CONSTANT, m, 1.0, eps, 1),

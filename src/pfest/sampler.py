@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageProfile, PlanResult, _plan_size, _suffix_sums
-from .coverage import min_coverage_threshold
+from .coverage import CoverageProfile, PlanResult, _log_quotient, _plan_size
+from .coverage import _suffix_sums, min_coverage_threshold
 from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
 from .rng import substreams
@@ -222,7 +222,7 @@ def plan_n_sampling(m: float, eps: float) -> int:
     if not m >= 1:
         raise ValueError(f"m must be >= 1, got {m}")
     _check_race_eps(eps)
-    return _plan_size(SAMPLING_PLAN_CONSTANT, m, math.log(3.0 / eps), eps, 0)
+    return _plan_size(SAMPLING_PLAN_CONSTANT, m, _log_quotient(3.0, eps), eps, 0)
 
 
 def sampling_plan(profile: CoverageProfile, eps: float) -> PlanResult:

@@ -164,6 +164,36 @@ def test_is_plan_past_float_range_prints_an_integer(capsys):
     assert n > sys.float_info.max
 
 
+TWO_POINT = ["--family", "two_point_mu", "--params", "p=0.25"]
+
+
+@pytest.mark.parametrize(
+    "argv,n",
+    [
+        (["--eps", "0.5", "--delta", "1e-308", "--method", "quantile"], 102225),
+        (["--eps", "0.5", "--delta", "5e-324", "--method", "coverage"], 381154),
+        (["--eps", "1e-308", "--method", "sampling"], 5683),
+    ],
+    ids=["quantile", "coverage", "sampling"],
+)
+def test_log_term_past_float_range_is_feasible(capsys, argv, n):
+    # 2 / delta, 1 / delta and 3 / eps pass the float range; their logs do not
+    code, out, err = _run(capsys, ["plan", *TWO_POINT, *argv])
+    assert (code, err) == (EXIT_OK, "")
+    assert f" n={n} " in out
+
+
+@pytest.mark.parametrize("method", ["is", "snis"])
+def test_importance_target_underflow_names_the_target(capsys, method):
+    code, out, err = _run(
+        capsys,
+        ["plan", *BERN, "--eps", "1e-300", "--delta", "1e-300", "--method", method,
+         "--g", "1,1"],
+    )
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("pfest: error: eps * delta / 6 underflows to 0.0")
+
+
 @pytest.fixture
 def tiny_mu_pair(tmp_path):
     """A ratio of 3.6e307: the race's n = 2 M ln(3/eps) passes the float

@@ -186,26 +186,6 @@ def test_from_pair_is_exact_on_tied_and_degenerate_pairs(pair):
 
 
 @pytest.mark.parametrize(
-    "pair",
-    [make_random_pair(4096, 1), _tied_pair(4096, 3),
-     _with_zero_mass_atoms(3000, 5, singular=False)],
-    ids=["distinct", "tied", "zero-mass"],
-)
-def test_plans_leave_the_proposal_masses_unbuilt(pair):
-    """No plan reads the proposal mass per level, so from_pair's profile
-    gathers it only when it is read, with the same values."""
-    prof = CoverageProfile.from_pair(pair)
-    plan_n_coverage(prof, 0.25, 0.1)
-    plan_n_quantile(0.25, 0.1, profile=prof)
-    sampling_plan(prof, 0.25)
-    assert "mu_masses" not in vars(prof)
-    expected = _unique_bincount_profile(pair)[2]
-    assert prof.mu_masses.tobytes() == expected.tobytes()
-    assert not prof.mu_masses.flags.writeable
-    assert prof.mu_masses is vars(prof)["mu_masses"]
-
-
-@pytest.mark.parametrize(
     "thresholds", [[1.0, 1.0], [2.0, 1.0], [1.0, math.nan], [math.inf, math.inf]]
 )
 def test_profile_rejects_levels_not_strictly_increasing(thresholds):
@@ -348,12 +328,14 @@ def test_icov_matches_quadrature(bern_profile):
 
 def test_solve_identity_closed_form(identity_profile):
     # IC_m = 1 for m >= 1, so the solution of IC_m <= eps*m is 1/eps
-    assert solve_M_eps(identity_profile, 0.5) == 2.0
-    assert solve_M_eps(identity_profile, 0.125) == 8.0
+    for eps, m in ((0.5, 2.0), (0.125, 8.0)):
+        assert solve_M_eps(identity_profile, eps) == m
+        _assert_least_level(identity_profile, eps, m)
 
 
 def test_solve_bernoulli(bern_profile):
     assert solve_M_eps(bern_profile, 0.0625) == 17.0
+    _assert_least_level(bern_profile, 0.0625, 17.0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -361,7 +343,7 @@ def test_solve_is_the_infimum(seed):
     prof = CoverageProfile.from_pair(make_random_pair(12, 61000 + seed))
     for eps in (0.5, 0.2, 0.05):
         m = solve_M_eps(prof, eps)
-        assert prof.integrated_coverage(m) <= eps * m * (1 + 1e-9)
+        _assert_least_level(prof, eps, m)
         below = m * (1 - 1e-6)
         if below > float(prof.thresholds[0]) / 2:
             assert prof.integrated_coverage(below) > eps * below * (1 - 1e-9)
@@ -382,20 +364,35 @@ def _segment_root(profile, eps):
     return max(root, t[j - 1]) if j > 0 else root
 
 
+def _assert_least_level(profile, eps, m):
+    """m meets the float predicate, the float below it fails it, and m
+    sits within 4 ulps of the segment's rational root."""
+    assert profile.integrated_coverage(m) <= eps * m
+    below = math.nextafter(m, 0.0)
+    assert not profile.integrated_coverage(below) <= eps * below
+    root = _segment_root(profile, eps)
+    assert abs(Fraction(m) - root) <= 4 * Fraction(math.ulp(float(root)))
+
+
 @given(
     support=st.integers(2, 201),
     seed=st.integers(0, 2**32 - 1),
     log_eps=st.floats(-6.0, math.log10(0.5)),
 )
 def test_solve_is_exact(support, seed, log_eps):
-    """The level meets the float predicate and sits within 4 ulps of the
-    segment's rational root; it need not be the smallest such float."""
     prof = CoverageProfile.from_pair(make_random_pair(support, seed))
     eps = 10.0**log_eps
+    _assert_least_level(prof, eps, solve_M_eps(prof, eps))
+
+
+def test_solve_finds_a_root_that_rounds_high():
+    # a / (eps - b) rounds one float above the least level here; a
+    # search that only steps up from it returned 245.14607880850573
+    prof = CoverageProfile.from_pair(make_random_pair(1025, 226))
+    eps = 0.5 * 0.1 / 6
     m = solve_M_eps(prof, eps)
-    assert prof.integrated_coverage(m) <= eps * m
-    root = _segment_root(prof, eps)
-    assert abs(Fraction(m) - root) <= 4 * Fraction(math.ulp(float(root)))
+    assert m == 245.1460788085057
+    _assert_least_level(prof, eps, m)
 
 
 def test_solve_past_float_range_is_inf(bern_profile):
@@ -661,9 +658,7 @@ def test_tail_route_matches_the_full_profile(kind, support, seed, eps):
             with contextlib.suppress(ValueError):
                 answers.append((block, solve_M_eps(block, target)))
             for prof, m in answers:
-                assert prof.integrated_coverage(m) <= target * m
-                root = _segment_root(prof, target)
-                assert abs(Fraction(m) - root) <= 4 * Fraction(math.ulp(float(root)))
+                _assert_least_level(prof, target, m)
 
 
 @pytest.mark.parametrize(

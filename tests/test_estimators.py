@@ -54,6 +54,8 @@ def test_group_count_anchors():
     assert group_count(0.1) == 19
     assert group_count(1 / 3) == 9
     assert group_count(0.5) == 6
+    # 1 / delta passes the float range; ln(1 / delta) does not
+    assert group_count(1e-320) == 5895
 
 
 def test_mom_constant_batch():
