@@ -141,7 +141,7 @@ class CoverageProfile:
         and ``nu_r_below``; unless the rest carry no target mass, in
         which case the profile is complete, as it is without ``top``."""
         ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
-        if mu.min() <= 0:
+        if not pair.mu_positive:
             pos = mu > 0
             ratios, nu, mu = ratios[pos], nu[pos], mu[pos]
         below = {}

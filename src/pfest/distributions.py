@@ -69,17 +69,27 @@ def ordered_dot(a: np.ndarray, b: np.ndarray):
     return total if a.ndim >= 2 else float(total)
 
 
-def _as_weight_array(w, label: str) -> tuple[np.ndarray, float]:
-    """A normalized copy of the weights ``w``, which it never writes to,
-    and the least of the weights as given.
+class _Owned(NamedTuple):
+    """Weights that a builder of this module allocated and hands over to
+    the pair it builds, which normalizes them in place."""
 
-    The checks read ``w`` as float64, a view where it already is one, and
-    the copy is the one division by the sum. A minimum of at least 0 and
-    a finite sum rule out a nan, an inf and a negative entry at once;
-    only weights failing that are scanned to say which. Dividing by a sum
-    within WEIGHT_SUM_TOL of 1 keeps every positive weight positive, so
-    the minimum tells whether any normalized weight is 0."""
-    src = np.asarray(w, dtype=np.float64)
+    array: np.ndarray
+
+
+def _as_weight_array(w, label: str) -> tuple[np.ndarray, float]:
+    """The weights ``w`` divided by their sum, and the least of the
+    weights as given.
+
+    Weights handed over as ``_Owned`` are divided in place. Any other
+    ``w`` is never written to: the checks read it as float64, a view
+    where it already is one, and the one division by the sum makes the
+    new array. A minimum of at least 0 and a finite sum rule out a nan,
+    an inf and a negative entry at once; only weights failing that are
+    scanned to say which. Dividing by a sum within WEIGHT_SUM_TOL of 1
+    keeps every positive weight positive, so the minimum tells whether
+    any normalized weight is 0."""
+    owned = isinstance(w, _Owned)
+    src = w.array if owned else np.asarray(w, dtype=np.float64)
     if src.ndim != 1 or src.size == 0:
         raise ValueError(f"{label} must be a non-empty 1-d weight vector")
     total = float(src.sum())
@@ -93,7 +103,7 @@ def _as_weight_array(w, label: str) -> tuple[np.ndarray, float]:
         raise ValueError(
             f"{label} sums to {total!r}; must be within {WEIGHT_SUM_TOL} of 1"
         )
-    return np.divide(src, total), low
+    return np.divide(src, total, out=src if owned else None), low
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -112,8 +122,9 @@ class GuideTable(NamedTuple):
     never more than the searched atom ``#{i : cdf[i] <= u}``, which
     lies at most ``max_steps`` atoms further on: ``max_steps`` is the
     largest number of cdf values strictly inside one bucket.
-    ``cdf_ext`` is ``cdf`` with a +inf sentinel appended, so a step
-    from atom S reads a value above every u.
+    ``cdf_ext`` is ``cdf`` followed by a +inf sentinel, so a step from
+    atom S reads a value above every u; the table keeps the buffer it is
+    built from, which its pair's ``mu_cdf`` is a view of.
     """
 
     scale: int
@@ -122,20 +133,33 @@ class GuideTable(NamedTuple):
     max_steps: int
 
     @classmethod
-    def build(cls, cdf: np.ndarray) -> "GuideTable":
+    def build(cls, cdf_ext: np.ndarray) -> "GuideTable":
+        """The table over ``cdf_ext[:-1]``, whose last entry must be
+        +inf. Holds two support-sized temporaries besides its own
+        ``guide`` while it builds: each goes once it is read."""
+        cdf = cdf_ext[:-1]
         scale = 1 << (cdf.size - 1).bit_length()
         # exact: K is a power of two, so cdf * K rounds nowhere, and
         # cdf[i] <= j/K holds exactly when ceil(cdf[i] * K) <= j
         scaled = cdf * scale
-        cells = np.ceil(scaled).astype(np.intp)
-        guide = np.cumsum(np.bincount(np.minimum(cells, scale), minlength=scale + 1))
-        # a value strictly inside bucket j has ceil(cdf * K) = j + 1; the
-        # values past 1 that rounding can leave are inside no bucket
-        inside = np.bincount(cells[scaled != cells])[: scale + 1]
+        ceiled = np.ceil(scaled)
+        on_edge = ceiled == scaled
+        del scaled
+        cells = ceiled.astype(np.intp)
+        del ceiled
+        # cells past K, of the values past 1 that rounding can leave, add
+        # only to counts past the guide's last entry
+        guide = np.bincount(cells, minlength=scale + 1)[:scale]
+        np.cumsum(guide, out=guide)
+        # a value strictly inside bucket j has cell j + 1; values on an
+        # edge are inside no bucket, so they are moved to cell 0, which
+        # only the edge value 0 has
+        cells[on_edge] = 0
+        inside = np.bincount(cells)[1:scale + 1]
         return cls(
             scale=scale,
-            guide=_freeze(guide[:scale]),
-            cdf_ext=_freeze(np.append(cdf, np.inf)),
+            guide=_freeze(guide),
+            cdf_ext=_freeze(cdf_ext),
             max_steps=int(inside.max(initial=0)),
         )
 
@@ -172,9 +196,18 @@ class DistributionPair:
     ``last_drawable_atom`` is the index of the last atom with proposal
     mass, where inverse-CDF draws are clipped.
 
+    ``mu_positive`` tells whether every atom has proposal mass.
+
     The tables ``mu_cdf``, its ``mu_guide``, ``lambda_drawn`` and
-    ``lambda_order`` are built once, on first use, and are read-only;
-    they are not fields, so ``==`` and ``repr`` ignore them.
+    ``lambda_order`` are built once, on first use, and are read-only.
+    They and ``mu_positive`` are not fields, so ``==`` and ``repr``
+    ignore them.
+
+    The pair holds three support-sized arrays, ``mu_weights``,
+    ``nu_weights`` and ``ratio_cache``, each allocated once: weights
+    passed in are divided by their sum into new arrays and never written
+    to, but the builders of this module hand over the weights they
+    allocate, and those are normalized in place.
     """
 
     mu_weights: np.ndarray
@@ -232,6 +265,7 @@ class DistributionPair:
         object.__setattr__(self, "ratio_cache", _freeze(ratio))
         object.__setattr__(self, "singular_mass", singular)
         object.__setattr__(self, "last_drawable_atom", last_drawable)
+        object.__setattr__(self, "mu_positive", mu_low > 0)
 
     @property
     def support_size(self) -> int:
@@ -242,15 +276,27 @@ class DistributionPair:
         return self.singular_mass == 0.0
 
     @cached_property
+    def _mu_cdf_ext(self) -> np.ndarray:
+        """``mu_cdf`` followed by +inf, in one S + 1 buffer that
+        ``mu_guide`` shares."""
+        ext = np.empty(self.support_size + 1)
+        np.cumsum(self.mu_weights, out=ext[:-1])
+        ext[-1] = np.inf
+        return _freeze(ext)
+
+    @cached_property
     def mu_cdf(self) -> np.ndarray:
-        """Cumulative proposal mass per atom, the inverse-CDF table."""
-        return _freeze(np.cumsum(self.mu_weights))
+        """Cumulative proposal mass per atom, the inverse-CDF table: a
+        view of the first S entries of the buffer whose last entry is
+        the guide table's +inf sentinel."""
+        return self._mu_cdf_ext[:-1]
 
     @cached_property
     def mu_guide(self) -> GuideTable:
         """Guide table over ``mu_cdf``, for calls of ``draw_atoms`` with
-        at least as many uniforms as atoms."""
-        return GuideTable.build(self.mu_cdf)
+        at least as many uniforms as atoms; its ``cdf_ext`` is the
+        buffer ``mu_cdf`` views, not a copy."""
+        return GuideTable.build(self._mu_cdf_ext)
 
     @cached_property
     def lambda_drawn(self) -> np.ndarray:
@@ -306,7 +352,8 @@ class SampleBatch:
 
 def make_finite_pair(mu_weights, nu_weights, z, name: str = "") -> DistributionPair:
     """Pair from explicit weight vectors; weights are validated and
-    renormalized exactly at construction."""
+    renormalized exactly at construction, into new arrays: the vectors
+    passed in are never written to."""
     return DistributionPair(
         mu_weights=np.asarray(mu_weights, dtype=np.float64),
         nu_weights=np.asarray(nu_weights, dtype=np.float64),
@@ -368,9 +415,11 @@ def make_weighted_pair(pair: DistributionPair, g) -> DistributionPair:
     nu_g = ordered_dot(pair.nu_weights, g)
     if nu_g <= 0:
         raise ValueError("E_nu[g] = 0; weighted target is undefined")
+    weighted = pair.nu_weights * g
+    weighted /= nu_g
     return DistributionPair(
         mu_weights=pair.mu_weights,
-        nu_weights=pair.nu_weights * g / nu_g,
+        nu_weights=_Owned(weighted),
         z_true=pair.z_true * nu_g,
         name=f"{pair.name}|weighted" if pair.name else "weighted",
     )
@@ -395,7 +444,10 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     for raw in (mu, nu):
         raw += 0.05
         raw /= raw.sum()
-    return make_finite_pair(mu, nu, z, name=f"random[{support_size},{seed}]")
+    return DistributionPair(
+        mu_weights=_Owned(mu), nu_weights=_Owned(nu), z_true=z,
+        name=f"random[{support_size},{seed}]",
+    )
 
 
 def draw_atoms(pair: DistributionPair, u: np.ndarray) -> np.ndarray:
@@ -493,10 +545,23 @@ def pair_from_dict(doc: dict) -> DistributionPair:
         raise ValueError(
             f"pair document must be a JSON object, got {type(doc).__name__}"
         )
-    try:
-        return make_finite_pair(doc["mu"], doc["nu"], doc["z"], doc.get("name", ""))
-    except KeyError as exc:
-        raise ValueError(f"pair document missing field {exc}") from exc
+    fields = (("mu", "a list of numbers"), ("nu", "a list of numbers"), ("z", "a number"))
+    for key, _ in fields:
+        if key not in doc:
+            raise ValueError(f"pair document missing field {key!r}")
+    values = []
+    for key, kind in fields:
+        value = doc[key]
+        try:
+            values.append(
+                float(value) if key == "z" else np.asarray(value, dtype=np.float64)
+            )
+        except TypeError as exc:
+            raise ValueError(
+                f"pair document field {key!r} must be {kind}, "
+                f"got {type(value).__name__}"
+            ) from exc
+    return make_finite_pair(*values, doc.get("name", ""))
 
 
 def save_pair(pair: DistributionPair, path) -> None:

@@ -305,6 +305,19 @@ def test_pair_file_not_an_object_exits_one(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"mu":[0.5,0.5],"nu":[0.5,0.5],"z":null}', "field 'z' must be a number, got NoneType"),
+    ('{"mu":[0.5,0.5],"nu":[0.5,0.5],"z":[1]}', "field 'z' must be a number, got list"),
+    ('{"mu":{"a":1},"nu":[0.5,0.5],"z":1}', "field 'mu' must be a list of numbers, got dict"),
+], ids=["z-null", "z-list", "mu-object"])
+def test_pair_file_with_a_field_of_the_wrong_type_exits_one(capsys, tmp_path, doc, message):
+    path = tmp_path / "pair.json"
+    path.write_text(doc)
+    assert _run(capsys, ["plan", "--pair", str(path), "--eps", "0.3"]) == (
+        EXIT_ERROR, "", f"pfest: error: pair document {message}\n"
+    )
+
+
 def test_pair_with_a_density_past_the_float_range_exits_one(capsys, tmp_path):
     path = tmp_path / "huge_lambda.json"
     path.write_text(json.dumps({"mu": [1e-300, 1 - 1e-300], "nu": [0.5, 0.5], "z": 1e10}))

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,15 +125,22 @@ def test_make_finite_keeps_its_weight_messages(label, bad, message):
 
 
 def test_make_finite_never_touches_the_callers_arrays():
-    # the first sums to 1 + 2^-52, within tolerance, so it is renormalized
-    mu = np.array([0.25, 0.25, 0.5 + 2.0**-52])
-    nu = np.array([0.5, 0.25, 0.25])
-    before = mu.tobytes(), nu.tobytes()
-    pair = make_finite_pair(mu, nu, 1.0)
-    assert (mu.tobytes(), nu.tobytes()) == before
-    assert mu.flags.writeable and nu.flags.writeable
-    assert not np.shares_memory(mu, pair.mu_weights)
-    assert not np.shares_memory(nu, pair.nu_weights)
+    weights = [
+        # the first sums to 1 + 2^-52, within tolerance, so it is renormalized
+        ([0.25, 0.25, 0.5 + 2.0**-52], [0.5, 0.25, 0.25]),
+        # an atom without proposal mass, whose target mass is singular
+        ([0.5, 0.0, 0.5 + 2.0**-52], [0.25, 0.5, 0.25 - 2.0**-54]),
+    ]
+    for build in (make_finite_pair, DistributionPair):
+        for mu, nu in weights:
+            mu, nu = np.array(mu), np.array(nu)
+            before = mu.tobytes(), nu.tobytes()
+            pair = build(mu, nu, 1.0)
+            assert (mu.tobytes(), nu.tobytes()) == before
+            assert mu.flags.writeable and nu.flags.writeable
+            assert not np.shares_memory(mu, pair.mu_weights)
+            assert not np.shares_memory(nu, pair.nu_weights)
+            assert pair.mu_positive == bool((mu > 0).all())
 
 
 class _WeightArray(np.ndarray):
@@ -282,6 +291,79 @@ def test_weighted_pair_rejects(bern):
         make_weighted_pair(bern, [0.0, 0.0])
     with pytest.raises(ValueError):
         make_weighted_pair(bern, [1.0, 1.0, 1.0])
+
+
+def _pair_bits(pair):
+    """Everything a pair and its draw tables hold, as comparable values:
+    the arrays as (dtype, bytes)."""
+    guide = pair.mu_guide
+    arrays = (pair.mu_weights, pair.nu_weights, pair.ratio_cache, pair.mu_cdf,
+              guide.guide, guide.cdf_ext, pair.lambda_drawn)
+    return (
+        [(arr.dtype, arr.tobytes()) for arr in arrays],
+        pair.z_true, pair.name, pair.singular_mass, pair.last_drawable_atom,
+        pair.mu_positive, guide.scale, guide.max_steps,
+    )
+
+
+def _copying_path(monkeypatch):
+    """Make the builders hand a copy of their weights to the pair, which
+    then normalizes it into a new array as it does a caller's. Returns
+    the list of the labels of the weights handed over since."""
+    normalize, handed = distributions._as_weight_array, []
+
+    def copying(w, label):
+        if isinstance(w, distributions._Owned):
+            handed.append(label)
+            w = w.array.copy()
+        return normalize(w, label)
+
+    monkeypatch.setattr(distributions, "_as_weight_array", copying)
+    return handed
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 1000, DOT_CHUNK + 3, 1 << 17])
+def test_random_pair_normalized_in_place_is_the_copying_path(size, monkeypatch):
+    owned = _pair_bits(make_random_pair(size, 20260818 + size, z=2.5))
+    handed = _copying_path(monkeypatch)
+    assert _pair_bits(make_random_pair(size, 20260818 + size, z=2.5)) == owned
+    assert handed == ["mu_weights", "nu_weights"]
+
+
+def test_weighted_pair_normalized_in_place_is_the_copying_path(monkeypatch):
+    base = make_finite_pair([0.25, 0.0, 0.5, 0.25], [0.2, 0.1, 0.3, 0.4], 3.0)
+    g = np.array([1.0, 2.0, 0.0, 0.5])
+    frozen = base.mu_weights.tobytes(), g.tobytes()
+    owned = _pair_bits(make_weighted_pair(base, g))
+    assert (base.mu_weights.tobytes(), g.tobytes()) == frozen
+    wide = make_random_pair(5000, 9)
+    g_wide = make_generator(10).random(5000)
+    wide_owned = _pair_bits(make_weighted_pair(wide, g_wide))
+    handed = _copying_path(monkeypatch)
+    assert _pair_bits(make_weighted_pair(base, g)) == owned
+    assert _pair_bits(make_weighted_pair(wide, g_wide)) == wide_owned
+    assert handed == ["nu_weights", "nu_weights"]
+    # and the weighted target is the one it always was
+    weighted = base.nu_weights * g / ordered_dot(base.nu_weights, g)
+    np.testing.assert_array_equal(
+        make_weighted_pair(base, g).nu_weights, weighted / weighted.sum()
+    )
+
+
+@pytest.mark.parametrize("weights", [
+    [0.25, 0.0, 0.5 + 2.0**-52, 0.25],
+    np.array([0.125, 0.375, 0.5, 0.0], dtype=np.float32),
+], ids=["list", "float32"])
+def test_handed_over_weights_are_the_callers_weights_bit_for_bit(weights, tmp_path):
+    nu = [0.25, 0.25, 0.25, 0.25]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"mu": np.asarray(weights).tolist(), "nu": nu, "z": 1.5}))
+    copied = make_finite_pair(weights, nu, 1.5)
+    owned = DistributionPair(
+        mu_weights=distributions._Owned(np.array(weights, dtype=np.float64)),
+        nu_weights=distributions._Owned(np.array(nu)), z_true=1.5,
+    )
+    assert _pair_bits(owned) == _pair_bits(copied) == _pair_bits(load_pair(path))
 
 
 def test_random_pair_reproducible():
@@ -537,6 +619,38 @@ def test_draw_tables_are_cached_and_read_only():
     assert one.mu_cdf.size == one.lambda_drawn.size == 1
     assert one.mu_guide.scale == 1 and one.mu_guide.guide.tolist() == [0]
     assert one == other and repr(one) == repr(other)
+
+
+WIDE = 1 << 18
+
+
+def _traced(build):
+    """What ``build()`` returns, with the memory it still holds and the
+    most it held meanwhile, both in support-sized float64 arrays of WIDE
+    atoms, as tracemalloc sees numpy's allocations."""
+    tracemalloc.start()
+    try:
+        out = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held / (8 * WIDE), peak / (8 * WIDE)
+
+
+def test_wide_builders_allocate_each_array_once():
+    make_random_pair(2, 0)  # numpy.random and the generator are loaded
+    pair, _, peak = _traced(lambda: make_random_pair(WIDE, 20260818))
+    # mu, nu and ratio_cache: the drawn weights are normalized in place
+    assert peak <= 3.5
+    g = make_generator(1).random(WIDE)
+    _, _, peak = _traced(lambda: make_weighted_pair(pair, g))
+    # a copy of mu, the weighted nu normalized in place, and the ratios
+    assert peak <= 3.5
+    # the cdf and its sentinel in one buffer, the guide, and while
+    # building at most two temporaries besides
+    _, held, peak = _traced(lambda: (pair.mu_cdf, pair.mu_guide))
+    assert held <= 2.1 and peak <= 4.5
+    assert pair.mu_cdf.base is pair.mu_guide.cdf_ext
 
 
 @pytest.mark.parametrize("size", [1, 7, DOT_CHUNK - 1, DOT_CHUNK])
