@@ -34,21 +34,58 @@ FLOAT_EXACT_INT_MAX = 2**53
 LOG_N_MAX = 4000 * math.log(10.0)
 
 # TailPlanner first resolves the TAIL_FIRST_TOP live atoms of highest
-# ratio, then TAIL_GROWTH times as many each time a plan's answer lies
-# below them. It builds a block only from a pair at least TAIL_SPARSE
-# times as wide, and the complete profile otherwise: on a narrower pair
-# the selection and the two sums over the support cost more than the
-# full sort they replace. Measured on random pairs, 2 shared CPUs,
-# coverage plan at eps 0.3: a 1 024-atom block takes 162 us at 2 048
-# atoms, where the complete profile takes 130 us; both take 170 us at
-# 4 096 atoms.
+# ratio. It builds a block only from a pair at least TAIL_SPARSE times
+# as wide, and the complete profile otherwise: on a narrower pair the
+# selection and the sums over the support cost more than the full sort
+# they replace. Measured on random pairs, 2 shared CPUs, coverage plan
+# at eps 0.3 (medians of 15, interleaved): a 1 024-atom block takes
+# 189 us at 2 048 atoms, where the complete profile takes 174 us, and
+# 196 against 222 us at 4 096 atoms.
+#
+# A plan that reads below a block widens it TAIL_GROWTH times, or, when
+# it names the target mass the block lacked, to an estimate of the atoms
+# holding that mass. A block's cut and that estimate read the strided
+# sample of every TAIL_STEP-th atom. On the 2^18-atom random pair (best
+# of 7) a 1 024-atom block took 743 us at TAIL_STEP 32 and 751 to 782 us
+# at 16, 64 and 128 (the comparison pass and the sums over the support
+# dominate), 966 us at 8, and 1 100 us with a partition of the whole
+# support. A count k of sampled atoms is widened to _with_margin(k): k
+# plus TAIL_SIGMAS binomial standard deviations plus TAIL_SLACK. Over
+# about 850 cuts of 1 024 to 5 120 atoms on random pairs of 8 192 to
+# 2^17 atoms, fewer than top atoms reached the bound 453 times with no
+# margin, 26 times at 2 deviations, twice at 3 and never with the slack
+# of 8 added (candidates 1.48 times the block, in the median); over 800
+# quantile and sampling plans on pairs of 2^14 to 2^18 atoms, no
+# widened block fell short with the margin, and 43 did without it.
+#
+# The sampled bound pays where the candidates are a small share of the
+# support, so it is taken only where the sample holds at least
+# TAIL_SAMPLED_SHARE times k atoms, and every atom is a candidate
+# otherwise. Medians of 9, random pairs, a partition of every atom
+# against the sampled bound: a 1 024-atom block took 26.7 against
+# 34.9 us at 4 096 atoms (sample 2.25 times k), 37.8 against 39.6 us at
+# 8 192 (4.5 times k) and 59.2 against 50.9 us at 16 384; a 4 096-atom
+# block 70.7 against 75.8 us at 16 384 (3.0 times k), 104.4 against
+# 102.0 us at 24 576 (4.5 times k) and 333 against 278 us at 65 536.
 TAIL_FIRST_TOP = 1024
 TAIL_GROWTH = 4
 TAIL_SPARSE = 4
+TAIL_STEP = 32
+TAIL_SIGMAS = 3.0
+TAIL_SLACK = 8
+TAIL_SAMPLED_SHARE = 4
 
 
 class _BelowBlock(ValueError):
-    """A partial profile was asked about levels below its lowest one."""
+    """A partial profile was asked about levels below its lowest one.
+
+    ``mass``, when the query knows it, is the target mass the block's
+    levels had to exceed to hold the answer; TailPlanner sizes the next
+    block from it."""
+
+    def __init__(self, message: str, mass: Optional[float] = None):
+        super().__init__(message)
+        self.mass = mass
 
 
 @dataclass(frozen=True)
@@ -224,21 +261,52 @@ def _suffix_sums(w: np.ndarray) -> np.ndarray:
     return _freeze(out)
 
 
+def _with_margin(k: int) -> int:
+    """A count k of strided-sample atoms, widened by TAIL_SIGMAS
+    binomial standard deviations and TAIL_SLACK."""
+    return k + math.ceil(TAIL_SIGMAS * math.sqrt(k)) + TAIL_SLACK
+
+
+def _tail_candidates(ratios: np.ndarray, top: int) -> Optional[np.ndarray]:
+    """The indices, in atom order, of a superset of the ``top`` atoms of
+    highest ratio, or None for every atom.
+
+    The bound is the k-th largest ratio of the strided sample
+    ``ratios[::TAIL_STEP]``, k being top / TAIL_STEP rounded up, with
+    its margin, and the candidates are the atoms at or above it (Floyd
+    & Rivest, "Expected time bounds for selection", 1975). Where fewer
+    than ``top`` atoms reach it, the sample held more of the top than
+    the margin allows, and every atom is a candidate; so is every atom
+    where the sample is less than TAIL_SAMPLED_SHARE times k."""
+    sample = ratios[::TAIL_STEP]
+    k = _with_margin(-(-top // TAIL_STEP))
+    if TAIL_SAMPLED_SHARE * k > sample.size:
+        return None
+    low = np.partition(sample, sample.size - k)[sample.size - k]
+    candidates = np.flatnonzero(ratios >= low)
+    return candidates if candidates.size >= top else None
+
+
 def _top_block(ratios: np.ndarray, nu: np.ndarray, top: int):
     """The indices, in atom order, of the ``top`` atoms of highest ratio
     and of every atom tied with the last of them; and, over the other
     atoms, the target mass and the target mass times the ratio, summed.
 
-    Both sums run in atom order over every atom, the block's target
-    masses set to 0.0, in the copy np.partition made to find the cut,
-    so no other support-sized float array is made. They are not
-    E_nu[ratio] minus the block's share: on a heavy ratio tail the
-    block holds nearly all of it, and the difference would keep few
-    correct digits."""
-    cut = ratios.size - top
-    rest = np.partition(ratios, cut)
-    block = np.flatnonzero(ratios >= rest[cut])
-    np.copyto(rest, nu)
+    The cut is the ``top``-th largest ratio among ``_tail_candidates``,
+    which hold every atom at or above it, so it is the ``top``-th
+    largest of all: on the sampled bound one comparison pass over the
+    support, and no support-sized partition. Both sums run in atom
+    order over every atom, on one copy of the target masses with the
+    block's set to 0.0. They are not E_nu[ratio] minus the block's
+    share: on a heavy ratio tail the block holds nearly all of it, and
+    the difference would keep few correct digits."""
+    candidates = _tail_candidates(ratios, top)
+    values = ratios if candidates is None else ratios[candidates]
+    cut = np.partition(values, values.size - top)[values.size - top]
+    block = np.flatnonzero(values >= cut)
+    if candidates is not None:
+        block = candidates[block]
+    rest = nu.copy()
     rest[block] = 0.0
     return block, float(rest.sum()), ordered_dot(rest, ratios)
 
@@ -393,7 +461,10 @@ def min_coverage_threshold(profile: CoverageProfile, target: float) -> float:
         key=partial(operator.add, profile.singular_mass),
     )
     if met > profile.thresholds.size and profile.nu_below > 0:
-        raise _BelowBlock("the level lies below the lowest one resolved")
+        raise _BelowBlock(
+            "the level lies below the lowest one resolved",
+            mass=target - profile.singular_mass,
+        )
     return float(profile.thresholds[max(profile.thresholds.size - met, 0)])
 
 
@@ -406,12 +477,29 @@ class TailPlanner:
         self.pairs = pairs
         self._blocks: dict = {}
 
+    @cached_property
+    def _sampled_mass(self) -> list:
+        """Per pair, in the pairs' order: the live atoms among every
+        TAIL_STEP-th atom, from the highest ratio down, and their target
+        mass summed along them, times TAIL_STEP."""
+        sampled = []
+        for pair in self.pairs:
+            live = pair.mu_weights[::TAIL_STEP] > 0
+            ratios = pair.ratio_cache[::TAIL_STEP][live]
+            nu = pair.nu_weights[::TAIL_STEP][live]
+            sampled.append(np.cumsum(nu[ratios.argsort()[::-1]]) * TAIL_STEP)
+        return sampled
+
     def plan(self, planner: Callable):
         """``planner(*profiles)`` on the pairs' profiles from
-        ``from_pair(pair, top=TAIL_FIRST_TOP)``, then on TAIL_GROWTH
-        times as many atoms each time the planner reads below a block,
-        until the profiles are complete; a pair less than TAIL_SPARSE
-        times as wide as the block gets its complete profile.
+        ``from_pair(pair, top=TAIL_FIRST_TOP)``, then on wider blocks
+        each time the planner reads below a block, until the profiles
+        are complete; a pair less than TAIL_SPARSE times as wide as the
+        block gets its complete profile.
+
+        A block widens TAIL_GROWTH times, unless the planner's query
+        names the target mass the block had to exceed: then to the
+        atoms whose sampled mass reaches it (see ``_widened``).
 
         A plan reads a partial profile only where it is exact, so each
         answer is the complete profile's, up to the rounding of
@@ -428,8 +516,21 @@ class TailPlanner:
                 ]
             try:
                 return planner(*self._blocks[top])
-            except _BelowBlock:
-                top *= TAIL_GROWTH
+            except _BelowBlock as below:
+                top = self._widened(top, below.mass)
+
+    def _widened(self, top: int, mass: Optional[float]) -> int:
+        """The block after ``top``: TAIL_GROWTH times as wide without a
+        mass. With one, the count of highest-ratio atoms whose sampled
+        target mass exceeds ``mass``, with its margin, on the pair that
+        needs most, rounded up to a multiple of TAIL_FIRST_TOP and at
+        least twice ``top``. A short estimate only widens again."""
+        if mass is None:
+            return top * TAIL_GROWTH
+        # sampled atoms it takes to exceed the mass, or one past them all
+        count = max(int(c.searchsorted(mass, side="right")) + 1 for c in self._sampled_mass)
+        blocks = math.ceil(TAIL_STEP * _with_margin(count) / TAIL_FIRST_TOP)
+        return max(2 * top, blocks * TAIL_FIRST_TOP)
 
 
 @dataclass(frozen=True)

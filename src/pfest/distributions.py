@@ -556,7 +556,7 @@ def pair_from_dict(doc: dict) -> DistributionPair:
             values.append(
                 float(value) if key == "z" else np.asarray(value, dtype=np.float64)
             )
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(
                 f"pair document field {key!r} must be {kind}, "
                 f"got {type(value).__name__}"

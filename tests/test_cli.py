@@ -309,7 +309,11 @@ def test_pair_file_not_an_object_exits_one(capsys, tmp_path):
     ('{"mu":[0.5,0.5],"nu":[0.5,0.5],"z":null}', "field 'z' must be a number, got NoneType"),
     ('{"mu":[0.5,0.5],"nu":[0.5,0.5],"z":[1]}', "field 'z' must be a number, got list"),
     ('{"mu":{"a":1},"nu":[0.5,0.5],"z":1}', "field 'mu' must be a list of numbers, got dict"),
-], ids=["z-null", "z-list", "mu-object"])
+    ('{"mu":[0.5,0.5],"nu":["a",0.5],"z":1}', "field 'nu' must be a list of numbers, got list"),
+    ('{"mu":[0.5,0.5],"nu":[0.5,0.5],"z":"x"}', "field 'z' must be a number, got str"),
+    ('{"mu":[0.5,0.5],"nu":[0.5,[0.5,1]],"z":1}',
+     "field 'nu' must be a list of numbers, got list"),
+], ids=["z-null", "z-list", "mu-object", "nu-string", "z-string", "nu-ragged"])
 def test_pair_file_with_a_field_of_the_wrong_type_exits_one(capsys, tmp_path, doc, message):
     path = tmp_path / "pair.json"
     path.write_text(doc)

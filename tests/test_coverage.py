@@ -36,6 +36,14 @@ from pfest import (
     solve_M_eps,
     tv,
 )
+from pfest.coverage import (
+    TAIL_SAMPLED_SHARE,
+    TAIL_SPARSE,
+    TAIL_STEP,
+    _tail_candidates,
+    _with_margin,
+)
+from pfest.distributions import ordered_dot
 from pfest.estimators import PLANS
 from pfest.sampler import sampling_plan
 
@@ -739,12 +747,13 @@ def test_coverage_plan_is_answered_by_the_first_block(monkeypatch):
 
 def test_quantile_plan_widens_until_it_answers(monkeypatch):
     # the pair's top 1024 atoms carry target mass 0.0896: at eps 0.5 the
-    # level, with coverage at most 0.125, lies below them
+    # level, with coverage at most 0.125, lies below them, and the
+    # strided sample puts that mass within the top 3072 atoms
     pair = make_random_pair(1 << 14, 20260814)
     full = plan_n_quantile(0.5, 0.1, profile=CoverageProfile.from_pair(pair))
     tops = _count_blocks(monkeypatch)
     plan = PLANS["quantile"].run(pair, 0.5, 0.1, None)
-    assert tops == [1024, 4096]
+    assert tops == [1024, 3072]
     assert (plan.n, plan.m) == (full.n, full.m)
     # a block of 1024 atoms would be over a quarter of the pair
     tops.clear()
@@ -758,4 +767,132 @@ def test_a_tail_planner_builds_each_block_once(monkeypatch):
     tail = TailPlanner(pair)
     for eps in (0.5, 0.3, 0.5):
         tail.plan(lambda profile: plan_n_quantile(eps, 0.1, profile=profile))
-    assert tops == [1024, 4096]
+    assert tops == [1024, 3072]
+
+
+@pytest.mark.parametrize("plan, second", [
+    (lambda p: plan_n_quantile(0.5, 0.1, profile=p), 26624),
+    (lambda p: sampling_plan(p, 0.3), 21504),
+], ids=["quantile-0.5", "sampling-0.3"])
+def test_a_plan_deep_in_the_tail_widens_once(monkeypatch, plan, second):
+    """The first block holds too little target mass; the second, sized
+    from the strided sample, holds the answer, where growing 4 times at
+    a time built blocks of 4 096, 16 384 and 65 536 atoms."""
+    pair = make_random_pair(1 << 18, 20260818)
+    full = plan(CoverageProfile.from_pair(pair))
+    tops = _count_blocks(monkeypatch)
+    result = TailPlanner(pair).plan(plan)
+    assert tops == [1024, second]
+    assert (result.n, result.m) == (full.n, full.m)
+
+
+def test_a_short_estimate_widens_again(monkeypatch):
+    """Every TAIL_STEP-th atom carries 100 times the weight of the rest,
+    so the strided sample sees about 24 times the target mass there is:
+    each estimate falls short, and each block is twice the one before,
+    until one holds the answer."""
+    support = 1 << 16
+    weight = np.where(np.arange(support) % TAIL_STEP == 0, 100.0, 1.0)
+    ratio = np.random.default_rng(1).random(support) + 0.5
+    pair = make_finite_pair(weight / weight.sum(), weight * ratio / (weight * ratio).sum(), 1.0)
+    for plan in (lambda p: plan_n_quantile(0.5, 0.1, profile=p),
+                 lambda p: sampling_plan(p, 0.3)):
+        full = plan(CoverageProfile.from_pair(pair))
+        tops = _count_blocks(monkeypatch)
+        result = TailPlanner(pair).plan(plan)
+        assert tops == [1024, 2048, 4096, 8192]
+        assert (result.n, result.m) == (full.n, full.m)
+        monkeypatch.undo()
+
+
+def _partitioned_block(pair, top):
+    """``from_pair(pair, top=top)`` as (thresholds, nu_masses,
+    mu_masses, nu_below, nu_r_below), written with one np.partition over
+    the whole live support, np.unique and two bincounts."""
+    live = pair.mu_weights > 0
+    ratios, nu, mu = pair.ratio_cache[live], pair.nu_weights[live], pair.mu_weights[live]
+    keep = np.ones(ratios.size, dtype=bool)
+    if top < ratios.size:
+        keep = ratios >= np.partition(ratios, ratios.size - top)[ratios.size - top]
+    rest = np.where(keep, 0.0, nu)
+    below = (float(rest.sum()), ordered_dot(rest, ratios))
+    if not below[0] > 0:
+        keep[:], below = True, (0.0, 0.0)
+    uniq, inverse = np.unique(ratios[keep], return_inverse=True)
+    return (
+        uniq,
+        np.bincount(inverse, weights=nu[keep], minlength=uniq.size),
+        np.bincount(inverse, weights=mu[keep], minlength=uniq.size),
+        *below,
+    )
+
+
+def _periodic_maxima(support, offset):
+    """The highest ratios at the atoms of index ``offset`` mod TAIL_STEP:
+    at offset 0 the strided sample holds all of them."""
+    gen = np.random.default_rng(support + offset)
+    mu = gen.random(support) + 0.05
+    ratio = gen.random(support)
+    ratio[offset::TAIL_STEP] += 2.0
+    nu = mu * ratio
+    return make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.0)
+
+
+def _equal_ratios(support):
+    mu = np.full(support, 1.0 / support)
+    return make_finite_pair(mu, mu.copy(), 1.0)
+
+
+# the least support whose strided sample takes the sampled bound for a
+# 1 024-atom block
+_SAMPLED_EDGE = TAIL_STEP * TAIL_SAMPLED_SHARE * _with_margin(1024 // TAIL_STEP)
+
+# (pair, tops, whether the candidates come from the sampled bound: True,
+# False for every atom, None where it depends on the top)
+_CUT_CASES = {
+    "random": (make_random_pair(1 << 15, 3), (1000, 1024, 1025, 4096), True),
+    "random-4x": (make_random_pair(TAIL_SPARSE * 1024, 4), (1024,), False),
+    "random-edge": (make_random_pair(_SAMPLED_EDGE, 5), (1024,), True),
+    "random-below-edge": (make_random_pair(_SAMPLED_EDGE - TAIL_STEP, 5), (1024,), False),
+    "periodic-0": (_periodic_maxima(1 << 15, 0), (1024, 1000), False),
+    "periodic-1": (_periodic_maxima(1 << 15, 1), (1024, 1000), True),
+    "equal": (_equal_ratios(8192), (1024, 1000), True),
+    "tied": (_tied_pair(1 << 14, 5), (1000, 1024, 3000), None),
+    "negative-zero": (_negative_zero_targets(6000, 6), (1024, 4000, 4500), None),
+    "zero-mass": (_with_zero_mass_atoms(1 << 14, 7, singular=False), (1000, 2048), None),
+    "singular": (_with_zero_mass_atoms(1 << 14, 8, singular=True), (1000, 2048), None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CUT_CASES))
+def test_the_sampled_cut_is_the_partition_cut(kind):
+    """The block cut from the strided sample's candidates is the block a
+    partition of the whole live support cuts, bit for bit, ties, signed
+    zeros and the sums of the rest included."""
+    pair, tops, sampled = _CUT_CASES[kind]
+    live = pair.mu_weights > 0
+    for top in tops:
+        prof = CoverageProfile.from_pair(pair, top=top)
+        got = (prof.thresholds, prof.nu_masses, prof.mu_masses, prof.nu_below, prof.nu_r_below)
+        want = _partitioned_block(pair, top)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array(got[3:]).tobytes() == np.array(want[3:]).tobytes()
+        if sampled is not None:
+            candidates = _tail_candidates(pair.ratio_cache[live], top)
+            assert (candidates is not None) == sampled
+
+
+def test_the_cut_cases_reach_the_rest_and_the_zero_level():
+    """The cases above cut into tied levels and the signed-zero level,
+    and leave zero-mass and singular atoms out of the block."""
+    pair, tops, _ = _CUT_CASES["tied"]
+    prof = CoverageProfile.from_pair(pair, top=1000)
+    assert np.count_nonzero(pair.ratio_cache >= prof.thresholds[0]) > 1000 and prof.nu_below > 0
+    pair, tops, _ = _CUT_CASES["negative-zero"]
+    assert CoverageProfile.from_pair(pair, top=4500).thresholds[0] == 0.0
+    assert np.signbit(pair.ratio_cache).any()
+    for kind in ("zero-mass", "singular"):
+        pair = _CUT_CASES[kind][0]
+        assert (pair.mu_weights == 0).any()
+    assert _CUT_CASES["singular"][0].singular_mass > 0
