@@ -68,7 +68,7 @@ def _load_pair_argument(args) -> DistributionPair:
         key, sep, value = chunk.partition("=")
         if not sep:
             raise ValueError(f"malformed --params entry {chunk!r}")
-        params[key] = _parse_scalar(value)
+        params[key] = _parse_scalar(key, value)
     return build_family(args.family, params)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -44,6 +45,23 @@ GUIDE_CHUNK = 1 << 14
 
 # draw_block maps this many uniforms at a time, to hold one chunk's atoms.
 DRAW_CHUNK = 1 << 16
+
+# make_random_pair fills nu on a helper thread, while the calling thread
+# fills mu, once the support has this many atoms; numpy releases the GIL
+# in the draw, sum and divide loops. Threaded over serial time of
+# make_random_pair, medians of 301 alternating calls each, on 2 shared
+# CPUs and on one of them (taskset -c 0); see CHANGES.md:
+#
+#     atoms   2 CPUs   1 CPU
+#     2^14    1.42     1.47
+#     2^15    1.13     1.28
+#     2^16    0.94     1.13
+#     2^17    0.85     1.08
+#     2^18    0.78     1.08
+#
+# Below the cut, starting and joining the thread costs more than the
+# second CPU saves.
+PARALLEL_FILL_MIN = 1 << 16
 
 
 def ordered_dot(a: np.ndarray, b: np.ndarray):
@@ -425,12 +443,28 @@ def make_weighted_pair(pair: DistributionPair, g) -> DistributionPair:
     )
 
 
+def _fill_weights(gen: np.random.Generator, raw: np.ndarray) -> None:
+    """Fill ``raw`` with uniforms from ``gen`` shifted to [0.05, 1.05),
+    divided by their sum."""
+    gen.random(out=raw)
+    raw += 0.05
+    raw /= raw.sum()
+
+
 def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> DistributionPair:
     """Seeded random pair with strictly positive weights on both sides.
 
     Raw weights are uniform on [0.05, 1.05) before normalization, which
     keeps every atom reachable (finite divergences, no singular mass)
     while still spreading the density ratio over about three decades.
+
+    Both weight vectors come from the Philox stream keyed by ``seed``:
+    mu's from its first ``support_size`` words, nu's from the next
+    ``support_size``. From PARALLEL_FILL_MIN atoms on, nu is drawn and
+    normalized on a helper thread from a generator started at word
+    ``support_size`` (``make_generator(seed, start=support_size)``)
+    while the calling thread does mu; the bits are those of the serial
+    draw, and the helper is joined before the call returns.
     """
     for label, value in (("support_size", support_size), ("seed", seed)):
         if isinstance(value, float) and not value.is_integer():
@@ -438,12 +472,35 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     support_size, seed = int(support_size), int(seed)
     if support_size < 1:
         raise ValueError(f"support_size must be >= 1, got {support_size}")
-    gen = make_generator(seed)
-    mu = gen.random(support_size)
-    nu = gen.random(support_size)
-    for raw in (mu, nu):
-        raw += 0.05
-        raw /= raw.sum()
+    if support_size < PARALLEL_FILL_MIN:
+        gen = make_generator(seed)
+        mu = gen.random(support_size)
+        nu = gen.random(support_size)
+        for raw in (mu, nu):
+            raw += 0.05
+            raw /= raw.sum()
+    else:
+        mu, nu = np.empty(support_size), np.empty(support_size)
+        mu_gen = make_generator(seed)
+        nu_gen = make_generator(seed, start=support_size)
+        # a plain thread, not an executor: concurrent.futures imports
+        # logging, which every process building a wide pair would pay for
+        failure = []
+
+        def fill_nu():
+            try:
+                _fill_weights(nu_gen, nu)
+            except BaseException as exc:  # raised again on the calling thread
+                failure.append(exc)
+
+        helper = threading.Thread(target=fill_nu, name="pfest-fill-nu")
+        helper.start()
+        try:
+            _fill_weights(mu_gen, mu)
+        finally:
+            helper.join()
+        if failure:
+            raise failure[0]
     return DistributionPair(
         mu_weights=_Owned(mu), nu_weights=_Owned(nu), z_true=z,
         name=f"random[{support_size},{seed}]",

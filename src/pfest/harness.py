@@ -170,11 +170,19 @@ def _set_fields(config: ExperimentConfig):
             yield key, fmt(value)
 
 
-def _parse_scalar(text: str):
+def _parse_scalar(key: str, text: str):
+    """The value of family parameter ``key``: an int where ``text`` is
+    one, else a float; anything else raises a ValueError naming both."""
     try:
         return int(text)
     except ValueError:
+        pass
+    try:
         return float(text)
+    except ValueError:
+        raise ValueError(
+            f"family parameter {key!r} must be a number, got {text!r}"
+        ) from None
 
 
 def config_from_text(text: str) -> ExperimentConfig:
@@ -204,10 +212,10 @@ def config_from_text(text: str) -> ExperimentConfig:
     if parser.has_section("family_params"):
         try:
             params = tuple(
-                (k, _parse_scalar(v)) for k, v in parser.items("family_params")
+                (k, _parse_scalar(k, v)) for k, v in parser.items("family_params")
             )
         except ValueError as exc:
-            raise ConfigError(f"non-numeric family parameter: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
     try:
         values = {key: _FIELDS[key][0](text) for key, text in exp.items()}
     except ValueError as exc:

@@ -9,6 +9,11 @@ sub-streams under a 64-bit seed is simply the stream keyed by the key
 words ``[seed, i]``, that is by ``seed + (i << 64)``. ``substreams``
 yields a fresh generator for each of them; ``derive_seed`` hashes a
 master seed into the 64-bit seeds of separate experiment rows.
+
+Philox is counter-based, so a stream can also be entered at any word
+without drawing the words before it: ``make_generator(seed, start=s)``
+begins at the stream's s-th 64-bit word, which lets two threads draw
+consecutive parts of one stream at the same time, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ import numpy as np
 
 _SEED_BOUND = 2**64
 _KEY_BOUND = 2**128
+# One Philox4x64 counter step makes four 64-bit words, and the counter
+# has 256 bits, so a stream holds 2^258 words before it wraps.
+_WORDS_PER_STEP = 4
+_STREAM_WORDS = 2**258
 
 
 class _KeyWords:
@@ -50,15 +59,29 @@ def _register_key_words() -> None:
     ISeedSequence.register(_KeyWords)
 
 
-def make_generator(seed: int) -> np.random.Generator:
+def make_generator(seed: int, start: int = 0) -> np.random.Generator:
     """Return a Generator over the Philox stream keyed by ``seed``, an
     integer in [0, 2^128): its low 64 bits are key word 0, its high 64
-    bits key word 1."""
-    seed = int(seed)
+    bits key word 1.
+
+    The generator begins at the stream's ``start``-th 64-bit word, so
+    ``make_generator(seed, start=s).random(k)`` is
+    ``make_generator(seed).random(s + k)[s:]``: ``Generator.random``
+    takes one word per double. It gets there without drawing the words
+    before it: ``start // 4`` counter steps by ``advance``, then
+    ``start % 4`` doubles drawn and discarded."""
+    seed, start = int(seed), int(start)
     if not 0 <= seed < _KEY_BOUND:
         raise ValueError(f"seed must be a 128-bit unsigned integer, got {seed}")
+    if not 0 <= start < _STREAM_WORDS:
+        raise ValueError(f"start must be a word of the stream in [0, 2^258), got {start}")
     _register_key_words()
-    return np.random.Generator(np.random.Philox(_KeyWords(seed)))
+    bit_generator = np.random.Philox(_KeyWords(seed))
+    gen = np.random.Generator(bit_generator)
+    if start:
+        bit_generator.advance(start // _WORDS_PER_STEP)
+        gen.random(start % _WORDS_PER_STEP)
+    return gen
 
 
 def substreams(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator]]:

@@ -106,6 +106,23 @@ def test_bad_input_exits_one_with_message(capsys, argv):
     assert err.count("\n") == 1
 
 
+NON_NUMERIC_PARAM = "pfest: error: family parameter 'support' must be a number, got 'true'\n"
+
+
+def test_a_non_numeric_family_parameter_is_named(capsys, tmp_path):
+    argv = ["plan", "--family", "random_finite", "--params", "support=true", "--eps", "0.3"]
+    assert _run(capsys, argv) == (EXIT_ERROR, "", NON_NUMERIC_PARAM)
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        "[experiment]\nkind = success_curve\nfamily = random_finite\n"
+        "eps_grid = 0.5\ndelta = 0.1\ntrials = 1\nmaster_seed = 1\n"
+        f"output_path = {tmp_path / 'out.csv'}\n\n[family_params]\nsupport = true\n"
+    )
+    assert _run(capsys, ["experiment", "--config", str(path)]) == (
+        EXIT_ERROR, "", NON_NUMERIC_PARAM
+    )
+
+
 @pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:3", "1:2", "2:1:3"])
 def test_coverage_checks_the_grid_before_building_the_profile(capsys, monkeypatch, grid):
     def no_profile(pair):

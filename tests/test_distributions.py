@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from pfest import (
 from pfest import distributions
 from pfest.distributions import (
     DOT_CHUNK,
+    PARALLEL_FILL_MIN,
     ROW_DOT_CHUNK,
     GuideTable,
     draw_atoms,
@@ -387,6 +389,80 @@ def test_wide_random_pair_bytes_are_pinned():
     for arr in (pair.mu_weights, pair.nu_weights, pair.ratio_cache):
         digest.update(arr.tobytes())
     assert digest.hexdigest() == WIDE_RANDOM_PAIR_SHA256
+
+
+def _serial_random_pair(support, seed, z):
+    """make_random_pair on one thread: mu's weights are the first
+    ``support`` words of the seed's stream and nu's the next, each
+    shifted to [0.05, 1.05) and divided by its sum."""
+    gen = make_generator(seed)
+    mu, nu = gen.random(support), gen.random(support)
+    for raw in (mu, nu):
+        raw += 0.05
+        raw /= raw.sum()
+    return DistributionPair(mu_weights=mu, nu_weights=nu, z_true=z,
+                            name=f"random[{support},{seed}]")
+
+
+@pytest.mark.parametrize("size", [
+    PARALLEL_FILL_MIN - 1, PARALLEL_FILL_MIN, PARALLEL_FILL_MIN + 1,
+    PARALLEL_FILL_MIN + 2, PARALLEL_FILL_MIN + 3, 1 << 18,
+])
+def test_random_pair_is_the_serial_draw_bit_for_bit(size):
+    seed = 20260818 + size
+    assert (_pair_bits(make_random_pair(size, seed, z=2.5))
+            == _pair_bits(_serial_random_pair(size, seed, 2.5)))
+
+
+def _fills_by_thread(monkeypatch, fill):
+    """Patch ``_fill_weights`` with ``fill(gen, raw, on_caller)``, where
+    ``on_caller`` tells whether the call runs on the test's thread."""
+    caller = threading.get_ident()
+    monkeypatch.setattr(
+        distributions, "_fill_weights",
+        lambda gen, raw: fill(gen, raw, threading.get_ident() == caller),
+    )
+
+
+@pytest.mark.parametrize("size, on_caller", [
+    (PARALLEL_FILL_MIN - 1, []),  # below the cut: the serial draw
+    (PARALLEL_FILL_MIN, [False, True]),
+])
+def test_nu_is_filled_on_a_helper_thread_from_the_cut_on(monkeypatch, size, on_caller):
+    seen = []
+    fill = distributions._fill_weights
+
+    def recording(gen, raw, here):
+        seen.append(here)
+        fill(gen, raw)
+
+    _fills_by_thread(monkeypatch, recording)
+    make_random_pair(size, 5)
+    assert sorted(seen) == on_caller
+
+
+@pytest.mark.parametrize("fails_on_caller", [False, True], ids=["helper", "caller"])
+def test_a_failed_fill_is_raised_in_the_caller_and_joins_the_helper(
+    monkeypatch, fails_on_caller
+):
+    fill = distributions._fill_weights
+
+    def failing(gen, raw, here):
+        if here == fails_on_caller:
+            raise MemoryError("fill failed")
+        fill(gen, raw)
+
+    _fills_by_thread(monkeypatch, failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="fill failed"):
+        make_random_pair(PARALLEL_FILL_MIN, 5)
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_wide_build():
+    before = threading.active_count()
+    make_random_pair(1 << 18, 5)
+    assert threading.active_count() == before
 
 
 def test_random_pair_rejects_non_integer_support_or_seed():

@@ -76,6 +76,29 @@ def test_key_and_seed_bounds():
     assert list(substreams(3, 0)) == []
 
 
+@pytest.mark.parametrize("start", [*range(10), 2**16 + 3])
+def test_a_generator_started_at_word_s_draws_the_stream_from_word_s(start):
+    # Generator.random takes one 64-bit word per double, and a Philox4x64
+    # counter step makes four: a numpy that changed either fails here
+    drawn = make_generator(20260818, start=start).random(9)
+    assert drawn.tolist() == make_generator(20260818).random(start + 9)[start:].tolist()
+
+
+def test_a_far_start_draws_the_tail_of_the_same_draw():
+    far = 2**70 + 1
+    drawn = make_generator(7 + (5 << 64), start=far).random(12)
+    for j in range(1, 8):
+        later = make_generator(7 + (5 << 64), start=far + j).random(12 - j)
+        assert later.tolist() == drawn[j:].tolist()
+
+
+def test_start_bounds():
+    make_generator(3, start=2**258 - 1).random(2)
+    for bad in (2**258, -1):
+        with pytest.raises(ValueError, match="start must be a word of the stream"):
+            make_generator(3, start=bad)
+
+
 @pytest.mark.parametrize("n", [600, 5000], ids=["draw-path", "count-path"])
 def test_a_trial_replays_from_its_key(monkeypatch, n):
     # 64 atoms and 19 groups: 600 draws take the batch path, 5000 the
