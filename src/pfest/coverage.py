@@ -14,13 +14,13 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import DistributionPair, _freeze, ordered_dot
+from .distributions import DOT_CHUNK, DistributionPair, _freeze, ordered_dot
 from .divergences import FGenerator, _least_float, gamma_f
 from .errors import InfeasiblePlanError, SingularPairError
 
@@ -178,23 +178,40 @@ class CoverageProfile:
         and ``nu_r_below``; unless the rest carry no target mass, in
         which case the profile is complete, as it is without ``top``."""
         ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
-        if not pair.mu_positive:
-            pos = mu > 0
-            ratios, nu, mu = ratios[pos], nu[pos], mu[pos]
-        below = {}
-        if top is not None and top < ratios.size:
-            block, nu_below, nu_r_below = _top_block(ratios, nu, top)
+        live = None if pair.mu_positive else mu > 0
+        # the atoms gathered: the live ones (None when every atom is), or
+        # the block cut from them
+        keep, below = live, {}
+        if top is not None and top < (mu.size if live is None else np.count_nonzero(live)):
+            block, nu_below, nu_r_below = _top_block(ratios, nu, top, live)
             if nu_below > 0:
-                ratios, nu, mu = ratios[block], nu[block], mu[block]
+                keep = block
                 below = {"nu_below": nu_below, "nu_r_below": nu_r_below}
+        if keep is not None:
+            ratios, nu, mu = ratios[keep], nu[keep], mu[keep]
         thresholds, nu, mu = _ratio_levels(ratios, nu, mu)
-        return cls(
+        return cls._built(
             thresholds=thresholds,
             nu_masses=nu,
             mu_masses=mu,
             singular_mass=pair.singular_mass,
             **below,
         )
+
+    @classmethod
+    def _built(cls, **values) -> "CoverageProfile":
+        """The profile ``from_pair`` builds from a validated pair, without
+        ``__post_init__``'s checks, which its values pass by
+        construction: equally long float64 arrays of strictly increasing
+        levels and of finite nonnegative masses, and finite nonnegative
+        sums."""
+        profile = object.__new__(cls)
+        for f in fields(cls):
+            value = values.get(f.name, f.default)
+            if isinstance(value, np.ndarray):
+                value = _freeze(value)
+            object.__setattr__(profile, f.name, value)
+        return profile
 
     def _check_resolved(self, m) -> None:
         """Reject an m (a float or an array) below the lowest level of a
@@ -267,48 +284,90 @@ def _with_margin(k: int) -> int:
     return k + math.ceil(TAIL_SIGMAS * math.sqrt(k)) + TAIL_SLACK
 
 
-def _tail_candidates(ratios: np.ndarray, top: int) -> Optional[np.ndarray]:
-    """The indices, in atom order, of a superset of the ``top`` atoms of
-    highest ratio, or None for every atom.
+def _tail_candidates(
+    ratios: np.ndarray, top: int, live: Optional[np.ndarray] = None
+) -> Optional[np.ndarray]:
+    """The indices, in atom order, of a superset of the ``top`` live
+    atoms of highest ratio, or None for every (live) atom. ``live``
+    masks the atoms with proposal mass; None means every atom has it.
 
     The bound is the k-th largest ratio of the strided sample
-    ``ratios[::TAIL_STEP]``, k being top / TAIL_STEP rounded up, with
-    its margin, and the candidates are the atoms at or above it (Floyd
-    & Rivest, "Expected time bounds for selection", 1975). Where fewer
-    than ``top`` atoms reach it, the sample held more of the top than
-    the margin allows, and every atom is a candidate; so is every atom
-    where the sample is less than TAIL_SAMPLED_SHARE times k."""
+    ``ratios[::TAIL_STEP]``'s live atoms, k being top / TAIL_STEP
+    rounded up, with its margin, and the candidates are the live atoms
+    at or above it (Floyd & Rivest, "Expected time bounds for
+    selection", 1975). Where fewer than ``top`` atoms reach it, the
+    sample held more of the top than the margin allows, and every atom
+    is a candidate; so is every atom where the sample is less than
+    TAIL_SAMPLED_SHARE times k."""
     sample = ratios[::TAIL_STEP]
+    if live is not None:
+        sample = sample[live[::TAIL_STEP]]
     k = _with_margin(-(-top // TAIL_STEP))
     if TAIL_SAMPLED_SHARE * k > sample.size:
         return None
     low = np.partition(sample, sample.size - k)[sample.size - k]
-    candidates = np.flatnonzero(ratios >= low)
+    reach = ratios >= low
+    if live is not None:
+        reach &= live
+    candidates = np.flatnonzero(reach)
     return candidates if candidates.size >= top else None
 
 
-def _top_block(ratios: np.ndarray, nu: np.ndarray, top: int):
-    """The indices, in atom order, of the ``top`` atoms of highest ratio
-    and of every atom tied with the last of them; and, over the other
-    atoms, the target mass and the target mass times the ratio, summed.
+def _top_block(
+    ratios: np.ndarray, nu: np.ndarray, top: int, live: Optional[np.ndarray] = None
+):
+    """The indices, in atom order, of the ``top`` live atoms of highest
+    ratio and of every live atom tied with the last of them; and, over
+    the other live atoms, the target mass and the target mass times the
+    ratio, summed. ``live`` masks the atoms with proposal mass; None
+    means every atom has it.
 
     The cut is the ``top``-th largest ratio among ``_tail_candidates``,
-    which hold every atom at or above it, so it is the ``top``-th
+    which hold every live atom at or above it, so it is the ``top``-th
     largest of all: on the sampled bound one comparison pass over the
     support, and no support-sized partition. Both sums run in atom
-    order over every atom, on one copy of the target masses with the
-    block's set to 0.0. They are not E_nu[ratio] minus the block's
-    share: on a heavy ratio tail the block holds nearly all of it, and
-    the difference would keep few correct digits."""
-    candidates = _tail_candidates(ratios, top)
+    order over the live atoms, on one copy of their target masses with
+    the block's set to 0.0, so they are those of the live atoms gathered
+    first; only the target masses are gathered whole. They are not
+    E_nu[ratio] minus the block's share: on a heavy ratio tail the block
+    holds nearly all of it, and the difference would keep few correct
+    digits."""
+    candidates = _tail_candidates(ratios, top, live)
+    if candidates is None and live is not None:
+        candidates = np.flatnonzero(live)
     values = ratios if candidates is None else ratios[candidates]
     cut = np.partition(values, values.size - top)[values.size - top]
     block = np.flatnonzero(values >= cut)
     if candidates is not None:
         block = candidates[block]
-    rest = nu.copy()
-    rest[block] = 0.0
-    return block, float(rest.sum()), ordered_dot(rest, ratios)
+    if live is None:
+        rest = nu.copy()
+        rest[block] = 0.0
+        return block, float(rest.sum()), ordered_dot(rest, ratios)
+    # a block atom's index among the live atoms is its own, less the
+    # atoms before it without proposal mass
+    dead = np.flatnonzero(~live)
+    rest = nu[live]
+    rest[block - np.searchsorted(dead, block)] = 0.0
+    return block, float(rest.sum()), _live_dot(rest, ratios, live, dead)
+
+
+def _live_dot(a: np.ndarray, b: np.ndarray, live: np.ndarray, dead: np.ndarray) -> float:
+    """``ordered_dot(a, b[live])``, bit for bit, with ``b`` gathered
+    DOT_CHUNK live atoms at a time, never whole. ``dead`` indexes the
+    atoms ``live`` leaves out, in order."""
+    # live atom j (counting live atoms only) is atom j plus the number
+    # of dead atoms before it: those d with dead[d] - d <= j
+    dead_rank = dead - np.arange(dead.size)
+    starts = np.arange(0, a.size, DOT_CHUNK)
+    lasts = np.minimum(starts + DOT_CHUNK, a.size) - 1
+    firsts = starts + np.searchsorted(dead_rank, starts, side="right")
+    stops = lasts + np.searchsorted(dead_rank, lasts, side="right") + 1
+    total = None
+    for start, first, stop in zip(starts.tolist(), firsts.tolist(), stops.tolist()):
+        part = ordered_dot(a[start:start + DOT_CHUNK], b[first:stop][live[first:stop]])
+        total = part if total is None else total + part
+    return total
 
 
 def _ratio_levels(ratios: np.ndarray, nu: np.ndarray, mu: np.ndarray):

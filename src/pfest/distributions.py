@@ -49,15 +49,16 @@ DRAW_CHUNK = 1 << 16
 # make_random_pair fills nu on a helper thread, while the calling thread
 # fills mu, once the support has this many atoms; numpy releases the GIL
 # in the draw, sum and divide loops. Threaded over serial time of
-# make_random_pair, medians of 301 alternating calls each, on 2 shared
-# CPUs and on one of them (taskset -c 0); see CHANGES.md:
+# make_random_pair, each the median of 301 alternating calls, and the
+# median of three such runs, on 2 shared CPUs and on one of them
+# (taskset -c 0); see CHANGES.md:
 #
 #     atoms   2 CPUs   1 CPU
-#     2^14    1.42     1.47
-#     2^15    1.13     1.28
-#     2^16    0.94     1.13
-#     2^17    0.85     1.08
-#     2^18    0.78     1.08
+#     2^14    1.33     1.32
+#     2^15    0.99     1.23
+#     2^16    0.90     1.17
+#     2^17    0.76     1.13
+#     2^18    0.70     1.07
 #
 # Below the cut, starting and joining the thread costs more than the
 # second CPU saves.
@@ -87,27 +88,26 @@ def ordered_dot(a: np.ndarray, b: np.ndarray):
     return total if a.ndim >= 2 else float(total)
 
 
-class _Owned(NamedTuple):
-    """Weights that a builder of this module allocated and hands over to
-    the pair it builds, which normalizes them in place."""
+class _Rows(NamedTuple):
+    """A (3, S) float64 buffer that a builder of this module allocated,
+    with mu's and nu's weights in rows 0 and 1, handed over as both
+    weights of the pair it builds: the pair normalizes the two rows in
+    place and writes its ratios into row 2."""
 
-    array: np.ndarray
+    buffer: np.ndarray
 
 
-def _as_weight_array(w, label: str) -> tuple[np.ndarray, float]:
-    """The weights ``w`` divided by their sum, and the least of the
-    weights as given.
+def _checked_weights(w, label: str) -> tuple[np.ndarray, float, float]:
+    """The weights ``w`` read as float64, their sum and their least
+    entry.
 
-    Weights handed over as ``_Owned`` are divided in place. Any other
-    ``w`` is never written to: the checks read it as float64, a view
-    where it already is one, and the one division by the sum makes the
-    new array. A minimum of at least 0 and a finite sum rule out a nan,
-    an inf and a negative entry at once; only weights failing that are
-    scanned to say which. Dividing by a sum within WEIGHT_SUM_TOL of 1
-    keeps every positive weight positive, so the minimum tells whether
-    any normalized weight is 0."""
-    owned = isinstance(w, _Owned)
-    src = w.array if owned else np.asarray(w, dtype=np.float64)
+    ``w`` is never written to here: it is read as a view where it
+    already is a float64 array. A minimum of at least 0 and a finite sum
+    rule out a nan, an inf and a negative entry at once; only weights
+    failing that are scanned to say which. Dividing by a sum within
+    WEIGHT_SUM_TOL of 1 keeps every positive weight positive, so the
+    minimum tells whether any normalized weight is 0."""
+    src = np.asarray(w, dtype=np.float64)
     if src.ndim != 1 or src.size == 0:
         raise ValueError(f"{label} must be a non-empty 1-d weight vector")
     total = float(src.sum())
@@ -121,7 +121,7 @@ def _as_weight_array(w, label: str) -> tuple[np.ndarray, float]:
         raise ValueError(
             f"{label} sums to {total!r}; must be within {WEIGHT_SUM_TOL} of 1"
         )
-    return np.divide(src, total, out=src if owned else None), low
+    return src, total, low
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -221,11 +221,15 @@ class DistributionPair:
     They and ``mu_positive`` are not fields, so ``==`` and ``repr``
     ignore them.
 
-    The pair holds three support-sized arrays, ``mu_weights``,
-    ``nu_weights`` and ``ratio_cache``, each allocated once: weights
-    passed in are divided by their sum into new arrays and never written
-    to, but the builders of this module hand over the weights they
-    allocate, and those are normalized in place.
+    The pair holds one C-contiguous (3, S) float64 buffer, allocated
+    once: its rows are ``mu_weights``, ``nu_weights`` and
+    ``ratio_cache``, read-only views. Weights passed in are divided by
+    their sum into the first two rows of a new buffer and never written
+    to; the builders of this module draw or compute their weights
+    straight into the rows of a buffer they hand over, and those are
+    normalized in place. One allocation instead of three keeps a
+    rebuilt pair on memory the allocator kept from the last one, where
+    separate arrays are handed back to the kernel and faulted in again.
     """
 
     mu_weights: np.ndarray
@@ -237,25 +241,31 @@ class DistributionPair:
     last_drawable_atom: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu, mu_low = _as_weight_array(self.mu_weights, "mu_weights")
-        nu, _ = _as_weight_array(self.nu_weights, "nu_weights")
-        if mu.shape != nu.shape:
+        handed = self.mu_weights if isinstance(self.mu_weights, _Rows) else None
+        given = (self.mu_weights, self.nu_weights) if handed is None else handed.buffer
+        mu_src, mu_total, mu_low = _checked_weights(given[0], "mu_weights")
+        nu_src, nu_total, _ = _checked_weights(given[1], "nu_weights")
+        if mu_src.shape != nu_src.shape:
             raise ValueError(
-                f"support mismatch: mu has {mu.size} atoms, nu has {nu.size}"
+                f"support mismatch: mu has {mu_src.size} atoms, nu has {nu_src.size}"
             )
         z = float(self.z_true)
         if not (math.isfinite(z) and z > 0):
             raise ValueError(f"z_true must be positive and finite, got {z!r}")
 
+        rows = np.empty((3, mu_src.size)) if handed is None else handed.buffer
+        mu = np.divide(mu_src, mu_total, out=rows[0])
+        nu = np.divide(nu_src, nu_total, out=rows[1])
+        ratio = rows[2]
         if mu_low > 0:
-            ratio = nu / mu
+            np.divide(nu, mu, out=ratio)
             singular = 0.0
             mean = ordered_dot(mu, ratio)
             top = float(ratio.max())
             last_drawable = mu.size - 1
         else:
             pos = mu > 0
-            ratio = np.zeros_like(mu)
+            ratio.fill(0.0)
             np.divide(nu, mu, out=ratio, where=pos)
             singular = float(nu[~pos].sum())
             ratio[~pos & (nu > 0)] = np.inf
@@ -277,10 +287,12 @@ class DistributionPair:
                 f"{z!r} * {top!r}"
             )
 
-        object.__setattr__(self, "mu_weights", _freeze(mu))
-        object.__setattr__(self, "nu_weights", _freeze(nu))
+        # views taken after the freeze are read-only too
+        _freeze(rows)
+        object.__setattr__(self, "mu_weights", rows[0])
+        object.__setattr__(self, "nu_weights", rows[1])
         object.__setattr__(self, "z_true", z)
-        object.__setattr__(self, "ratio_cache", _freeze(ratio))
+        object.__setattr__(self, "ratio_cache", rows[2])
         object.__setattr__(self, "singular_mass", singular)
         object.__setattr__(self, "last_drawable_atom", last_drawable)
         object.__setattr__(self, "mu_positive", mu_low > 0)
@@ -380,6 +392,14 @@ def make_finite_pair(mu_weights, nu_weights, z, name: str = "") -> DistributionP
     )
 
 
+def _handed_pair(rows: np.ndarray, z, name: str) -> DistributionPair:
+    """The pair whose weights are rows 0 and 1 of ``rows``, a (3, S)
+    float64 buffer the caller allocated and no longer touches: the pair
+    normalizes them in place and keeps the buffer."""
+    handed = _Rows(rows)
+    return DistributionPair(mu_weights=handed, nu_weights=handed, z_true=z, name=name)
+
+
 def make_bernoulli_pair(p: float, eps: float, z: float = 1.0) -> DistributionPair:
     """Two-atom pair whose density ratio is 1-eps with proposal mass 1-p
     and 1 + eps*(1/p - 1) with proposal mass p.
@@ -433,13 +453,12 @@ def make_weighted_pair(pair: DistributionPair, g) -> DistributionPair:
     nu_g = ordered_dot(pair.nu_weights, g)
     if nu_g <= 0:
         raise ValueError("E_nu[g] = 0; weighted target is undefined")
-    weighted = pair.nu_weights * g
-    weighted /= nu_g
-    return DistributionPair(
-        mu_weights=pair.mu_weights,
-        nu_weights=_Owned(weighted),
-        z_true=pair.z_true * nu_g,
-        name=f"{pair.name}|weighted" if pair.name else "weighted",
+    rows = np.empty((3, pair.support_size))
+    rows[0] = pair.mu_weights
+    np.multiply(pair.nu_weights, g, out=rows[1])
+    rows[1] /= nu_g
+    return _handed_pair(
+        rows, pair.z_true * nu_g, f"{pair.name}|weighted" if pair.name else "weighted"
     )
 
 
@@ -472,15 +491,15 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     support_size, seed = int(support_size), int(seed)
     if support_size < 1:
         raise ValueError(f"support_size must be >= 1, got {support_size}")
+    rows = np.empty((3, support_size))
+    mu, nu = rows[0], rows[1]
     if support_size < PARALLEL_FILL_MIN:
-        gen = make_generator(seed)
-        mu = gen.random(support_size)
-        nu = gen.random(support_size)
+        # one draw of 2 S words fills mu's row and then nu's
+        make_generator(seed).random(out=rows[:2])
         for raw in (mu, nu):
             raw += 0.05
             raw /= raw.sum()
     else:
-        mu, nu = np.empty(support_size), np.empty(support_size)
         mu_gen = make_generator(seed)
         nu_gen = make_generator(seed, start=support_size)
         # a plain thread, not an executor: concurrent.futures imports
@@ -501,10 +520,7 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
             helper.join()
         if failure:
             raise failure[0]
-    return DistributionPair(
-        mu_weights=_Owned(mu), nu_weights=_Owned(nu), z_true=z,
-        name=f"random[{support_size},{seed}]",
-    )
+    return _handed_pair(rows, z, f"random[{support_size},{seed}]")
 
 
 def draw_atoms(pair: DistributionPair, u: np.ndarray) -> np.ndarray:

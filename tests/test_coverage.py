@@ -1,5 +1,6 @@
 import bisect
 import contextlib
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -40,10 +41,13 @@ from pfest.coverage import (
     TAIL_SAMPLED_SHARE,
     TAIL_SPARSE,
     TAIL_STEP,
+    _live_dot,
+    _ratio_levels,
     _tail_candidates,
+    _top_block,
     _with_margin,
 )
-from pfest.distributions import ordered_dot
+from pfest.distributions import DOT_CHUNK, ordered_dot
 from pfest.estimators import PLANS
 from pfest.sampler import sampling_plan
 
@@ -896,3 +900,102 @@ def test_the_cut_cases_reach_the_rest_and_the_zero_level():
         pair = _CUT_CASES[kind][0]
         assert (pair.mu_weights == 0).any()
     assert _CUT_CASES["singular"][0].singular_mass > 0
+
+
+def _gathered_first(pair, top=None):
+    """``from_pair(pair, top=top)``'s fields as the profile was built
+    before the block was cut on the whole support: the live atoms'
+    ratios and weights gathered first, the block cut from them, the
+    levels read from the block."""
+    live = pair.mu_weights > 0
+    ratios, nu, mu = pair.ratio_cache[live], pair.nu_weights[live], pair.mu_weights[live]
+    below = (0.0, 0.0)
+    if top is not None and top < ratios.size:
+        block, nu_below, nu_r_below = _top_block(ratios, nu, top)
+        if nu_below > 0:
+            ratios, nu, mu = ratios[block], nu[block], mu[block]
+            below = (nu_below, nu_r_below)
+    return (*_ratio_levels(ratios, nu, mu), *below)
+
+
+def _wide_with_zero_mass_atoms(dead, singular):
+    """make_random_pair(2**18, 20260818) with the ``dead`` atoms' proposal
+    mass set to 0; with ``singular`` they keep their target mass."""
+    pair = make_random_pair(2**18, 20260818)
+    mu, nu = pair.mu_weights.copy(), pair.nu_weights.copy()
+    mu[dead] = 0.0
+    if not singular:
+        nu[dead] = 0.0
+    return make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.0)
+
+
+_WIDE_DEAD = {
+    "one": [1000],
+    "first-and-last": [0, 2**18 - 1],
+    # a run across the first chunk boundary of the live atoms' dot
+    "run": list(range(DOT_CHUNK - 40, DOT_CHUNK + 40)),
+    "quarter": np.flatnonzero(np.random.default_rng(3).random(2**18) < 0.25),
+}
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["zero-mass", "singular"])
+@pytest.mark.parametrize("dead", sorted(_WIDE_DEAD))
+def test_a_block_cut_before_gathering_is_the_gathered_block(dead, singular):
+    """The block is cut on the whole support, where only the live atoms
+    count, and only its atoms are gathered: the profile is the one
+    gathering every live atom first gave, byte for byte, at a 1 024-atom
+    block and complete."""
+    pair = _wide_with_zero_mass_atoms(_WIDE_DEAD[dead], singular)
+    for top in (1024, None):
+        prof = CoverageProfile.from_pair(pair, top=top)
+        got = (prof.thresholds, prof.nu_masses, prof.mu_masses, prof.nu_below, prof.nu_r_below)
+        want = _gathered_first(pair, top)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array(got[3:]).tobytes() == np.array(want[3:]).tobytes()
+        assert (prof.nu_below > 0) == (top is not None)
+
+
+@pytest.mark.parametrize("size", [1, 5, DOT_CHUNK, DOT_CHUNK + 1, 3 * DOT_CHUNK + 7])
+def test_live_dot_is_the_dot_of_the_gathered_atoms(size):
+    gen = np.random.default_rng(size)
+    for share in (0.0, 0.01, 0.5, 0.9):
+        live = gen.random(size + 200) >= share
+        live[np.flatnonzero(live)[size:]] = False
+        if np.count_nonzero(live) < size:
+            continue
+        a, b = gen.random(size), gen.random(live.size)
+        got = _live_dot(a, b, live, np.flatnonzero(~live))
+        assert np.float64(got).tobytes() == np.float64(ordered_dot(a, b[live])).tobytes()
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [make_random_pair(4096, 21), _tied_pair(5000, 22),
+     _with_zero_mass_atoms(5000, 23, singular=True), _negative_zero_targets(3000, 24)],
+    ids=["random", "tied", "singular", "negative-zero"],
+)
+def test_from_pair_skips_the_checks_its_pair_already_passed(pair, monkeypatch):
+    """A profile from a pair is the profile the checked constructor makes
+    of the same values, byte for byte and read-only, without running
+    the checks; a profile built by hand is still checked."""
+    for top in (None, 1024):
+        built = CoverageProfile.from_pair(pair, top=top)
+        checked = CoverageProfile(**{
+            f.name: getattr(built, f.name) for f in dataclasses.fields(CoverageProfile)
+        })
+        for f in dataclasses.fields(CoverageProfile):
+            a, b = getattr(built, f.name), getattr(checked, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            else:
+                assert type(a) is type(b) and a == b
+    monkeypatch.setattr(CoverageProfile, "__post_init__", _no_checks)
+    CoverageProfile.from_pair(pair, top=1024)
+    with pytest.raises(AssertionError, match="checked"):
+        CoverageProfile(thresholds=[1.0], nu_masses=[1.0], mu_masses=[1.0], singular_mass=0.0)
+
+
+def _no_checks(self):
+    raise AssertionError("checked")

@@ -2,9 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,18 +314,16 @@ def _pair_bits(pair):
 
 
 def _copying_path(monkeypatch):
-    """Make the builders hand a copy of their weights to the pair, which
-    then normalizes it into a new array as it does a caller's. Returns
-    the list of the labels of the weights handed over since."""
-    normalize, handed = distributions._as_weight_array, []
+    """Make the builders hand copies of their weight rows to the pair,
+    which then normalizes them into a new buffer as it does a caller's.
+    Returns the list of the shapes of the buffers handed over since."""
+    handed = []
 
-    def copying(w, label):
-        if isinstance(w, distributions._Owned):
-            handed.append(label)
-            w = w.array.copy()
-        return normalize(w, label)
+    def copying(rows, z, name):
+        handed.append(rows.shape)
+        return DistributionPair(rows[0].copy(), rows[1].copy(), z, name)
 
-    monkeypatch.setattr(distributions, "_as_weight_array", copying)
+    monkeypatch.setattr(distributions, "_handed_pair", copying)
     return handed
 
 
@@ -329,7 +332,7 @@ def test_random_pair_normalized_in_place_is_the_copying_path(size, monkeypatch):
     owned = _pair_bits(make_random_pair(size, 20260818 + size, z=2.5))
     handed = _copying_path(monkeypatch)
     assert _pair_bits(make_random_pair(size, 20260818 + size, z=2.5)) == owned
-    assert handed == ["mu_weights", "nu_weights"]
+    assert handed == [(3, size)]
 
 
 def test_weighted_pair_normalized_in_place_is_the_copying_path(monkeypatch):
@@ -344,7 +347,7 @@ def test_weighted_pair_normalized_in_place_is_the_copying_path(monkeypatch):
     handed = _copying_path(monkeypatch)
     assert _pair_bits(make_weighted_pair(base, g)) == owned
     assert _pair_bits(make_weighted_pair(wide, g_wide)) == wide_owned
-    assert handed == ["nu_weights", "nu_weights"]
+    assert handed == [(3, 4), (3, 5000)]
     # and the weighted target is the one it always was
     weighted = base.nu_weights * g / ordered_dot(base.nu_weights, g)
     np.testing.assert_array_equal(
@@ -361,10 +364,9 @@ def test_handed_over_weights_are_the_callers_weights_bit_for_bit(weights, tmp_pa
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"mu": np.asarray(weights).tolist(), "nu": nu, "z": 1.5}))
     copied = make_finite_pair(weights, nu, 1.5)
-    owned = DistributionPair(
-        mu_weights=distributions._Owned(np.array(weights, dtype=np.float64)),
-        nu_weights=distributions._Owned(np.array(nu)), z_true=1.5,
-    )
+    rows = np.empty((3, len(nu)))
+    rows[0], rows[1] = np.asarray(weights, dtype=np.float64), nu
+    owned = distributions._handed_pair(rows, 1.5, "")
     assert _pair_bits(owned) == _pair_bits(copied) == _pair_bits(load_pair(path))
 
 
@@ -727,6 +729,77 @@ def test_wide_builders_allocate_each_array_once():
     _, held, peak = _traced(lambda: (pair.mu_cdf, pair.mu_guide))
     assert held <= 2.1 and peak <= 4.5
     assert pair.mu_cdf.base is pair.mu_guide.cdf_ext
+
+
+def _layout_pairs(tmp_path):
+    """One pair from each way of building one, by name."""
+    base = make_finite_pair([0.25, 0.0, 0.5, 0.25], [0.2, 0.1, 0.3, 0.4], 3.0)
+    save_pair(base, tmp_path / "pair.json")
+    return {
+        "DistributionPair": DistributionPair(np.array([0.5, 0.5]), [0.25, 0.75], 2.0),
+        "make_finite_pair": base,
+        "load_pair": load_pair(tmp_path / "pair.json"),
+        "make_weighted_pair": make_weighted_pair(base, [1.0, 2.0, 0.0, 0.5]),
+        "make_random_pair below the cut": make_random_pair(PARALLEL_FILL_MIN - 1, 3),
+        "make_random_pair from the cut": make_random_pair(PARALLEL_FILL_MIN, 3),
+    }
+
+
+def test_weights_and_ratios_are_rows_of_one_buffer(tmp_path):
+    for how, pair in _layout_pairs(tmp_path).items():
+        rows = pair.mu_weights.base
+        assert rows is pair.nu_weights.base is pair.ratio_cache.base, how
+        assert rows.shape == (3, pair.support_size) and rows.dtype == np.float64, how
+        assert rows.flags.c_contiguous and rows.base is None, how
+        for i, arr in enumerate((pair.mu_weights, pair.nu_weights, pair.ratio_cache)):
+            assert np.shares_memory(arr, rows[i]) and arr.flags.c_contiguous, how
+            assert not arr.flags.writeable, how
+        assert not rows.flags.writeable, how
+
+
+# Two wide rebuilds warm the allocator up; the script prints the most
+# minor page faults any of the next five took.
+_REBUILD_FAULTS = """
+import resource
+from pfest import CoverageProfile, make_random_pair
+
+def rebuild():
+    pair = make_random_pair(2**18, 20260818)
+    CoverageProfile.from_pair(pair, top=1024)
+    pair.mu_cdf
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+for _ in range(2):
+    rebuild()
+most = 0
+for _ in range(5):
+    before = faults()
+    rebuild()
+    most = max(most, faults() - before)
+print(most)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc"
+    or any(name.startswith("MALLOC_") for name in os.environ)
+    or "malloc" in os.environ.get("GLIBC_TUNABLES", ""),
+    reason="the fault count follows glibc's default malloc thresholds",
+)
+def test_wide_rebuilds_reuse_the_pages_of_the_last_one():
+    """glibc keeps freed memory mapped while the largest freed block sets
+    its trim threshold: a 6 MB buffer per 2^18-atom pair lets the next
+    rebuild reuse the pages, where separate 2 MB arrays were trimmed
+    and faulted in again (about 2 000 faults per rebuild)."""
+    src = str(Path(distributions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _REBUILD_FAULTS], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(done.stdout) < 100
 
 
 @pytest.mark.parametrize("size", [1, 7, DOT_CHUNK - 1, DOT_CHUNK])
