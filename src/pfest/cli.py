@@ -29,7 +29,7 @@ from .harness import (
     _parse_scalar,
     _serialize,
 )
-from .sampler import astar_sample, empirical_tv, run_races, sampling_plan
+from .sampler import astar_sample, empirical_tv, race_plan, run_races
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -171,7 +171,7 @@ def _cmd_sample(args) -> int:
     if args.trials is not None and args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     pair = _load_pair_argument(args)
-    plan = TailPlanner(pair).plan(lambda profile: sampling_plan(profile, args.eps))
+    plan = race_plan(TailPlanner(pair), args.eps)
     head = {"n": plan.n, "M": plan.m, "eps": args.eps}
     if args.trials is None:
         try:

@@ -34,29 +34,32 @@ FLOAT_EXACT_INT_MAX = 2**53
 LOG_N_MAX = 4000 * math.log(10.0)
 
 # TailPlanner first resolves the TAIL_FIRST_TOP live atoms of highest
-# ratio. It builds a block only from a pair at least TAIL_SPARSE times
-# as wide, and the complete profile otherwise: on a narrower pair the
-# selection and the sums over the support cost more than the full sort
-# they replace. Measured on random pairs, 2 shared CPUs, coverage plan
-# at eps 0.3 (medians of 15, interleaved): a 1 024-atom block takes
-# 189 us at 2 048 atoms, where the complete profile takes 174 us, and
-# 196 against 222 us at 4 096 atoms.
+# ratio, or, for a plan that names its coverage target, the block the
+# strided sample (below) puts that target's mass in. It builds a block
+# only from a pair at least TAIL_SPARSE times as wide as the block, and
+# the complete profile otherwise: on a narrower pair the selection and
+# the sums over the support cost more than the full sort they replace.
+# Measured on random pairs, 2 shared CPUs, coverage plan at eps 0.3
+# (medians of 15, interleaved): a 1 024-atom block takes 189 us at
+# 2 048 atoms, where the complete profile takes 174 us, and 196 against
+# 222 us at 4 096 atoms.
 #
 # A plan that reads below a block widens it TAIL_GROWTH times, or, when
-# it names the target mass the block lacked, to an estimate of the atoms
-# holding that mass. A block's cut and that estimate read the strided
-# sample of every TAIL_STEP-th atom. On the 2^18-atom random pair (best
-# of 7) a 1 024-atom block took 743 us at TAIL_STEP 32 and 751 to 782 us
-# at 16, 64 and 128 (the comparison pass and the sums over the support
-# dominate), 966 us at 8, and 1 100 us with a partition of the whole
-# support. A count k of sampled atoms is widened to _with_margin(k): k
-# plus TAIL_SIGMAS binomial standard deviations plus TAIL_SLACK. Over
-# about 850 cuts of 1 024 to 5 120 atoms on random pairs of 8 192 to
-# 2^17 atoms, fewer than top atoms reached the bound 453 times with no
-# margin, 26 times at 2 deviations, twice at 3 and never with the slack
-# of 8 added (candidates 1.48 times the block, in the median); over 800
-# quantile and sampling plans on pairs of 2^14 to 2^18 atoms, no
-# widened block fell short with the margin, and 43 did without it.
+# it names the coverage target the block could not meet, to an estimate
+# of the atoms holding that target's mass. A block's cut and that
+# estimate read the strided sample of every TAIL_STEP-th atom. On the
+# 2^18-atom random pair (best of 7) a 1 024-atom block took 743 us at
+# TAIL_STEP 32 and 751 to 782 us at 16, 64 and 128 (the comparison pass
+# and the sums over the support dominate), 966 us at 8, and 1 100 us
+# with a partition of the whole support. A count k of sampled atoms is
+# widened to _with_margin(k): k plus TAIL_SIGMAS binomial standard
+# deviations plus TAIL_SLACK. Over about 850 cuts of 1 024 to 5 120
+# atoms on random pairs of 8 192 to 2^17 atoms, fewer than top atoms
+# reached the bound 453 times with no margin, 26 times at 2 deviations,
+# twice at 3 and never with the slack of 8 added (candidates 1.48 times
+# the block, in the median); over 800 quantile and sampling plans on
+# pairs of 2^14 to 2^18 atoms, no widened block fell short with the
+# margin, and 43 did without it.
 #
 # The sampled bound pays where the candidates are a small share of the
 # support, so it is taken only where the sample holds at least
@@ -74,18 +77,43 @@ TAIL_STEP = 32
 TAIL_SIGMAS = 3.0
 TAIL_SLACK = 8
 TAIL_SAMPLED_SHARE = 4
+# A block is sized from the strided sample only on a pair wide enough
+# for a block wider than TAIL_FIRST_TOP: on a narrower pair the choice
+# is that block or the complete profile whatever the sample says, and
+# taking the sample costs as much as the remainder sums the first block
+# skips (about 10 us each at 4 096 atoms, 2 shared CPUs).
+TAIL_SIZED_MIN = 2 * TAIL_SPARSE * TAIL_FIRST_TOP
 
 
 class _BelowBlock(ValueError):
     """A partial profile was asked about levels below its lowest one.
 
-    ``mass``, when the query knows it, is the target mass the block's
-    levels had to exceed to hold the answer; TailPlanner sizes the next
-    block from it."""
+    ``coverage``, when the query knows it, is the coverage target the
+    block's levels could not meet: they had to hold more than that less
+    the singular mass. TailPlanner sizes the next block from it."""
 
-    def __init__(self, message: str, mass: Optional[float] = None):
+    def __init__(self, message: str, coverage: Optional[float] = None):
         super().__init__(message)
-        self.mass = mass
+        self.coverage = coverage
+
+
+class _RemainderSum:
+    """A field summed over the atoms a partial profile leaves out
+    (``nu_below``, ``nu_r_below``). Like ``cached_property`` it is read
+    from the instance once the instance holds a value, as every profile
+    but one ``from_pair`` builds with a ``_remainder`` does from the
+    start; on that one the first read of either field calls the
+    remainder for both sums, and drops it."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, profile, owner=None):
+        if profile is None:
+            return 0.0  # the field's default
+        values = vars(profile)
+        values["nu_below"], values["nu_r_below"] = values.pop("_remainder")()
+        return values[self.name]
 
 
 @dataclass(frozen=True)
@@ -100,23 +128,30 @@ class CoverageProfile:
     A partial profile (``from_pair`` with ``top``) resolves only the
     highest levels. The target mass of the atoms below them, and its
     sum times their ratios, are carried in ``nu_below`` and
-    ``nu_r_below``. Where ``nu_below`` is positive, a query at or above
-    the lowest level is exact and one below it raises ValueError. A
-    complete profile has both at 0.0.
+    ``nu_r_below``. Where ``nu_below`` is positive (``_partial``, set
+    by both constructors and not a field), a query at or above the
+    lowest level is exact and one below it raises ValueError. A complete
+    profile has both at 0.0.
 
     ``from_pair`` gathers both masses with the one sort it makes. The
     suffix and prefix tables the queries read (``_nu_suffix``,
     ``_mu_suffix``, ``_nu_r_prefix``) are built on first use, so a plan
     pays only for the tables it reads. They are read-only and not
-    fields, so ``==`` and ``repr`` ignore them.
+    fields, so ``==`` and ``repr`` ignore them. On a pair whose atoms
+    all carry target mass, ``from_pair`` defers ``nu_below`` and
+    ``nu_r_below`` the same way: it records only that they are
+    positive, and sums both on the first read of either, of
+    ``_nu_r_prefix`` or of ``==`` and ``repr``. Until then the profile
+    keeps the pair's target-mass and ratio rows alive, with the block's
+    indices (and the live mask on a pair with zero-mass atoms).
     """
 
     thresholds: np.ndarray
     nu_masses: np.ndarray
     mu_masses: np.ndarray
     singular_mass: float
-    nu_below: float = 0.0
-    nu_r_below: float = 0.0
+    nu_below: float = _RemainderSum()
+    nu_r_below: float = _RemainderSum()
 
     def __post_init__(self):
         arrays = {
@@ -142,6 +177,7 @@ class CoverageProfile:
                 raise ValueError(f"{name} must be finite and nonnegative")
         for name, arr in arrays.items():
             object.__setattr__(self, name, _freeze(arr))
+        object.__setattr__(self, "_partial", self.nu_below > 0)
 
     @cached_property
     def _nu_suffix(self) -> np.ndarray:
@@ -176,17 +212,27 @@ class CoverageProfile:
         the ``top`` of highest ratio, and of every atom tied with the
         last of them, are resolved, and the rest go into ``nu_below``
         and ``nu_r_below``; unless the rest carry no target mass, in
-        which case the profile is complete, as it is without ``top``."""
+        which case the profile is complete, as it is without ``top``.
+        Where every atom carries target mass, the rest does whenever
+        there is any, and its two sums are left until they are read
+        (see the class)."""
         ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
         live = None if pair.mu_positive else mu > 0
+        live_count = mu.size if live is None else int(np.count_nonzero(live))
         # the atoms gathered: the live ones (None when every atom is), or
         # the block cut from them
         keep, below = live, {}
-        if top is not None and top < (mu.size if live is None else np.count_nonzero(live)):
-            block, nu_below, nu_r_below = _top_block(ratios, nu, top, live)
-            if nu_below > 0:
-                keep = block
-                below = {"nu_below": nu_below, "nu_r_below": nu_r_below}
+        if top is not None and top < live_count:
+            block = _top_block(ratios, top, live)
+            remainder = partial(_remainder_sums, ratios, nu, block, live)
+            if pair.nu_positive:
+                if block.size < live_count:
+                    keep, below = block, {"_remainder": remainder}
+            else:
+                nu_below, nu_r_below = remainder()
+                if nu_below > 0:
+                    keep = block
+                    below = {"nu_below": nu_below, "nu_r_below": nu_r_below}
         if keep is not None:
             ratios, nu, mu = ratios[keep], nu[keep], mu[keep]
         thresholds, nu, mu = _ratio_levels(ratios, nu, mu)
@@ -204,19 +250,26 @@ class CoverageProfile:
         ``__post_init__``'s checks, which its values pass by
         construction: equally long float64 arrays of strictly increasing
         levels and of finite nonnegative masses, and finite nonnegative
-        sums."""
+        sums. A ``_remainder`` (a callable returning ``nu_below`` and
+        ``nu_r_below``, both positive) stands in for the two sums."""
         profile = object.__new__(cls)
+        state = vars(profile)
+        remainder = values.pop("_remainder", None)
         for f in fields(cls):
             value = values.get(f.name, f.default)
-            if isinstance(value, np.ndarray):
-                value = _freeze(value)
-            object.__setattr__(profile, f.name, value)
+            state[f.name] = _freeze(value) if isinstance(value, np.ndarray) else value
+        if remainder is None:
+            state["_partial"] = state["nu_below"] > 0
+        else:
+            # the first read of either sum calls the remainder
+            del state["nu_below"], state["nu_r_below"]
+            state.update(_remainder=remainder, _partial=True)
         return profile
 
     def _check_resolved(self, m) -> None:
         """Reject an m (a float or an array) below the lowest level of a
         partial profile."""
-        if self.nu_below > 0 and (m < self.thresholds[0]).any():
+        if self._partial and (m < self.thresholds[0]).any():
             raise _BelowBlock(
                 f"m below {float(self.thresholds[0])!r}, the lowest level "
                 "this partial profile resolves"
@@ -314,42 +367,50 @@ def _tail_candidates(
 
 
 def _top_block(
-    ratios: np.ndarray, nu: np.ndarray, top: int, live: Optional[np.ndarray] = None
-):
+    ratios: np.ndarray, top: int, live: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The indices, in atom order, of the ``top`` live atoms of highest
-    ratio and of every live atom tied with the last of them; and, over
-    the other live atoms, the target mass and the target mass times the
-    ratio, summed. ``live`` masks the atoms with proposal mass; None
-    means every atom has it.
+    ratio and of every live atom tied with the last of them. ``live``
+    masks the atoms with proposal mass; None means every atom has it.
 
     The cut is the ``top``-th largest ratio among ``_tail_candidates``,
     which hold every live atom at or above it, so it is the ``top``-th
     largest of all: on the sampled bound one comparison pass over the
-    support, and no support-sized partition. Both sums run in atom
-    order over the live atoms, on one copy of their target masses with
-    the block's set to 0.0, so they are those of the live atoms gathered
-    first; only the target masses are gathered whole. They are not
-    E_nu[ratio] minus the block's share: on a heavy ratio tail the block
-    holds nearly all of it, and the difference would keep few correct
-    digits."""
+    support, and no support-sized partition."""
     candidates = _tail_candidates(ratios, top, live)
     if candidates is None and live is not None:
         candidates = np.flatnonzero(live)
     values = ratios if candidates is None else ratios[candidates]
     cut = np.partition(values, values.size - top)[values.size - top]
     block = np.flatnonzero(values >= cut)
-    if candidates is not None:
-        block = candidates[block]
+    return block if candidates is None else candidates[block]
+
+
+def _remainder_sums(
+    ratios: np.ndarray, nu: np.ndarray, block: np.ndarray,
+    live: Optional[np.ndarray] = None,
+) -> tuple:
+    """Over the live atoms outside ``block`` (indices in atom order),
+    the target mass and the target mass times the ratio, summed.
+    ``live`` masks the atoms with proposal mass; None means every atom
+    has it.
+
+    Both sums run in atom order over the live atoms, on one copy of
+    their target masses with the block's set to 0.0, so they are those
+    of the live atoms gathered first; only the target masses are
+    gathered whole. They are not E_nu[ratio] minus the block's share: on
+    a heavy ratio tail the block holds nearly all of it, and the
+    difference would keep few correct digits."""
     if live is None:
         rest = nu.copy()
         rest[block] = 0.0
-        return block, float(rest.sum()), ordered_dot(rest, ratios)
+        return float(rest.sum()), ordered_dot(rest, ratios)
     # a block atom's index among the live atoms is its own, less the
     # atoms before it without proposal mass
     dead = np.flatnonzero(~live)
     rest = nu[live]
     rest[block - np.searchsorted(dead, block)] = 0.0
-    return block, float(rest.sum()), _live_dot(rest, ratios, live, dead)
+    return float(rest.sum()), _live_dot(rest, ratios, live, dead)
 
 
 def _live_dot(a: np.ndarray, b: np.ndarray, live: np.ndarray, dead: np.ndarray) -> float:
@@ -477,7 +538,7 @@ def solve_M_eps(profile: CoverageProfile, eps: float) -> float:
         range(t.size), True,
         key=lambda k: prefix[k + 1] + t[k] * suffix[k + 1] <= eps * t[k],
     )
-    if j == 0 and profile.nu_below > 0:
+    if j == 0 and profile._partial:
         raise _BelowBlock("the level lies at or below the lowest one resolved")
     # On [lower, upper) IC_M is a + b*M; the predicate holds at upper,
     # and fails at lower unless lower is 0.0. b >= eps only where the
@@ -519,11 +580,8 @@ def min_coverage_threshold(profile: CoverageProfile, target: float) -> float:
         profile._nu_suffix[::-1], target,
         key=partial(operator.add, profile.singular_mass),
     )
-    if met > profile.thresholds.size and profile.nu_below > 0:
-        raise _BelowBlock(
-            "the level lies below the lowest one resolved",
-            mass=target - profile.singular_mass,
-        )
+    if met > profile.thresholds.size and profile._partial:
+        raise _BelowBlock("the level lies below the lowest one resolved", coverage=target)
     return float(profile.thresholds[max(profile.thresholds.size - met, 0)])
 
 
@@ -540,31 +598,49 @@ class TailPlanner:
     def _sampled_mass(self) -> list:
         """Per pair, in the pairs' order: the live atoms among every
         TAIL_STEP-th atom, from the highest ratio down, and their target
-        mass summed along them, times TAIL_STEP."""
+        mass summed along them, times TAIL_STEP; None for a pair of
+        fewer than TAIL_SIZED_MIN atoms, whose blocks are not sized."""
         sampled = []
         for pair in self.pairs:
+            if pair.support_size < TAIL_SIZED_MIN:
+                sampled.append(None)
+                continue
             live = pair.mu_weights[::TAIL_STEP] > 0
             ratios = pair.ratio_cache[::TAIL_STEP][live]
             nu = pair.nu_weights[::TAIL_STEP][live]
             sampled.append(np.cumsum(nu[ratios.argsort()[::-1]]) * TAIL_STEP)
         return sampled
 
-    def plan(self, planner: Callable):
+    def plan(self, planner: Callable, coverage: Optional[float] = None):
         """``planner(*profiles)`` on the pairs' profiles from
-        ``from_pair(pair, top=TAIL_FIRST_TOP)``, then on wider blocks
-        each time the planner reads below a block, until the profiles
-        are complete; a pair less than TAIL_SPARSE times as wide as the
-        block gets its complete profile.
+        ``from_pair(pair, top=top)``, then on wider blocks each time the
+        planner reads below a block, until the profiles are complete; a
+        pair less than TAIL_SPARSE times as wide as a block gets its
+        complete profile.
 
-        A block widens TAIL_GROWTH times, unless the planner's query
-        names the target mass the block had to exceed: then to the
-        atoms whose sampled mass reaches it (see ``_widened``).
+        The first ``top`` is TAIL_FIRST_TOP. A planner that reads the
+        profile only through ``min_coverage_threshold`` (the quantile
+        and sampling plans) may name the ``coverage`` target it passes
+        there: the first block is then sized from it (see ``_sized``),
+        or is the narrowest block already built that is at least as
+        wide; only pairs of at least TAIL_SIZED_MIN atoms are sampled
+        for it. A block widens TAIL_GROWTH times, unless the planner's
+        query names the coverage target the block could not meet: then
+        to the block sized from it, and at least twice as wide.
 
         A plan reads a partial profile only where it is exact, so each
         answer is the complete profile's, up to the rounding of
         ``nu_r_below``; a plan whose answer lies in the top of the ratio
-        order leaves the rest of a wide support unsorted."""
+        order leaves the rest of a wide support unsorted, and one that
+        reads only coverage never sums ``nu_below`` and
+        ``nu_r_below``."""
         top = TAIL_FIRST_TOP
+        if coverage is not None and any(
+            pair.support_size >= TAIL_SIZED_MIN for pair in self.pairs
+        ):
+            # such a plan reads the same answer from any wider block
+            top = self._sized(coverage)
+            top = min((built for built in self._blocks if built >= top), default=top)
         while True:
             if top not in self._blocks:
                 self._blocks[top] = [
@@ -576,20 +652,24 @@ class TailPlanner:
             try:
                 return planner(*self._blocks[top])
             except _BelowBlock as below:
-                top = self._widened(top, below.mass)
+                if below.coverage is None:
+                    top *= TAIL_GROWTH
+                else:
+                    top = max(2 * top, self._sized(below.coverage))
 
-    def _widened(self, top: int, mass: Optional[float]) -> int:
-        """The block after ``top``: TAIL_GROWTH times as wide without a
-        mass. With one, the count of highest-ratio atoms whose sampled
-        target mass exceeds ``mass``, with its margin, on the pair that
-        needs most, rounded up to a multiple of TAIL_FIRST_TOP and at
-        least twice ``top``. A short estimate only widens again."""
-        if mass is None:
-            return top * TAIL_GROWTH
+    def _sized(self, coverage: float) -> int:
+        """The block for a coverage target: the count of highest-ratio
+        atoms whose sampled target mass exceeds ``coverage`` less the
+        pair's singular mass, with its margin, on the pair that needs
+        most, rounded up to a multiple of TAIL_FIRST_TOP. A block sized
+        too short is widened again by ``plan``."""
         # sampled atoms it takes to exceed the mass, or one past them all
-        count = max(int(c.searchsorted(mass, side="right")) + 1 for c in self._sampled_mass)
-        blocks = math.ceil(TAIL_STEP * _with_margin(count) / TAIL_FIRST_TOP)
-        return max(2 * top, blocks * TAIL_FIRST_TOP)
+        count = max(
+            (int(c.searchsorted(coverage - pair.singular_mass, side="right")) + 1
+             for pair, c in zip(self.pairs, self._sampled_mass) if c is not None),
+            default=0,
+        )
+        return math.ceil(TAIL_STEP * _with_margin(count) / TAIL_FIRST_TOP) * TAIL_FIRST_TOP
 
 
 @dataclass(frozen=True)

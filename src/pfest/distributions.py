@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -61,7 +62,8 @@ DRAW_CHUNK = 1 << 16
 #     2^18    0.70     1.07
 #
 # Below the cut, starting and joining the thread costs more than the
-# second CPU saves.
+# second CPU saves, and on one CPU it does at every size, so a process
+# that may run on only one (``_usable_cpus``) builds serially.
 PARALLEL_FILL_MIN = 1 << 16
 
 
@@ -214,11 +216,12 @@ class DistributionPair:
     ``last_drawable_atom`` is the index of the last atom with proposal
     mass, where inverse-CDF draws are clipped.
 
-    ``mu_positive`` tells whether every atom has proposal mass.
+    ``mu_positive`` tells whether every atom has proposal mass, and
+    ``nu_positive`` whether every atom has target mass.
 
     The tables ``mu_cdf``, its ``mu_guide``, ``lambda_drawn`` and
     ``lambda_order`` are built once, on first use, and are read-only.
-    They and ``mu_positive`` are not fields, so ``==`` and ``repr``
+    They and the two flags are not fields, so ``==`` and ``repr``
     ignore them.
 
     The pair holds one C-contiguous (3, S) float64 buffer, allocated
@@ -244,7 +247,7 @@ class DistributionPair:
         handed = self.mu_weights if isinstance(self.mu_weights, _Rows) else None
         given = (self.mu_weights, self.nu_weights) if handed is None else handed.buffer
         mu_src, mu_total, mu_low = _checked_weights(given[0], "mu_weights")
-        nu_src, nu_total, _ = _checked_weights(given[1], "nu_weights")
+        nu_src, nu_total, nu_low = _checked_weights(given[1], "nu_weights")
         if mu_src.shape != nu_src.shape:
             raise ValueError(
                 f"support mismatch: mu has {mu_src.size} atoms, nu has {nu_src.size}"
@@ -296,6 +299,7 @@ class DistributionPair:
         object.__setattr__(self, "singular_mass", singular)
         object.__setattr__(self, "last_drawable_atom", last_drawable)
         object.__setattr__(self, "mu_positive", mu_low > 0)
+        object.__setattr__(self, "nu_positive", nu_low > 0)
 
     @property
     def support_size(self) -> int:
@@ -470,6 +474,14 @@ def _fill_weights(gen: np.random.Generator, raw: np.ndarray) -> None:
     raw /= raw.sum()
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> DistributionPair:
     """Seeded random pair with strictly positive weights on both sides.
 
@@ -479,11 +491,12 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
 
     Both weight vectors come from the Philox stream keyed by ``seed``:
     mu's from its first ``support_size`` words, nu's from the next
-    ``support_size``. From PARALLEL_FILL_MIN atoms on, nu is drawn and
-    normalized on a helper thread from a generator started at word
-    ``support_size`` (``make_generator(seed, start=support_size)``)
-    while the calling thread does mu; the bits are those of the serial
-    draw, and the helper is joined before the call returns.
+    ``support_size``. From PARALLEL_FILL_MIN atoms on, in a process that
+    may run on at least two CPUs, nu is drawn and normalized on a helper
+    thread from a generator started at word ``support_size``
+    (``make_generator(seed, start=support_size)``) while the calling
+    thread does mu; the bits are those of the serial draw, and the
+    helper is joined before the call returns.
     """
     for label, value in (("support_size", support_size), ("seed", seed)):
         if isinstance(value, float) and not value.is_integer():
@@ -493,7 +506,7 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
         raise ValueError(f"support_size must be >= 1, got {support_size}")
     rows = np.empty((3, support_size))
     mu, nu = rows[0], rows[1]
-    if support_size < PARALLEL_FILL_MIN:
+    if support_size < PARALLEL_FILL_MIN or _usable_cpus() < 2:
         # one draw of 2 S words fills mu's row and then nu's
         make_generator(seed).random(out=rows[:2])
         for raw in (mu, nu):

@@ -31,7 +31,7 @@ from .distributions import (
 from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
 from .rng import substreams
-from .sampler import sampling_plan
+from .sampler import race_plan
 
 # Median-of-means group count: k = ceil(GROUP_RATE * ln(1/delta)).
 GROUP_RATE = 8.0
@@ -358,7 +358,7 @@ def plan_n_quantile(
     if (profile is None) == (f is None):
         raise ValueError("supply exactly one of profile or (f, divergence)")
     if profile is not None:
-        m = max(min_coverage_threshold(profile, eps / QUANTILE_COV_SLACK), 1.0)
+        m = max(min_coverage_threshold(profile, _quantile_coverage(eps)), 1.0)
         log_m = None
         route = {"cov_slack": QUANTILE_COV_SLACK}
     else:
@@ -372,6 +372,12 @@ def plan_n_quantile(
         m=m,
         constants={"plan_constant": QUANTILE_PLAN_CONSTANT, **route},
     )
+
+
+def _quantile_coverage(eps: float) -> float:
+    """The coverage the quantile plan's level M must meet on the profile
+    route: eps / QUANTILE_COV_SLACK."""
+    return eps / QUANTILE_COV_SLACK
 
 
 def plan_n_is(
@@ -441,11 +447,21 @@ def _plan_fdiv(spec: str, pair, eps, delta, g) -> PlanResult:
     return plan_n_fdiv(f, f_divergence(pair, f), eps, delta)
 
 
+def _plan_quantile(pair, eps, delta, g) -> PlanResult:
+    """The quantile plan on the profile route, its first block sized
+    from the plan's coverage target."""
+    _check_eps_delta(eps, delta)
+    return TailPlanner(pair).plan(
+        lambda profile: plan_n_quantile(eps, delta, profile=profile),
+        coverage=_quantile_coverage(eps),
+    )
+
+
 def _plan_sampling(pair, eps, delta, g) -> PlanResult:
     """The race's plan. A TV guarantee takes no delta, but one outside
     (0, 1) is rejected as by every other plan."""
     _check_unit("delta", delta)
-    return TailPlanner(pair).plan(lambda profile: sampling_plan(profile, eps))
+    return race_plan(TailPlanner(pair), eps)
 
 
 # The profile plans run through TailPlanner, which resolves a wide
@@ -456,11 +472,7 @@ PLANS = {
             lambda profile: plan_n_coverage(profile, eps, delta)
         )
     ),
-    "quantile": PlanMethod(
-        lambda pair, eps, delta, g: TailPlanner(pair).plan(
-            lambda profile: plan_n_quantile(eps, delta, profile=profile)
-        )
-    ),
+    "quantile": PlanMethod(_plan_quantile),
     "is": PlanMethod(
         lambda pair, eps, delta, g: TailPlanner(make_weighted_pair(pair, g)).plan(
             lambda weighted: plan_n_is(weighted, eps, delta)

@@ -37,8 +37,8 @@ from .rng import derive_seed
 from .sampler import (
     SAMPLING_PLAN_CONSTANT,
     empirical_tv,
+    race_plan,
     run_races,
-    sampling_plan,
 )
 
 # Empirical minimal-n searches declare a probe successful when the
@@ -421,7 +421,7 @@ def run_sampling_vs_counting(config: ExperimentConfig) -> SweepTable:
         row_seed = int(derive_seed(config.master_seed, index))
         sampler_base = int(derive_seed(row_seed, 0))
         estimator_base = int(derive_seed(row_seed, 1))
-        sampler_plan = tail.plan(lambda profile: sampling_plan(profile, eps))
+        sampler_plan = race_plan(tail, eps)
         estimator_planned = tail.plan(
             lambda profile: plan_n_coverage(profile, eps, config.delta)
         ).n

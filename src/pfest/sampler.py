@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageProfile, PlanResult, _log_quotient, _plan_size
+from .coverage import CoverageProfile, PlanResult, TailPlanner, _log_quotient, _plan_size
 from .coverage import _suffix_sums, min_coverage_threshold
 from .distributions import DistributionPair, draw_atoms
 from .errors import AllNullDrawsError
@@ -225,12 +225,26 @@ def plan_n_sampling(m: float, eps: float) -> int:
     return _plan_size(SAMPLING_PLAN_CONSTANT, m, _log_quotient(3.0, eps), eps, 0)
 
 
+def _race_coverage(eps: float) -> float:
+    """The coverage the race's level M must meet: eps/3."""
+    return eps / 3.0
+
+
 def sampling_plan(profile: CoverageProfile, eps: float) -> PlanResult:
     """Race length n and level M for TV error at most eps: M is the
     smallest level, at least 1, with coverage at most eps/3. A TV
     guarantee, so no delta enters."""
     _check_race_eps(eps)
-    m = max(1.0, min_coverage_threshold(profile, eps / 3.0))
+    m = max(1.0, min_coverage_threshold(profile, _race_coverage(eps)))
     return PlanResult(
         plan_n_sampling(m, eps), m, {"plan_constant": SAMPLING_PLAN_CONSTANT}
     )
+
+
+def race_plan(tail: TailPlanner, eps: float) -> PlanResult:
+    """``sampling_plan`` on the profiles of ``tail``'s pair, its first
+    block sized from the coverage target eps/3. ``pfest sample``, the
+    "sampling" plan and the harness's sampling-vs-counting rows all
+    plan the race here."""
+    _check_race_eps(eps)
+    return tail.plan(lambda profile: sampling_plan(profile, eps), coverage=_race_coverage(eps))

@@ -5,6 +5,7 @@ import importlib
 import math
 import pkgutil
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfest
+from pfest import coverage
 from pfest import (
     CoverageProfile,
     InfeasiblePlanError,
@@ -43,13 +45,14 @@ from pfest.coverage import (
     TAIL_STEP,
     _live_dot,
     _ratio_levels,
+    _remainder_sums,
     _tail_candidates,
     _top_block,
     _with_margin,
 )
 from pfest.distributions import DOT_CHUNK, ordered_dot
-from pfest.estimators import PLANS
-from pfest.sampler import sampling_plan
+from pfest.estimators import PLANS, _quantile_coverage
+from pfest.sampler import _race_coverage, sampling_plan
 
 SLACK = 1e-10
 
@@ -752,12 +755,13 @@ def test_coverage_plan_is_answered_by_the_first_block(monkeypatch):
 def test_quantile_plan_widens_until_it_answers(monkeypatch):
     # the pair's top 1024 atoms carry target mass 0.0896: at eps 0.5 the
     # level, with coverage at most 0.125, lies below them, and the
-    # strided sample puts that mass within the top 3072 atoms
+    # strided sample puts that mass within the top 3072 atoms, the first
+    # block the plan builds
     pair = make_random_pair(1 << 14, 20260814)
     full = plan_n_quantile(0.5, 0.1, profile=CoverageProfile.from_pair(pair))
     tops = _count_blocks(monkeypatch)
     plan = PLANS["quantile"].run(pair, 0.5, 0.1, None)
-    assert tops == [1024, 3072]
+    assert tops == [3072]
     assert (plan.n, plan.m) == (full.n, full.m)
     # a block of 1024 atoms would be over a quarter of the pair
     tops.clear()
@@ -770,23 +774,25 @@ def test_a_tail_planner_builds_each_block_once(monkeypatch):
     tops = _count_blocks(monkeypatch)
     tail = TailPlanner(pair)
     for eps in (0.5, 0.3, 0.5):
-        tail.plan(lambda profile: plan_n_quantile(eps, 0.1, profile=profile))
-    assert tops == [1024, 3072]
+        tail.plan(lambda profile: plan_n_quantile(eps, 0.1, profile=profile),
+                  coverage=_quantile_coverage(eps))
+    assert tops == [3072]
 
 
-@pytest.mark.parametrize("plan, second", [
-    (lambda p: plan_n_quantile(0.5, 0.1, profile=p), 26624),
-    (lambda p: sampling_plan(p, 0.3), 21504),
+@pytest.mark.parametrize("plan, coverage, second", [
+    (lambda p: plan_n_quantile(0.5, 0.1, profile=p), _quantile_coverage(0.5), 26624),
+    (lambda p: sampling_plan(p, 0.3), _race_coverage(0.3), 21504),
 ], ids=["quantile-0.5", "sampling-0.3"])
-def test_a_plan_deep_in_the_tail_widens_once(monkeypatch, plan, second):
-    """The first block holds too little target mass; the second, sized
-    from the strided sample, holds the answer, where growing 4 times at
-    a time built blocks of 4 096, 16 384 and 65 536 atoms."""
+def test_a_plan_deep_in_the_tail_widens_once(monkeypatch, plan, coverage, second):
+    """A 1 024-atom block holds too little target mass; the block sized
+    from the strided sample holds the answer, where growing 4 times at
+    a time built blocks of 4 096, 16 384 and 65 536 atoms. Named with
+    its coverage target, the plan builds that block first."""
     pair = make_random_pair(1 << 18, 20260818)
     full = plan(CoverageProfile.from_pair(pair))
     tops = _count_blocks(monkeypatch)
-    result = TailPlanner(pair).plan(plan)
-    assert tops == [1024, second]
+    result = TailPlanner(pair).plan(plan, coverage=coverage)
+    assert tops == [second]
     assert (result.n, result.m) == (full.n, full.m)
 
 
@@ -799,11 +805,11 @@ def test_a_short_estimate_widens_again(monkeypatch):
     weight = np.where(np.arange(support) % TAIL_STEP == 0, 100.0, 1.0)
     ratio = np.random.default_rng(1).random(support) + 0.5
     pair = make_finite_pair(weight / weight.sum(), weight * ratio / (weight * ratio).sum(), 1.0)
-    for plan in (lambda p: plan_n_quantile(0.5, 0.1, profile=p),
-                 lambda p: sampling_plan(p, 0.3)):
+    for plan, coverage in ((lambda p: plan_n_quantile(0.5, 0.1, profile=p), _quantile_coverage(0.5)),
+                           (lambda p: sampling_plan(p, 0.3), _race_coverage(0.3))):
         full = plan(CoverageProfile.from_pair(pair))
         tops = _count_blocks(monkeypatch)
-        result = TailPlanner(pair).plan(plan)
+        result = TailPlanner(pair).plan(plan, coverage=coverage)
         assert tops == [1024, 2048, 4096, 8192]
         assert (result.n, result.m) == (full.n, full.m)
         monkeypatch.undo()
@@ -829,6 +835,103 @@ def _partitioned_block(pair, top):
         np.bincount(inverse, weights=mu[keep], minlength=uniq.size),
         *below,
     )
+
+
+def _count_remainder_sums(monkeypatch):
+    """One entry per ``_remainder_sums`` call from now on."""
+    calls = []
+    original = coverage._remainder_sums
+    monkeypatch.setattr(
+        coverage, "_remainder_sums",
+        lambda *args: calls.append(args) or original(*args),
+    )
+    return calls
+
+
+@pytest.mark.parametrize("first", ["nu_below", "nu_r_below", "_nu_r_prefix"])
+@pytest.mark.parametrize("kind", ["random", "zero-mass", "singular"])
+def test_a_partial_profile_sums_its_remainder_when_first_read(monkeypatch, kind, first):
+    """``from_pair`` leaves the remainder sums of a pair whose atoms all
+    carry target mass until one of them (or the prefix table built on
+    them) is read; coverage queries never read them. Once read, they are
+    ``_partitioned_block``'s, bit for bit, and summed once. On a pair
+    with atoms of no target mass they are summed as the profile is
+    built, which tells whether it is partial."""
+    pair = {
+        "random": lambda: make_random_pair(1 << 15, 31),
+        "zero-mass": lambda: _with_zero_mass_atoms(1 << 15, 32, singular=False),
+        "singular": lambda: _wide_with_zero_mass_atoms(_WIDE_DEAD["run"], singular=True),
+    }[kind]()
+    deferred = kind != "zero-mass"
+    assert pair.nu_positive == deferred
+    calls = _count_remainder_sums(monkeypatch)
+    prof = CoverageProfile.from_pair(pair, top=1024)
+    assert len(calls) == (0 if deferred else 1) and prof._partial
+    levels = np.concatenate([prof.thresholds, [math.inf]])
+    prof.coverage(levels)
+    prof.mu_tail(levels)
+    min_coverage_threshold(prof, float(prof._nu_suffix[1]) + prof.singular_mass)
+    with pytest.raises(ValueError, match="lowest"):
+        min_coverage_threshold(prof, float(prof._nu_suffix[0]) + prof.singular_mass)
+    assert len(calls) == (0 if deferred else 1)
+    getattr(prof, first)
+    assert len(calls) == 1 and "_remainder" not in vars(prof)
+    got = np.array([prof.nu_below, prof.nu_r_below])
+    assert got.tobytes() == np.array(_partitioned_block(pair, 1024)[3:]).tobytes()
+    assert prof._nu_r_prefix[0] == prof.nu_r_below and len(calls) == 1
+
+
+def test_the_wide_quantile_plans_build_one_block_and_sum_no_remainder(monkeypatch):
+    """At eps 0.3 the quantile plan sizes its one block from its
+    coverage target, and reads no remainder sum."""
+    for support, seed, top in ((1 << 17, 20260817, 9216), (1 << 18, 20260818, 16384)):
+        pair = make_random_pair(support, seed)
+        full = plan_n_quantile(0.3, 0.1, profile=CoverageProfile.from_pair(pair))
+        calls = _count_remainder_sums(monkeypatch)
+        tops = _count_blocks(monkeypatch)
+        assert PLANS["quantile"].run(pair, 0.3, 0.1, None) == full
+        assert (tops, calls) == ([top], [])
+        monkeypatch.undo()
+
+
+_GRID_SPECIAL_PAIRS = {
+    "zero-mass": lambda: _with_zero_mass_atoms(1 << 14, 41, singular=False),
+    "wide-zero-mass": lambda: _wide_with_zero_mass_atoms(_WIDE_DEAD["quarter"], singular=False),
+    "singular": lambda: _with_zero_mass_atoms(1 << 14, 42, singular=True),
+    "wide-small-singular": lambda: _wide_with_zero_mass_atoms(_WIDE_DEAD["run"], singular=True),
+}
+
+
+def _plan_or_error(plan):
+    try:
+        return plan()
+    except (SingularPairError, InfeasiblePlanError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("pairs", [
+    *(pytest.param([partial(make_random_pair, 1 << log2, seed) for seed in (1, 2, 3)],
+                   id=f"random-2^{log2}")
+      for log2 in range(12, 19)),
+    *(pytest.param([make], id=name) for name, make in _GRID_SPECIAL_PAIRS.items()),
+])
+def test_coverage_level_plans_are_the_complete_profiles(pairs):
+    """The quantile and sampling plans through ``PLANS``, each block
+    sized from its coverage target, are the complete profile's plans,
+    every field bit for bit."""
+    for make in pairs:
+        pair = make()
+        full = CoverageProfile.from_pair(pair)
+        for eps in (0.5, 0.3, 0.1):
+            for method, plan in (
+                ("quantile", lambda: plan_n_quantile(eps, 0.1, profile=full)),
+                ("sampling", lambda: sampling_plan(full, eps)),
+            ):
+                want = _plan_or_error(plan)
+                got = _plan_or_error(lambda: PLANS[method].run(pair, eps, 0.1, None))
+                assert got == want, (method, eps)
+                if not isinstance(want, type):
+                    assert np.float64(got.m).tobytes() == np.float64(want.m).tobytes()
 
 
 def _periodic_maxima(support, offset):
@@ -911,7 +1014,8 @@ def _gathered_first(pair, top=None):
     ratios, nu, mu = pair.ratio_cache[live], pair.nu_weights[live], pair.mu_weights[live]
     below = (0.0, 0.0)
     if top is not None and top < ratios.size:
-        block, nu_below, nu_r_below = _top_block(ratios, nu, top)
+        block = _top_block(ratios, top)
+        nu_below, nu_r_below = _remainder_sums(ratios, nu, block)
         if nu_below > 0:
             ratios, nu, mu = ratios[block], nu[block], mu[block]
             below = (nu_below, nu_r_below)

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -385,12 +386,16 @@ def test_random_pair_reproducible():
 WIDE_RANDOM_PAIR_SHA256 = "c95374b4bba63f36d2e3fd9709c4e0fc710fcbbd89c9695092d1f3703661deb4"
 
 
-def test_wide_random_pair_bytes_are_pinned():
+def _wide_random_pair_sha256():
     pair = make_random_pair(2**18, 20260818)
     digest = hashlib.sha256()
     for arr in (pair.mu_weights, pair.nu_weights, pair.ratio_cache):
         digest.update(arr.tobytes())
-    assert digest.hexdigest() == WIDE_RANDOM_PAIR_SHA256
+    return digest.hexdigest()
+
+
+def test_wide_random_pair_bytes_are_pinned():
+    assert _wide_random_pair_sha256() == WIDE_RANDOM_PAIR_SHA256
 
 
 def _serial_random_pair(support, seed, z):
@@ -416,14 +421,17 @@ def test_random_pair_is_the_serial_draw_bit_for_bit(size):
             == _pair_bits(_serial_random_pair(size, seed, 2.5)))
 
 
-def _fills_by_thread(monkeypatch, fill):
+def _fills_by_thread(monkeypatch, fill, cpus=2):
     """Patch ``_fill_weights`` with ``fill(gen, raw, on_caller)``, where
-    ``on_caller`` tells whether the call runs on the test's thread."""
+    ``on_caller`` tells whether the call runs on the test's thread, and
+    let the process use ``cpus`` CPUs (None: those it may really use)."""
     caller = threading.get_ident()
     monkeypatch.setattr(
         distributions, "_fill_weights",
         lambda gen, raw: fill(gen, raw, threading.get_ident() == caller),
     )
+    if cpus is not None:
+        monkeypatch.setattr(distributions, "_usable_cpus", lambda: cpus)
 
 
 @pytest.mark.parametrize("size, on_caller", [
@@ -459,6 +467,33 @@ def test_a_failed_fill_is_raised_in_the_caller_and_joins_the_helper(
     with pytest.raises(MemoryError, match="fill failed"):
         make_random_pair(PARALLEL_FILL_MIN, 5)
     assert threading.active_count() == before
+
+
+def test_one_usable_cpu_builds_a_wide_pair_serially(monkeypatch):
+    """On one CPU a wide build starts no thread, and its bytes are the
+    pinned ones."""
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(distributions, "threading", SimpleNamespace(Thread=no_thread))
+    assert _wide_random_pair_sha256() == WIDE_RANDOM_PAIR_SHA256
+
+
+def test_a_wide_build_threads_only_with_a_second_usable_cpu(monkeypatch):
+    """The CPUs the process may really use decide the thread: none under
+    ``taskset -c 0``, a helper filling nu otherwise."""
+    usable = distributions._usable_cpus()
+    if hasattr(os, "sched_getaffinity"):
+        assert usable == len(os.sched_getaffinity(0))
+    else:
+        assert usable == (os.cpu_count() or 1)
+    seen = []
+    fill = distributions._fill_weights
+    _fills_by_thread(monkeypatch, lambda gen, raw, here: seen.append(here) or fill(gen, raw),
+                     cpus=None)
+    assert _wide_random_pair_sha256() == WIDE_RANDOM_PAIR_SHA256
+    assert sorted(seen) == ([False, True] if usable >= 2 else [])
 
 
 def test_no_thread_outlives_a_wide_build():
