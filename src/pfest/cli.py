@@ -135,7 +135,18 @@ def _g_table(args, pair: DistributionPair, planner):
         return None
     if not args.g:
         raise ValueError("--g values are required for this method")
-    g = np.array(args.g.split(","), dtype=np.float64)
+    entries = args.g.split(",")
+    try:
+        g = np.array(entries, dtype=np.float64)
+    except ValueError:
+        for atom, entry in enumerate(entries):
+            try:
+                np.float64(entry)
+            except ValueError:
+                raise ValueError(
+                    f"--g value for atom {atom} must be a number, got {entry!r}"
+                ) from None
+        raise
     if g.size != pair.support_size:
         raise ValueError(
             f"--g has {g.size} entries, support has {pair.support_size}"
@@ -205,6 +216,11 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's own parser by name."""
     parser = _Parser(prog="pfest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -251,18 +267,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", help="override the config output_path")
     p_exp.set_defaults(fn=_cmd_experiment)
 
-    return parser
+    commands = {
+        "coverage": p_cov, "plan": p_plan, "estimate": p_est,
+        "sample": p_samp, "experiment": p_exp,
+    }
+    return parser, commands
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # Built on first use, not at import; parse_args leaves it unchanged,
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    # Built on first use, not at import; parse_args leaves them unchanged,
     # so one instance serves every in-process call.
-    return build_parser()
+    return _build_parsers()
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _shared_parsers()
+    # A command word goes straight to its own parser, which the top-level
+    # parser would otherwise call after parsing the same tokens itself;
+    # anything else (help, no command, an unknown one) goes through the top.
+    command = commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         return args.fn(args)
     except InfeasiblePlanError as exc:

@@ -410,3 +410,84 @@ def test_output_does_not_depend_on_blas_threads():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n") == 6  # two plans, the estimate, 3 CSV lines
+
+
+COMMAND_ARGVS = {
+    "coverage": ["coverage", *BERN, "--grid", "0.5:2:2"],
+    "plan": ["plan", *BERN, "--eps", "0.25"],
+    "estimate": ["estimate", *BERN, "--method", "mom", "--eps", "0.25", "--seed", "1"],
+    "sample": ["sample", *BERN, "--eps", "0.25", "--seed", "1"],
+    "experiment": ["experiment", "--config", "missing.ini"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGVS))
+def test_a_command_is_parsed_once(capsys, monkeypatch, command):
+    # the top-level parser would parse the tokens, then hand them to the
+    # command's parser to parse again: two calls
+    calls = []
+    original = pfest.cli._Parser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(pfest.cli._Parser, "parse_known_args", counted)
+    _run(capsys, COMMAND_ARGVS[command])
+    assert calls == [f"pfest {command}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "pfest: error: the following arguments are required: command"),
+    (["bogus"], "pfest: error: argument command: invalid choice: 'bogus' (choose "
+     "from 'coverage', 'plan', 'estimate', 'sample', 'experiment')"),
+    (["--"], "pfest: error: the following arguments are required: command"),
+], ids=["no-arguments", "unknown-command", "double-dash"])
+def test_no_command_is_a_top_level_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == message
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: pfest [-h] {coverage,plan,estimate,sample,experiment}")
+
+
+def _help(capsys, parse):
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    return out
+
+
+def test_top_level_help_lists_the_commands(capsys):
+    out = _help(capsys, lambda: main(["-h"]))
+    assert out.startswith("usage: pfest [-h] {coverage,plan,estimate,sample,experiment}")
+    for command in COMMAND_ARGVS:
+        assert f"\n    {command} " in out
+    assert _help(capsys, lambda: main(["--help"])) == out
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGVS))
+def test_command_help_is_what_the_top_level_parser_prints(capsys, command):
+    # the top-level route hands "<command> -h" to the same command parser
+    direct = _help(capsys, lambda: main([command, "-h"]))
+    routed = _help(capsys, lambda: pfest.cli.build_parser().parse_args([command, "-h"]))
+    assert direct == routed
+    assert direct.startswith(f"usage: pfest {command} [-h]")
+
+
+def test_a_stray_option_is_named_by_the_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", *BERN, "--eps", "0.25", "--bogus"])
+    assert exc.value.code == "pfest plan: error: unrecognized arguments: --bogus"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: pfest plan [-h] ")
+
+
+def test_main_reads_the_process_arguments(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pfest", "plan", *BERN, "--eps", "0.2"])
+    code, out, err = _run(capsys, None)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("plan method=coverage n=1958 ")

@@ -143,6 +143,14 @@ OUTCOMES = {
         ["plan", *BERN, "--eps", "0.25", "--method", "is", "--g", "1"],
         1, "", "pfest: error: --g has 1 entries, support has 2\n",
     ),
+    "plan-g-not-a-number": (
+        ["plan", *BERN, "--eps", "0.25", "--method", "snis", "--g", "0,a"],
+        1, "", "pfest: error: --g value for atom 1 must be a number, got 'a'\n",
+    ),
+    "plan-g-empty-entry": (
+        ["plan", *BERN, "--eps", "0.25", "--method", "snis", "--g", "0,,1"],
+        1, "", "pfest: error: --g value for atom 1 must be a number, got ''\n",
+    ),
     "estimate-unknown-plan": (
         ["estimate", *BERN, "--method", "mom", "--plan", "bogus",
          "--eps", "0.25", "--seed", "1"],
