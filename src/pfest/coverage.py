@@ -14,13 +14,13 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import DOT_CHUNK, DistributionPair, _freeze, ordered_dot
+from .distributions import DistributionPair, _freeze, ordered_dot
 from .divergences import FGenerator, _least_float, gamma_f
 from .errors import InfeasiblePlanError, SingularPairError
 
@@ -33,9 +33,9 @@ from .errors import InfeasiblePlanError, SingularPairError
 FLOAT_EXACT_INT_MAX = 2**53
 LOG_N_MAX = 4000 * math.log(10.0)
 
-# TailPlanner first resolves the TAIL_FIRST_TOP live atoms of highest
-# ratio, or, for a plan that names its coverage target, the block the
-# strided sample (below) puts that target's mass in. It builds a block
+# TailPlanner first resolves the TAIL_FIRST_TOP atoms of highest ratio,
+# or, for a plan that names its coverage target, the block the strided
+# sample (below) puts that target's mass in. It builds a block
 # only from a pair at least TAIL_SPARSE times as wide as the block, and
 # the complete profile otherwise: on a narrower pair the selection and
 # the sums over the support cost more than the full sort they replace.
@@ -101,9 +101,9 @@ class _RemainderSum:
     """A field summed over the atoms a partial profile leaves out
     (``nu_below``, ``nu_r_below``). Like ``cached_property`` it is read
     from the instance once the instance holds a value, as every profile
-    but one ``from_pair`` builds with a ``_remainder`` does from the
-    start; on that one the first read of either field calls the
-    remainder for both sums, and drops it."""
+    but a partial one from ``from_pair`` does from the start; on that
+    one the first read of either field calls the profile's
+    ``_remainder`` for both sums, and drops it."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -125,25 +125,24 @@ class CoverageProfile:
     ``singular_mass``: its ratio is infinite, so it counts toward the
     coverage at every finite level.
 
-    A partial profile (``from_pair`` with ``top``) resolves only the
-    highest levels. The target mass of the atoms below them, and its
-    sum times their ratios, are carried in ``nu_below`` and
-    ``nu_r_below``. Where ``nu_below`` is positive (``_partial``, set
-    by both constructors and not a field), a query at or above the
-    lowest level is exact and one below it raises ValueError. A complete
-    profile has both at 0.0.
+    A partial profile (``from_pair`` with ``top``, on a pair where every
+    atom has both masses) resolves only the highest levels. The target
+    mass of the atoms below them, and its sum times their ratios, are
+    carried in ``nu_below`` and ``nu_r_below``. Where ``nu_below`` is
+    positive (``_partial``, set by both constructors and not a field), a
+    query at or above the lowest level is exact and one below it raises
+    ValueError. A complete profile has both at 0.0.
 
     ``from_pair`` gathers both masses with the one sort it makes. The
     suffix and prefix tables the queries read (``_nu_suffix``,
     ``_mu_suffix``, ``_nu_r_prefix``) are built on first use, so a plan
     pays only for the tables it reads. They are read-only and not
-    fields, so ``==`` and ``repr`` ignore them. On a pair whose atoms
-    all carry target mass, ``from_pair`` defers ``nu_below`` and
-    ``nu_r_below`` the same way: it records only that they are
-    positive, and sums both on the first read of either, of
-    ``_nu_r_prefix`` or of ``==`` and ``repr``. Until then the profile
-    keeps the pair's target-mass and ratio rows alive, with the block's
-    indices (and the live mask on a pair with zero-mass atoms).
+    fields, so ``==`` and ``repr`` ignore them. A partial profile from
+    ``from_pair`` defers ``nu_below`` and ``nu_r_below`` the same way:
+    the atoms left out carry target mass, so both are positive, and
+    both are summed on the first read of either, of ``_nu_r_prefix`` or
+    of ``==`` and ``repr``. Until then the profile keeps the pair's
+    target-mass and ratio rows alive, with the block's indices.
     """
 
     thresholds: np.ndarray
@@ -207,63 +206,39 @@ class CoverageProfile:
     def from_pair(
         cls, pair: DistributionPair, top: Optional[int] = None
     ) -> "CoverageProfile":
-        """The pair's profile over its atoms with proposal mass (its
-        live atoms). With ``top`` below their count, only the levels of
-        the ``top`` of highest ratio, and of every atom tied with the
-        last of them, are resolved, and the rest go into ``nu_below``
-        and ``nu_r_below``; unless the rest carry no target mass, in
-        which case the profile is complete, as it is without ``top``.
-        Where every atom carries target mass, the rest does whenever
-        there is any, and its two sums are left until they are read
-        (see the class)."""
-        ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
-        live = None if pair.mu_positive else mu > 0
-        live_count = mu.size if live is None else int(np.count_nonzero(live))
-        # the atoms gathered: the live ones (None when every atom is), or
-        # the block cut from them
-        keep, below = live, {}
-        if top is not None and top < live_count:
-            block = _top_block(ratios, top, live)
-            remainder = partial(_remainder_sums, ratios, nu, block, live)
-            if pair.nu_positive:
-                if block.size < live_count:
-                    keep, below = block, {"_remainder": remainder}
-            else:
-                nu_below, nu_r_below = remainder()
-                if nu_below > 0:
-                    keep = block
-                    below = {"nu_below": nu_below, "nu_r_below": nu_r_below}
-        if keep is not None:
-            ratios, nu, mu = ratios[keep], nu[keep], mu[keep]
-        thresholds, nu, mu = _ratio_levels(ratios, nu, mu)
-        return cls._built(
-            thresholds=thresholds,
-            nu_masses=nu,
-            mu_masses=mu,
-            singular_mass=pair.singular_mass,
-            **below,
-        )
+        """The pair's profile over its atoms with proposal mass.
 
-    @classmethod
-    def _built(cls, **values) -> "CoverageProfile":
-        """The profile ``from_pair`` builds from a validated pair, without
-        ``__post_init__``'s checks, which its values pass by
-        construction: equally long float64 arrays of strictly increasing
-        levels and of finite nonnegative masses, and finite nonnegative
-        sums. A ``_remainder`` (a callable returning ``nu_below`` and
-        ``nu_r_below``, both positive) stands in for the two sums."""
+        ``top``, an integer of at least 1, is read only where every atom
+        of the pair has both masses (``pair.positive``): there, with
+        ``top`` below the support size, only the levels of the ``top``
+        atoms of highest ratio, and of every atom tied with the last of
+        them, are resolved, and the rest go into ``nu_below`` and
+        ``nu_r_below``, left until they are read (see the class). Every
+        other profile is complete, bit for bit the one without
+        ``top``."""
+        if top is not None and not (isinstance(top, (int, np.integer)) and top >= 1):
+            raise ValueError(f"top must be an integer >= 1, got {top!r}")
+        ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
+        sums = {"nu_below": 0.0, "nu_r_below": 0.0}
+        if not pair.positive:
+            live = mu > 0
+            ratios, nu, mu = ratios[live], nu[live], mu[live]
+        elif top is not None and top < mu.size:
+            block = _top_block(ratios, top)
+            if block.size < mu.size:
+                # the first read of either sum calls the remainder
+                sums = {"_remainder": partial(_remainder_sums, ratios, nu, block)}
+                ratios, nu, mu = ratios[block], nu[block], mu[block]
+        thresholds, nu, mu = _ratio_levels(ratios, nu, mu)
+        # built without __post_init__'s checks, which these values pass
+        # by construction: equally long float64 arrays of strictly
+        # increasing levels and of finite nonnegative masses, and finite
+        # nonnegative sums
         profile = object.__new__(cls)
-        state = vars(profile)
-        remainder = values.pop("_remainder", None)
-        for f in fields(cls):
-            value = values.get(f.name, f.default)
-            state[f.name] = _freeze(value) if isinstance(value, np.ndarray) else value
-        if remainder is None:
-            state["_partial"] = state["nu_below"] > 0
-        else:
-            # the first read of either sum calls the remainder
-            del state["nu_below"], state["nu_r_below"]
-            state.update(_remainder=remainder, _partial=True)
+        vars(profile).update(
+            thresholds=_freeze(thresholds), nu_masses=_freeze(nu), mu_masses=_freeze(mu),
+            singular_mass=pair.singular_mass, _partial="_remainder" in sums, **sums,
+        )
         return profile
 
     def _check_resolved(self, m) -> None:
@@ -337,98 +312,55 @@ def _with_margin(k: int) -> int:
     return k + math.ceil(TAIL_SIGMAS * math.sqrt(k)) + TAIL_SLACK
 
 
-def _tail_candidates(
-    ratios: np.ndarray, top: int, live: Optional[np.ndarray] = None
-) -> Optional[np.ndarray]:
-    """The indices, in atom order, of a superset of the ``top`` live
-    atoms of highest ratio, or None for every (live) atom. ``live``
-    masks the atoms with proposal mass; None means every atom has it.
+def _tail_candidates(ratios: np.ndarray, top: int) -> Optional[np.ndarray]:
+    """The indices, in atom order, of a superset of the ``top`` atoms of
+    highest ratio, or None for every atom. Blocks are cut only from
+    pairs where every atom has both masses, so every ratio is a finite
+    level of the profile.
 
     The bound is the k-th largest ratio of the strided sample
-    ``ratios[::TAIL_STEP]``'s live atoms, k being top / TAIL_STEP
-    rounded up, with its margin, and the candidates are the live atoms
-    at or above it (Floyd & Rivest, "Expected time bounds for
-    selection", 1975). Where fewer than ``top`` atoms reach it, the
-    sample held more of the top than the margin allows, and every atom
-    is a candidate; so is every atom where the sample is less than
-    TAIL_SAMPLED_SHARE times k."""
+    ``ratios[::TAIL_STEP]``, k being top / TAIL_STEP rounded up, with
+    its margin, and the candidates are the atoms at or above it (Floyd &
+    Rivest, "Expected time bounds for selection", 1975). Where fewer
+    than ``top`` atoms reach it, the sample held more of the top than
+    the margin allows, and every atom is a candidate; so is every atom
+    where the sample is less than TAIL_SAMPLED_SHARE times k."""
     sample = ratios[::TAIL_STEP]
-    if live is not None:
-        sample = sample[live[::TAIL_STEP]]
     k = _with_margin(-(-top // TAIL_STEP))
     if TAIL_SAMPLED_SHARE * k > sample.size:
         return None
     low = np.partition(sample, sample.size - k)[sample.size - k]
-    reach = ratios >= low
-    if live is not None:
-        reach &= live
-    candidates = np.flatnonzero(reach)
+    candidates = np.flatnonzero(ratios >= low)
     return candidates if candidates.size >= top else None
 
 
-def _top_block(
-    ratios: np.ndarray, top: int, live: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The indices, in atom order, of the ``top`` live atoms of highest
-    ratio and of every live atom tied with the last of them. ``live``
-    masks the atoms with proposal mass; None means every atom has it.
+def _top_block(ratios: np.ndarray, top: int) -> np.ndarray:
+    """The indices, in atom order, of the ``top`` atoms of highest ratio
+    and of every atom tied with the last of them.
 
     The cut is the ``top``-th largest ratio among ``_tail_candidates``,
-    which hold every live atom at or above it, so it is the ``top``-th
+    which hold every atom at or above it, so it is the ``top``-th
     largest of all: on the sampled bound one comparison pass over the
     support, and no support-sized partition."""
-    candidates = _tail_candidates(ratios, top, live)
-    if candidates is None and live is not None:
-        candidates = np.flatnonzero(live)
+    candidates = _tail_candidates(ratios, top)
     values = ratios if candidates is None else ratios[candidates]
     cut = np.partition(values, values.size - top)[values.size - top]
     block = np.flatnonzero(values >= cut)
     return block if candidates is None else candidates[block]
 
 
-def _remainder_sums(
-    ratios: np.ndarray, nu: np.ndarray, block: np.ndarray,
-    live: Optional[np.ndarray] = None,
-) -> tuple:
-    """Over the live atoms outside ``block`` (indices in atom order),
-    the target mass and the target mass times the ratio, summed.
-    ``live`` masks the atoms with proposal mass; None means every atom
-    has it.
+def _remainder_sums(ratios: np.ndarray, nu: np.ndarray, block: np.ndarray) -> tuple:
+    """Over the atoms outside ``block`` (indices in atom order), the
+    target mass and the target mass times the ratio, summed.
 
-    Both sums run in atom order over the live atoms, on one copy of
-    their target masses with the block's set to 0.0, so they are those
-    of the live atoms gathered first; only the target masses are
-    gathered whole. They are not E_nu[ratio] minus the block's share: on
-    a heavy ratio tail the block holds nearly all of it, and the
-    difference would keep few correct digits."""
-    if live is None:
-        rest = nu.copy()
-        rest[block] = 0.0
-        return float(rest.sum()), ordered_dot(rest, ratios)
-    # a block atom's index among the live atoms is its own, less the
-    # atoms before it without proposal mass
-    dead = np.flatnonzero(~live)
-    rest = nu[live]
-    rest[block - np.searchsorted(dead, block)] = 0.0
-    return float(rest.sum()), _live_dot(rest, ratios, live, dead)
-
-
-def _live_dot(a: np.ndarray, b: np.ndarray, live: np.ndarray, dead: np.ndarray) -> float:
-    """``ordered_dot(a, b[live])``, bit for bit, with ``b`` gathered
-    DOT_CHUNK live atoms at a time, never whole. ``dead`` indexes the
-    atoms ``live`` leaves out, in order."""
-    # live atom j (counting live atoms only) is atom j plus the number
-    # of dead atoms before it: those d with dead[d] - d <= j
-    dead_rank = dead - np.arange(dead.size)
-    starts = np.arange(0, a.size, DOT_CHUNK)
-    lasts = np.minimum(starts + DOT_CHUNK, a.size) - 1
-    firsts = starts + np.searchsorted(dead_rank, starts, side="right")
-    stops = lasts + np.searchsorted(dead_rank, lasts, side="right") + 1
-    total = None
-    for start, first, stop in zip(starts.tolist(), firsts.tolist(), stops.tolist()):
-        part = ordered_dot(a[start:start + DOT_CHUNK], b[first:stop][live[first:stop]])
-        total = part if total is None else total + part
-    return total
+    Both sums run in atom order over every atom, on one copy of the
+    target masses with the block's set to 0.0. They are not E_nu[ratio]
+    minus the block's share: on a heavy ratio tail the block holds
+    nearly all of it, and the difference would keep few correct
+    digits."""
+    rest = nu.copy()
+    rest[block] = 0.0
+    return float(rest.sum()), ordered_dot(rest, ratios)
 
 
 def _ratio_levels(ratios: np.ndarray, nu: np.ndarray, mu: np.ndarray):
@@ -596,18 +528,18 @@ class TailPlanner:
 
     @cached_property
     def _sampled_mass(self) -> list:
-        """Per pair, in the pairs' order: the live atoms among every
-        TAIL_STEP-th atom, from the highest ratio down, and their target
-        mass summed along them, times TAIL_STEP; None for a pair of
-        fewer than TAIL_SIZED_MIN atoms, whose blocks are not sized."""
+        """Per pair, in the pairs' order: every TAIL_STEP-th atom, from
+        the highest ratio down, and their target mass summed along them,
+        times TAIL_STEP; None for a pair of fewer than TAIL_SIZED_MIN
+        atoms, or with an atom of zero mass, whose blocks are not
+        sized."""
         sampled = []
         for pair in self.pairs:
-            if pair.support_size < TAIL_SIZED_MIN:
+            if pair.support_size < TAIL_SIZED_MIN or not pair.positive:
                 sampled.append(None)
                 continue
-            live = pair.mu_weights[::TAIL_STEP] > 0
-            ratios = pair.ratio_cache[::TAIL_STEP][live]
-            nu = pair.nu_weights[::TAIL_STEP][live]
+            ratios = pair.ratio_cache[::TAIL_STEP]
+            nu = pair.nu_weights[::TAIL_STEP]
             sampled.append(np.cumsum(nu[ratios.argsort()[::-1]]) * TAIL_STEP)
         return sampled
 

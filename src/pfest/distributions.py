@@ -216,13 +216,14 @@ class DistributionPair:
     ``last_drawable_atom`` is the index of the last atom with proposal
     mass, where inverse-CDF draws are clipped.
 
-    ``mu_positive`` tells whether every atom has proposal mass, and
-    ``nu_positive`` whether every atom has target mass.
+    ``positive`` tells whether every atom has both proposal and target
+    mass: only then does ``CoverageProfile.from_pair`` cut a partial
+    profile.
 
     The tables ``mu_cdf``, its ``mu_guide``, ``lambda_drawn`` and
     ``lambda_order`` are built once, on first use, and are read-only.
-    They and the two flags are not fields, so ``==`` and ``repr``
-    ignore them.
+    They and the flag are not fields, so ``==`` and ``repr`` ignore
+    them.
 
     The pair holds one C-contiguous (3, S) float64 buffer, allocated
     once: its rows are ``mu_weights``, ``nu_weights`` and
@@ -298,8 +299,7 @@ class DistributionPair:
         object.__setattr__(self, "ratio_cache", rows[2])
         object.__setattr__(self, "singular_mass", singular)
         object.__setattr__(self, "last_drawable_atom", last_drawable)
-        object.__setattr__(self, "mu_positive", mu_low > 0)
-        object.__setattr__(self, "nu_positive", nu_low > 0)
+        object.__setattr__(self, "positive", mu_low > 0 and nu_low > 0)
 
     @property
     def support_size(self) -> int:

@@ -193,14 +193,27 @@ def _snis_counts(pair, counts, eps, delta, m, g) -> np.ndarray:
 
 
 def _snis_ratios(weights, g) -> np.ndarray:
-    """Each row's g-weighted sum over its total weight."""
+    """Each row's g-weighted sum over its total weight.
+
+    A finite g near the float maximum can take a row's weighted sum past
+    the float range. Only such rows are summed again, on g scaled by the
+    power of two that brings its largest entry below 1 (exact for every
+    entry that stays in the normal range), and their ratios scaled back;
+    every other row keeps its bits."""
     totals = weights.sum(axis=1)
     if np.any(totals <= 0):
         raise ZeroDivisionError(
             "all density values in the batch are zero; the self-normalized "
             "estimate is undefined"
         )
-    return ordered_dot(weights, g) / totals
+    ratios = ordered_dot(weights, g) / totals
+    over = ~np.isfinite(ratios)
+    if over.any():
+        g_over = g[over] if g.ndim == 2 else g
+        shift = np.frexp(np.abs(g_over).max())[1]
+        scaled = ordered_dot(weights[over], np.ldexp(g_over, -shift))
+        ratios[over] = np.ldexp(scaled / totals[over], shift)
+    return ratios
 
 
 def _row_estimate(form, batch: SampleBatch, eps, delta, m, g) -> float:

@@ -1,6 +1,7 @@
 """The count engine of run_trials: per-atom hit counts in place of atom
 sequences on supports that are small against n."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,25 @@ EXACT_LAW_CASES = {
     "quantile": (make_finite_pair([0.9, 0.1], [0.85, 0.15], 1.0), 200, 0.5, 1.2, None),
     "snis": (make_bernoulli_pair(0.5, 0.25), 100, 0.05, None, np.array([0.0, 1.0])),
 }
+
+
+@pytest.mark.parametrize("engine", ["count", "draw"])
+def test_snis_of_a_g_near_the_float_maximum_is_that_g(monkeypatch, engine):
+    """Every weighted sum of g = 1e308 passes the float range, yet the
+    SNIS estimate of a constant g is the constant, on either engine."""
+    pair, n, g = make_bernoulli_pair(0.5, 0.25), 6120, np.array([1e308, 1e308])
+    if engine == "draw":
+        monkeypatch.setattr(estimators, "COUNT_ENGINE_RATIO", n + 1)
+    calls = []
+    form = "from_counts" if engine == "count" else "estimate"
+    original = getattr(ESTIMATORS["snis"], form)
+    monkeypatch.setitem(ESTIMATORS, "snis", dataclasses.replace(
+        ESTIMATORS["snis"], **{form: lambda *args: calls.append(1) or original(*args)}
+    ))
+    record = run_trials(pair, "snis", n, 5, 1, 0.25, 0.1, g=g)
+    assert calls and record.truth == 1e308
+    assert np.all(np.abs(record.estimates - 1e308) <= 1e-12 * 1e308)
+    assert record.success.all()
 
 
 # mom on the count engine is test_count_engine_mom_success_follows_the_exact_law

@@ -43,14 +43,10 @@ from pfest.coverage import (
     TAIL_SAMPLED_SHARE,
     TAIL_SPARSE,
     TAIL_STEP,
-    _live_dot,
-    _ratio_levels,
-    _remainder_sums,
     _tail_candidates,
-    _top_block,
     _with_margin,
 )
-from pfest.distributions import DOT_CHUNK, ordered_dot
+from pfest.distributions import ordered_dot
 from pfest.estimators import PLANS, _quantile_coverage
 from pfest.sampler import _race_coverage, sampling_plan
 
@@ -131,11 +127,11 @@ def test_from_pair_matches_unique_and_bincount_on_random_pairs(support, seed):
 
 
 def _tied_pair(support, seed):
-    """Small integer weights, so thousands of atoms share a few dozen
-    ratio levels."""
+    """Small integer weights, none 0, so thousands of atoms share a few
+    dozen ratio levels, and every atom has both masses."""
     gen = np.random.default_rng(seed)
     mu = gen.integers(1, 5, support).astype(float)
-    nu = gen.integers(0, 5, support).astype(float)
+    nu = gen.integers(1, 5, support).astype(float)
     return make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.0)
 
 
@@ -816,11 +812,11 @@ def test_a_short_estimate_widens_again(monkeypatch):
 
 
 def _partitioned_block(pair, top):
-    """``from_pair(pair, top=top)`` as (thresholds, nu_masses,
-    mu_masses, nu_below, nu_r_below), written with one np.partition over
-    the whole live support, np.unique and two bincounts."""
-    live = pair.mu_weights > 0
-    ratios, nu, mu = pair.ratio_cache[live], pair.nu_weights[live], pair.mu_weights[live]
+    """``from_pair(pair, top=top)`` on a pair where every atom has both
+    masses, as (thresholds, nu_masses, mu_masses, nu_below, nu_r_below),
+    written with one np.partition over the whole support, np.unique and
+    two bincounts."""
+    ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
     keep = np.ones(ratios.size, dtype=bool)
     if top < ratios.size:
         keep = ratios >= np.partition(ratios, ratios.size - top)[ratios.size - top]
@@ -851,34 +847,35 @@ def _count_remainder_sums(monkeypatch):
 @pytest.mark.parametrize("first", ["nu_below", "nu_r_below", "_nu_r_prefix"])
 @pytest.mark.parametrize("kind", ["random", "zero-mass", "singular"])
 def test_a_partial_profile_sums_its_remainder_when_first_read(monkeypatch, kind, first):
-    """``from_pair`` leaves the remainder sums of a pair whose atoms all
-    carry target mass until one of them (or the prefix table built on
-    them) is read; coverage queries never read them. Once read, they are
-    ``_partitioned_block``'s, bit for bit, and summed once. On a pair
-    with atoms of no target mass they are summed as the profile is
-    built, which tells whether it is partial."""
+    """``from_pair`` leaves the remainder sums of a partial profile
+    until one of them (or the prefix table built on them) is read;
+    coverage queries never read them. Once read, they are
+    ``_partitioned_block``'s, bit for bit, and summed once. A pair with
+    a zero mass gets its complete profile, whose sums are 0.0 and never
+    summed."""
     pair = {
         "random": lambda: make_random_pair(1 << 15, 31),
         "zero-mass": lambda: _with_zero_mass_atoms(1 << 15, 32, singular=False),
-        "singular": lambda: _wide_with_zero_mass_atoms(_WIDE_DEAD["run"], singular=True),
+        "singular": lambda: _with_a_zero_mass(1 << 18, "singular", _SMALL_SINGULAR),
     }[kind]()
-    deferred = kind != "zero-mass"
-    assert pair.nu_positive == deferred
+    partial_profile = kind == "random"
+    assert pair.positive == partial_profile
     calls = _count_remainder_sums(monkeypatch)
     prof = CoverageProfile.from_pair(pair, top=1024)
-    assert len(calls) == (0 if deferred else 1) and prof._partial
+    assert prof._partial == partial_profile
     levels = np.concatenate([prof.thresholds, [math.inf]])
     prof.coverage(levels)
     prof.mu_tail(levels)
     min_coverage_threshold(prof, float(prof._nu_suffix[1]) + prof.singular_mass)
-    with pytest.raises(ValueError, match="lowest"):
-        min_coverage_threshold(prof, float(prof._nu_suffix[0]) + prof.singular_mass)
-    assert len(calls) == (0 if deferred else 1)
+    if partial_profile:
+        with pytest.raises(ValueError, match="lowest"):
+            min_coverage_threshold(prof, float(prof._nu_suffix[0]) + prof.singular_mass)
+    assert calls == []
     getattr(prof, first)
-    assert len(calls) == 1 and "_remainder" not in vars(prof)
-    got = np.array([prof.nu_below, prof.nu_r_below])
-    assert got.tobytes() == np.array(_partitioned_block(pair, 1024)[3:]).tobytes()
-    assert prof._nu_r_prefix[0] == prof.nu_r_below and len(calls) == 1
+    assert len(calls) == partial_profile and "_remainder" not in vars(prof)
+    want = _partitioned_block(pair, 1024)[3:] if partial_profile else (0.0, 0.0)
+    assert np.array([prof.nu_below, prof.nu_r_below]).tobytes() == np.array(want).tobytes()
+    assert prof._nu_r_prefix[0] == prof.nu_r_below and len(calls) == partial_profile
 
 
 def test_the_wide_quantile_plans_build_one_block_and_sum_no_remainder(monkeypatch):
@@ -894,11 +891,29 @@ def test_the_wide_quantile_plans_build_one_block_and_sum_no_remainder(monkeypatc
         monkeypatch.undo()
 
 
+def _with_a_zero_mass(support, kind, at=slice(1, None, 97)):
+    """make_random_pair(support, 20260818) with a zero mass on the atoms
+    ``at``: of the proposal ("zero-proposal", the target's too, or
+    "singular", the target's kept), or of the target ("zero-target", or
+    "negative-zero", a weight of -0.0)."""
+    pair = make_random_pair(support, 20260818)
+    mu, nu = pair.mu_weights.copy(), pair.nu_weights.copy()
+    if kind in ("zero-proposal", "singular"):
+        mu[at] = 0.0
+    if kind != "singular":
+        nu[at] = -0.0 if kind == "negative-zero" else 0.0
+    return make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.0)
+
+
+# 80 atoms of proposal mass 0, whose target mass (about 3e-4) is small
+# enough for the coverage-level plans to read levels below it
+_SMALL_SINGULAR = slice(10_000, 10_080)
+
 _GRID_SPECIAL_PAIRS = {
     "zero-mass": lambda: _with_zero_mass_atoms(1 << 14, 41, singular=False),
-    "wide-zero-mass": lambda: _wide_with_zero_mass_atoms(_WIDE_DEAD["quarter"], singular=False),
+    "wide-zero-mass": lambda: _with_a_zero_mass(1 << 18, "zero-proposal", slice(0, None, 4)),
     "singular": lambda: _with_zero_mass_atoms(1 << 14, 42, singular=True),
-    "wide-small-singular": lambda: _wide_with_zero_mass_atoms(_WIDE_DEAD["run"], singular=True),
+    "wide-small-singular": lambda: _with_a_zero_mass(1 << 18, "singular", _SMALL_SINGULAR),
 }
 
 
@@ -918,17 +933,27 @@ def _plan_or_error(plan):
 def test_coverage_level_plans_are_the_complete_profiles(pairs):
     """The quantile and sampling plans through ``PLANS``, each block
     sized from its coverage target, are the complete profile's plans,
-    every field bit for bit."""
+    every field bit for bit. On a pair with a zero mass, whose profiles
+    are all complete, so are the coverage, is and snis plans."""
     for make in pairs:
         pair = make()
         full = CoverageProfile.from_pair(pair)
+        g = 1.0 + np.arange(pair.support_size) % 3
+        methods = ["quantile", "sampling"]
+        if not pair.positive:
+            weighted = CoverageProfile.from_pair(make_weighted_pair(pair, g))
+            methods += ["coverage", "is", "snis"]
         for eps in (0.5, 0.3, 0.1):
-            for method, plan in (
-                ("quantile", lambda: plan_n_quantile(eps, 0.1, profile=full)),
-                ("sampling", lambda: sampling_plan(full, eps)),
-            ):
-                want = _plan_or_error(plan)
-                got = _plan_or_error(lambda: PLANS[method].run(pair, eps, 0.1, None))
+            plans = {
+                "quantile": lambda: plan_n_quantile(eps, 0.1, profile=full),
+                "sampling": lambda: sampling_plan(full, eps),
+                "coverage": lambda: plan_n_coverage(full, eps, 0.1),
+                "is": lambda: plan_n_is(weighted, eps, 0.1),
+                "snis": lambda: plan_n_snis(full, weighted, eps, 0.1),
+            }
+            for method in methods:
+                want = _plan_or_error(plans[method])
+                got = _plan_or_error(lambda: PLANS[method].run(pair, eps, 0.1, g))
                 assert got == want, (method, eps)
                 if not isinstance(want, type):
                     assert np.float64(got.m).tobytes() == np.float64(want.m).tobytes()
@@ -965,19 +990,15 @@ _CUT_CASES = {
     "periodic-1": (_periodic_maxima(1 << 15, 1), (1024, 1000), True),
     "equal": (_equal_ratios(8192), (1024, 1000), True),
     "tied": (_tied_pair(1 << 14, 5), (1000, 1024, 3000), None),
-    "negative-zero": (_negative_zero_targets(6000, 6), (1024, 4000, 4500), None),
-    "zero-mass": (_with_zero_mass_atoms(1 << 14, 7, singular=False), (1000, 2048), None),
-    "singular": (_with_zero_mass_atoms(1 << 14, 8, singular=True), (1000, 2048), None),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_CUT_CASES))
 def test_the_sampled_cut_is_the_partition_cut(kind):
     """The block cut from the strided sample's candidates is the block a
-    partition of the whole live support cuts, bit for bit, ties, signed
-    zeros and the sums of the rest included."""
+    partition of the whole support cuts, bit for bit, ties and the sums
+    of the rest included."""
     pair, tops, sampled = _CUT_CASES[kind]
-    live = pair.mu_weights > 0
     for top in tops:
         prof = CoverageProfile.from_pair(pair, top=top)
         got = (prof.thresholds, prof.nu_masses, prof.mu_masses, prof.nu_below, prof.nu_r_below)
@@ -986,91 +1007,53 @@ def test_the_sampled_cut_is_the_partition_cut(kind):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert np.array(got[3:]).tobytes() == np.array(want[3:]).tobytes()
         if sampled is not None:
-            candidates = _tail_candidates(pair.ratio_cache[live], top)
+            candidates = _tail_candidates(pair.ratio_cache, top)
             assert (candidates is not None) == sampled
 
 
-def test_the_cut_cases_reach_the_rest_and_the_zero_level():
-    """The cases above cut into tied levels and the signed-zero level,
-    and leave zero-mass and singular atoms out of the block."""
+def test_the_tied_cut_case_cuts_into_a_tied_level():
+    """The tied case above cuts into tied levels and leaves target mass
+    out of the block."""
     pair, tops, _ = _CUT_CASES["tied"]
     prof = CoverageProfile.from_pair(pair, top=1000)
     assert np.count_nonzero(pair.ratio_cache >= prof.thresholds[0]) > 1000 and prof.nu_below > 0
-    pair, tops, _ = _CUT_CASES["negative-zero"]
-    assert CoverageProfile.from_pair(pair, top=4500).thresholds[0] == 0.0
-    assert np.signbit(pair.ratio_cache).any()
-    for kind in ("zero-mass", "singular"):
-        pair = _CUT_CASES[kind][0]
-        assert (pair.mu_weights == 0).any()
-    assert _CUT_CASES["singular"][0].singular_mass > 0
 
 
-def _gathered_first(pair, top=None):
-    """``from_pair(pair, top=top)``'s fields as the profile was built
-    before the block was cut on the whole support: the live atoms'
-    ratios and weights gathered first, the block cut from them, the
-    levels read from the block."""
-    live = pair.mu_weights > 0
-    ratios, nu, mu = pair.ratio_cache[live], pair.nu_weights[live], pair.mu_weights[live]
-    below = (0.0, 0.0)
-    if top is not None and top < ratios.size:
-        block = _top_block(ratios, top)
-        nu_below, nu_r_below = _remainder_sums(ratios, nu, block)
-        if nu_below > 0:
-            ratios, nu, mu = ratios[block], nu[block], mu[block]
-            below = (nu_below, nu_r_below)
-    return (*_ratio_levels(ratios, nu, mu), *below)
+def _never_called(*args):
+    raise AssertionError("called")
 
 
-def _wide_with_zero_mass_atoms(dead, singular):
-    """make_random_pair(2**18, 20260818) with the ``dead`` atoms' proposal
-    mass set to 0; with ``singular`` they keep their target mass."""
-    pair = make_random_pair(2**18, 20260818)
-    mu, nu = pair.mu_weights.copy(), pair.nu_weights.copy()
-    mu[dead] = 0.0
-    if not singular:
-        nu[dead] = 0.0
-    return make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.0)
+@pytest.mark.parametrize("kind", ["zero-proposal", "zero-target", "negative-zero", "singular"])
+@pytest.mark.parametrize("support", [4096, 1 << 18])
+def test_a_pair_with_a_zero_mass_gets_its_complete_profile(monkeypatch, support, kind):
+    """``from_pair`` cuts a block only where every atom has both masses:
+    on any other pair ``top`` is ignored, no block is cut and no
+    remainder summed, and the profile is the one without ``top``, byte
+    for byte."""
+    pair = _with_a_zero_mass(support, kind)
+    assert not pair.positive
+    assert (kind == "negative-zero") == bool(np.signbit(pair.ratio_cache).any())
+    assert (kind == "singular") == (pair.singular_mass > 0)
+    full = CoverageProfile.from_pair(pair)
+    monkeypatch.setattr(coverage, "_top_block", _never_called)
+    monkeypatch.setattr(coverage, "_remainder_sums", _never_called)
+    prof = CoverageProfile.from_pair(pair, top=1024)
+    assert not prof._partial
+    for name in ("thresholds", "nu_masses", "mu_masses",
+                 "_nu_suffix", "_mu_suffix", "_nu_r_prefix"):
+        assert getattr(prof, name).tobytes() == getattr(full, name).tobytes(), name
+    for name in ("singular_mass", "nu_below", "nu_r_below"):
+        assert np.float64(getattr(prof, name)).tobytes() == np.float64(getattr(full, name)).tobytes()
 
 
-_WIDE_DEAD = {
-    "one": [1000],
-    "first-and-last": [0, 2**18 - 1],
-    # a run across the first chunk boundary of the live atoms' dot
-    "run": list(range(DOT_CHUNK - 40, DOT_CHUNK + 40)),
-    "quarter": np.flatnonzero(np.random.default_rng(3).random(2**18) < 0.25),
-}
-
-
-@pytest.mark.parametrize("singular", [False, True], ids=["zero-mass", "singular"])
-@pytest.mark.parametrize("dead", sorted(_WIDE_DEAD))
-def test_a_block_cut_before_gathering_is_the_gathered_block(dead, singular):
-    """The block is cut on the whole support, where only the live atoms
-    count, and only its atoms are gathered: the profile is the one
-    gathering every live atom first gave, byte for byte, at a 1 024-atom
-    block and complete."""
-    pair = _wide_with_zero_mass_atoms(_WIDE_DEAD[dead], singular)
-    for top in (1024, None):
-        prof = CoverageProfile.from_pair(pair, top=top)
-        got = (prof.thresholds, prof.nu_masses, prof.mu_masses, prof.nu_below, prof.nu_r_below)
-        want = _gathered_first(pair, top)
-        for a, b in zip(got[:3], want[:3]):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert np.array(got[3:]).tobytes() == np.array(want[3:]).tobytes()
-        assert (prof.nu_below > 0) == (top is not None)
-
-
-@pytest.mark.parametrize("size", [1, 5, DOT_CHUNK, DOT_CHUNK + 1, 3 * DOT_CHUNK + 7])
-def test_live_dot_is_the_dot_of_the_gathered_atoms(size):
-    gen = np.random.default_rng(size)
-    for share in (0.0, 0.01, 0.5, 0.9):
-        live = gen.random(size + 200) >= share
-        live[np.flatnonzero(live)[size:]] = False
-        if np.count_nonzero(live) < size:
-            continue
-        a, b = gen.random(size), gen.random(live.size)
-        got = _live_dot(a, b, live, np.flatnonzero(~live))
-        assert np.float64(got).tobytes() == np.float64(ordered_dot(a, b[live])).tobytes()
+@pytest.mark.parametrize("top", [0, -1, 2.5])
+def test_from_pair_rejects_a_top_that_is_not_an_integer_of_at_least_1(top):
+    pair = make_random_pair(5000, 1)
+    with pytest.raises(ValueError, match="top must be an integer >= 1"):
+        CoverageProfile.from_pair(pair, top=top)
+    # a numpy integer is an integer
+    block = CoverageProfile.from_pair(pair, top=np.int64(1024))
+    assert block.thresholds.tobytes() == CoverageProfile.from_pair(pair, top=1024).thresholds.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -148,7 +148,7 @@ def test_make_finite_never_touches_the_callers_arrays():
             assert mu.flags.writeable and nu.flags.writeable
             assert not np.shares_memory(mu, pair.mu_weights)
             assert not np.shares_memory(nu, pair.nu_weights)
-            assert pair.mu_positive == bool((mu > 0).all())
+            assert pair.positive == bool((mu > 0).all() and (nu > 0).all())
 
 
 class _WeightArray(np.ndarray):
@@ -310,7 +310,7 @@ def _pair_bits(pair):
     return (
         [(arr.dtype, arr.tobytes()) for arr in arrays],
         pair.z_true, pair.name, pair.singular_mass, pair.last_drawable_atom,
-        pair.mu_positive, guide.scale, guide.max_steps,
+        pair.positive, guide.scale, guide.max_steps,
     )
 
 
@@ -419,6 +419,18 @@ def test_random_pair_is_the_serial_draw_bit_for_bit(size):
     seed = 20260818 + size
     assert (_pair_bits(make_random_pair(size, seed, z=2.5))
             == _pair_bits(_serial_random_pair(size, seed, 2.5)))
+
+
+@pytest.mark.parametrize("size", [PARALLEL_FILL_MIN - 1, PARALLEL_FILL_MIN])
+def test_positive_tells_whether_every_atom_has_both_masses(size):
+    """Random pairs, filled serially or on two threads, have both masses
+    on every atom; a weighted pair whose g has a zero has an atom of no
+    target mass."""
+    pair = make_random_pair(size, 7)
+    assert pair.positive is True
+    g = np.ones(size)
+    g[size // 2] = 0.0
+    assert make_weighted_pair(pair, g).positive is False
 
 
 def _fills_by_thread(monkeypatch, fill, cpus=2):

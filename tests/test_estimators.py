@@ -32,7 +32,8 @@ from pfest import (
 )
 from pfest.coverage import FLOAT_EXACT_INT_MAX, LOG_N_MAX
 from pfest.divergences import parse_f_spec
-from pfest.estimators import group_count, ordered_mean
+from pfest.distributions import ordered_dot
+from pfest.estimators import _snis_ratios, group_count, ordered_mean
 from pfest.estimators import plan_method, run_trials
 from pfest.rng import derive_seed
 
@@ -542,6 +543,18 @@ def test_snis_weighted_mean():
     batch = _batch([1.0, 3.0], atoms=[0, 1])
     report = snis(batch, np.array([0.0, 1.0]))
     assert report.estimate == pytest.approx(3.0 / 4.0)
+
+
+def test_snis_rescales_only_the_rows_whose_sums_overflow():
+    """Row 0's weighted sum, 4e308, passes the float range and is summed
+    again on g scaled by a power of two; row 1 keeps its bits."""
+    weights = np.array([[1.0, 3.0], [2.0, 3.0]])
+    g = np.array([[1e308, 1e308], [0.1, 0.7]])
+    got = _snis_ratios(weights, g)
+    assert got[0] == pytest.approx(1e308, rel=1e-15)
+    assert got[1] == ordered_dot(weights[1], g[1]) / 5.0
+    # a 1-d g, as the count engine passes it
+    assert _snis_ratios(weights, g[0])[0] == got[0]
 
 
 def test_snis_all_zero_raises():

@@ -76,6 +76,15 @@ ESTIMATES = {
     ),
 }
 
+# SNIS of a constant g near the float maximum, whose weighted sums pass
+# the float range: the estimate is the constant
+SNIS_NEAR_FLOAT_MAX = (
+    ["estimate", *BERN, "--eps", "0.25", "--method", "snis", "--g", "1e308,1e308",
+     "--seed", "1"],
+    "estimate method=snis n=6120 M=255.0 trials=1 eps=0.25 delta=0.1 "
+    "mean_estimate=1e+308 success_freq=1.0\n",
+)
+
 COVERAGE_HEADER = "M,cov,icov,icov_over_M,trunc_second_moment\r\n"
 BERN_COVERAGE = (
     COVERAGE_HEADER + "0.0,1.0,0.0,inf,0.0\r\n"
@@ -250,6 +259,14 @@ def test_plan_stdout(capsys, method):
 def test_estimate_stdout(capsys, name):
     args, expected = ESTIMATES[name]
     assert _run(capsys, ["estimate", *BERN, *args, *EST]) == (0, expected, "")
+
+
+def test_snis_estimate_of_a_g_near_the_float_maximum(capsys):
+    argv, expected = SNIS_NEAR_FLOAT_MAX
+    assert _run(capsys, argv) == (0, expected, "")
+    fields = dict(word.split("=") for word in expected.split()[1:])
+    assert abs(float(fields["mean_estimate"]) - 1e308) <= 1e-12 * 1e308
+    assert fields["success_freq"] == "1.0"
 
 
 @pytest.mark.parametrize("name", list(TABLES))
