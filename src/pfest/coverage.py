@@ -44,22 +44,21 @@ LOG_N_MAX = 4000 * math.log(10.0)
 # 2 048 atoms, where the complete profile takes 174 us, and 196 against
 # 222 us at 4 096 atoms.
 #
-# A plan that reads below a block widens it TAIL_GROWTH times, or, when
-# it names the coverage target the block could not meet, to an estimate
-# of the atoms holding that target's mass. A block's cut and that
-# estimate read the strided sample of every TAIL_STEP-th atom. On the
-# 2^18-atom random pair (best of 7) a 1 024-atom block took 743 us at
-# TAIL_STEP 32 and 751 to 782 us at 16, 64 and 128 (the comparison pass
-# and the sums over the support dominate), 966 us at 8, and 1 100 us
-# with a partition of the whole support. A count k of sampled atoms is
-# widened to _with_margin(k): k plus TAIL_SIGMAS binomial standard
-# deviations plus TAIL_SLACK. Over about 850 cuts of 1 024 to 5 120
-# atoms on random pairs of 8 192 to 2^17 atoms, fewer than top atoms
-# reached the bound 453 times with no margin, 26 times at 2 deviations,
-# twice at 3 and never with the slack of 8 added (candidates 1.48 times
-# the block, in the median); over 800 quantile and sampling plans on
-# pairs of 2^14 to 2^18 atoms, no widened block fell short with the
-# margin, and 43 did without it.
+# A plan that reads below a block widens it TAIL_GROWTH times, whether
+# or not it names its target: only the first block is sized. A block's
+# cut and that size read the strided sample of every TAIL_STEP-th atom.
+# On the 2^18-atom random pair (best of 7) a 1 024-atom block took
+# 743 us at TAIL_STEP 32 and 751 to 782 us at 16, 64 and 128 (the
+# comparison pass and the sums over the support dominate), 966 us at 8,
+# and 1 100 us with a partition of the whole support. A count k of
+# sampled atoms is widened to _with_margin(k): k plus TAIL_SIGMAS
+# binomial standard deviations plus TAIL_SLACK. Over about 850 cuts of
+# 1 024 to 5 120 atoms on random pairs of 8 192 to 2^17 atoms, fewer
+# than top atoms reached the bound 453 times with no margin, 26 times at
+# 2 deviations, twice at 3 and never with the slack of 8 added
+# (candidates 1.48 times the block, in the median); over 800 quantile
+# and sampling plans on pairs of 2^14 to 2^18 atoms, no sized block fell
+# short with the margin, and 43 did without it.
 #
 # The sampled bound pays where the candidates are a small share of the
 # support, so it is taken only where the sample holds at least
@@ -86,15 +85,7 @@ TAIL_SIZED_MIN = 2 * TAIL_SPARSE * TAIL_FIRST_TOP
 
 
 class _BelowBlock(ValueError):
-    """A partial profile was asked about levels below its lowest one.
-
-    ``coverage``, when the query knows it, is the coverage target the
-    block's levels could not meet: they had to hold more than that less
-    the singular mass. TailPlanner sizes the next block from it."""
-
-    def __init__(self, message: str, coverage: Optional[float] = None):
-        super().__init__(message)
-        self.coverage = coverage
+    """A partial profile was asked about levels below its lowest one."""
 
 
 class _RemainderSum:
@@ -513,7 +504,7 @@ def min_coverage_threshold(profile: CoverageProfile, target: float) -> float:
         key=partial(operator.add, profile.singular_mass),
     )
     if met > profile.thresholds.size and profile._partial:
-        raise _BelowBlock("the level lies below the lowest one resolved", coverage=target)
+        raise _BelowBlock("the level lies below the lowest one resolved")
     return float(profile.thresholds[max(profile.thresholds.size - met, 0)])
 
 
@@ -545,20 +536,18 @@ class TailPlanner:
 
     def plan(self, planner: Callable, coverage: Optional[float] = None):
         """``planner(*profiles)`` on the pairs' profiles from
-        ``from_pair(pair, top=top)``, then on wider blocks each time the
-        planner reads below a block, until the profiles are complete; a
-        pair less than TAIL_SPARSE times as wide as a block gets its
-        complete profile.
+        ``from_pair(pair, top=top)``, then on a block TAIL_GROWTH times
+        as wide each time the planner reads below a block, until the
+        profiles are complete; a pair less than TAIL_SPARSE times as wide
+        as a block gets its complete profile.
 
         The first ``top`` is TAIL_FIRST_TOP. A planner that reads the
         profile only through ``min_coverage_threshold`` (the quantile
         and sampling plans) may name the ``coverage`` target it passes
         there: the first block is then sized from it (see ``_sized``),
         or is the narrowest block already built that is at least as
-        wide; only pairs of at least TAIL_SIZED_MIN atoms are sampled
-        for it. A block widens TAIL_GROWTH times, unless the planner's
-        query names the coverage target the block could not meet: then
-        to the block sized from it, and at least twice as wide.
+        wide. Only the first block is sized; every later one grows the
+        same way.
 
         A plan reads a partial profile only where it is exact, so each
         answer is the complete profile's, up to the rounding of
@@ -567,9 +556,7 @@ class TailPlanner:
         reads only coverage never sums ``nu_below`` and
         ``nu_r_below``."""
         top = TAIL_FIRST_TOP
-        if coverage is not None and any(
-            pair.support_size >= TAIL_SIZED_MIN for pair in self.pairs
-        ):
+        if coverage is not None:
             # such a plan reads the same answer from any wider block
             top = self._sized(coverage)
             top = min((built for built in self._blocks if built >= top), default=top)
@@ -583,22 +570,20 @@ class TailPlanner:
                 ]
             try:
                 return planner(*self._blocks[top])
-            except _BelowBlock as below:
-                if below.coverage is None:
-                    top *= TAIL_GROWTH
-                else:
-                    top = max(2 * top, self._sized(below.coverage))
+            except _BelowBlock:
+                top *= TAIL_GROWTH
 
     def _sized(self, coverage: float) -> int:
         """The block for a coverage target: the count of highest-ratio
-        atoms whose sampled target mass exceeds ``coverage`` less the
-        pair's singular mass, with its margin, on the pair that needs
-        most, rounded up to a multiple of TAIL_FIRST_TOP. A block sized
-        too short is widened again by ``plan``."""
+        atoms whose sampled target mass exceeds ``coverage``, with its
+        margin, on the pair that needs most, rounded up to a multiple of
+        TAIL_FIRST_TOP; TAIL_FIRST_TOP when no pair is sampled. Sampled
+        pairs have both masses on every atom, so no singular mass. A
+        block sized too short is widened by ``plan``."""
         # sampled atoms it takes to exceed the mass, or one past them all
         count = max(
-            (int(c.searchsorted(coverage - pair.singular_mass, side="right")) + 1
-             for pair, c in zip(self.pairs, self._sampled_mass) if c is not None),
+            (int(c.searchsorted(coverage, side="right")) + 1
+             for c in self._sampled_mass if c is not None),
             default=0,
         )
         return math.ceil(TAIL_STEP * _with_margin(count) / TAIL_FIRST_TOP) * TAIL_FIRST_TOP

@@ -507,11 +507,9 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     rows = np.empty((3, support_size))
     mu, nu = rows[0], rows[1]
     if support_size < PARALLEL_FILL_MIN or _usable_cpus() < 2:
-        # one draw of 2 S words fills mu's row and then nu's
-        make_generator(seed).random(out=rows[:2])
-        for raw in (mu, nu):
-            raw += 0.05
-            raw /= raw.sum()
+        gen = make_generator(seed)
+        _fill_weights(gen, mu)
+        _fill_weights(gen, nu)
     else:
         mu_gen = make_generator(seed)
         nu_gen = make_generator(seed, start=support_size)

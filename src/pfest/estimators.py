@@ -79,9 +79,19 @@ def relative_error(estimate, truth: float):
 
 def ordered_mean(values: np.ndarray) -> float:
     """Mean of a nonempty array summed left to right, as a Python loop from
-    0.0 sums it (so 0.0 + all -0.0 is 0.0); np.sum and np.mean are pairwise."""
+    0.0 sums it (so 0.0 + all -0.0 is 0.0); np.sum and np.mean are pairwise.
+
+    Only where that sum passes the float range while every value is
+    finite are the values summed again scaled by 2^-e, e the binary
+    exponent of the largest magnitude (as in ``_snis_ratios``), and the
+    mean scaled back; every finite sum keeps its bits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (0.0 + float(np.cumsum(values)[-1])) / values.size
+        total = 0.0 + float(np.cumsum(values)[-1])
+        if math.isfinite(total) or not np.isfinite(values).all():
+            return total / values.size
+        shift = int(np.frexp(np.abs(values).max())[1])
+        scaled = float(np.cumsum(np.ldexp(values, -shift))[-1])
+        return float(np.ldexp(scaled / values.size, shift))
 
 
 def within_multiplicative(estimate, truth: float, eps: float):
@@ -633,7 +643,14 @@ def run_trials(
     its estimate does not depend on the trial count, and it replays as
     the last n draws of ``sample(pair, (r + 1) n, seed + (b << 64))`` or
     the last k of ``sample_counts(pair, size, (r + 1) k, seed + (b <<
-    64))``, with (k, size) = ``ESTIMATORS[method].groups(n, delta)``."""
+    64))``, with (k, size) = ``ESTIMATORS[method].groups(n, delta)``.
+    An n or a trial count below 1, or trials past the 64-bit array size
+    range, raises ValueError."""
+    for name, value in (("n", n), ("trials", trials)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if trials >= 2**63:  # numpy array dimensions are int64
+        raise ValueError(f"trials={trials} passes the 64-bit array size range")
     entry = ESTIMATORS[method]
     truth = entry.truth(pair, g)
     k, size = entry.groups(n, delta)

@@ -65,8 +65,12 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
 
     Atoms are drawn from the proposal, arrival times are cumulative
     sums of Exp(1) increments, and the winner minimizes arrival over
-    density. Zero-density atoms score +inf; ties go to the earliest
-    draw. Raises AllNullDrawsError when no draw has positive density.
+    density. The trace's scores are arrival over lambda = z ratio; the
+    winner is picked on arrival over ratio, as ``race_law`` reads it,
+    so a z that takes the scores past the float range (best_score then
+    reads inf) does not change it. Zero-density atoms score +inf; ties
+    go to the earliest draw. Raises AllNullDrawsError when no draw has
+    positive density.
     """
     _check_race_length(n)
     # item 0 of a 64-bit seed: the stream keyed by the seed itself
@@ -74,16 +78,21 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
     if n >= 2**63:  # numpy array dimensions are int64
         raise ValueError(f"a race of n={n} draws passes the 64-bit array size range")
     atoms = draw_atoms(pair, gen.random(n))
-    scores = gen.random(n)  # Exp(1) as -log1p(-U), summed and divided in place
-    np.negative(scores, out=scores)
-    np.log1p(scores, out=scores)
-    np.negative(scores, out=scores)
-    np.cumsum(scores, out=scores)
-    lam = pair.lambda_at(atoms)
-    np.divide(scores, lam, out=scores, where=lam > 0)
-    scores[lam == 0] = np.inf
-    best = int(np.argmin(scores))
-    if math.isinf(scores[best]):
+    arrivals = gen.random(n)  # Exp(1) as -log1p(-U), summed in place
+    np.negative(arrivals, out=arrivals)
+    np.log1p(arrivals, out=arrivals)
+    np.negative(arrivals, out=arrivals)
+    np.cumsum(arrivals, out=arrivals)
+    ratio = pair.ratio_cache[atoms]
+    scores = ratio * pair.z_true  # lambda_at(atoms), divided in place
+    live, null = scores > 0, ratio == 0
+    with np.errstate(over="ignore"):
+        np.divide(arrivals, scores, out=scores, where=live)
+        keys = np.divide(arrivals, ratio, out=arrivals, where=~null)
+    scores[~live] = np.inf
+    keys[null] = np.inf
+    best = int(np.argmin(keys))
+    if math.isinf(keys[best]):
         raise AllNullDrawsError(
             f"all {n} draws landed on zero-density atoms; the race has no winner"
         )

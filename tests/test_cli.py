@@ -21,6 +21,35 @@ def _run(capsys, argv):
     return code, out, err
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_block(heading, language):
+    """The first ``language`` code block under README's ``heading``."""
+    return re.search(rf"## {heading}\n.*?```{language}\n(.*?)```", README, re.S).group(1)
+
+
+def test_readme_quick_start_runs():
+    exec(compile(_readme_block("Library quick start", "python"), "README.md", "exec"), {})
+
+
+README_COMMANDS = [
+    line.split()[1:]
+    for line in _readme_block("CLI", "sh").replace("\\\n", " ").splitlines()
+    if line.startswith("pfest ") and not line.startswith("pfest experiment")
+]
+
+
+def test_readme_cli_block_covers_every_command_but_experiment():
+    assert {argv[0] for argv in README_COMMANDS} == {"coverage", "plan", "estimate", "sample"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_cli_example_exits_ok(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+
+
 def test_plan_exits_ok(capsys):
     code, out, _ = _run(
         capsys, ["plan", *BERN, "--eps", "0.25", "--delta", "0.1", "--method", "coverage"]

@@ -303,16 +303,6 @@ def test_an_estimate_does_not_depend_on_the_trial_count(monkeypatch, method, eng
 
 
 @pytest.mark.parametrize("method", list(ESTIMATORS))
-def test_run_trials_of_no_trials_is_empty(method):
-    pair = make_random_pair(64, 1)
-    g = np.ones(pair.support_size)
-    for n in (40, 5000):  # the draw and the count engine
-        record = run_trials(pair, method, n, 0, 3, 0.3, 0.1, m=2.0, g=g)
-        assert record.estimates.shape == record.success.shape == (0,)
-        assert (record.estimates.dtype, record.success.dtype) == (np.float64, bool)
-
-
-@pytest.mark.parametrize("method", list(ESTIMATORS))
 def test_draw_blocks_stay_within_the_budget(method):
     """2^22 draws over 1 024 trials: stacked whole, their density values
     and atoms would take 64 MiB; run in blocks of 2^20 draws, the

@@ -781,22 +781,26 @@ def test_a_tail_planner_builds_each_block_once(monkeypatch):
 ], ids=["quantile-0.5", "sampling-0.3"])
 def test_a_plan_deep_in_the_tail_widens_once(monkeypatch, plan, coverage, second):
     """A 1 024-atom block holds too little target mass; the block sized
-    from the strided sample holds the answer, where growing 4 times at
-    a time built blocks of 4 096, 16 384 and 65 536 atoms. Named with
-    its coverage target, the plan builds that block first."""
+    from the strided sample holds the answer. Named with its coverage
+    target, the plan builds that block first; unnamed, it grows 4 times
+    at a time from 1 024 atoms, to the same answer."""
     pair = make_random_pair(1 << 18, 20260818)
     full = plan(CoverageProfile.from_pair(pair))
     tops = _count_blocks(monkeypatch)
     result = TailPlanner(pair).plan(plan, coverage=coverage)
     assert tops == [second]
     assert (result.n, result.m) == (full.n, full.m)
+    tops.clear()
+    result = TailPlanner(pair).plan(plan)
+    assert tops == [1024, 4096, 16384, 65536]
+    assert (result.n, result.m) == (full.n, full.m)
 
 
 def test_a_short_estimate_widens_again(monkeypatch):
     """Every TAIL_STEP-th atom carries 100 times the weight of the rest,
     so the strided sample sees about 24 times the target mass there is:
-    each estimate falls short, and each block is twice the one before,
-    until one holds the answer."""
+    the sized block falls short, and each block after it is TAIL_GROWTH
+    times the one before, until one holds the answer."""
     support = 1 << 16
     weight = np.where(np.arange(support) % TAIL_STEP == 0, 100.0, 1.0)
     ratio = np.random.default_rng(1).random(support) + 0.5
@@ -806,7 +810,7 @@ def test_a_short_estimate_widens_again(monkeypatch):
         full = plan(CoverageProfile.from_pair(pair))
         tops = _count_blocks(monkeypatch)
         result = TailPlanner(pair).plan(plan, coverage=coverage)
-        assert tops == [1024, 2048, 4096, 8192]
+        assert tops == [1024, 4096, 16384]
         assert (result.n, result.m) == (full.n, full.m)
         monkeypatch.undo()
 

@@ -447,7 +447,7 @@ def _fills_by_thread(monkeypatch, fill, cpus=2):
 
 
 @pytest.mark.parametrize("size, on_caller", [
-    (PARALLEL_FILL_MIN - 1, []),  # below the cut: the serial draw
+    (PARALLEL_FILL_MIN - 1, [True, True]),  # below the cut: both on the caller
     (PARALLEL_FILL_MIN, [False, True]),
 ])
 def test_nu_is_filled_on_a_helper_thread_from_the_cut_on(monkeypatch, size, on_caller):

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,17 +118,49 @@ MIXED_FLOATS = st.builds(
 @given(st.lists(MIXED_FLOATS, min_size=1, max_size=40))
 @example([1e16] + [1.0] * 20 + [-1e16])
 @example([-0.0, -0.0])
+@example([1e308, 1e308, -1e308])
 def test_ordered_mean_adds_left_to_right(values):
     total = 0.0
     for value in values:
         total += value
-    assert ordered_mean(np.array(values)).hex() == (total / len(values)).hex()
+    mean = ordered_mean(np.array(values))
+    if math.isfinite(total) or not all(map(math.isfinite, values)):
+        assert mean.hex() == (total / len(values)).hex()
+    else:  # the sum passed the float range; the mean of finite values does not
+        exact = sum(map(Fraction, values)) / len(values)
+        assert abs(Fraction(mean) - exact) <= len(values) * 2.0**-50 * max(map(abs, values))
 
 
 def test_ordered_mean_is_neither_pairwise_nor_compensated():
     values = [1e16] + [1.0] * 20 + [-1e16]
     assert ordered_mean(np.array(values)) == 0.0
     assert np.mean(values) != 0.0 and math.fsum(values) != 0.0
+
+
+def test_ordered_mean_of_a_finite_sum_keeps_its_bits():
+    gen = np.random.default_rng(5)
+    values = gen.standard_normal(1000) * 10.0 ** gen.uniform(-300, 300, 1000)
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    assert math.isfinite(total)
+    assert ordered_mean(values).hex() == (total / values.size).hex()
+
+
+def test_ordered_mean_of_finite_values_whose_sum_overflows_is_finite():
+    assert ordered_mean(np.array([1e308] * 3)) == 1e308
+    mean = ordered_mean(np.array([1e308, 1e308, -1e308]))
+    assert mean == pytest.approx(1e308 / 3, rel=1e-15)
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([math.inf, 1.0], math.inf),
+    ([-math.inf, 1e308, 1e308], -math.inf),
+    ([math.nan, 1e308, 1e308], math.nan),
+    ([math.inf, -math.inf], math.nan),
+])
+def test_ordered_mean_passes_inf_and_nan_through(values, expected):
+    np.testing.assert_equal(ordered_mean(np.array(values)), expected)
 
 
 def test_within_multiplicative_boundary():
@@ -530,6 +563,20 @@ def test_run_trials_names_the_missing_argument(pair, method, missing):
             quantile_estimator(batch, 0.25, None)
         else:
             snis(batch, None)
+
+
+@pytest.mark.parametrize("method", ["mom", "quantile", "snis"])
+def test_run_trials_names_an_n_or_trials_out_of_range(method):
+    pair = make_bernoulli_pair(0.5, 0.25)
+    for n, trials, message in (
+        (0, 3, "n must be >= 1, got 0"),
+        (-5, 3, "n must be >= 1, got -5"),
+        (300, 0, "trials must be >= 1, got 0"),
+        (300, -1, "trials must be >= 1, got -1"),
+        (300, 10**20, "trials=100000000000000000000 passes"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_trials(pair, method, n, trials, 1, 0.25, 0.1, m=1.25, g=np.ones(2))
 
 
 def test_snis_constant_weights():

@@ -84,6 +84,13 @@ SNIS_NEAR_FLOAT_MAX = (
     "estimate method=snis n=6120 M=255.0 trials=1 eps=0.25 delta=0.1 "
     "mean_estimate=1e+308 success_freq=1.0\n",
 )
+# the same over three trials: their sum passes the float range, their
+# mean does not
+SNIS_NEAR_FLOAT_MAX_MEAN = (
+    [*SNIS_NEAR_FLOAT_MAX[0], "--trials", "3"],
+    "estimate method=snis n=6120 M=255.0 trials=3 eps=0.25 delta=0.1 "
+    "mean_estimate=1e+308 success_freq=1.0\n",
+)
 
 COVERAGE_HEADER = "M,cov,icov,icov_over_M,trunc_second_moment\r\n"
 BERN_COVERAGE = (
@@ -108,6 +115,13 @@ TABLES = {
     "sample-one-race": (
         ["sample", *BERN, "--eps", "0.25", "--seed", "7"],
         "sample atom=1 n=7 M=1.25 eps=0.25 best_score=0.7752512788313172\n",
+    ),
+    # z = 1e-310 takes every score past the float range; the winner is
+    # picked on the ratio, as at z = 1
+    "sample-one-race-tiny-z": (
+        ["sample", "--family", "bernoulli", "--params", "p=0.5,eps=0.25,z=1e-310",
+         "--eps", "0.3", "--seed", "1"],
+        "sample atom=1 n=6 M=1.25 eps=0.3 best_score=inf\n",
     ),
     "sample-trials": (
         ["sample", *BERN, "--eps", "0.25", "--seed", "7", "--trials", "50"],
@@ -267,6 +281,11 @@ def test_snis_estimate_of_a_g_near_the_float_maximum(capsys):
     fields = dict(word.split("=") for word in expected.split()[1:])
     assert abs(float(fields["mean_estimate"]) - 1e308) <= 1e-12 * 1e308
     assert fields["success_freq"] == "1.0"
+
+
+def test_mean_of_snis_estimates_near_the_float_maximum(capsys):
+    argv, expected = SNIS_NEAR_FLOAT_MAX_MEAN
+    assert _run(capsys, argv) == (0, expected, "")
 
 
 @pytest.mark.parametrize("name", list(TABLES))

@@ -74,6 +74,20 @@ def test_winner_invariant_under_scaling():
         assert outcome(base, seed) == outcome(scaled, seed)
 
 
+@pytest.mark.parametrize("z", [1e-310, 1e-320])
+def test_a_z_past_the_float_range_does_not_move_the_winner(z):
+    """lambda = z ratio is subnormal, so arrival over lambda overflows;
+    the winner is picked on arrival over ratio, as at z = 1."""
+    for make in (lambda z: make_bernoulli_pair(0.5, 0.25, z=z),
+                 lambda z: make_random_pair(64, 9, z=z)):
+        base, tiny = make(1.0), make(z)
+        for seed in range(200):
+            atom, state = astar_sample(base, 12, seed)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                tiny_atom, tiny_state = astar_sample(tiny, 12, seed)
+            assert (tiny_atom, tiny_state.best_index) == (atom, state.best_index)
+
+
 def test_plan_anchors():
     assert plan_n_sampling(1.0, 0.3) == 5
     assert plan_n_sampling(4.0, 0.03) == 37
