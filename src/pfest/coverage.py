@@ -88,25 +88,6 @@ class _BelowBlock(ValueError):
     """A partial profile was asked about levels below its lowest one."""
 
 
-class _RemainderSum:
-    """A field summed over the atoms a partial profile leaves out
-    (``nu_below``, ``nu_r_below``). Like ``cached_property`` it is read
-    from the instance once the instance holds a value, as every profile
-    but a partial one from ``from_pair`` does from the start; on that
-    one the first read of either field calls the profile's
-    ``_remainder`` for both sums, and drops it."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, profile, owner=None):
-        if profile is None:
-            return 0.0  # the field's default
-        values = vars(profile)
-        values["nu_below"], values["nu_r_below"] = values.pop("_remainder")()
-        return values[self.name]
-
-
 @dataclass(frozen=True)
 class CoverageProfile:
     """Sorted distinct finite density-ratio levels with the target and
@@ -117,31 +98,28 @@ class CoverageProfile:
     coverage at every finite level.
 
     A partial profile (``from_pair`` with ``top``, on a pair where every
-    atom has both masses) resolves only the highest levels. The target
-    mass of the atoms below them, and its sum times their ratios, are
-    carried in ``nu_below`` and ``nu_r_below``. Where ``nu_below`` is
-    positive (``_partial``, set by both constructors and not a field), a
-    query at or above the lowest level is exact and one below it raises
-    ValueError. A complete profile has both at 0.0.
+    atom has both masses) resolves only the highest levels; ``_partial``
+    is set on it, and on no other profile. A query at or above its
+    lowest level is exact and one below it raises ValueError. The atoms
+    it leaves out enter only through ``nu_r_below``, their target mass
+    times their ratios summed, which is 0.0 on a complete profile. The
+    checked constructor builds complete profiles only.
 
     ``from_pair`` gathers both masses with the one sort it makes. The
     suffix and prefix tables the queries read (``_nu_suffix``,
     ``_mu_suffix``, ``_nu_r_prefix``) are built on first use, so a plan
     pays only for the tables it reads. They are read-only and not
-    fields, so ``==`` and ``repr`` ignore them. A partial profile from
-    ``from_pair`` defers ``nu_below`` and ``nu_r_below`` the same way:
-    the atoms left out carry target mass, so both are positive, and
-    both are summed on the first read of either, of ``_nu_r_prefix`` or
-    of ``==`` and ``repr``. Until then the profile keeps the pair's
-    target-mass and ratio rows alive, with the block's indices.
+    fields, so ``==`` and ``repr`` ignore them. A partial profile sums
+    ``nu_r_below`` when ``_nu_r_prefix`` is first built, the one table
+    that reads it; until then it keeps the pair's target-mass and ratio
+    rows alive, with the block's indices.
     """
 
     thresholds: np.ndarray
     nu_masses: np.ndarray
     mu_masses: np.ndarray
     singular_mass: float
-    nu_below: float = _RemainderSum()
-    nu_r_below: float = _RemainderSum()
+    _partial = False  # not a field; set by from_pair alone
 
     def __post_init__(self):
         arrays = {
@@ -154,20 +132,22 @@ class CoverageProfile:
             raise ValueError("profile arrays must be 1-d and equally sized")
         if not (t[1:] > t[:-1]).all():
             raise ValueError("thresholds must be strictly increasing")
-        for name in ("singular_mass", "nu_below", "nu_r_below"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"{name} must be finite and nonnegative, got {value!r}"
-                )
+        if not (math.isfinite(self.singular_mass) and self.singular_mass >= 0):
+            raise ValueError(
+                f"singular_mass must be finite and nonnegative, got {self.singular_mass!r}"
+            )
         for name, arr in arrays.items():
             # a NaN fails the min, an inf makes the sum inf
-            mass = name != "thresholds"
-            if mass and not (arr.min() >= 0 and math.isfinite(arr.sum())):
+            if name != "thresholds" and not (arr.min() >= 0 and math.isfinite(arr.sum())):
                 raise ValueError(f"{name} must be finite and nonnegative")
         for name, arr in arrays.items():
             object.__setattr__(self, name, _freeze(arr))
-        object.__setattr__(self, "_partial", self.nu_below > 0)
+
+    @property
+    def nu_r_below(self) -> float:
+        """The target mass times the ratio, summed over the atoms a
+        partial profile leaves out; 0.0 on a complete profile."""
+        return float(self._nu_r_prefix[0])
 
     @cached_property
     def _nu_suffix(self) -> np.ndarray:
@@ -184,12 +164,13 @@ class CoverageProfile:
     def _nu_r_prefix(self) -> np.ndarray:
         """nu_r_below plus the sum of nu_mass * ratio over the first k
         levels, for k in 0..n, so integrated coverage takes one gather.
-        A complete profile's 0.0 is not added, so a first product of
-        -0.0 keeps its sign."""
+        A partial profile sums nu_r_below here, once, and drops what it
+        kept for it. A complete profile's 0.0 is not added, so a first
+        product of -0.0 keeps its sign."""
         out = np.empty(self.thresholds.size + 1)
-        out[0] = self.nu_r_below
+        out[0] = vars(self).pop("_remainder")() if self._partial else 0.0
         np.multiply(self.nu_masses, self.thresholds, out=out[1:])
-        body = out if self.nu_r_below else out[1:]
+        body = out if out[0] else out[1:]
         np.cumsum(body, out=body)
         return _freeze(out)
 
@@ -203,32 +184,31 @@ class CoverageProfile:
         of the pair has both masses (``pair.positive``): there, with
         ``top`` below the support size, only the levels of the ``top``
         atoms of highest ratio, and of every atom tied with the last of
-        them, are resolved, and the rest go into ``nu_below`` and
-        ``nu_r_below``, left until they are read (see the class). Every
+        them, are resolved, and the rest enter only through
+        ``nu_r_below``, summed when first read (see the class). Every
         other profile is complete, bit for bit the one without
         ``top``."""
         if top is not None and not (isinstance(top, (int, np.integer)) and top >= 1):
             raise ValueError(f"top must be an integer >= 1, got {top!r}")
         ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
-        sums = {"nu_below": 0.0, "nu_r_below": 0.0}
+        deferred = {}
         if not pair.positive:
             live = mu > 0
             ratios, nu, mu = ratios[live], nu[live], mu[live]
         elif top is not None and top < mu.size:
             block = _top_block(ratios, top)
             if block.size < mu.size:
-                # the first read of either sum calls the remainder
-                sums = {"_remainder": partial(_remainder_sums, ratios, nu, block)}
+                deferred = {"_partial": True,
+                            "_remainder": partial(_remainder_sum, ratios, nu, block)}
                 ratios, nu, mu = ratios[block], nu[block], mu[block]
         thresholds, nu, mu = _ratio_levels(ratios, nu, mu)
         # built without __post_init__'s checks, which these values pass
         # by construction: equally long float64 arrays of strictly
-        # increasing levels and of finite nonnegative masses, and finite
-        # nonnegative sums
+        # increasing levels and of finite nonnegative masses
         profile = object.__new__(cls)
         vars(profile).update(
             thresholds=_freeze(thresholds), nu_masses=_freeze(nu), mu_masses=_freeze(mu),
-            singular_mass=pair.singular_mass, _partial="_remainder" in sums, **sums,
+            singular_mass=pair.singular_mass, **deferred,
         )
         return profile
 
@@ -340,18 +320,18 @@ def _top_block(ratios: np.ndarray, top: int) -> np.ndarray:
     return block if candidates is None else candidates[block]
 
 
-def _remainder_sums(ratios: np.ndarray, nu: np.ndarray, block: np.ndarray) -> tuple:
+def _remainder_sum(ratios: np.ndarray, nu: np.ndarray, block: np.ndarray) -> float:
     """Over the atoms outside ``block`` (indices in atom order), the
-    target mass and the target mass times the ratio, summed.
+    target mass times the ratio, summed.
 
-    Both sums run in atom order over every atom, on one copy of the
-    target masses with the block's set to 0.0. They are not E_nu[ratio]
+    The sum runs in atom order over every atom, on one copy of the
+    target masses with the block's set to 0.0. It is not E_nu[ratio]
     minus the block's share: on a heavy ratio tail the block holds
     nearly all of it, and the difference would keep few correct
     digits."""
     rest = nu.copy()
     rest[block] = 0.0
-    return float(rest.sum()), ordered_dot(rest, ratios)
+    return ordered_dot(rest, ratios)
 
 
 def _ratio_levels(ratios: np.ndarray, nu: np.ndarray, mu: np.ndarray):
@@ -553,8 +533,7 @@ class TailPlanner:
         answer is the complete profile's, up to the rounding of
         ``nu_r_below``; a plan whose answer lies in the top of the ratio
         order leaves the rest of a wide support unsorted, and one that
-        reads only coverage never sums ``nu_below`` and
-        ``nu_r_below``."""
+        reads only coverage never sums ``nu_r_below``."""
         top = TAIL_FIRST_TOP
         if coverage is not None:
             # such a plan reads the same answer from any wider block

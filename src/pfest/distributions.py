@@ -10,9 +10,11 @@ quantity has an exact closed form to test against.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -261,21 +263,32 @@ class DistributionPair:
         mu = np.divide(mu_src, mu_total, out=rows[0])
         nu = np.divide(nu_src, nu_total, out=rows[1])
         ratio = rows[2]
-        if mu_low > 0:
-            np.divide(nu, mu, out=ratio)
-            singular = 0.0
-            mean = ordered_dot(mu, ratio)
-            top = float(ratio.max())
-            last_drawable = mu.size - 1
-        else:
-            pos = mu > 0
-            ratio.fill(0.0)
-            np.divide(nu, mu, out=ratio, where=pos)
-            singular = float(nu[~pos].sum())
-            ratio[~pos & (nu > 0)] = np.inf
-            mean = ordered_dot(mu[pos], ratio[pos])
-            top = float(np.max(ratio, where=pos, initial=0.0))
-            last_drawable = int(mu.size - 1 - np.argmax(pos[::-1]))
+        # nu / mu passes the float range only where mu is below the least
+        # normal float (nu is at most about 1); such a ratio is rejected
+        # below, by atom, with numpy's overflow warning off
+        quiet = mu_low < sys.float_info.min
+        with np.errstate(over="ignore") if quiet else contextlib.nullcontext():
+            if mu_low > 0:
+                np.divide(nu, mu, out=ratio)
+                singular = 0.0
+                mean = ordered_dot(mu, ratio)
+                top = float(ratio.max())
+                last_drawable = mu.size - 1
+            else:
+                pos = mu > 0
+                ratio.fill(0.0)
+                np.divide(nu, mu, out=ratio, where=pos)
+                singular = float(nu[~pos].sum())
+                ratio[~pos & (nu > 0)] = np.inf
+                mean = ordered_dot(mu[pos], ratio[pos])
+                top = float(np.max(ratio, where=pos, initial=0.0))
+                last_drawable = int(mu.size - 1 - np.argmax(pos[::-1]))
+        if math.isinf(top):
+            atom = int(np.flatnonzero((mu > 0) & (ratio == top))[0])
+            raise ValueError(
+                f"ratio at atom {atom} passes the float range: "
+                f"nu {float(nu[atom])!r} / mu {float(mu[atom])!r}"
+            )
         if abs(mean + singular - 1.0) > RATIO_MEAN_TOL:
             raise ValueError(
                 "inconsistent pair: E_mu[ratio] + singular_mass = "
@@ -504,6 +517,10 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     support_size, seed = int(support_size), int(seed)
     if support_size < 1:
         raise ValueError(f"support_size must be >= 1, got {support_size}")
+    if support_size >= 2**63:  # numpy array dimensions are int64
+        raise ValueError(
+            f"support_size={support_size} passes the 64-bit array size range"
+        )
     rows = np.empty((3, support_size))
     mu, nu = rows[0], rows[1]
     if support_size < PARALLEL_FILL_MIN or _usable_cpus() < 2:

@@ -377,6 +377,15 @@ def test_pair_with_a_density_past_the_float_range_exits_one(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_pair_with_a_ratio_past_the_float_range_exits_one(capsys, tmp_path):
+    path = tmp_path / "huge_ratio.json"
+    path.write_text(json.dumps({"mu": [1e-320, 1.0], "nu": [0.5, 0.5], "z": 1.0}))
+    assert _run(capsys, ["plan", "--pair", str(path), "--eps", "0.25"]) == (
+        EXIT_ERROR, "",
+        "pfest: error: ratio at atom 0 passes the float range: nu 0.5 / mu 1e-320\n",
+    )
+
+
 def test_repeated_in_process_calls_print_the_same(capsys):
     argv = ["plan", *BERN, "--eps", "0.2", "--delta", "0.01", "--method", "fdiv:kl"]
     first = _run(capsys, argv)

@@ -213,10 +213,6 @@ def test_profile_rejects_levels_not_strictly_increasing(thresholds):
         ("singular_mass", math.nan),
         ("singular_mass", math.inf),
         ("singular_mass", -0.2),
-        ("nu_below", math.nan),
-        ("nu_below", -1e-300),
-        ("nu_r_below", math.inf),
-        ("nu_r_below", -0.5),
         ("nu_masses", [-0.5, 1.5]),
         ("nu_masses", [0.5, math.nan]),
         ("nu_masses", [math.inf, 0.5]),
@@ -683,7 +679,7 @@ def test_a_top_past_the_live_atoms_gives_the_full_profile(pair):
     live = int(np.count_nonzero(pair.mu_weights > 0))
     for top in (live, pair.support_size, 10 * pair.support_size):
         prof = CoverageProfile.from_pair(pair, top=top)
-        assert (prof.nu_below, prof.nu_r_below) == (0.0, 0.0)
+        assert prof.nu_r_below == 0.0
         assert prof.singular_mass == full.singular_mass
         for name in ("thresholds", "nu_masses", "mu_masses",
                      "_nu_suffix", "_mu_suffix", "_nu_r_prefix"):
@@ -702,7 +698,6 @@ def test_partial_profile_is_exact_at_its_levels_and_raises_below(pair):
     assert np.count_nonzero(in_block) >= 1024
     assert np.count_nonzero(pair.ratio_cache > low) < 1024
     np.testing.assert_array_equal(prof.thresholds, full.thresholds[-prof.thresholds.size:])
-    assert prof.nu_below == pytest.approx(pair.nu_weights[~in_block].sum(), rel=1e-12)
     assert prof.nu_r_below == pytest.approx(
         np.dot(pair.nu_weights[~in_block], pair.ratio_cache[~in_block]), rel=1e-12
     )
@@ -817,46 +812,41 @@ def test_a_short_estimate_widens_again(monkeypatch):
 
 def _partitioned_block(pair, top):
     """``from_pair(pair, top=top)`` on a pair where every atom has both
-    masses, as (thresholds, nu_masses, mu_masses, nu_below, nu_r_below),
-    written with one np.partition over the whole support, np.unique and
-    two bincounts."""
+    masses, as (thresholds, nu_masses, mu_masses, nu_r_below), written
+    with one np.partition over the whole support, np.unique and two
+    bincounts."""
     ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
     keep = np.ones(ratios.size, dtype=bool)
     if top < ratios.size:
         keep = ratios >= np.partition(ratios, ratios.size - top)[ratios.size - top]
-    rest = np.where(keep, 0.0, nu)
-    below = (float(rest.sum()), ordered_dot(rest, ratios))
-    if not below[0] > 0:
-        keep[:], below = True, (0.0, 0.0)
     uniq, inverse = np.unique(ratios[keep], return_inverse=True)
     return (
         uniq,
         np.bincount(inverse, weights=nu[keep], minlength=uniq.size),
         np.bincount(inverse, weights=mu[keep], minlength=uniq.size),
-        *below,
+        ordered_dot(np.where(keep, 0.0, nu), ratios),
     )
 
 
-def _count_remainder_sums(monkeypatch):
-    """One entry per ``_remainder_sums`` call from now on."""
+def _count_remainder_sum(monkeypatch):
+    """One entry per ``_remainder_sum`` call from now on."""
     calls = []
-    original = coverage._remainder_sums
+    original = coverage._remainder_sum
     monkeypatch.setattr(
-        coverage, "_remainder_sums",
+        coverage, "_remainder_sum",
         lambda *args: calls.append(args) or original(*args),
     )
     return calls
 
 
-@pytest.mark.parametrize("first", ["nu_below", "nu_r_below", "_nu_r_prefix"])
+@pytest.mark.parametrize("first", ["nu_r_below", "_nu_r_prefix"])
 @pytest.mark.parametrize("kind", ["random", "zero-mass", "singular"])
 def test_a_partial_profile_sums_its_remainder_when_first_read(monkeypatch, kind, first):
-    """``from_pair`` leaves the remainder sums of a partial profile
-    until one of them (or the prefix table built on them) is read;
-    coverage queries never read them. Once read, they are
-    ``_partitioned_block``'s, bit for bit, and summed once. A pair with
-    a zero mass gets its complete profile, whose sums are 0.0 and never
-    summed."""
+    """``from_pair`` leaves the remainder sum of a partial profile
+    until it (or the prefix table built on it) is read; coverage
+    queries never read it. Once read, it is ``_partitioned_block``'s,
+    bit for bit, and summed once. A pair with a zero mass gets its
+    complete profile, whose sum is 0.0 and never summed."""
     pair = {
         "random": lambda: make_random_pair(1 << 15, 31),
         "zero-mass": lambda: _with_zero_mass_atoms(1 << 15, 32, singular=False),
@@ -864,7 +854,7 @@ def test_a_partial_profile_sums_its_remainder_when_first_read(monkeypatch, kind,
     }[kind]()
     partial_profile = kind == "random"
     assert pair.positive == partial_profile
-    calls = _count_remainder_sums(monkeypatch)
+    calls = _count_remainder_sum(monkeypatch)
     prof = CoverageProfile.from_pair(pair, top=1024)
     assert prof._partial == partial_profile
     levels = np.concatenate([prof.thresholds, [math.inf]])
@@ -877,9 +867,26 @@ def test_a_partial_profile_sums_its_remainder_when_first_read(monkeypatch, kind,
     assert calls == []
     getattr(prof, first)
     assert len(calls) == partial_profile and "_remainder" not in vars(prof)
-    want = _partitioned_block(pair, 1024)[3:] if partial_profile else (0.0, 0.0)
-    assert np.array([prof.nu_below, prof.nu_r_below]).tobytes() == np.array(want).tobytes()
+    want = _partitioned_block(pair, 1024)[3] if partial_profile else 0.0
+    assert np.float64(prof.nu_r_below).tobytes() == np.float64(want).tobytes()
     assert prof._nu_r_prefix[0] == prof.nu_r_below and len(calls) == partial_profile
+
+
+def test_a_profile_has_four_fields_and_a_read_only_remainder(monkeypatch):
+    """The remainder is no field: the checked constructor takes the four
+    fields, ``repr`` and ``fields`` leave it out and do not sum it, and
+    ``nu_r_below`` cannot be set."""
+    names = [f.name for f in dataclasses.fields(CoverageProfile)]
+    assert names == ["thresholds", "nu_masses", "mu_masses", "singular_mass"]
+    calls = _count_remainder_sum(monkeypatch)
+    prof = CoverageProfile.from_pair(make_random_pair(1 << 13, 33), top=1024)
+    assert prof._partial and "nu_r_below" not in repr(prof) and calls == []
+    with pytest.raises(AttributeError):
+        prof.nu_r_below = 0.0
+    with pytest.raises(TypeError, match="nu_r_below"):
+        CoverageProfile(thresholds=[1.0], nu_masses=[1.0], mu_masses=[1.0],
+                        singular_mass=0.0, nu_r_below=0.0)
+    assert not CoverageProfile([1.0], [1.0], [1.0], 0.0)._partial
 
 
 def test_the_wide_quantile_plans_build_one_block_and_sum_no_remainder(monkeypatch):
@@ -888,7 +895,7 @@ def test_the_wide_quantile_plans_build_one_block_and_sum_no_remainder(monkeypatc
     for support, seed, top in ((1 << 17, 20260817, 9216), (1 << 18, 20260818, 16384)):
         pair = make_random_pair(support, seed)
         full = plan_n_quantile(0.3, 0.1, profile=CoverageProfile.from_pair(pair))
-        calls = _count_remainder_sums(monkeypatch)
+        calls = _count_remainder_sum(monkeypatch)
         tops = _count_blocks(monkeypatch)
         assert PLANS["quantile"].run(pair, 0.3, 0.1, None) == full
         assert (tops, calls) == ([top], [])
@@ -1005,11 +1012,11 @@ def test_the_sampled_cut_is_the_partition_cut(kind):
     pair, tops, sampled = _CUT_CASES[kind]
     for top in tops:
         prof = CoverageProfile.from_pair(pair, top=top)
-        got = (prof.thresholds, prof.nu_masses, prof.mu_masses, prof.nu_below, prof.nu_r_below)
+        got = (prof.thresholds, prof.nu_masses, prof.mu_masses, prof.nu_r_below)
         want = _partitioned_block(pair, top)
         for a, b in zip(got[:3], want[:3]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert np.array(got[3:]).tobytes() == np.array(want[3:]).tobytes()
+        assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
         if sampled is not None:
             candidates = _tail_candidates(pair.ratio_cache, top)
             assert (candidates is not None) == sampled
@@ -1020,7 +1027,7 @@ def test_the_tied_cut_case_cuts_into_a_tied_level():
     out of the block."""
     pair, tops, _ = _CUT_CASES["tied"]
     prof = CoverageProfile.from_pair(pair, top=1000)
-    assert np.count_nonzero(pair.ratio_cache >= prof.thresholds[0]) > 1000 and prof.nu_below > 0
+    assert np.count_nonzero(pair.ratio_cache >= prof.thresholds[0]) > 1000 and prof.nu_r_below > 0
 
 
 def _never_called(*args):
@@ -1040,13 +1047,13 @@ def test_a_pair_with_a_zero_mass_gets_its_complete_profile(monkeypatch, support,
     assert (kind == "singular") == (pair.singular_mass > 0)
     full = CoverageProfile.from_pair(pair)
     monkeypatch.setattr(coverage, "_top_block", _never_called)
-    monkeypatch.setattr(coverage, "_remainder_sums", _never_called)
+    monkeypatch.setattr(coverage, "_remainder_sum", _never_called)
     prof = CoverageProfile.from_pair(pair, top=1024)
     assert not prof._partial
     for name in ("thresholds", "nu_masses", "mu_masses",
                  "_nu_suffix", "_mu_suffix", "_nu_r_prefix"):
         assert getattr(prof, name).tobytes() == getattr(full, name).tobytes(), name
-    for name in ("singular_mass", "nu_below", "nu_r_below"):
+    for name in ("singular_mass", "nu_r_below"):
         assert np.float64(getattr(prof, name)).tobytes() == np.float64(getattr(full, name)).tobytes()
 
 

@@ -236,8 +236,22 @@ def test_make_finite_rejects_a_density_past_the_float_range():
     assert make_finite_pair([0.0, 1.0], [0.5, 0.5], 1e300).lambda_drawn.tolist() == [0.0, 5e299]
 
 
+@pytest.mark.parametrize(
+    "mu,nu,atom",
+    [([1e-320, 1.0], [0.5, 0.5], 0), ([0.0, 1e-320, 1.0], [0.2, 0.3, 0.5], 1)],
+    ids=["every-atom-live", "zero-mass-atom"],
+)
+def test_make_finite_names_a_ratio_past_the_float_range(mu, nu, atom):
+    # the quotient overflows without a RuntimeWarning, which the suite
+    # makes an error, and the error names the atom and both weights
+    with pytest.raises(
+        ValueError, match=rf"^ratio at atom {atom} passes the float range: nu .+ / mu 1e-320$"
+    ):
+        make_finite_pair(mu, nu, 1.0)
+
+
 # tiny positive weights make nu/mu overflow, which the constructor
-# rightly rejects as inconsistent; keep atoms either zero or well scaled
+# rightly rejects; keep atoms either zero or well scaled
 _atom_weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0, allow_nan=False))
 
 
@@ -527,6 +541,14 @@ def test_random_pair_rejects_non_integer_support_or_seed():
     whole = make_random_pair(2.0, 3.0)
     np.testing.assert_array_equal(whole.nu_weights, make_random_pair(2, 3).nu_weights)
     assert whole.name == "random[2,3]"
+
+
+@pytest.mark.parametrize("support", [2**63, 1e30])
+def test_random_pair_names_a_support_past_the_array_size_range(support):
+    # numpy array dimensions are int64; the error names the argument
+    message = f"^support_size={int(support)} passes the 64-bit array size range$"
+    with pytest.raises(ValueError, match=message):
+        make_random_pair(support, 3)
 
 
 def test_sample_deterministic(bern):

@@ -172,6 +172,15 @@ def test_within_multiplicative_boundary():
     assert not within_multiplicative(0.9, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("eps", [1e-9, 5e-10, 0.0, math.nan])
+def test_within_multiplicative_rejects_an_eps_at_or_below_the_guard(eps):
+    # the guard is taken off eps, so no estimate, not even the truth,
+    # could pass at such an eps
+    with pytest.raises(ValueError, match="eps must be above SUCCESS_GUARD = 1e-09"):
+        within_multiplicative(1.0, 1.0, eps)
+    assert within_multiplicative(1.0, 1.0, 2e-9)
+
+
 def test_quantile_rank_anchor():
     # alpha = eps/(4m) = 0.2 -> rank ceil(0.8 * 8) = 7
     batch = _batch([3.0, 1.0, 7.0, 5.0, 2.0, 8.0, 6.0, 4.0])

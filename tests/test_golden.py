@@ -248,6 +248,17 @@ OUTCOMES = {
         ["plan", *BERN, "--eps", "0.25", "--delta", "7", "--method", "sampling"],
         1, "", "pfest: error: delta must be in (0, 1), got 7.0\n",
     ),
+    "params-support-past-array-range": (
+        ["plan", "--family", "random_finite", "--params", "support=1e30",
+         "--eps", "0.2"],
+        1, "", f"pfest: error: support_size={int(1e30)} passes the 64-bit "
+        "array size range\n",
+    ),
+    # eps at or below SUCCESS_GUARD leaves no estimate a success
+    "estimate-eps-at-the-success-guard": (
+        ["estimate", *BERN, "--eps", "1e-9", "--method", "mom", "--seed", "1"],
+        1, "", "pfest: error: eps must be above SUCCESS_GUARD = 1e-09, got 1e-09\n",
+    ),
     "sample-seed-past-64-bits": (
         ["sample", *BERN, "--eps", "0.25", "--seed", str(2**64)],
         1, "", f"pfest: error: seed must be a 64-bit unsigned integer, got {2**64}\n",
