@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import DistributionPair, _freeze, ordered_dot
+from .distributions import DistributionPair, _freeze, descending_order, ordered_dot
 from .divergences import FGenerator, _least_float, gamma_f
 from .errors import InfeasiblePlanError, SingularPairError
 
@@ -88,7 +88,7 @@ class _BelowBlock(ValueError):
     """A partial profile was asked about levels below its lowest one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageProfile:
     """Sorted distinct finite density-ratio levels with the target and
     proposal mass sitting exactly at each level.
@@ -105,11 +105,12 @@ class CoverageProfile:
     times their ratios summed, which is 0.0 on a complete profile. The
     checked constructor builds complete profiles only.
 
-    ``from_pair`` gathers both masses with the one sort it makes. The
+    ``from_pair`` gathers both masses in one order of the ratios. The
     suffix and prefix tables the queries read (``_nu_suffix``,
     ``_mu_suffix``, ``_nu_r_prefix``) are built on first use, so a plan
     pays only for the tables it reads. They are read-only and not
-    fields, so ``==`` and ``repr`` ignore them. A partial profile sums
+    fields, so ``repr`` ignores them. Profiles compare by identity:
+    ``==`` is ``is``. A partial profile sums
     ``nu_r_below`` when ``_nu_r_prefix`` is first built, the one table
     that reads it; until then it keeps the pair's target-mass and ratio
     rows alive, with the block's indices.
@@ -187,21 +188,31 @@ class CoverageProfile:
         them, are resolved, and the rest enter only through
         ``nu_r_below``, summed when first read (see the class). Every
         other profile is complete, bit for bit the one without
-        ``top``."""
+        ``top``.
+
+        A complete profile reads the pair's ``ratio_order`` backwards,
+        without the atoms lacking proposal mass; a block sorts its own
+        atoms. Only a pair with a -0.0 ratio argsorts its ratios, as
+        np.unique does: the first ratio of the 0.0 level in that order,
+        0.0 or -0.0, is the level's threshold."""
         if top is not None and not (isinstance(top, (int, np.integer)) and top >= 1):
             raise ValueError(f"top must be an integer >= 1, got {top!r}")
         ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
-        deferred = {}
-        if not pair.positive:
-            live = mu > 0
-            ratios, nu, mu = ratios[live], nu[live], mu[live]
-        elif top is not None and top < mu.size:
+        deferred, up = {}, None
+        if pair.positive and top is not None and top < mu.size:
             block = _top_block(ratios, top)
             if block.size < mu.size:
                 deferred = {"_partial": True,
                             "_remainder": partial(_remainder_sum, ratios, nu, block)}
                 ratios, nu, mu = ratios[block], nu[block], mu[block]
-        thresholds, nu, mu = _ratio_levels(ratios, nu, mu)
+                up = descending_order(ratios)[::-1]
+        elif not pair.positive and np.signbit(ratios).any():  # a -0.0 ratio
+            up = np.flatnonzero(mu > 0)
+            up = up[ratios[up].argsort()]
+        if up is None:
+            up = pair.ratio_order[::-1]
+            up = up if pair.positive else up[(mu > 0)[up]]
+        thresholds, nu, mu = _ratio_levels(up, ratios, nu, mu)
         # built without __post_init__'s checks, which these values pass
         # by construction: equally long float64 arrays of strictly
         # increasing levels and of finite nonnegative masses
@@ -334,67 +345,31 @@ def _remainder_sum(ratios: np.ndarray, nu: np.ndarray, block: np.ndarray) -> flo
     return ordered_dot(rest, ratios)
 
 
-def _ratio_levels(ratios: np.ndarray, nu: np.ndarray, mu: np.ndarray):
-    """Distinct ratio levels of atoms with the given ratios and target
-    and proposal weights (all with proposal mass, so the ratios are
-    finite), in increasing order, with the target and proposal mass at
-    each.
+def _ratio_levels(up: np.ndarray, ratios: np.ndarray, nu: np.ndarray, mu: np.ndarray):
+    """Distinct ratio levels of the atoms ``up`` lists in increasing
+    order of ``ratios`` (all with proposal mass, so their ratios are
+    finite), with the target and proposal mass at each, from the
+    atoms' target and proposal weights.
 
     The masses equal ``np.unique(return_inverse=True)`` followed by
-    ``np.bincount``, bit for bit, for any permutation that sorts the
-    ratios: when the levels are distinct there is only one, and the
-    masses are the weights gathered in its order; when levels tie, the
-    masses are summed per level in atom order, which no permutation
-    changes. ``_sort_order`` finds one with a packed-key sort.
+    ``np.bincount``, bit for bit, for any order that sorts the ratios:
+    when the levels are distinct there is only one, and the masses are
+    the weights gathered in it; when levels tie, the masses are summed
+    per level in atom order, which no order changes. Atoms ``up`` leaves
+    out are summed into one more level, past the last, that is dropped.
     """
-    perm, levels = _sort_order(ratios)
+    levels = ratios[up]
     distinct = levels[1:] != levels[:-1]
     if distinct.all():
-        nu = nu[perm]
+        nu = nu[up]
         nu += 0.0  # bincount adds each weight to 0.0, turning -0.0 into 0.0
-        return levels, nu, mu[perm]
+        return levels, nu, mu[up]
     first = np.concatenate(([True], distinct))
-    inverse = np.empty(perm.shape, dtype=np.intp)
-    inverse[perm] = np.cumsum(first) - 1
     thresholds = levels[first]
-    return (
-        thresholds,
-        np.bincount(inverse, weights=nu, minlength=thresholds.size),
-        np.bincount(inverse, weights=mu, minlength=thresholds.size),
-    )
-
-
-def _sort_order(ratios: np.ndarray):
-    """A permutation that sorts ``ratios`` (finite, none below 0), and
-    the ratios in its order.
-
-    Read as uint64, the bit patterns of floats >= 0 order as the floats
-    do. Each key is a ratio's pattern with its low bit_length(S - 1)
-    bits replaced by the atom's index, so a plain sort of the keys
-    (SIMD, several times faster than argsort) orders the atoms by
-    ratio, and the index is then masked back out, leaving the
-    permutation in the key buffer; the ratios are gathered into the
-    buffer that held the indices. The gathered ratios are out of order
-    only where two ratios differ in the replaced bits alone. A -0.0
-    ratio has its sign bit set and sorts last, behind the 0.0 ratios it
-    ties with, whose level takes its first ratio's sign. In either case
-    the permutation comes from argsort, as in np.unique.
-    """
-    low = np.uint64((1 << (ratios.size - 1).bit_length()) - 1)
-    keys = ratios.view(np.uint64) & ~low
-    index = np.arange(ratios.size, dtype=np.uint64)
-    keys |= index
-    keys.sort()
-    negative = keys[-1] >> np.uint64(63)
-    keys &= low
-    perm = keys.view(np.int64)
-    # mode="clip" writes straight into ``out``; "raise" would buffer a
-    # copy, and the indices are in range
-    levels = np.take(ratios, perm, out=index.view(np.float64), mode="clip")
-    if negative or not (levels[1:] >= levels[:-1]).all():
-        perm = ratios.argsort()
-        levels = ratios[perm]
-    return perm, levels
+    inverse = np.full(ratios.shape, thresholds.size, dtype=np.intp)
+    inverse[up] = np.cumsum(first) - 1
+    masses = (np.bincount(inverse, w, thresholds.size + 1)[:-1] for w in (nu, mu))
+    return thresholds, *masses
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -509,9 +484,8 @@ class TailPlanner:
             if pair.support_size < TAIL_SIZED_MIN or not pair.positive:
                 sampled.append(None)
                 continue
-            ratios = pair.ratio_cache[::TAIL_STEP]
-            nu = pair.nu_weights[::TAIL_STEP]
-            sampled.append(np.cumsum(nu[ratios.argsort()[::-1]]) * TAIL_STEP)
+            down = descending_order(pair.ratio_cache[::TAIL_STEP])
+            sampled.append(np.cumsum(pair.nu_weights[::TAIL_STEP][down]) * TAIL_STEP)
         return sampled
 
     def plan(self, planner: Callable, coverage: Optional[float] = None):

@@ -92,6 +92,42 @@ def ordered_dot(a: np.ndarray, b: np.ndarray):
     return total if a.ndim >= 2 else float(total)
 
 
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(-values, kind="stable")`` for values that are >= 0,
+    -0.0 or inf: the indices in decreasing order of value, ties (-0.0
+    and 0.0 among them) in increasing order of index.
+
+    Read as uint64, the bit patterns of floats >= 0 order as the floats
+    do, and their complements the other way. Each key is the complement
+    of a value's pattern, -0.0 read as 0.0, with its low bit_length(S -
+    1) bits replaced by the index, so a plain sort of the keys (SIMD,
+    several times faster than argsort) orders the indices, which the
+    low bits then give. They can be out of order only within a run of
+    keys that share their high bits, where values differ in the
+    replaced bits alone: only where such a run holds a rise in value
+    are its indices sorted again, all such runs by one stable lexsort.
+    """
+    low = np.uint64((1 << (values.size - 1).bit_length()) - 1)
+    keys = np.add(values, 0.0).view(np.uint64)  # -0.0 + 0.0 is 0.0
+    # (pattern | low) ^ ~index: the high bits complemented and, as no
+    # index passes low, the index in the low bits
+    keys |= low
+    keys ^= np.invert(np.arange(values.size, dtype=np.uint64))
+    keys.sort()
+    order = (keys & low).view(np.int64)
+    # only neighbours whose keys share their high bits can be out of
+    # order; the lexsort keeps the runs in the sort's order, by those
+    # bits, and within a run the increasing indices of equal values
+    if ((keys[1:] ^ keys[:-1]) <= low).any():
+        levels = values[order]
+        rises = levels[1:] > levels[:-1]
+        if rises.any():
+            keys &= ~low
+            redo = np.flatnonzero(np.isin(keys, keys[1:][rises]))
+            order[redo] = order[redo][np.lexsort((-levels[redo], keys[redo]))]
+    return order
+
+
 class _Rows(NamedTuple):
     """A (3, S) float64 buffer that a builder of this module allocated,
     with mu's and nu's weights in rows 0 and 1, handed over as both
@@ -207,7 +243,7 @@ class GuideTable(NamedTuple):
         return atoms.reshape(u.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionPair:
     """Proposal/target pair on a shared finite support.
 
@@ -223,9 +259,9 @@ class DistributionPair:
     profile.
 
     The tables ``mu_cdf``, its ``mu_guide``, ``lambda_drawn`` and
-    ``lambda_order`` are built once, on first use, and are read-only.
-    They and the flag are not fields, so ``==`` and ``repr`` ignore
-    them.
+    ``ratio_order`` are built once, on first use, and are read-only.
+    They and the flag are not fields, so ``repr`` ignores them. Pairs
+    compare by identity: ``==`` is ``is``.
 
     The pair holds one C-contiguous (3, S) float64 buffer, allocated
     once: its rows are ``mu_weights``, ``nu_weights`` and
@@ -242,9 +278,9 @@ class DistributionPair:
     nu_weights: np.ndarray
     z_true: float
     name: str = ""
-    ratio_cache: np.ndarray = field(init=False, repr=False, compare=False)
-    singular_mass: float = field(init=False, compare=False)
-    last_drawable_atom: int = field(init=False, repr=False, compare=False)
+    ratio_cache: np.ndarray = field(init=False, repr=False)
+    singular_mass: float = field(init=False)
+    last_drawable_atom: int = field(init=False, repr=False)
 
     def __post_init__(self):
         handed = self.mu_weights if isinstance(self.mu_weights, _Rows) else None
@@ -356,10 +392,12 @@ class DistributionPair:
         return _freeze(lam[: self.last_drawable_atom + 1])
 
     @cached_property
-    def lambda_order(self) -> np.ndarray:
-        """Indices into ``lambda_drawn`` in increasing order of its
-        values, where cumulative hit counts find an order statistic."""
-        return _freeze(np.argsort(self.lambda_drawn, kind="stable"))
+    def ratio_order(self) -> np.ndarray:
+        """The atoms in decreasing order of ``ratio_cache``, ties in
+        increasing order of index (``descending_order``): the one sort of
+        the pair's ratios, which its complete profile, its race law and
+        the count engine's order statistics read."""
+        return _freeze(descending_order(self.ratio_cache))
 
     def lambda_at(self, atoms: np.ndarray) -> np.ndarray:
         """``lambda_drawn[atoms]`` for drawn atoms, bit for bit, from the
@@ -379,7 +417,7 @@ class DistributionPair:
         return ordered_dot(self.nu_weights, g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """i.i.d. proposal draws with their unnormalized density values.
     ``seed`` is the Philox key they were drawn under, so
@@ -461,13 +499,9 @@ def make_weighted_pair(pair: DistributionPair, g) -> DistributionPair:
     integral of g under the old target.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != pair.nu_weights.shape:
-        raise ValueError(
-            f"g has {g.size} entries, support has {pair.support_size}"
-        )
+    nu_g = pair.nu_mean(g)
     if not np.all(np.isfinite(g)) or np.any(g < 0):
         raise ValueError("g must be nonnegative and finite")
-    nu_g = ordered_dot(pair.nu_weights, g)
     if nu_g <= 0:
         raise ValueError("E_nu[g] = 0; weighted target is undefined")
     rows = np.empty((3, pair.support_size))

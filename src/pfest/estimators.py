@@ -180,12 +180,20 @@ def _quantile_draws(lambdas, atoms, eps, delta, m, g) -> np.ndarray:
 
 def _quantile_counts(pair, counts, eps, delta, m, g) -> np.ndarray:
     hits = counts[:, 0]
-    rank = _quantile_rank(eps, m, int(hits[0].sum()))
-    order = pair.lambda_order
-    # the first level, in increasing order, whose cumulative count
-    # reaches the rank
-    first = (np.cumsum(hits[:, order], axis=1) < rank).sum(axis=1)
-    return pair.lambda_drawn[order[first]]
+    n = int(hits[0].sum())
+    rank = _quantile_rank(eps, m, n)
+    # the rank-th smallest of n is the (n - rank + 1)-th largest: the
+    # first atom, in decreasing order of ratio, whose cumulative count
+    # reaches it; atoms without proposal mass have no hits, and those
+    # past the drawable ones are left out. The atoms of ratio 0 go last
+    # in decreasing order of index, so that among the 0.0 and -0.0 of
+    # that level (target weights of -0.0) the count lands on the atom a
+    # count from the bottom in increasing order of index does.
+    down = pair.ratio_order[pair.ratio_order < hits.shape[1]]
+    top = np.count_nonzero(pair.ratio_cache[: hits.shape[1]])
+    down = np.concatenate((down[:top], down[top:][::-1]))
+    first = (np.cumsum(hits[:, down], axis=1) <= n - rank).sum(axis=1)
+    return pair.lambda_drawn[down[first]]
 
 
 def _g_table(g) -> np.ndarray:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfest import (
     CoverageProfile,
@@ -130,6 +132,35 @@ COUNT_PAIRS = {
     "singular-trailing": make_pointmass_pair(0.3),
     "singular-interior": make_finite_pair([0.5, 0.0, 0.5], [0.25, 0.5, 0.25], 1.5),
 }
+
+
+# zeros give atoms without proposal mass (trailing ones among them) and
+# a density level of 0.0 that mixes in the -0.0 of a target weight
+_count_weight = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
+
+
+@given(
+    weights=st.lists(st.tuples(_count_weight, _count_weight), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32), n=st.integers(1, 60),
+    eps=st.floats(0.01, 0.99), m=st.floats(1.0, 8.0),
+)
+def test_quantile_counts_take_the_order_statistic_bit_for_bit(weights, seed, n, eps, m):
+    """The quantile from hit counts is the density value of the draw at
+    the estimator's rank when the draws are laid out by value, ties in
+    increasing order of atom: with its sign where the level 0 mixes 0.0
+    and -0.0."""
+    mu = np.array([w[0] for w in weights])
+    nu = np.array([w[1] for w in weights])
+    if mu.sum() <= 0 or nu.sum() <= 0:
+        return
+    pair = make_finite_pair(mu / mu.sum(), nu / nu.sum(), 1.5)
+    counts = count_block(pair, make_generator(seed), n, 3, 1)
+    got = estimators._quantile_counts(pair, counts, eps, None, m, None)
+    rank = estimators._quantile_rank(eps, m, n)
+    for row, value in zip(counts[:, 0], got):
+        drawn = pair.lambda_drawn[np.repeat(np.arange(row.size), row)]
+        expected = drawn[np.argsort(drawn, kind="stable")[rank - 1]]
+        assert np.float64(value).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", list(COUNT_PAIRS))

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from pfest import (
     AllNullDrawsError,
+    CoverageProfile,
     DistributionPair,
     load_pair,
     make_bernoulli_pair,
@@ -36,6 +37,7 @@ from pfest.distributions import (
     PARALLEL_FILL_MIN,
     ROW_DOT_CHUNK,
     GuideTable,
+    descending_order,
     draw_atoms,
     ordered_dot,
     sample_counts,
@@ -507,8 +509,9 @@ def test_one_usable_cpu_builds_a_wide_pair_serially(monkeypatch):
 
 
 def test_a_wide_build_threads_only_with_a_second_usable_cpu(monkeypatch):
-    """The CPUs the process may really use decide the thread: none under
-    ``taskset -c 0``, a helper filling nu otherwise."""
+    """The CPUs the process may really use decide the thread: under
+    ``taskset -c 0`` the calling thread fills both mu and nu, otherwise
+    a helper fills nu."""
     usable = distributions._usable_cpus()
     if hasattr(os, "sched_getaffinity"):
         assert usable == len(os.sched_getaffinity(0))
@@ -519,7 +522,7 @@ def test_a_wide_build_threads_only_with_a_second_usable_cpu(monkeypatch):
     _fills_by_thread(monkeypatch, lambda gen, raw, here: seen.append(here) or fill(gen, raw),
                      cpus=None)
     assert _wide_random_pair_sha256() == WIDE_RANDOM_PAIR_SHA256
-    assert sorted(seen) == ([False, True] if usable >= 2 else [])
+    assert sorted(seen) == ([False, True] if usable >= 2 else [True, True])
 
 
 def test_no_thread_outlives_a_wide_build():
@@ -747,15 +750,20 @@ def test_draw_tables_are_cached_and_read_only():
     assert pair.mu_cdf is pair.mu_cdf
     assert pair.lambda_drawn is pair.lambda_drawn
     assert pair.mu_guide is pair.mu_guide
+    assert pair.ratio_order is pair.ratio_order
     np.testing.assert_array_equal(pair.mu_cdf, np.cumsum(pair.mu_weights))
     np.testing.assert_array_equal(pair.lambda_drawn, 2.5 * pair.ratio_cache)
+    np.testing.assert_array_equal(
+        pair.ratio_order, np.argsort(-pair.ratio_cache, kind="stable")
+    )
     assert isinstance(pair.mu_guide, GuideTable) and pair.mu_guide.scale == 32
-    for table in (pair.mu_cdf, pair.lambda_drawn, pair.mu_guide.guide, pair.mu_guide.cdf_ext):
+    for table in (pair.mu_cdf, pair.lambda_drawn, pair.mu_guide.guide,
+                  pair.mu_guide.cdf_ext, pair.ratio_order):
         with pytest.raises(ValueError):
-            table[0] = 0.0
+            table[0] = 0
     with pytest.raises(AttributeError):
         pair.mu_guide.max_steps = 0
-    # the tables are not fields: repr and == read the same as before
+    # the tables are not fields: repr reads the same as before
     assert repr(pair) == text
     assert [f.name for f in dataclasses.fields(pair)] == [
         "mu_weights", "nu_weights", "z_true", "name",
@@ -765,7 +773,65 @@ def test_draw_tables_are_cached_and_read_only():
     other = make_finite_pair([1.0], [1.0], 2.0)
     assert one.mu_cdf.size == one.lambda_drawn.size == 1
     assert one.mu_guide.scale == 1 and one.mu_guide.guide.tolist() == [0]
-    assert one == other and repr(one) == repr(other)
+    # pairs compare by identity, however equal their weights
+    assert one != other and one == one and repr(one) == repr(other)
+
+
+_ORDER_SPECIALS = [0.0, -0.0, math.inf, 0.5, 1.0, 3.0]
+
+
+@st.composite
+def _order_values(draw):
+    """Arrays of values >= 0, -0.0 or inf: either any mix of ties, the
+    specials, plain floats and one-ulp neighbours of a base value, or
+    only such neighbours, which all share their high key bits, so that
+    one run of keys spans the whole array."""
+    size = draw(st.integers(1, 80))
+    span = 1 << (size - 1).bit_length()
+    base = draw(st.floats(min_value=0.0, max_value=1e300))
+    # the base's pattern with the bits an index takes in a key cleared
+    low_bits = np.array([base]).view(np.uint64) & ~np.uint64(span - 1)
+    near = st.integers(0, span - 1).map(
+        lambda k: float((low_bits + np.uint64(k)).view(np.float64)[0])
+    )
+    if not draw(st.booleans()):
+        near = st.one_of(near, st.sampled_from(_ORDER_SPECIALS), st.floats(0.0, 1e6))
+    return np.array(draw(st.lists(near, min_size=size, max_size=size)))
+
+
+@given(values=_order_values())
+def test_descending_order_is_the_stable_argsort_of_the_negated_values(values):
+    order = descending_order(values)
+    assert order.dtype == np.int64
+    np.testing.assert_array_equal(order, np.argsort(-values, kind="stable"))
+
+
+@pytest.mark.parametrize("support, seed", [(2**18, 20260818), (2**14, 1)])
+def test_ratio_order_is_sorted_once_and_read_only(support, seed):
+    # at 2^18 atoms, seed 20260818 has ratios that share their high key
+    # bits out of order, which only the run repair sorts
+    pair = make_random_pair(support, seed)
+    order = pair.ratio_order
+    assert order is pair.ratio_order
+    np.testing.assert_array_equal(order, np.argsort(-pair.ratio_cache, kind="stable"))
+    with pytest.raises(ValueError):
+        order[0] = 0
+
+
+def test_records_holding_arrays_compare_by_identity():
+    """Two distinct records compare unequal without raising, however
+    equal their arrays; each equals itself and hashes."""
+    def build():
+        pair = make_random_pair(16, 3)
+        summary = run_races(pair, 5, 10, 1)
+        return (pair, CoverageProfile.from_pair(pair), sample(pair, 4, 2),
+                astar_sample(pair, 5, 1)[1], summary)
+
+    for one, other in zip(build(), build()):
+        assert type(one) is type(other)
+        assert one != other and not one == other
+        assert one == one and hash(one) == hash(one)
+    assert len({*build()}) == 5
 
 
 WIDE = 1 << 18
