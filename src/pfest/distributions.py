@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import make_generator
+from .rng import _check_integer, make_generator
 
 # Inputs whose weights deviate from a probability vector by more than
 # this are rejected rather than silently renormalized.
@@ -545,9 +545,8 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     thread does mu; the bits are those of the serial draw, and the
     helper is joined before the call returns.
     """
-    for label, value in (("support_size", support_size), ("seed", seed)):
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{label} must be an integer, got {value!r}")
+    _check_integer("support_size", support_size)
+    _check_integer("seed", seed)
     support_size, seed = int(support_size), int(seed)
     if support_size < 1:
         raise ValueError(f"support_size must be >= 1, got {support_size}")

@@ -59,6 +59,14 @@ def _register_key_words() -> None:
     ISeedSequence.register(_KeyWords)
 
 
+def _check_integer(label: str, value) -> None:
+    """Raise a ValueError naming ``label`` where ``value`` is a float
+    without an integer value, nan and the infinities included: ``int``
+    would truncate it to another integer's stream, count or size."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
 def make_generator(seed: int, start: int = 0) -> np.random.Generator:
     """Return a Generator over the Philox stream keyed by ``seed``, an
     integer in [0, 2^128): its low 64 bits are key word 0, its high 64
@@ -70,6 +78,7 @@ def make_generator(seed: int, start: int = 0) -> np.random.Generator:
     takes one word per double. It gets there without drawing the words
     before it: ``start // 4`` counter steps by ``advance``, then
     ``start % 4`` doubles drawn and discarded."""
+    _check_integer("seed", seed)
     seed, start = int(seed), int(start)
     if not 0 <= seed < _KEY_BOUND:
         raise ValueError(f"seed must be a 128-bit unsigned integer, got {seed}")
@@ -88,6 +97,7 @@ def substreams(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator
     """Yield ``(key, make_generator(key))`` for the sub-streams i = 0 ..
     count - 1 of the 64-bit ``seed``, ``key = seed + (i << 64)``: each
     item has a generator of its own, whatever order it is drawn from."""
+    _check_integer("seed", seed)
     seed = int(seed)
     if not 0 <= seed < _SEED_BOUND:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")

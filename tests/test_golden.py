@@ -128,6 +128,34 @@ TABLES = {
         "sample trials=50 n=7 M=1.25 eps=0.25 empirical_tv=0.08499999999999999 "
         "null_races=0 freqs=0.46,0.54\n",
     ),
+    # the race_sampling workload's 64-atom row; CI checks the part before
+    # empirical_tv as a process, since the rest reads numpy's vectorized
+    # exp and log (see RACE_LAW_SHA256 in test_sampler.py)
+    "sample-trials-random64": (
+        ["sample", "--family", "random_finite", "--params", "support=64,seed=20260864",
+         "--eps", "0.03", "--seed", "1", "--trials", "32768"],
+        "sample trials=32768 n=88 M=9.542887002986307 eps=0.03 "
+        "empirical_tv=0.01396813377748106 null_races=0 freqs="
+        "0.002044677734375,0.0084228515625,0.01611328125,0.020355224609375,"
+        "0.026458740234375,0.0030517578125,0.02227783203125,0.021728515625,"
+        "0.008087158203125,0.0169677734375,0.013641357421875,"
+        "0.029998779296875,0.01300048828125,0.010772705078125,"
+        "0.016143798828125,0.027984619140625,0.00909423828125,"
+        "0.007659912109375,0.011688232421875,0.013214111328125,"
+        "0.02337646484375,0.020050048828125,0.0098876953125,"
+        "0.01507568359375,0.004058837890625,0.0089111328125,"
+        "0.0252685546875,0.030242919921875,0.022003173828125,"
+        "0.01153564453125,0.007354736328125,0.001953125,0.03106689453125,"
+        "0.030517578125,0.01483154296875,0.00439453125,0.0203857421875,"
+        "0.02886962890625,0.00885009765625,0.0277099609375,"
+        "0.02655029296875,0.003662109375,0.023681640625,0.029144287109375,"
+        "0.025909423828125,0.00701904296875,0.003448486328125,"
+        "0.024169921875,0.01129150390625,0.0047607421875,0.005401611328125,"
+        "0.028106689453125,0.011505126953125,0.003631591796875,"
+        "0.005401611328125,0.013824462890625,0.020904541015625,"
+        "0.006500244140625,0.01800537109375,0.01434326171875,"
+        "0.02215576171875,0.0224609375,0.01544189453125,0.00762939453125\n",
+    ),
 }
 
 # (argv, stdout, bytes written to the --out file)

@@ -76,6 +76,20 @@ def test_key_and_seed_bounds():
     assert list(substreams(3, 0)) == []
 
 
+@pytest.mark.parametrize("seed", [1.5, float("nan"), float("inf")])
+def test_a_seed_that_is_not_an_integer_is_named(seed, bern):
+    # int() would truncate 1.5 to seed 1's stream
+    match = f"seed must be an integer, got {seed!r}"
+    with pytest.raises(ValueError, match=match):
+        make_generator(seed)
+    with pytest.raises(ValueError, match=match):
+        next(substreams(seed, 1))
+    with pytest.raises(ValueError, match=match):
+        run_trials(bern, "mom", 1000, 3, seed, 0.25, 0.1)
+    # an integer-valued float keys the integer's stream
+    assert make_generator(7.0).random(3).tolist() == make_generator(7).random(3).tolist()
+
+
 @pytest.mark.parametrize("start", [*range(10), 2**16 + 3])
 def test_a_generator_started_at_word_s_draws_the_stream_from_word_s(start):
     # Generator.random takes one 64-bit word per double, and a Philox4x64

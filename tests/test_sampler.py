@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import pfest
+from pfest import sampler
 from pfest import (
     AllNullDrawsError,
     CoverageProfile,
@@ -205,6 +208,21 @@ def test_run_races_rejects_trials_past_int64(bern):
             run_races(bern, 6, trials, 1)
 
 
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+def test_a_race_length_or_count_that_is_not_an_integer_is_named(bern, bad):
+    # int() would truncate 2.5 to a race of 2 draws, or to 2 races
+    for call in (pfest.race_law, pfest.exact_tv, lambda pair, n: astar_sample(pair, n, 1),
+                 lambda pair, n: run_races(pair, n, 2, 1)):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {bad!r}"):
+            call(bern, bad)
+    with pytest.raises(ValueError, match=f"trials must be an integer, got {bad!r}"):
+        run_races(bern, 3, bad, 1)
+    # an integer-valued float is that integer
+    summary = run_races(bern, 3.0, 10.0, 1)
+    assert (summary.n_per_race, summary.trials) == (3, 10)
+    assert type(summary.n_per_race) is type(summary.trials) is int
+
+
 @pytest.mark.parametrize(
     "pair, n, trials",
     [
@@ -220,8 +238,9 @@ def test_run_races_holds_one_block_at_a_time(pair, n, trials):
     over the S atoms, never anything per race: its tracemalloc peak is
     the same at 10^3, 10^6, ``trials`` and 10^12 races, and within 24
     doubles per atom. The first call, at 10^3 races, also sorts the
-    pair's ratios (``ratio_order``), once per pair; it is held to the
-    same bound, and the calls after it to the same peak."""
+    pair's ratios (``ratio_order``) and builds its race table, once per
+    pair; it is held to the same bound, and the calls after it to the
+    same peak."""
     peaks = []
     for t in [10**3, *sorted({10**3, 10**6, trials, 10**12})]:
         tracemalloc.start()
@@ -315,6 +334,67 @@ def test_race_law_bits_are_pinned(name):
         digest.update(law.tobytes())
         digest.update(np.float64(null).tobytes())
     assert digest.hexdigest() == RACE_LAW_SHA256[name]
+
+
+@pytest.mark.parametrize("name", [*LAW_PAIRS, "random200"])
+def test_a_built_race_table_gives_the_law_of_a_fresh_pair(name):
+    """race_law on a pair whose race table is built equals, bit for bit
+    at every n of ``_law_ns``, the law of a fresh copy of the pair, whose
+    first call builds the table at that n."""
+    if name == "random200":
+        pair, fresh = WIDE_LAW_PAIR, lambda: make_random_pair(200, 3)
+    else:
+        pair, fresh = LAW_PAIRS[name], lambda: _law_pairs()[name]
+    pfest.race_law(pair, 3)
+    for n in _law_ns(pair):
+        law, null = pfest.race_law(pair, n)
+        fresh_law, fresh_null = pfest.race_law(fresh(), n)
+        assert law.tobytes() == fresh_law.tobytes()
+        assert np.float64(null).tobytes() == np.float64(fresh_null).tobytes()
+
+
+def test_a_pair_builds_its_race_table_once(monkeypatch):
+    """The first race_law, exact_tv or run_races call on a pair builds
+    its race table; the calls after it read the same table, whose arrays
+    are read-only."""
+    builds = []
+    build = sampler._build_race_table
+
+    def counted(pair):
+        builds.append(pair)
+        return build(pair)
+
+    monkeypatch.setattr(sampler, "_build_race_table", counted)
+    calls = (
+        lambda pair: pfest.race_law(pair, 7),
+        lambda pair: pfest.exact_tv(pair, 88),
+        lambda pair: run_races(pair, 1000, 10, 1),
+    )
+    for first in range(len(calls)):
+        pair = make_random_pair(64, 20260864)
+        for call in calls[first:] + calls[:first]:
+            call(pair)
+        assert builds == [pair]
+        builds.clear()
+        table = sampler.race_table(pair)
+        assert table is sampler.race_table(pair) and not builds
+        arrays = [value for value in table if isinstance(value, np.ndarray)]
+        assert len(arrays) == 6
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+def test_a_race_table_is_freed_with_its_pair():
+    # the map holds the table, so its array outlives the pair only if the
+    # pair's entry does
+    pair = make_random_pair(64, 20260864)
+    pfest.race_law(pair, 7)
+    pair_ref = weakref.ref(pair)
+    array_ref = weakref.ref(sampler.race_table(pair).log_neg_log)
+    del pair
+    gc.collect()
+    assert pair_ref() is None and array_ref() is None
 
 
 @pytest.mark.parametrize("name, n", LAW_CASES, ids=[f"{k}-n{n}" for k, n in LAW_CASES])
