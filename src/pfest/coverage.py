@@ -166,13 +166,11 @@ class CoverageProfile:
         """nu_r_below plus the sum of nu_mass * ratio over the first k
         levels, for k in 0..n, so integrated coverage takes one gather.
         A partial profile sums nu_r_below here, once, and drops what it
-        kept for it. A complete profile's 0.0 is not added, so a first
-        product of -0.0 keeps its sign."""
+        kept for it; a complete profile starts from 0.0."""
         out = np.empty(self.thresholds.size + 1)
         out[0] = vars(self).pop("_remainder")() if self._partial else 0.0
         np.multiply(self.nu_masses, self.thresholds, out=out[1:])
-        body = out if out[0] else out[1:]
-        np.cumsum(body, out=body)
+        np.cumsum(out, out=out)
         return _freeze(out)
 
     @classmethod
@@ -192,9 +190,7 @@ class CoverageProfile:
 
         A complete profile reads the pair's ``ratio_order`` backwards,
         without the atoms lacking proposal mass; a block sorts its own
-        atoms. Only a pair with a -0.0 ratio argsorts its ratios, as
-        np.unique does: the first ratio of the 0.0 level in that order,
-        0.0 or -0.0, is the level's threshold."""
+        atoms. No ratio of a pair is -0.0, so a threshold of 0 is 0.0."""
         if top is not None and not (isinstance(top, (int, np.integer)) and top >= 1):
             raise ValueError(f"top must be an integer >= 1, got {top!r}")
         ratios, nu, mu = pair.ratio_cache, pair.nu_weights, pair.mu_weights
@@ -206,9 +202,6 @@ class CoverageProfile:
                             "_remainder": partial(_remainder_sum, ratios, nu, block)}
                 ratios, nu, mu = ratios[block], nu[block], mu[block]
                 up = descending_order(ratios)[::-1]
-        elif not pair.positive and np.signbit(ratios).any():  # a -0.0 ratio
-            up = np.flatnonzero(mu > 0)
-            up = up[ratios[up].argsort()]
         if up is None:
             up = pair.ratio_order[::-1]
             up = up if pair.positive else up[(mu > 0)[up]]
@@ -361,9 +354,7 @@ def _ratio_levels(up: np.ndarray, ratios: np.ndarray, nu: np.ndarray, mu: np.nda
     levels = ratios[up]
     distinct = levels[1:] != levels[:-1]
     if distinct.all():
-        nu = nu[up]
-        nu += 0.0  # bincount adds each weight to 0.0, turning -0.0 into 0.0
-        return levels, nu, mu[up]
+        return levels, nu[up], mu[up]
     first = np.concatenate(([True], distinct))
     thresholds = levels[first]
     inverse = np.full(ratios.shape, thresholds.size, dtype=np.intp)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import _check_integer, make_generator
+from .rng import _check_count, _check_integer, make_generator
 
 # Inputs whose weights deviate from a probability vector by more than
 # this are rejected rather than silently renormalized.
@@ -267,9 +267,10 @@ class DistributionPair:
     once: its rows are ``mu_weights``, ``nu_weights`` and
     ``ratio_cache``, read-only views. Weights passed in are divided by
     their sum into the first two rows of a new buffer and never written
-    to; the builders of this module draw or compute their weights
-    straight into the rows of a buffer they hand over, and those are
-    normalized in place. One allocation instead of three keeps a
+    to; a zero weight, -0.0 included, is 0.0 there, so no row of a pair
+    holds -0.0, whichever way it was built. The builders of this module
+    draw or compute their weights straight into the rows of a buffer
+    they hand over, and those are normalized in place. One allocation instead of three keeps a
     rebuilt pair on memory the allocator kept from the last one, where
     separate arrays are handed back to the kernel and faulted in again.
     """
@@ -298,6 +299,12 @@ class DistributionPair:
         rows = np.empty((3, mu_src.size)) if handed is None else handed.buffer
         mu = np.divide(mu_src, mu_total, out=rows[0])
         nu = np.divide(nu_src, nu_total, out=rows[1])
+        # a zero weight reads 0.0, never -0.0 (-0.0 + 0.0 is 0.0), so no
+        # ratio is -0.0 either; only a row whose least weight is 0 can
+        # hold one
+        for row, low in ((mu, mu_low), (nu, nu_low)):
+            if low == 0:
+                row += 0.0
         ratio = rows[2]
         # nu / mu passes the float range only where mu is below the least
         # normal float (nu is at most about 1); such a ratio is rejected
@@ -438,7 +445,7 @@ class SampleBatch:
 def make_finite_pair(mu_weights, nu_weights, z, name: str = "") -> DistributionPair:
     """Pair from explicit weight vectors; weights are validated and
     renormalized exactly at construction, into new arrays: the vectors
-    passed in are never written to."""
+    passed in are never written to. A weight of -0.0 is read as 0.0."""
     return DistributionPair(
         mu_weights=np.asarray(mu_weights, dtype=np.float64),
         nu_weights=np.asarray(nu_weights, dtype=np.float64),
@@ -545,11 +552,8 @@ def make_random_pair(support_size: int, seed: int, z: float = 1.0) -> Distributi
     thread does mu; the bits are those of the serial draw, and the
     helper is joined before the call returns.
     """
-    _check_integer("support_size", support_size)
-    _check_integer("seed", seed)
-    support_size, seed = int(support_size), int(seed)
-    if support_size < 1:
-        raise ValueError(f"support_size must be >= 1, got {support_size}")
+    support_size = _check_count("support_size", support_size)
+    seed = _check_integer("seed", seed)
     if support_size >= 2**63:  # numpy array dimensions are int64
         raise ValueError(
             f"support_size={support_size} passes the 64-bit array size range"
@@ -635,10 +639,9 @@ def count_block(
     draws from ``gen`` in one call, shape (rows, k, D), all that an
     estimator ignoring the draw order reads: hit counts on the D atoms up
     to the last one with proposal mass, which takes whatever count the
-    others' rounding leaves over (atoms without mass get 0 hits)."""
-    m, k = int(m), int(k)
-    if m < 1 or k < 1:
-        raise ValueError(f"need m >= 1 draws in k >= 1 histograms, got m={m}, k={k}")
+    others' rounding leaves over (atoms without mass get 0 hits). An m
+    or k that is not an integer of at least 1 raises a ValueError."""
+    m, k = _check_count("m", m), _check_count("k", k)
     if m >= 2**63:  # numpy's multinomial counts are int64
         raise ValueError(f"m={m} draws per histogram pass the 64-bit count range")
     drawable = pair.last_drawable_atom + 1
@@ -648,10 +651,9 @@ def count_block(
 def sample(pair: DistributionPair, n: int, seed: int) -> SampleBatch:
     """n i.i.d. proposal draws by inverse CDF over the atom table, the
     one-row block of ``draw_block``; the same (pair, n, seed) triple
-    always yields bit-identical batches."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    always yields bit-identical batches. An n that is not an integer of
+    at least 1 raises a ValueError."""
+    n = _check_count("n", n)
     lambdas, atoms = np.empty(n), np.empty(n, dtype=np.int64)
     draw_block(pair, make_generator(seed), lambdas, atoms)
     return SampleBatch(atoms=atoms, lambdas=lambdas, seed=int(seed), n=n)

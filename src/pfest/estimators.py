@@ -30,7 +30,7 @@ from .distributions import (
 )
 from .divergences import FGenerator, exp_or_inf, f_divergence, log_gamma_f, parse_f_spec
 from .errors import InfeasiblePlanError
-from .rng import substreams
+from .rng import _check_count, substreams
 from .sampler import race_plan
 
 # Median-of-means group count: k = ceil(GROUP_RATE * ln(1/delta)).
@@ -179,19 +179,16 @@ def _quantile_draws(lambdas, atoms, eps, delta, m, g) -> np.ndarray:
 
 
 def _quantile_counts(pair, counts, eps, delta, m, g) -> np.ndarray:
+    """Each row's density value at the quantile rank, read from its hit
+    counts in the pair's ``ratio_order``; one on the level 0 is 0.0."""
     hits = counts[:, 0]
     n = int(hits[0].sum())
     rank = _quantile_rank(eps, m, n)
     # the rank-th smallest of n is the (n - rank + 1)-th largest: the
     # first atom, in decreasing order of ratio, whose cumulative count
     # reaches it; atoms without proposal mass have no hits, and those
-    # past the drawable ones are left out. The atoms of ratio 0 go last
-    # in decreasing order of index, so that among the 0.0 and -0.0 of
-    # that level (target weights of -0.0) the count lands on the atom a
-    # count from the bottom in increasing order of index does.
+    # past the drawable ones are left out
     down = pair.ratio_order[pair.ratio_order < hits.shape[1]]
-    top = np.count_nonzero(pair.ratio_cache[: hits.shape[1]])
-    down = np.concatenate((down[:top], down[top:][::-1]))
     first = (np.cumsum(hits[:, down], axis=1) <= n - rank).sum(axis=1)
     return pair.lambda_drawn[down[first]]
 
@@ -661,11 +658,10 @@ def run_trials(
     the last n draws of ``sample(pair, (r + 1) n, seed + (b << 64))`` or
     the last k of ``sample_counts(pair, size, (r + 1) k, seed + (b <<
     64))``, with (k, size) = ``ESTIMATORS[method].groups(n, delta)``.
-    An n or a trial count below 1, or trials past the 64-bit array size
-    range, raises ValueError."""
-    for name, value in (("n", n), ("trials", trials)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    An n or a trial count that is not an integer of at least 1, or
+    trials past the 64-bit array size range, raises ValueError; an
+    integer-valued float is read as its int."""
+    n, trials = _check_count("n", n), _check_count("trials", trials)
     if trials >= 2**63:  # numpy array dimensions are int64
         raise ValueError(f"trials={trials} passes the 64-bit array size range")
     entry = ESTIMATORS[method]

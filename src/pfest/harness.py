@@ -33,7 +33,7 @@ from .divergences import classify_regime, parse_f_spec
 from .errors import ConfigError, InfeasiblePlanError, SingularPairError
 from .estimators import group_count, ordered_mean, plan_n_coverage, plan_n_fdiv
 from .estimators import run_trials
-from .rng import derive_seed
+from .rng import _check_integer, derive_seed
 from .sampler import (
     SAMPLING_PLAN_CONSTANT,
     empirical_tv,
@@ -114,6 +114,13 @@ class ExperimentConfig:
                 raise ConfigError(f"eps_grid values must be in (0, 1), got {eps}")
         if not 0 < self.delta < 1:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
+        for key in ("trials", "master_seed", "n_override"):
+            value = getattr(self, key)
+            if value is not None:
+                try:
+                    object.__setattr__(self, key, _check_integer(key, value))
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2**64:

@@ -59,12 +59,26 @@ def _register_key_words() -> None:
     ISeedSequence.register(_KeyWords)
 
 
-def _check_integer(label: str, value) -> None:
-    """Raise a ValueError naming ``label`` where ``value`` is a float
-    without an integer value, nan and the infinities included: ``int``
-    would truncate it to another integer's stream, count or size."""
-    if isinstance(value, float) and not value.is_integer():
+def _check_integer(label: str, value) -> int:
+    """``value`` as an int, or a ValueError naming ``label`` where it is a
+    float without an integer value, nan and the infinities included
+    (``int`` would truncate it to another integer's stream, count or
+    size), or a string (``int`` would parse it). An integer-valued float
+    is its integer."""
+    if isinstance(value, (str, bytes)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
         raise ValueError(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_count(label: str, value) -> int:
+    """``value`` as an int of at least 1, or a ValueError naming
+    ``label`` (see ``_check_integer``)."""
+    value = _check_integer(label, value)
+    if value < 1:
+        raise ValueError(f"{label} must be >= 1, got {value}")
+    return value
 
 
 def make_generator(seed: int, start: int = 0) -> np.random.Generator:
@@ -78,8 +92,7 @@ def make_generator(seed: int, start: int = 0) -> np.random.Generator:
     takes one word per double. It gets there without drawing the words
     before it: ``start // 4`` counter steps by ``advance``, then
     ``start % 4`` doubles drawn and discarded."""
-    _check_integer("seed", seed)
-    seed, start = int(seed), int(start)
+    seed, start = _check_integer("seed", seed), int(start)
     if not 0 <= seed < _KEY_BOUND:
         raise ValueError(f"seed must be a 128-bit unsigned integer, got {seed}")
     if not 0 <= start < _STREAM_WORDS:
@@ -97,8 +110,7 @@ def substreams(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator
     """Yield ``(key, make_generator(key))`` for the sub-streams i = 0 ..
     count - 1 of the 64-bit ``seed``, ``key = seed + (i << 64)``: each
     item has a generator of its own, whatever order it is drawn from."""
-    _check_integer("seed", seed)
-    seed = int(seed)
+    seed = _check_integer("seed", seed)
     if not 0 <= seed < _SEED_BOUND:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     for i in range(count):

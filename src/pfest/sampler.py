@@ -37,7 +37,7 @@ from .coverage import CoverageProfile, PlanResult, TailPlanner, _log_quotient, _
 from .coverage import min_coverage_threshold
 from .distributions import DistributionPair, _freeze, draw_atoms
 from .errors import AllNullDrawsError
-from .rng import _check_integer, substreams
+from .rng import _check_count, substreams
 
 # Planner: n = ceil(SAMPLING_PLAN_CONSTANT * M * ln(3/eps)).
 SAMPLING_PLAN_CONSTANT = 2.0
@@ -76,7 +76,7 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
     go to the earliest draw. Raises AllNullDrawsError when no draw has
     positive density.
     """
-    n = _check_race_length(n)
+    n = _check_count("n", n)
     # item 0 of a 64-bit seed: the stream keyed by the seed itself
     _, gen = next(substreams(seed, 1))
     if n >= 2**63:  # numpy array dimensions are int64
@@ -104,16 +104,6 @@ def astar_sample(pair: DistributionPair, n: int, seed: int) -> tuple[int, RaceSt
         atoms=atoms, scores=scores, best_index=best, best_score=float(scores[best])
     )
     return int(atoms[best]), state
-
-
-def _check_race_length(n: int) -> int:
-    """``n`` as an int, or a ValueError naming it where it is not an
-    integer or is below 1."""
-    _check_integer("n", n)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return n
 
 
 class RaceTable(NamedTuple):
@@ -232,8 +222,9 @@ def race_law(pair: DistributionPair, n: int) -> tuple[np.ndarray, float]:
     built on the pair's first ``race_law``, ``exact_tv`` or ``run_races``
     call from its ``ratio_order`` and kept with the pair, about six
     arrays over the support, some 12 MB at 2^18 atoms. Each n then costs
-    two exp passes, the segment differences, one cumulative sum and one
-    gather into atom order: O(S), whatever n.
+    two exp passes, the segment differences and one cumulative sum, all
+    only up to the first level where F is 0, and one pass for the atoms
+    past it and one gather into atom order: O(S), whatever n.
 
     (1 - q)^(n - 1) is exp(-exp(ln(-ln(1 - q)) + ln(n - 1))), with
     ln(n - 1) taken of the integer, so n may pass the int64 and the float
@@ -242,7 +233,7 @@ def race_law(pair: DistributionPair, n: int) -> tuple[np.ndarray, float]:
     neither side loses its digits to 1 - q. The law reads the ratio, not
     lambda = z ratio; it is the same at any scale. A non-integer n
     raises a ValueError."""
-    n = _check_race_length(n)
+    n = _check_count("n", n)
     table = race_table(pair)
     size, p = pair.support_size, table.mu.size
     # one allocation: the law, then F above the top level (1), at r_0 ..
@@ -253,6 +244,7 @@ def race_law(pair: DistributionPair, n: int) -> tuple[np.ndarray, float]:
     levels = f[1:]
     if n == 1:
         levels.fill(1.0)
+        live = p + 1
     else:
         log_n = math.log(n - 1)
         # past the levels where ln(-ln(1 - q)) + ln(n - 1) reaches
@@ -265,15 +257,22 @@ def race_law(pair: DistributionPair, n: int) -> tuple[np.ndarray, float]:
         np.exp(f_live, out=f_live)
         levels[live:] = 0.0
     null = table.mu0 * float(f[-1])
-    # the law's buffer holds the segments' terms until the law is taken
+    # the law's buffer holds the segments' terms until the law is taken.
+    # F is 0 at both ends of every segment past ``live``: from there each
+    # term is 0, the running sum keeps its last value and F mu is 0, so
+    # an atom's chance to win is that value times its nu
     at_atoms = f[1:-1]
-    held = np.subtract(f[:p], at_atoms, out=law[:p])
-    held *= table.mu_below
-    held /= table.nu_below
+    k = min(live + 1, p)
+    held = np.subtract(f[:k], at_atoms[:k], out=law[:k])
+    held *= table.mu_below[:k]
+    held /= table.nu_below[:k]
     np.add.accumulate(held, out=held)
-    held *= table.nu
+    if k < p:
+        np.multiply(table.nu[k:], held[-1], out=at_atoms[k:])
+    held *= table.nu[:k]
     # each atom's chance to win, then 0 for the atoms without both masses
-    at_atoms *= table.mu
+    at_atoms = at_atoms[:k]
+    at_atoms *= table.mu[:k]
     at_atoms += held
     levels[-1] = 0.0
     return levels.take(table.slot, out=law), null
@@ -304,11 +303,7 @@ def run_races(
     multinomial hands the last category whatever count the others leave:
     no atom of zero law wins, and a pair without drawable zero-density
     mass never reports a null race."""
-    n = _check_race_length(n)
-    _check_integer("trials", trials)
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    n, trials = _check_count("n", n), _check_count("trials", trials)
     if trials >= 2**63:  # numpy's multinomial counts are int64
         raise ValueError(f"trials={trials} races pass the 64-bit count range")
     law, null = race_law(pair, n)

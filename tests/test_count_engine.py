@@ -135,7 +135,7 @@ COUNT_PAIRS = {
 
 
 # zeros give atoms without proposal mass (trailing ones among them) and
-# a density level of 0.0 that mixes in the -0.0 of a target weight
+# a density level of 0.0, which a target weight of -0.0 joins as 0.0
 _count_weight = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
 
 
@@ -147,8 +147,8 @@ _count_weight = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
 def test_quantile_counts_take_the_order_statistic_bit_for_bit(weights, seed, n, eps, m):
     """The quantile from hit counts is the density value of the draw at
     the estimator's rank when the draws are laid out by value, ties in
-    increasing order of atom: with its sign where the level 0 mixes 0.0
-    and -0.0."""
+    increasing order of atom. A -0.0 weight is read as 0.0, so an
+    estimate on the level 0 is 0.0."""
     mu = np.array([w[0] for w in weights])
     nu = np.array([w[1] for w in weights])
     if mu.sum() <= 0 or nu.sum() <= 0:

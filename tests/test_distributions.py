@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfest import (
@@ -31,12 +31,13 @@ from pfest import (
     sample,
     save_pair,
 )
-from pfest import distributions
+from pfest import distributions, estimators
 from pfest.distributions import (
     DOT_CHUNK,
     PARALLEL_FILL_MIN,
     ROW_DOT_CHUNK,
     GuideTable,
+    count_block,
     descending_order,
     draw_atoms,
     ordered_dot,
@@ -193,14 +194,17 @@ def _weight_inputs(draw):
 
 def _copy_then_divide(w):
     """The normalization the pair made before it divided straight into a
-    new array: a float64 copy, divided in place by its sum."""
+    new array: a float64 copy, divided in place by its sum, and then
+    -0.0 read as 0.0."""
     arr = np.array(w, dtype=np.float64)
     arr /= float(arr.sum())
+    arr += 0.0
     return arr
 
 
 @settings(max_examples=200)
 @given(w=_weight_inputs())
+@example(w=np.array([-0.0, 1.0]))
 def test_pair_weights_are_the_copy_then_divide_bit_for_bit(w):
     expected = _copy_then_divide(w)
     if isinstance(w, np.ndarray):
@@ -546,6 +550,26 @@ def test_random_pair_rejects_non_integer_support_or_seed():
     assert whole.name == "random[2,3]"
 
 
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "5"])
+def test_a_draw_or_histogram_count_that_is_not_an_integer_is_named(bad):
+    # int() would truncate 2.5 to 2 draws per batch or histogram, and
+    # parse "5"
+    pair = make_bernoulli_pair(0.5, 0.25)
+    for label, call in (
+        ("n", lambda v: sample(pair, v, 1)),
+        ("m", lambda v: sample_counts(pair, v, 3, 1)),
+        ("k", lambda v: sample_counts(pair, 4, v, 1)),
+        ("m", lambda v: count_block(pair, make_generator(1), v, 2, 3)),
+        ("k", lambda v: count_block(pair, make_generator(1), 4, 2, v)),
+    ):
+        with pytest.raises(ValueError, match=f"^{label} must be an integer, got {bad!r}$"):
+            call(bad)
+    # an integer-valued float is that integer
+    assert sample(pair, 5.0, 1).n == 5
+    assert sample(pair, 5.0, 1).atoms.tobytes() == sample(pair, 5, 1).atoms.tobytes()
+    assert sample_counts(pair, 5.0, 3.0, 1).tobytes() == sample_counts(pair, 5, 3, 1).tobytes()
+
+
 @pytest.mark.parametrize("support", [2**63, 1e30])
 def test_random_pair_names_a_support_past_the_array_size_range(support):
     # numpy array dimensions are int64; the error names the argument
@@ -602,6 +626,58 @@ def test_roundtrip_zero_weights(tmp_path, twopoint):
     back = load_pair(path)
     np.testing.assert_array_equal(back.nu_weights, twopoint.nu_weights)
     np.testing.assert_array_equal(back.ratio_cache, twopoint.ratio_cache)
+
+
+def _pair_with_a_zero(way, zero, path):
+    """A pair holding the zero weight ``zero`` (0.0 or -0.0), entered
+    ``way``: as a target or a proposal weight of ``make_finite_pair``, as
+    an entry of ``make_weighted_pair``'s g, or in a JSON file at
+    ``path``. Most of the proposal mass sits on atoms of ratio 0, where
+    the quantile estimate falls."""
+    mu, nu = [0.05, 0.05, 0.9], [0.5, 0.5, zero]
+    if way == "proposal":
+        mu, nu = [0.05, zero, 0.05, 0.9], [0.5, 0.0, 0.5, 0.0]
+    if way == "g":
+        return make_weighted_pair(make_finite_pair(mu, [0.25, 0.25, 0.5], 1.5), [1.0, 1.0, zero])
+    if way == "file":
+        text = json.dumps({"mu": mu, "nu": nu, "z": 1.5})
+        assert ("-0.0" in text) == (math.copysign(1.0, zero) < 0)
+        path.write_text(text)
+        return load_pair(path)
+    return make_finite_pair(mu, nu, 1.5)
+
+
+@pytest.mark.parametrize("way", ["target", "proposal", "g", "file"])
+def test_a_negative_zero_weight_gives_the_pair_of_a_zero_weight(way, tmp_path, monkeypatch):
+    """However a -0.0 weight enters a pair, the pair reads it as 0.0: no
+    row holds -0.0, and the pair is the one built with 0.0, bit for bit,
+    in its rows and tables, its complete profile, its race law and its
+    trials' estimates on either engine."""
+    signed, plain = (_pair_with_a_zero(way, zero, tmp_path / f"{i}.json")
+                     for i, zero in enumerate((-0.0, 0.0)))
+
+    def same(a, b):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    for pair in (signed, plain):
+        for row in (pair.mu_weights, pair.nu_weights, pair.ratio_cache):
+            assert not np.signbit(row).any()
+    for name in ("mu_weights", "nu_weights", "ratio_cache", "ratio_order", "lambda_drawn"):
+        same(getattr(signed, name), getattr(plain, name))
+    profiles = [CoverageProfile.from_pair(pair) for pair in (signed, plain)]
+    for name in ("thresholds", "nu_masses", "mu_masses",
+                 "_nu_suffix", "_mu_suffix", "_nu_r_prefix"):
+        same(*(getattr(profile, name) for profile in profiles))
+    for n in (1, 2, 88):
+        (law, null), (plain_law, plain_null) = race_law(signed, n), race_law(plain, n)
+        same(law, plain_law)
+        same(np.float64(null), np.float64(plain_null))
+    g = np.arange(1.0, signed.support_size + 1)
+    for ratio in (0, math.inf):  # every trial on hit counts, then on draws
+        monkeypatch.setattr(estimators, "COUNT_ENGINE_RATIO", ratio)
+        for method in ("mom", "quantile", "snis"):
+            same(*(run_trials(pair, method, 200, 5, 1, 0.9, 0.1, m=1.0, g=g).estimates
+                   for pair in (signed, plain)))
 
 
 def test_load_rejects_missing_field(tmp_path):

@@ -588,6 +588,25 @@ def test_run_trials_names_an_n_or_trials_out_of_range(method):
             run_trials(pair, method, n, trials, 1, 0.25, 0.1, m=1.25, g=np.ones(2))
 
 
+@pytest.mark.parametrize("method", ["mom", "quantile", "snis"])
+def test_run_trials_names_an_n_or_trials_that_is_not_an_integer(method):
+    pair, kwargs = make_bernoulli_pair(0.5, 0.25), {"m": 1.25, "g": np.ones(2)}
+    for n, trials, message in (
+        (1000.5, 3, "n must be an integer, got 1000.5"),
+        (1000, 3.5, "trials must be an integer, got 3.5"),
+        (1000, math.nan, "trials must be an integer, got nan"),
+        (math.inf, 3, "n must be an integer, got inf"),
+        ("1000", 3, "n must be an integer, got '1000'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_trials(pair, method, n, trials, 1, 0.25, 0.1, **kwargs)
+    # an integer-valued float is read as its int
+    whole = run_trials(pair, method, 1000.0, 3.0, 1, 0.25, 0.1, **kwargs)
+    exact = run_trials(pair, method, 1000, 3, 1, 0.25, 0.1, **kwargs)
+    assert type(whole.n_used) is int and whole.n_used == exact.n_used
+    assert whole.estimates.tobytes() == exact.estimates.tobytes()
+
+
 def test_snis_constant_weights():
     batch = _batch([5.0, 5.0, 5.0], atoms=[0, 1, 0])
     g = np.array([2.0, 8.0])

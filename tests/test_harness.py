@@ -80,6 +80,18 @@ def test_config_roundtrip():
     assert config_from_text(config_to_text(cfg)) == cfg
 
 
+@pytest.mark.parametrize("key", ["trials", "master_seed", "n_override"])
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3"])
+def test_a_config_count_or_seed_that_is_not_an_integer_is_named(key, bad):
+    fields = dict(kind="success_curve", family="bernoulli", eps_grid=(0.5,), delta=0.1,
+                  trials=2, master_seed=7, output_path="out.csv")
+    with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {bad!r}$"):
+        ExperimentConfig(**{**fields, key: bad})
+    # an integer-valued float is read as its int
+    whole = ExperimentConfig(**{**fields, key: 3.0})
+    assert type(getattr(whole, key)) is int and whole == ExperimentConfig(**{**fields, key: 3})
+
+
 def test_config_roundtrip_via_file(tmp_path):
     cfg = ExperimentConfig(
         kind="phase_transition",
